@@ -63,6 +63,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` value above zero (NaN is not)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="storymin", description="Crossing minimization for storyline layouts")
     parser.add_argument("--version", action="version", version=f"storymin {__version__}")
@@ -85,18 +98,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="minimize crossings exactly (branch and cut)")
     add_common(p)
-    p.add_argument("--time-limit", type=float, default=None, help="seconds (default: STORYMIN_TIME_LIMIT or 3600)")
+    p.add_argument("--time-limit", type=_positive(float), default=None, help="seconds (default: STORYMIN_TIME_LIMIT or 3600)")
     p.add_argument("--heuristic-only", action="store_true", help="skip the exact search")
     p.add_argument("--no-merge", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--sweeps", type=int, default=8, help="barycenter sweeps for the start solution")
-    p.add_argument("--backend", choices=("simplex", "scipy"), default="simplex")
+    p.add_argument("--threads", type=_positive(int), default=1)
+    p.add_argument("--sweeps", type=_positive(int), default=8, help="barycenter sweeps for the start solution")
+    p.add_argument("--backend", choices=("simplex", "scipy"), default="simplex",
+                   help="simplex: one warm-started HiGHS model; scipy: cold linprog per LP")
     p.add_argument("--stats-json", help="also write solve statistics to this file")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
     p = sub.add_parser("heuristic", help="tree-aware barycenter layout only")
     add_common(p)
-    p.add_argument("--sweeps", type=int, default=8)
+    p.add_argument("--sweeps", type=_positive(int), default=8)
     p.add_argument("--no-merge", action="store_true")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
@@ -109,7 +123,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("render", help="draw a solved instance as SVG")
     add_common(p)
     p.add_argument("--solution", help="solution text file (default: solve exactly first)")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive(float), default=None)
     p.add_argument("--width", type=int, default=100, help="horizontal pixels per layer gap")
     p.add_argument("--row-height", type=int, default=24, help="vertical pixels per slot")
     p.add_argument("--smooth", action="store_true", help="draw curves instead of straight lines")
@@ -216,9 +230,12 @@ def _default_time_limit(args) -> float:
     env = os.environ.get("STORYMIN_TIME_LIMIT")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
-            raise FormatError("bad-env", f"STORYMIN_TIME_LIMIT is not a number: {env!r}")
+            value = float("nan")
+        if not (value > 0):
+            raise FormatError("bad-env", f"STORYMIN_TIME_LIMIT is not a positive number: {env!r}")
+        return value
     return 3600.0
 
 

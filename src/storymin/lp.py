@@ -1,4 +1,4 @@
-"""LP relaxation backends: a bundled dense revised simplex and a scipy wrapper.
+"""LP relaxation backends: one warm-started HiGHS model, and a linprog fallback.
 
 Both backends hold a problem of the form
 
@@ -6,20 +6,38 @@ Both backends hold a problem of the form
 
 with incrementally added/removed rows (cutting planes) and adjustable bounds
 (branching).  ``solve`` reports status, objective, primal point, row duals,
-and row slacks.  Backends agree to 1e-6 on the corpus; the bundled simplex
-exists so the package has no hard solver dependency beyond numpy, and the
-scipy backend (HiGHS) provides an independent route for cross-checks and a
-faster option on large instances.
+and row slacks.  A solve that reaches the deadline given to ``set_deadline``
+stops and reports ``TIME_LIMIT``.
 
-The bundled simplex is a bounded-variable two-phase revised simplex with an
-explicit basis inverse, product-form updates, periodic refactorization, and
-Dantzig pricing that falls back to Bland's rule after a run of degenerate
-pivots (anti-cycling).  On numerical trouble it restarts once with Bland's
-rule from scratch before reporting failure.
+:class:`SimplexBackend` keeps one persistent HiGHS model (dual simplex,
+presolve off) and sends it deltas only: new rows, deleted rows, and the
+column bounds that changed since the last solve.  Every solve restarts from
+the previous basis, so a round of cuts or a branching fix costs a few pivots
+instead of a cold solve.  HiGHS addresses rows by position and closes the
+gaps a deletion leaves; the row store keeps ids in the same order, so the
+k-th stored id always names the k-th HiGHS row.
+
+The model comes from the HiGHS binding that SciPy ships as the private
+extension ``scipy.optimize._highspy._core``.  Importing it the normal way
+runs all of ``scipy.optimize`` (about 0.24 s and 15 MB that the package does
+not otherwise need), so the extension alone is loaded from its file on the
+first solve and registered under its own name, where a later
+``import scipy.optimize`` finds the same module.  The HiGHS object is also
+created on the first solve, not on ``load``: many small instances are closed
+by the start heuristic before any LP runs.  A SciPy without the extension
+makes :func:`highs_available` false, and branch-and-cut then uses
+:class:`ScipyBackend`, which calls ``scipy.optimize.linprog`` cold on a
+sparse matrix at every solve.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -30,21 +48,24 @@ __all__ = [
     "INFEASIBLE",
     "UNBOUNDED",
     "NUMERICAL",
+    "TIME_LIMIT",
     "LpResult",
     "RelaxationBackend",
     "SimplexBackend",
     "ScipyBackend",
+    "highs_available",
 ]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL = "numerical"
+TIME_LIMIT = "time-limit"
 
-_FEAS_TOL = 1e-7
-_PIVOT_TOL = 1e-9
-_REFACTOR_EVERY = 100
-_DEGENERATE_LIMIT = 40
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False}
+
+_core = None  # the loaded HiGHS extension; False once loading it failed
 
 
 @dataclass
@@ -61,6 +82,8 @@ class RelaxationBackend(Protocol):
 
     def load(self, costs: Iterable[float], lower: Iterable[float], upper: Iterable[float]) -> None: ...
 
+    def set_deadline(self, deadline: float) -> None: ...
+
     def set_bounds(self, var: int, lo: float, hi: float) -> None: ...
 
     def get_bounds(self, var: int) -> tuple[float, float]: ...
@@ -72,6 +95,44 @@ class RelaxationBackend(Protocol):
     def row_count(self) -> int: ...
 
     def solve(self) -> LpResult: ...
+
+
+def _load_highs_core():
+    """The HiGHS extension module, loaded from its file without ``scipy.optimize``."""
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.exists(path):
+            break
+    else:
+        raise ImportError(f"no HiGHS extension in {folder}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    if not hasattr(module, "_Highs"):
+        raise ImportError(f"{_HIGHS_MODULE} has no _Highs class")
+    return module
+
+
+def highs_available() -> bool:
+    """Load the HiGHS extension on first call; False if it cannot be loaded."""
+    global _core
+    if _core is None:
+        try:
+            _core = _load_highs_core()
+        except (ImportError, OSError):
+            _core = False
+    return _core is not False
 
 
 @dataclass
@@ -94,16 +155,28 @@ class _Rows:
         for rid in row_ids:
             del self.rows[rid]
 
-    def matrix(self, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def csr(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``ids`` as CSR arrays (indptr, indices, data) and right-hand sides."""
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        for rid in ids:
+            coefs = self.rows[rid][0]
+            indices.extend(coefs)
+            data.extend(coefs.values())
+            indptr.append(len(indices))
+        return (np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32),
+                np.asarray(data, dtype=float), self.rhs(ids))
+
+    def rhs(self, ids: list[int]) -> np.ndarray:
+        return np.fromiter((self.rows[rid][1] for rid in ids), dtype=float, count=len(ids))
+
+    def matrix(self, n: int):
+        from scipy.sparse import csr_array
+
         ids = list(self.rows)
-        a = np.zeros((len(ids), n), dtype=float)
-        b = np.empty(len(ids), dtype=float)
-        for k, rid in enumerate(ids):
-            coefs, rhs = self.rows[rid]
-            for j, w in coefs.items():
-                a[k, j] = w
-            b[k] = rhs
-        return ids, a, b
+        indptr, indices, data, b = self.csr(ids)
+        return ids, csr_array((data, indices, indptr), shape=(len(ids), n)), b
 
 
 class _BaseBackend:
@@ -111,6 +184,7 @@ class _BaseBackend:
         self.c = np.zeros(0)
         self.lo = np.zeros(0)
         self.hi = np.zeros(0)
+        self.deadline = math.inf
         self._rows = _Rows()
 
     def load(self, costs, lower, upper) -> None:
@@ -122,6 +196,10 @@ class _BaseBackend:
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
         self._rows = _Rows()
+
+    def set_deadline(self, deadline: float) -> None:
+        """``time.monotonic()`` value at which a solve stops with TIME_LIMIT."""
+        self.deadline = deadline
 
     def set_bounds(self, var: int, lo: float, hi: float) -> None:
         if lo > hi:
@@ -150,266 +228,110 @@ class _BaseBackend:
 
 
 class SimplexBackend(_BaseBackend):
-    """Self-contained dense simplex; see module docstring for the algorithm."""
+    """One persistent HiGHS simplex model; see the module docstring."""
 
-    def __init__(self, max_iterations: int | None = None):
+    def __init__(self) -> None:
         super().__init__()
-        self.max_iterations = max_iterations
+        self._highs = None
+        self._sent_lo = self._sent_hi = np.zeros(0)
+
+    def load(self, costs, lower, upper) -> None:
+        super().load(costs, lower, upper)
+        self._highs = None
+
+    def add_rows(self, rows) -> list[int]:
+        ids = super().add_rows(rows)
+        if self._highs is not None and ids:
+            self._send_rows(ids)
+        return ids
+
+    def remove_rows(self, row_ids) -> None:
+        gone = set(row_ids)
+        if self._highs is not None and gone:
+            where = [k for k, rid in enumerate(self._rows.rows) if rid in gone]
+            if len(where) != len(gone):
+                raise KeyError(f"unknown row ids {sorted(gone - set(self._rows.rows))}")
+            self._highs.deleteRows(len(where), np.asarray(where, dtype=np.int32))
+        super().remove_rows(gone)
+
+    def _send_rows(self, ids: list[int]) -> None:
+        indptr, indices, data, b = self._rows.csr(ids)
+        self._highs.addRows(len(ids), np.full(len(ids), -np.inf), b,
+                            len(indices), indptr[:-1], indices, data)
+
+    def _send_bounds(self) -> None:
+        changed = np.flatnonzero((self.lo != self._sent_lo) | (self.hi != self._sent_hi))
+        if changed.size:
+            self._highs.changeColsBounds(changed.size, changed.astype(np.int32),
+                                         self.lo[changed], self.hi[changed])
+        self._sent_lo, self._sent_hi = self.lo.copy(), self.hi.copy()
+
+    def _build(self) -> None:
+        if not highs_available():
+            raise ImportError(f"{_HIGHS_MODULE} cannot be loaded; use ScipyBackend")
+        highs = _core._Highs()
+        for name, value in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(name, value)
+        n = len(self.c)
+        highs.addCols(n, self.c, self.lo, self.hi, 0, np.zeros(n, dtype=np.int32),
+                      np.zeros(0, dtype=np.int32), np.zeros(0))
+        self._highs = highs
+        self._sent_lo, self._sent_hi = self.lo.copy(), self.hi.copy()
+        if self._rows.rows:
+            self._send_rows(list(self._rows.rows))
 
     def solve(self) -> LpResult:
-        ids, a, b = self._rows.matrix(len(self.c))
-        res = _simplex(self.c, a, b, self.lo, self.hi, bland=False,
-                       max_iterations=self.max_iterations)
-        if res.status == NUMERICAL:
-            res = _simplex(self.c, a, b, self.lo, self.hi, bland=True,
-                           max_iterations=self.max_iterations)
-        if res.status == OPTIMAL and ids:
-            activity = a @ res.x
-            res.slacks = {rid: float(b[k] - activity[k]) for k, rid in enumerate(ids)}
-            res.duals = {rid: res.duals[k] for k, rid in enumerate(ids)}  # type: ignore[index]
-        elif res.status == OPTIMAL:
-            res.slacks = {}
-            res.duals = {}
-        return res
+        if self._highs is None:
+            self._build()
+        else:
+            self._send_bounds()
+        highs = self._highs
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            return LpResult(TIME_LIMIT)
+        # HiGHS compares time_limit with the model's run time summed over all runs
+        highs.setOptionValue("time_limit", highs.getRunTime() + left)
+        highs.run()
+        model_status = _core.HighsModelStatus
+        status = {
+            model_status.kOptimal: OPTIMAL,
+            model_status.kInfeasible: INFEASIBLE,
+            model_status.kUnbounded: UNBOUNDED,
+            model_status.kTimeLimit: TIME_LIMIT,
+        }.get(highs.getModelStatus(), NUMERICAL)
+        if status != OPTIMAL:
+            return LpResult(status)
+        sol = highs.getSolution()
+        ids = list(self._rows.rows)
+        slack = self._rows.rhs(ids) - np.asarray(sol.row_value, dtype=float)
+        return LpResult(OPTIMAL, float(highs.getObjectiveValue()),
+                        np.asarray(sol.col_value, dtype=float),
+                        dict(zip(ids, sol.row_dual)),
+                        dict(zip(ids, slack.tolist())))
 
 
 class ScipyBackend(_BaseBackend):
-    """scipy.optimize.linprog (HiGHS) behind the same interface."""
+    """scipy.optimize.linprog (HiGHS), solved cold at every call."""
 
     def solve(self) -> LpResult:
         from scipy.optimize import linprog
 
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            return LpResult(TIME_LIMIT)
         ids, a, b = self._rows.matrix(len(self.c))
-        bounds = list(zip(self.lo, self.hi))
-        kwargs = {}
-        if len(ids):
-            kwargs = {"A_ub": a, "b_ub": b}
-        res = linprog(self.c, bounds=bounds, method="highs", **kwargs)
+        kwargs = {"A_ub": a, "b_ub": b} if ids else {}
+        if math.isfinite(left):
+            kwargs["options"] = {"time_limit": left}
+        res = linprog(self.c, bounds=list(zip(self.lo, self.hi)), method="highs", **kwargs)
+        if res.status == 1:
+            return LpResult(TIME_LIMIT)
         if res.status == 2:
             return LpResult(INFEASIBLE)
         if res.status == 3:
             return LpResult(UNBOUNDED)
         if res.status != 0 or res.x is None:
             return LpResult(NUMERICAL)
-        duals: dict[int, float] = {}
-        slacks: dict[int, float] = {}
-        if len(ids):
-            marginals = res.ineqlin.marginals
-            slack = res.slack
-            for k, rid in enumerate(ids):
-                duals[rid] = float(marginals[k])
-                slacks[rid] = float(slack[k])
-        return LpResult(OPTIMAL, float(res.fun), np.asarray(res.x, dtype=float), duals, slacks)
-
-
-# ---------------------------------------------------------------------------
-# bundled simplex core
-# ---------------------------------------------------------------------------
-
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-_FREE = 3
-
-
-def _simplex(c, a, b, lo, hi, bland: bool, max_iterations: int | None) -> LpResult:
-    m, n = a.shape
-    if m == 0:
-        return _solve_bounds_only(c, lo, hi)
-
-    # variables: n structurals, m slacks, then phase-1 artificials as needed
-    y0 = b - a @ _initial_point(c, lo, hi)
-    neg = y0 < -_FEAS_TOL
-    k = int(np.count_nonzero(neg))
-    ntot = n + m + k
-
-    cols = np.zeros((m, ntot), dtype=float)
-    cols[:, :n] = a
-    cols[:, n:n + m] = np.eye(m)
-    art_of_row = {}
-    ai = n + m
-    for i in np.nonzero(neg)[0]:
-        cols[i, ai] = -1.0
-        art_of_row[int(i)] = ai
-        ai += 1
-
-    full_lo = np.concatenate([lo, np.zeros(m + k)])
-    full_hi = np.concatenate([hi, np.full(m + k, np.inf)])
-    xval = np.concatenate([_initial_point(c, lo, hi), np.zeros(m + k)])
-    stat = np.empty(ntot, dtype=np.int8)
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            stat[j] = _AT_LOWER
-        elif np.isfinite(hi[j]):
-            stat[j] = _AT_UPPER
-        else:
-            stat[j] = _FREE
-    stat[n:] = _AT_LOWER
-
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        if neg[i]:
-            basis[i] = art_of_row[i]
-            xval[basis[i]] = -y0[i]
-        else:
-            basis[i] = n + i
-            xval[basis[i]] = y0[i]
-    stat[basis] = _BASIC
-
-    if max_iterations is None:
-        max_iterations = 200 * (n + m) + 10_000
-
-    state = _SimplexState(cols, b, full_lo, full_hi, xval, stat, basis, bland, max_iterations)
-
-    if k > 0:
-        phase1_cost = np.zeros(ntot)
-        phase1_cost[n + m:] = 1.0
-        status = state.run(phase1_cost)
-        if status != OPTIMAL:
-            return LpResult(NUMERICAL if status == NUMERICAL else status)
-        if phase1_cost @ state.xval > 1e-6:
-            return LpResult(INFEASIBLE)
-        # pin artificials at zero; they never re-enter (fixed vars are skipped)
-        state.lo[n + m:] = 0.0
-        state.hi[n + m:] = 0.0
-        state.xval[n + m:] = np.where(state.stat[n + m:] == _BASIC, state.xval[n + m:], 0.0)
-
-    cost = np.concatenate([c, np.zeros(m + k)])
-    status = state.run(cost)
-    if status != OPTIMAL:
-        return LpResult(status)
-
-    x = state.xval[:n].copy()
-    resid = a @ x - b
-    if np.any(resid > 1e-6) or np.any(x < lo - 1e-6) or np.any(x > hi + 1e-6):
-        return LpResult(NUMERICAL)
-    duals = state.duals(cost)
-    return LpResult(OPTIMAL, float(c @ x), x, {i: float(duals[i]) for i in range(m)}, None)
-
-
-def _initial_point(c, lo, hi) -> np.ndarray:
-    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    return x.astype(float)
-
-
-def _solve_bounds_only(c, lo, hi) -> LpResult:
-    x = np.where(c > 0, lo, np.where(c < 0, hi, np.where(np.isfinite(lo), lo, 0.0)))
-    if np.any(~np.isfinite(x)):
-        return LpResult(UNBOUNDED)
-    return LpResult(OPTIMAL, float(c @ x), x.astype(float), {}, {})
-
-
-class _SimplexState:
-    def __init__(self, cols, b, lo, hi, xval, stat, basis, bland, max_iterations):
-        self.cols = cols
-        self.b = b
-        self.lo = lo
-        self.hi = hi
-        self.xval = xval
-        self.stat = stat
-        self.basis = basis
-        self.bland_always = bland
-        self.max_iterations = max_iterations
-        self.m = len(b)
-        self.binv = None
-        self.pivots_since_refactor = 0
-
-    def refactor(self) -> bool:
-        try:
-            self.binv = np.linalg.inv(self.cols[:, self.basis])
-        except np.linalg.LinAlgError:
-            return False
-        self.pivots_since_refactor = 0
-        # recompute basic values from the nonbasic point for consistency
-        xnb = self.xval.copy()
-        xnb[self.basis] = 0.0
-        xb = self.binv @ (self.b - self.cols @ xnb)
-        self.xval[self.basis] = xb
-        return True
-
-    def duals(self, cost) -> np.ndarray:
-        return cost[self.basis] @ self.binv
-
-    def run(self, cost) -> str:
-        if not self.refactor():
-            return NUMERICAL
-        bland = self.bland_always
-        degenerate_run = 0
-        fixed = self.lo == self.hi
-        for _ in range(self.max_iterations):
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                if not self.refactor():
-                    return NUMERICAL
-            y = cost[self.basis] @ self.binv
-            d = cost - y @ self.cols
-            cand = np.where(
-                ((self.stat == _AT_LOWER) & (d < -_FEAS_TOL))
-                | ((self.stat == _AT_UPPER) & (d > _FEAS_TOL))
-                | ((self.stat == _FREE) & (np.abs(d) > _FEAS_TOL))
-            )[0]
-            cand = cand[~fixed[cand]]
-            if cand.size == 0:
-                return OPTIMAL
-            if bland:
-                e = int(cand[0])
-            else:
-                e = int(cand[np.argmax(np.abs(d[cand]))])
-            sigma = 1.0 if (self.stat[e] == _AT_LOWER or (self.stat[e] == _FREE and d[e] < 0)) else -1.0
-
-            w = self.binv @ self.cols[:, e]
-            deltas = sigma * w
-            xb = self.xval[self.basis]
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-
-            t_bound = self.hi[e] - self.lo[e] if self.stat[e] in (_AT_LOWER, _AT_UPPER) else np.inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_low = np.where(deltas > _PIVOT_TOL, (xb - lo_b) / deltas, np.inf)
-                t_hi = np.where(deltas < -_PIVOT_TOL, (hi_b - xb) / (-deltas), np.inf)
-            t_rows = np.minimum(np.nan_to_num(t_low, nan=np.inf, posinf=np.inf),
-                                np.nan_to_num(t_hi, nan=np.inf, posinf=np.inf))
-            t_rows = np.maximum(t_rows, 0.0)
-            t_min_rows = float(np.min(t_rows)) if self.m else np.inf
-            t = min(t_bound, t_min_rows)
-            if not np.isfinite(t):
-                return UNBOUNDED
-
-            if t >= t_bound - 1e-12 and t_bound <= t_min_rows:
-                # entering variable flips to its other bound; basis unchanged
-                self.xval[self.basis] = xb - deltas * t_bound
-                self.xval[e] = self.hi[e] if self.stat[e] == _AT_LOWER else self.lo[e]
-                self.stat[e] = _AT_UPPER if self.stat[e] == _AT_LOWER else _AT_LOWER
-                degenerate_run = degenerate_run + 1 if t_bound < _PIVOT_TOL else 0
-            else:
-                tied = np.where(t_rows <= t + 1e-12)[0]
-                if bland:
-                    leave = int(tied[np.argmin(self.basis[tied])])
-                else:
-                    leave = int(tied[np.argmax(np.abs(deltas[tied]))])
-                if abs(w[leave]) < _PIVOT_TOL:
-                    if not self.refactor():
-                        return NUMERICAL
-                    continue
-                lv = int(self.basis[leave])
-                hit_upper = deltas[leave] < 0
-                self.xval[self.basis] = xb - deltas * t
-                self.xval[e] = (self.xval[e] if self.stat[e] == _FREE
-                                else (self.lo[e] if sigma > 0 else self.hi[e])) + sigma * t
-                self.xval[lv] = hi_b[leave] if hit_upper else lo_b[leave]
-                self.stat[lv] = _AT_UPPER if hit_upper else _AT_LOWER
-                self.basis[leave] = e
-                self.stat[e] = _BASIC
-                # product-form update of the basis inverse
-                piv = w[leave]
-                self.binv[leave, :] /= piv
-                others = np.arange(self.m) != leave
-                self.binv[others, :] -= np.outer(w[others], self.binv[leave, :])
-                self.pivots_since_refactor += 1
-                degenerate_run = degenerate_run + 1 if t < _PIVOT_TOL else 0
-
-            if not self.bland_always:
-                if degenerate_run > _DEGENERATE_LIMIT:
-                    bland = True
-                elif bland and degenerate_run == 0:
-                    bland = False
-        return NUMERICAL
+        return LpResult(OPTIMAL, float(res.fun), np.asarray(res.x, dtype=float),
+                        dict(zip(ids, res.ineqlin.marginals.tolist())),
+                        dict(zip(ids, res.slack.tolist())))

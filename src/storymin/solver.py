@@ -7,6 +7,12 @@ variables -> reduce to a weighted cut problem -> branch and cut on the LP
 relaxation (box bounds only at the root; odd-cycle and transitivity
 inequalities separated on demand).
 
+Each worker keeps one LP for the whole search (``lp.SimplexBackend``, a HiGHS
+model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
+extension).  Cuts and branching fixes reach it as row and bound changes.  The
+deadline is handed to the LP too, so a long LP stops at the time limit; its
+node then goes back on the heap as if the deadline had been seen between LPs.
+
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
@@ -25,7 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import INFEASIBLE, NUMERICAL, UNBOUNDED, RelaxationBackend, SimplexBackend
+from .lp import (
+    INFEASIBLE,
+    NUMERICAL,
+    TIME_LIMIT,
+    UNBOUNDED,
+    RelaxationBackend,
+    ScipyBackend,
+    SimplexBackend,
+    highs_available,
+)
 from .maxcut import (
     MaxCutGraph,
     build_maxcut,
@@ -78,7 +93,7 @@ class SolveConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not (self.time_limit > 0):  # also rejects NaN
             raise ValueError("time_limit must be positive")
         if self.branching != "most-fractional":
             raise ValueError(f"unsupported branching rule {self.branching!r}")
@@ -343,12 +358,12 @@ class _Worker:
         counted = False
         while True:
             if time.monotonic() > shared.deadline:
-                with shared.lock:
-                    shared.timed_out = True
-                    # node is still open: repost it so the bound stays honest
-                    shared.push(node.bound, node.fixes)
+                self._time_out(node)
                 return
             res = self.backend.solve()
+            if res.status == TIME_LIMIT:
+                self._time_out(node)
+                return
             with shared.lock:
                 shared.stats.n_LPs += 1
                 if not counted:
@@ -387,6 +402,12 @@ class _Worker:
             if not added or rounds > _FORCE_BRANCH_ROUNDS:
                 self._branch(node, y, total)
                 return
+
+    def _time_out(self, node: _Node) -> None:
+        with self.shared.lock:
+            self.shared.timed_out = True
+            # node is still open: repost it so the bound stays honest
+            self.shared.push(node.bound, node.fixes)
 
     def processing_bound(self, bound: float) -> None:
         self.shared.processing[self.wid] = bound
@@ -470,7 +491,8 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     """Solve to optimality (or best effort within the time limit).
 
     ``backend`` is an LP backend instance (threads=1) or a zero-argument
-    factory; by default each worker gets its own :class:`SimplexBackend`.
+    factory; by default each worker gets its own :class:`SimplexBackend`, or
+    a :class:`ScipyBackend` when the HiGHS extension cannot be loaded.
     """
     config = config or SolveConfig()
     t0 = time.monotonic()
@@ -506,7 +528,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         return finish(OPTIMAL_STATUS, heur, incumbent_count, incumbent_count)
 
     if backend is None:
-        factory = SimplexBackend
+        factory = SimplexBackend if highs_available() else ScipyBackend
     elif isinstance(backend, type) or (callable(backend) and not hasattr(backend, "solve")):
         factory = backend
     else:
@@ -523,6 +545,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         be = factory()
         be.load([float(w) for w in graph.weights],
                 [0.0] * graph.n_edges, [1.0] * graph.n_edges)
+        be.set_deadline(deadline)
         workers.append(_Worker(wid, shared, graph, reduced, work, be, config))
 
     if config.threads == 1:

@@ -224,6 +224,27 @@ def test_usage_error_code(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("option", [
+    ("--time-limit", "-1"),
+    ("--time-limit", "nan"),
+    ("--threads", "0"),
+    ("--sweeps", "0"),
+])
+def test_solve_rejects_non_positive_limits(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(write_story(tmp_path)), *option])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_time_limit_env(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("STORYMIN_TIME_LIMIT", value)
+    code = main(["solve", str(write_story(tmp_path))])
+    assert code == EXIT_INVALID
+    assert "STORYMIN_TIME_LIMIT" in capsys.readouterr().err
+
+
 def test_console_script_runs(tmp_path):
     story = tmp_path / "s.json"
     story.write_text(json.dumps(BUNDLE_STORY))

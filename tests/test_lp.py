@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import math
+import os
 import random
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from storymin.lp import (
     INFEASIBLE,
     OPTIMAL,
+    TIME_LIMIT,
     LpResult,
     ScipyBackend,
     SimplexBackend,
@@ -194,3 +200,111 @@ def test_fixed_variables_via_bounds():
     assert res.x[0] == pytest.approx(1.0)
     assert res.x[1] == pytest.approx(0.0)
     assert res.x[2] == pytest.approx(1.0)
+
+
+def test_warm_model_matches_fresh_linprog():
+    """One SimplexBackend under a seeded mix of row/bound changes.
+
+    After every step a fresh ScipyBackend gets the same rows and bounds; the
+    status, the objective and the row ids of duals and slacks must agree.
+    This pins the id-to-position mapping of the HiGHS rows after deletions.
+    """
+    rng = random.Random(83)
+    n = 10
+    c = [rng.uniform(-3, 3) for _ in range(n)]
+    warm = make(SimplexBackend, c, [0.0] * n, [1.0] * n)
+    rows: dict[int, tuple[dict[int, float], float]] = {}
+    solved = infeasible = 0
+    for _ in range(120):
+        op = rng.random()
+        if op < 0.35:
+            new = random_lp(rng)[3][:rng.randint(1, 4)]
+            new = [({j % n: w for j, w in coefs.items()}, rhs) for coefs, rhs in new]
+            rows.update(zip(warm.add_rows(new), new))
+        elif op < 0.55 and rows:
+            gone = rng.sample(sorted(rows), rng.randint(1, len(rows)))
+            warm.remove_rows(gone)
+            for rid in gone:
+                del rows[rid]
+        elif op < 0.75:
+            var = rng.randrange(n)
+            val = rng.choice([0.0, 1.0, None])
+            warm.set_bounds(var, *((0.0, 1.0) if val is None else (val, val)))
+        res = warm.solve()
+        fresh = make(ScipyBackend, c, warm.lo, warm.hi, list(rows.values()))
+        ref = fresh.solve()
+        assert res.status == ref.status
+        assert warm.row_count() == len(rows)
+        infeasible += res.status == INFEASIBLE
+        if res.status == OPTIMAL:
+            solved += 1
+            assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+            assert set(res.duals) == set(res.slacks) == set(rows)
+            for rid, (coefs, rhs) in rows.items():
+                activity = sum(w * res.x[j] for j, w in coefs.items())
+                assert res.slacks[rid] == pytest.approx(rhs - activity, abs=1e-7)
+    assert solved >= 30 and infeasible >= 5
+
+
+@pytest.mark.parametrize("backend_cls", [SimplexBackend, ScipyBackend])
+def test_past_deadline_reports_time_limit(backend_cls):
+    be = make(backend_cls, [-1.0, -1.0], [0, 0], [1, 1], [({0: 1.0, 1: 1.0}, 1.0)])
+    be.set_deadline(time.monotonic() - 1.0)
+    assert be.solve().status == TIME_LIMIT
+    be.set_deadline(time.monotonic() + 60.0)
+    assert be.solve().status == OPTIMAL
+
+
+def test_highs_extension_loads_without_scipy_optimize():
+    """The lazy file load registers the module where scipy.optimize finds it."""
+    code = (
+        "import sys; from storymin import lp, solver; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "assert lp.highs_available(); "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "be = lp.SimplexBackend(); be.load([-1.0], [0.0], [1.0]); "
+        "assert be.solve().status == lp.OPTIMAL; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "import scipy.optimize._highspy._core as core; "
+        "assert core is lp._core"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:
+    """A random LP whose next solve takes a few tenths of a second.
+
+    The HiGHS model is built by a bounds-only solve first, so that a timed
+    solve is all simplex iterations.
+    """
+    rng = random.Random(7)
+    be = make(SimplexBackend, [rng.uniform(-1, 1) for _ in range(n)], [0.0] * n, [1.0] * n)
+    assert be.solve().status == OPTIMAL
+    be.add_rows([({j: rng.choice([-1.0, 1.0]) for j in rng.sample(range(n), 8)},
+                  rng.uniform(0.5, 2.0)) for _ in range(m)])
+    return be
+
+
+def test_deadline_stops_highs_inside_a_solve():
+    be = large_sparse_backend()
+    start = time.monotonic()
+    be.set_deadline(start + 0.02)
+    assert be.solve().status == TIME_LIMIT
+    assert time.monotonic() - start < 0.25
+    be.set_deadline(math.inf)
+    assert be.solve().status == OPTIMAL
+
+
+def test_each_solve_gets_the_time_left():
+    """HiGHS sums run time over runs; a warm re-solve still gets its own budget."""
+    be = large_sparse_backend()
+    start = time.monotonic()
+    assert be.solve().status == OPTIMAL
+    cold = time.monotonic() - start
+    for var in range(5):
+        be.set_bounds(var, 1.0, 1.0)
+    be.set_deadline(time.monotonic() + cold / 2)
+    assert be.solve().status == OPTIMAL

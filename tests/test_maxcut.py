@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ def test_cut_value_equals_crossings():
         inst = random_general_instance(rng)
         reduced = reduced_of(inst)
         graph = build_maxcut(reduced)
-        for sol in list(all_solutions(inst))[:15]:
+        for sol in islice(all_solutions(inst), 15):
             y = cut_from_solution(graph, reduced, sol)
             assert evaluate_cut(graph, y) == count_crossings(inst, sol)
 
@@ -66,7 +66,7 @@ def test_cut_round_trip():
         inst = random_general_instance(rng)
         reduced = reduced_of(inst)
         graph = build_maxcut(reduced)
-        for sol in list(all_solutions(inst))[:10]:
+        for sol in islice(all_solutions(inst), 10):
             y = cut_from_solution(graph, reduced, sol)
             ok, witness = cut_consistency(graph, y)
             assert ok and witness is None

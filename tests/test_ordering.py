@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -72,7 +72,7 @@ def test_objective_equals_crossings():
     for _ in range(40):
         inst = random_general_instance(rng)
         model = build_model(inst)
-        for sol in list(all_solutions(inst))[:20]:
+        for sol in islice(all_solutions(inst), 20):
             x = encode_solution(model, sol)
             assert objective_value(model, x) == count_crossings(inst, sol)
 

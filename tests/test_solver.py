@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,8 @@ from storymin import (
     parse_story,
     solve_heuristic,
 )
-from storymin.lp import ScipyBackend
+from storymin import lp, solver
+from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
 from conftest import (
     random_general_instance,
@@ -184,6 +186,73 @@ def test_timeout_bound_is_safe():
     assert checked >= 5
 
 
+def test_lp_time_limit_ends_the_search_like_the_deadline():
+    """An LP stopped by its time limit reposts the node; the bound stays honest."""
+
+    class StopsAfterOneSolve(SimplexBackend):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def solve(self):
+            self.calls += 1
+            return super().solve() if self.calls == 1 else LpResult(TIME_LIMIT)
+
+    rng = random.Random(102)
+    checked = 0
+    for _ in range(20):
+        inst = random_storyline_instance(rng, p_range=(3, 4), n_range=(4, 6))
+        best, _ = brute_force_optimum(inst)
+        res = branch_and_cut(inst, backend=StopsAfterOneSolve)
+        if res.status == TIMEOUT_STATUS:
+            assert res.lower_bound <= best <= res.crossings
+            assert res.crossings == count_crossings(inst, res.solution)
+            checked += 1
+        else:
+            assert res.status == OPTIMAL_STATUS
+            assert res.crossings == best
+    assert checked >= 3
+
+
+def test_medium_instance_returns_near_its_time_limit():
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    start = time.monotonic()
+    res = branch_and_cut(inst, SolveConfig(time_limit=1.0))
+    assert time.monotonic() - start <= 2.0
+    assert res.status in (TIMEOUT_STATUS, OPTIMAL_STATUS)
+    assert res.lower_bound <= 6 <= res.crossings  # 6 is the proven optimum
+
+
+def test_default_falls_back_to_linprog_without_highs(monkeypatch):
+    def no_extension():
+        raise ImportError("no HiGHS extension")
+
+    built = []
+
+    class CountedScipyBackend(ScipyBackend):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(lp, "_core", None)
+    monkeypatch.setattr(lp, "_load_highs_core", no_extension)
+    monkeypatch.setattr(solver, "ScipyBackend", CountedScipyBackend)
+    assert not lp.highs_available()
+    backend = SimplexBackend()
+    backend.load([1.0], [0.0], [1.0])
+    with pytest.raises(ImportError):
+        backend.solve()
+    rng = random.Random(103)
+    for _ in range(6):
+        inst = random_storyline_instance(rng)
+        best, _ = brute_force_optimum(inst)
+        res = branch_and_cut(inst)
+        assert res.status == OPTIMAL_STATUS
+        assert res.crossings == best
+    assert built
+
+
 def test_infeasible_input_status():
     broken = MlcmInstance((2,), (), (LayerTree(3, (3, 3, 3, -1), ("root",)),))
     res = branch_and_cut(broken)
@@ -197,6 +266,8 @@ def test_infeasible_input_status():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
+    with pytest.raises(ValueError):
+        SolveConfig(time_limit=float("nan"))
     with pytest.raises(ValueError):
         SolveConfig(branching="pseudo-cost")
     with pytest.raises(ValueError):
