@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
                    help="cap on dynamic-programming transition work")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
@@ -124,8 +124,8 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--solution", help="solution text file (default: solve exactly first)")
     p.add_argument("--time-limit", type=_positive(float), default=None)
-    p.add_argument("--width", type=int, default=100, help="horizontal pixels per layer gap")
-    p.add_argument("--row-height", type=int, default=24, help="vertical pixels per slot")
+    p.add_argument("--width", type=_positive(int), default=100, help="horizontal pixels per layer gap")
+    p.add_argument("--row-height", type=_positive(int), default=24, help="vertical pixels per slot")
     p.add_argument("--smooth", action="store_true", help="draw curves instead of straight lines")
     p.add_argument("--out", help="write the SVG here instead of stdout")
 

@@ -12,18 +12,35 @@ depending on sign -- we keep everything as "minimize the weighted cut".
 Cut vectors are exactly the 0/1 vectors with even overlap with every cycle;
 fractional LP points are separated by odd-cycle inequalities
 
-    sum_{e in F} y_e - sum_{e in C\\F} y_e <= |F| - 1,   F subset of cycle C, |F| odd,
+    sum_{e in F} y_e - sum_{e in C\\F} y_e <= |F| - 1,   F subset of cycle C, |F| odd.
 
-found via shortest paths in a doubled graph (each node split into an even and
-an odd copy; arcs for edge e: same-side of length y_e, side-switching of
-length 1 - y_e; an even->odd path shorter than 1 yields a violated
-inequality).  Transitivity of the underlying ordering is separated by
-complete enumeration over the stored class triples.
+The root edges form a spanning tree, a star at node 0: the side of node c+1
+is y_(0,c+1), and the tree path between two class nodes is their two root
+edges.  So every pair edge (u, v) closes a *reference triangle* with the root
+edges of u and v, and a 0/1 vector is a cut iff y_uv == y_u0 xor y_v0 on every
+pair edge.  The four odd-set inequalities of a triangle are exactly the
+linearization of that xor.  ``cut_consistency`` checks every pair edge of a
+0/1 vector in one numpy pass and returns every failing triangle;
+``separate_odd_cycles`` scores the triangle inequalities of every pair edge
+with numpy and returns the violated ones when there are any.
+
+Only when no triangle is violated does it search general cycles, via shortest
+paths in a doubled graph (each node split into an even and an odd copy; arcs
+for edge e: same-side of length y_e, side-switching of length 1 - y_e; an
+even->odd path shorter than 1 yields a violated inequality).  Dijkstra runs
+from ``_SOURCE_CHUNK`` nodes at a time, so it holds O(chunk * n) distances
+instead of two n x 2n matrices.  Every node stays a source: a violated cycle
+need not contain a fractional edge (root edges at 0.5 with pair edges 12, 23,
+13 at 1.0 violate the cycle 1-2-3 by a full unit, and no triangle is
+violated), so sources are not picked from fractional edges.  Transitivity of
+the underlying ordering is separated by complete enumeration over the stored
+class triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,6 +75,14 @@ __all__ = [
 # every returned inequality is re-checked exactly against y anyway
 _LENGTH_FLOOR = 1e-12
 
+# Dijkstra sources per call: bounds its distance and predecessor arrays to
+# _SOURCE_CHUNK x 2n each
+_SOURCE_CHUNK = 128
+
+# the four odd sets of a reference triangle (pair edge, root edge of u, root
+# edge of v), as positions in that cycle; scored in this order below
+_TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
+
 
 @dataclass(frozen=True)
 class MaxCutGraph:
@@ -78,6 +103,17 @@ class MaxCutGraph:
 
     def root_edge(self, cls: int) -> int:
         return cls
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Read-only (n_edges, 2) array of the edge endpoints."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
 
 
 def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
@@ -153,76 +189,32 @@ class TransitivityCut:
         return ("transitivity", self.triple.a, self.triple.b, self.triple.c, self.sense)
 
 
-def _spanning_tree(graph: MaxCutGraph) -> tuple[list[int], list[int], list[int]]:
-    """BFS tree from node 0: (parent node, parent edge, visit order) per node."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_nodes)]
-    for e, (u, v) in enumerate(graph.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    parent = [-1] * graph.n_nodes
-    parent_edge = [-1] * graph.n_nodes
-    seen = [False] * graph.n_nodes
-    seen[0] = True
-    queue = [0]
-    order = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v, e in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    parent_edge[v] = e
-                    nxt.append(v)
-        order.extend(nxt)
-        queue = nxt
-    return parent, parent_edge, order
+def _violated_triangles(graph: MaxCutGraph, yv: np.ndarray, tolerance: float,
+                        max_cuts: int) -> list[OddCycleInequality]:
+    """Violated reference-triangle inequalities, most violated first (ties by edge)."""
+    r = graph.n_root_edges
+    pairs = graph.ends[r:]
+    a, b, c = yv[r:], yv[pairs[:, 0] - 1], yv[pairs[:, 1] - 1]
+    viol = np.column_stack((a - b - c, b - a - c, c - a - b, a + b + c - 2.0)).ravel()
+    hits = np.flatnonzero(viol > tolerance)
+    hits = hits[np.argsort(-viol[hits], kind="stable")][:max_cuts]
+    out = []
+    for k in hits.tolist():
+        p, kind = divmod(k, 4)
+        cycle = (r + p, int(pairs[p, 0]) - 1, int(pairs[p, 1]) - 1)
+        odd = frozenset(cycle[i] for i in _TRIANGLE_ODD_SETS[kind])
+        out.append(OddCycleInequality(cycle, odd))
+    return out
 
 
-def cut_consistency(graph: MaxCutGraph, y) -> tuple[bool, OddCycleInequality | None]:
-    """Check that integral y is a cut; on failure return a violated odd cycle.
+def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
+    """Every reference triangle that 0/1 vector y fails; empty iff y is a cut.
 
-    Labels nodes by parity along a spanning tree, then verifies every edge.
-    The witness is the tree path between a failing edge's endpoints plus the
-    edge itself -- a cycle with an odd number of y=1 edges.
+    A failing pair edge (y_uv != y_u0 xor y_v0) closes a triangle with an odd
+    number of y=1 edges, whose inequality y violates by a full unit.
     """
-    parent, parent_edge, order = _spanning_tree(graph)
-    label = [0] * graph.n_nodes
-    for v in order:
-        if parent[v] >= 0:
-            label[v] = label[parent[v]] ^ int(round(y[parent_edge[v]]))
-    for e, (u, v) in enumerate(graph.edges):
-        if (label[u] ^ label[v]) != int(round(y[e])):
-            cycle = [e] + _tree_path_edges(parent, parent_edge, u, v)
-            odd = frozenset(c for c in cycle if int(round(y[c])) == 1)
-            return False, OddCycleInequality(tuple(cycle), odd)
-    return True, None
-
-
-def _depth(parent: list[int], v: int) -> int:
-    d = 0
-    while parent[v] >= 0:
-        v = parent[v]
-        d += 1
-    return d
-
-
-def _tree_path_edges(parent: list[int], parent_edge: list[int], u: int, v: int) -> list[int]:
-    pu, pv = [], []
-    du, dv = _depth(parent, u), _depth(parent, v)
-    while du > dv:
-        pu.append(parent_edge[u])
-        u = parent[u]
-        du -= 1
-    while dv > du:
-        pv.append(parent_edge[v])
-        v = parent[v]
-        dv -= 1
-    while u != v:
-        pu.append(parent_edge[u])
-        pv.append(parent_edge[v])
-        u, v = parent[u], parent[v]
-    return pu + pv[::-1]
+    yr = np.rint(np.asarray(y, dtype=float)[:graph.n_edges])
+    return _violated_triangles(graph, yr, 0.5, graph.n_edges)
 
 
 def _best_odd_set(cycle: list[int], y) -> tuple[frozenset[int], float]:
@@ -278,7 +270,8 @@ def separate_odd_cycles(
 ) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
 
-    Shortest even->odd paths in the doubled graph; every path of length < 1
+    Violated reference triangles are returned when there are any.  Otherwise
+    shortest even->odd paths in the doubled graph; every path of length < 1
     projects to a closed walk with an odd number of side switches, which is
     reduced to a simple odd cycle and re-checked exactly.  Complete: a
     violated inequality exists iff some such path is shorter than 1.
@@ -289,76 +282,58 @@ def separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
+    triangles = _violated_triangles(graph, yv, tolerance, max_cuts)
+    if triangles:
+        return triangles
 
-    # doubled graph: node v -> 2v (even side) and 2v+1 (odd side)
-    rows = np.empty(8 * m, dtype=np.int64)
-    cols = np.empty(8 * m, dtype=np.int64)
-    data = np.empty(8 * m, dtype=float)
+    # doubled graph: node v -> 2v (even side) and 2v+1 (odd side); per edge
+    # four same-side arcs of length y_e, then four side-switching arcs of 1 - y_e
+    even, odd = 2 * graph.ends, 2 * graph.ends + 1
+    u0, v0, u1, v1 = even[:, 0], even[:, 1], odd[:, 0], odd[:, 1]
+    rows = np.concatenate((u0, v0, u1, v1, u0, v1, u1, v0))
+    cols = np.concatenate((v0, u0, v1, u1, v1, u0, v0, u1))
     same = np.maximum(yv, _LENGTH_FLOOR)
     cross = np.maximum(1.0 - yv, _LENGTH_FLOOR)
-    for e, (u, v) in enumerate(graph.edges):
-        base = 8 * e
-        pairs = (
-            (2 * u, 2 * v, same[e]), (2 * v, 2 * u, same[e]),
-            (2 * u + 1, 2 * v + 1, same[e]), (2 * v + 1, 2 * u + 1, same[e]),
-            (2 * u, 2 * v + 1, cross[e]), (2 * v + 1, 2 * u, cross[e]),
-            (2 * u + 1, 2 * v, cross[e]), (2 * v, 2 * u + 1, cross[e]),
-        )
-        for k, (a, b, w) in enumerate(pairs):
-            rows[base + k] = a
-            cols[base + k] = b
-            data[base + k] = w
+    data = np.concatenate((same, same, same, same, cross, cross, cross, cross))
     doubled = csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
 
-    sources = np.arange(n) * 2
-    dist, pred = dijkstra(doubled, directed=True, indices=sources,
-                          return_predecessors=True, limit=1.0)
+    found: dict[tuple, tuple[float, OddCycleInequality]] = {}
+    for start in range(0, n, _SOURCE_CHUNK):
+        src = np.arange(start, min(n, start + _SOURCE_CHUNK))
+        dist, pred = dijkstra(doubled, directed=True, indices=2 * src,
+                              return_predecessors=True, limit=1.0)
+        reach = dist[np.arange(src.size), 2 * src + 1]
+        for i in np.flatnonzero(reach < 1.0 - tolerance).tolist():
+            cycle = _walk_to_cycle(graph, pred[i], int(src[i]))
+            if cycle is None:
+                continue
+            odd_set, violation = _best_odd_set(cycle, yv)
+            if violation <= tolerance:
+                continue
+            ineq = OddCycleInequality(tuple(cycle), odd_set)
+            found.setdefault(ineq.key(), (violation, ineq))
 
-    edge_index = {tuple(e): i for i, e in enumerate(graph.edges)}
-    found: dict[tuple, OddCycleInequality] = {}
-    order: list[tuple[float, tuple, OddCycleInequality]] = []
-    for si in range(n):
-        target = 2 * si + 1
-        if dist[si, target] >= 1.0 - tolerance or not np.isfinite(dist[si, target]):
-            continue
-        # walk the predecessor chain target .. source
-        chain = [target]
-        guard = 0
-        while chain[-1] != 2 * si:
-            p = pred[si, chain[-1]]
-            if p < 0 or guard > 4 * n:
-                chain = []
-                break
-            chain.append(int(p))
-            guard += 1
-        if not chain:
-            continue
-        chain.reverse()
-        nodes = [c // 2 for c in chain]
-        steps: list[tuple[int, bool]] = []
-        ok = True
-        for a, b in zip(chain, chain[1:]):
-            ga, gb = a // 2, b // 2
-            key = (ga, gb) if ga < gb else (gb, ga)
-            e = edge_index.get(key)
-            if e is None:
-                ok = False
-                break
-            steps.append((e, (a & 1) != (b & 1)))
-        if not ok or not steps:
-            continue
-        cycle = _extract_simple_odd_cycle(nodes, steps)
-        odd, violation = _best_odd_set(cycle, yv)
-        if violation <= tolerance:
-            continue
-        ineq = OddCycleInequality(tuple(cycle), odd)
-        k = ineq.key()
-        if k not in found:
-            found[k] = ineq
-            order.append((-violation, k, ineq))
+    order = sorted(found.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    return [ineq for _, (_, ineq) in order[:max_cuts]]
 
-    order.sort(key=lambda t: (t[0], t[1]))
-    return [ineq for _, _, ineq in order[:max_cuts]]
+
+def _walk_to_cycle(graph: MaxCutGraph, pred: np.ndarray, s: int) -> list[int] | None:
+    """Simple odd cycle from the predecessor chain of path 2s -> 2s+1."""
+    chain = [2 * s + 1]
+    while chain[-1] != 2 * s:
+        p = int(pred[chain[-1]])
+        if p < 0 or len(chain) > 4 * graph.n_nodes:
+            return None
+        chain.append(p)
+    chain.reverse()
+    steps: list[tuple[int, bool]] = []
+    for a, b in zip(chain, chain[1:]):
+        ga, gb = a // 2, b // 2
+        e = graph.edge_index.get((ga, gb) if ga < gb else (gb, ga))
+        if e is None:
+            return None
+        steps.append((e, (a & 1) != (b & 1)))
+    return _extract_simple_odd_cycle([c // 2 for c in chain], steps)
 
 
 def separate_transitivity(reduced: ReducedModel, y, tolerance: float = 1e-6) -> list[TransitivityCut]:

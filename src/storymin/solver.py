@@ -7,6 +7,16 @@ variables -> reduce to a weighted cut problem -> branch and cut on the LP
 relaxation (box bounds only at the root; odd-cycle and transitivity
 inequalities separated on demand).
 
+Separation order at each LP point.  An integral point goes to
+``cut_consistency``, which returns every reference triangle (a pair edge and
+its two root edges) the point fails; all of them enter the LP at once, up to
+``max_cuts_per_round``.  At an integral cut, violated transitivity rows are
+added if there are any; otherwise the point is decoded, recounted and offered
+as incumbent.  At a fractional point: pooled inequalities that are
+violated again, then ``separate_odd_cycles`` (violated reference triangles if
+there are any, only otherwise Dijkstra), then transitivity; if nothing is
+violated, the node branches.
+
 Each worker keeps one LP for the whole search (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
 extension).  Cuts and branching fixes reach it as row and bound changes.  The
@@ -95,6 +105,10 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not (self.time_limit > 0):  # also rejects NaN
             raise ValueError("time_limit must be positive")
+        if not (0 < self.tolerance < 0.5):  # also rejects NaN
+            raise ValueError("tolerance must be in (0, 0.5)")
+        if self.max_cuts_per_round < 1:
+            raise ValueError("max_cuts_per_round must be >= 1")
         if self.branching != "most-fractional":
             raise ValueError(f"unsupported branching rule {self.branching!r}")
         if self.node_selection != "best-bound":
@@ -416,9 +430,9 @@ class _Worker:
         """True if the node is finished (incumbent accepted or pruned)."""
         cfg = self.config
         yr = np.round(y)
-        ok, witness = cut_consistency(self.graph, yr)
-        if not ok:
-            if not self._add_cuts([witness], "oddc"):
+        witnesses = cut_consistency(self.graph, yr)
+        if witnesses:
+            if not self._add_cuts(witnesses[:cfg.max_cuts_per_round], "oddc"):
                 raise SolverError("no progress at an inconsistent integral point")
             return False
         trans = separate_transitivity(self.reduced, yr, cfg.tolerance)

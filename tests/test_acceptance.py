@@ -184,8 +184,8 @@ def test_criterion_3_maxcut_equivalence():
             zfull = (0,) + z
             for e, (u, v) in enumerate(graph.edges):
                 y[e] = float(zfull[u] ^ zfull[v])
-            ok, _ = cut_consistency(graph, y)
-            assert ok, "every side assignment must induce a consistent cut"
+            assert cut_consistency(graph, y) == [], \
+                "every side assignment must induce a consistent cut"
             try:
                 sol = cut_to_solution(reduced, y)
             except ValueError:

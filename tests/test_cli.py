@@ -237,6 +237,19 @@ def test_solve_rejects_non_positive_limits(tmp_path, capsys, option):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("render", "--width", "0"),
+    ("render", "--row-height", "-5"),
+    ("oracle", "--budget", "0"),
+])
+def test_rejects_non_positive_sizes(tmp_path, capsys, argv):
+    command, *option = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(write_story(tmp_path)), *option])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_bad_time_limit_env(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("STORYMIN_TIME_LIMIT", value)

@@ -6,6 +6,7 @@ from itertools import combinations, islice, product
 import numpy as np
 import pytest
 
+from storymin import maxcut
 from storymin import (
     MaxCutGraph,
     build_maxcut,
@@ -68,8 +69,7 @@ def test_cut_round_trip():
         graph = build_maxcut(reduced)
         for sol in islice(all_solutions(inst), 10):
             y = cut_from_solution(graph, reduced, sol)
-            ok, witness = cut_consistency(graph, y)
-            assert ok and witness is None
+            assert cut_consistency(graph, y) == []
             assert cut_to_solution(reduced, y) == sol
 
 
@@ -90,8 +90,7 @@ def test_cut_vectors_enumerate_assignments():
         for sides in product((0, 1), repeat=reduced.n_classes):
             z = np.array((0,) + sides)  # node 0 pinned to side 0
             y = np.array([z[u] ^ z[v] for u, v in graph.edges], dtype=float)
-            ok, _ = cut_consistency(graph, y)
-            assert ok
+            assert cut_consistency(graph, y) == []
             seen[sides] = evaluate_cut(graph, y)
         assert len(seen) == 2 ** reduced.n_classes
         for sides, value in seen.items():
@@ -111,12 +110,13 @@ def test_inconsistent_cut_has_witness():
         y = base.copy()
         flip = rng.randrange(reduced.n_classes, graph.n_edges)
         y[flip] = 1.0 - y[flip]
-        ok, witness = cut_consistency(graph, y)
-        assert not ok
-        assert witness is not None
-        # the witness inequality must be violated by a full unit at integral y
-        assert witness.violation(y) >= 1.0
-        assert flip not in witness.cycle or True  # cycle need not contain the flip
+        witnesses = cut_consistency(graph, y)
+        # exactly one triangle fails: the flipped pair edge and its two root
+        # edges, violated by a full unit at integral y
+        assert len(witnesses) == 1
+        u, v = graph.edges[flip]
+        assert sorted(witnesses[0].cycle) == sorted((flip, u - 1, v - 1))
+        assert witnesses[0].violation(y) >= 1.0
         tried += 1
     assert tried >= 10
 
@@ -211,6 +211,85 @@ def test_separation_max_cuts_cap():
     y = np.array([0.5] * graph.n_edges)
     found = separate_odd_cycles(graph, y, max_cuts=2)
     assert len(found) <= 2
+
+
+def violated_triangles_by_loop(graph: MaxCutGraph, y, tol=1e-6):
+    """Violated reference-triangle inequalities, one pair edge at a time."""
+    r = graph.n_root_edges
+    out = {}
+    for e in range(r, graph.n_edges):
+        u, v = graph.edges[e]
+        cyc = (e, u - 1, v - 1)
+        for odd_size in (1, 3):
+            for f in combinations(cyc, odd_size):
+                lhs = sum(y[x] for x in f) - sum(y[x] for x in cyc if x not in f)
+                if lhs > odd_size - 1 + tol:
+                    out[(tuple(sorted(cyc)), frozenset(f))] = lhs - (odd_size - 1)
+    return out
+
+
+def test_violated_triangles_come_first():
+    rng = random.Random(72)
+    with_triangles = 0
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        graph = random_cut_graph(rng, n, rng.randint(1, n + 2))
+        y = np.array([rng.random() for _ in range(graph.n_edges)])
+        expected = violated_triangles_by_loop(graph, y)
+        if not expected:
+            continue
+        with_triangles += 1
+        found = separate_odd_cycles(graph, y)
+        assert {(tuple(sorted(i.cycle)), i.odd_set) for i in found} == set(expected)
+        enumerated = {(c, f) for c, f, _ in exhaustive_violated(graph, y)}
+        assert all((tuple(sorted(i.cycle)), i.odd_set) in enumerated for i in found)
+        violations = [ineq.violation(y) for ineq in found]
+        assert violations == sorted(violations, reverse=True)
+        assert violations == pytest.approx(sorted(expected.values(), reverse=True))
+    assert with_triangles >= 20
+
+
+def test_cut_consistency_flags_every_failing_pair_edge():
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        graph = random_cut_graph(rng, n, rng.randint(1, 2 * n))
+        y = np.array([float(rng.random() < 0.5) for _ in range(graph.n_edges)])
+        failing = {e for e in range(graph.n_root_edges, graph.n_edges)
+                   if y[e] != float(int(y[graph.edges[e][0] - 1]) ^ int(y[graph.edges[e][1] - 1]))}
+        witnesses = cut_consistency(graph, y)
+        assert {w.cycle[0] for w in witnesses} == failing
+        assert all(w.violation(y) == 1.0 for w in witnesses)
+        assert len({w.key() for w in witnesses}) == len(witnesses)
+
+
+def test_all_integral_odd_cycle_is_found():
+    # root edges at 0.5 and a triangle of pair edges at 1.0: no reference
+    # triangle is violated, but the cycle 12-23-13 is, by a full unit
+    graph = MaxCutGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (0,) * 6, 0)
+    y = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+    assert violated_triangles_by_loop(graph, y) == {}
+    found = separate_odd_cycles(graph, y)
+    assert found
+    assert sorted(found[0].cycle) == [3, 4, 5]
+    assert found[0].odd_set == frozenset({3, 4, 5})
+    assert found[0].violation(y) == pytest.approx(1.0)
+
+
+def test_source_chunk_size_does_not_change_the_cuts(monkeypatch):
+    rng = random.Random(74)
+    graphs = []
+    for _ in range(20):
+        n = rng.randint(5, 12)
+        graph = random_cut_graph(rng, n, rng.randint(n, 3 * n))
+        # root edges at 0.5 satisfy every triangle, so Dijkstra does the work
+        y = np.array([0.5] * graph.n_root_edges
+                     + [rng.random() for _ in range(graph.n_edges - graph.n_root_edges)])
+        graphs.append((graph, y))
+    default = [separate_odd_cycles(g, y) for g, y in graphs]
+    assert sum(1 for cuts in default if cuts) >= 10
+    monkeypatch.setattr(maxcut, "_SOURCE_CHUNK", 1)
+    assert [separate_odd_cycles(g, y) for g, y in graphs] == default
 
 
 def test_no_cuts_at_consistent_integral_points():

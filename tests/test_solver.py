@@ -224,6 +224,19 @@ def test_medium_instance_returns_near_its_time_limit():
     assert res.lower_bound <= 6 <= res.crossings  # 6 is the proven optimum
 
 
+def test_medium_instance_proven_with_few_lps():
+    # every witness at an integral point and triangles before Dijkstra;
+    # adding one witness at a time took 189 LPs here
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    runs = [branch_and_cut(inst, SolveConfig(threads=1)) for _ in range(2)]
+    for res in runs:
+        assert res.status == OPTIMAL_STATUS
+        assert res.crossings == res.lower_bound == 6
+        assert res.stats.n_LPs <= 60
+    assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
+
+
 def test_default_falls_back_to_linprog_without_highs(monkeypatch):
     def no_extension():
         raise ImportError("no HiGHS extension")
@@ -274,6 +287,12 @@ def test_config_validation():
         SolveConfig(node_selection="dfs")
     with pytest.raises(ValueError):
         SolveConfig(threads=0)
+    for tolerance in (float("nan"), 0.0, -1.0, 0.5, 0.6):
+        with pytest.raises(ValueError):
+            SolveConfig(tolerance=tolerance)
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            SolveConfig(max_cuts_per_round=cap)
 
 
 def test_solver_on_stories_end_to_end():
