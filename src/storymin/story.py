@@ -13,6 +13,7 @@ floats are rejected because binary floats silently misrepresent decimals.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,11 +191,6 @@ def serialize_story(story: Story) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _intervals_overlap(a: Scene, b: Scene) -> bool:
-    # closed intervals: touching endpoints overlap
-    return a.begin <= b.end and b.begin <= a.end
-
-
 def validate_story(story: Story) -> ValidationReport:
     """Check every story invariant; the report lists all violations found.
 
@@ -203,14 +199,20 @@ def validate_story(story: Story) -> ValidationReport:
     interval sanity, the disjointness rule for time-overlapping scenes, and
     that every character appears in at least one scene (otherwise it has no
     lifespan and no drawing position).
+
+    The overlap check is a sweep over the scenes sorted by begin time: each
+    scene is compared only with the earlier-begun scenes still open at its
+    begin, so the work grows with the number of overlapping pairs rather
+    than with all pairs.  Conflicts are reported in scene-index pair order.
     """
     report = ValidationReport()
     declared = set(story.characters)
     if len(declared) != len(story.characters):
         report.add("duplicate-character", "character list contains duplicates", "characters")
 
+    scenes = story.scenes
     ids_seen: set[str] = set()
-    for idx, s in enumerate(story.scenes):
+    for idx, s in enumerate(scenes):
         loc = f"scenes[{idx}]"
         if s.id in ids_seen:
             report.add("duplicate-scene", f"scene id {s.id!r} declared twice", loc)
@@ -223,18 +225,30 @@ def validate_story(story: Story) -> ValidationReport:
         if s.begin > s.end:
             report.add("inverted-interval", f"scene {s.id!r} has begin {s.begin} > end {s.end}", loc)
 
-    for i in range(len(story.scenes)):
-        for j in range(i + 1, len(story.scenes)):
-            a, b = story.scenes[i], story.scenes[j]
-            if _intervals_overlap(a, b):
-                shared = a.members & b.members
-                if shared:
-                    report.add(
-                        "concurrent-member",
-                        f"scenes {a.id!r} and {b.id!r} overlap in time but share member(s) "
-                        f"{sorted(shared)}",
-                        f"scenes[{i}]/scenes[{j}]",
-                    )
+    # Closed intervals a, b overlap iff a.begin <= b.end and b.begin <= a.end
+    # (touching endpoints overlap).  Visiting scenes by begin, an earlier-begun
+    # a can only overlap b while a.end >= b.begin, so ``open_`` (a min-heap of
+    # (end, index)) drops every scene whose end has passed; a.begin <= b.end
+    # is tested as well because an inverted b may end before it begins.
+    conflicts: list[tuple[int, int]] = []
+    open_: list[tuple[Fraction, int]] = []
+    for j in sorted(range(len(scenes)), key=lambda k: scenes[k].begin):
+        b = scenes[j]
+        while open_ and open_[0][0] < b.begin:
+            heapq.heappop(open_)
+        for _, i in open_:
+            a = scenes[i]
+            if not a.members.isdisjoint(b.members) and a.begin <= b.end:
+                conflicts.append((i, j) if i < j else (j, i))
+        heapq.heappush(open_, (b.end, j))
+    for i, j in sorted(conflicts):
+        a, b = scenes[i], scenes[j]
+        report.add(
+            "concurrent-member",
+            f"scenes {a.id!r} and {b.id!r} overlap in time but share member(s) "
+            f"{sorted(a.members & b.members)}",
+            f"scenes[{i}]/scenes[{j}]",
+        )
 
     in_some_scene = set()
     for s in story.scenes:
@@ -264,13 +278,17 @@ def parse_scene_sequence(text: str) -> Story:
         raise StoryFormatError("bad-shape", "book input needs a 'scenes' list", "$")
 
     declared = raw.get("characters")
+    declared_set: set[str] | None = None
     if declared is not None:
         if not isinstance(declared, list) or not all(isinstance(c, str) and c for c in declared):
             raise StoryFormatError("bad-shape", "'characters' must be a list of non-empty strings", "$.characters")
-        if len(set(declared)) != len(declared):
+        declared_set = set(declared)
+        if len(declared_set) != len(declared):
             raise StoryFormatError("duplicate-character", "character list contains duplicates", "$.characters")
 
+    # first-appearance order, with a set beside it for O(1) membership
     inferred: list[str] = []
+    inferred_set: set[str] = set()
     scenes: list[Scene] = []
     seen_ids: set[str] = set()
     for k, sraw in enumerate(raw["scenes"]):
@@ -280,16 +298,17 @@ def parse_scene_sequence(text: str) -> Story:
         members_raw = sraw["members"]
         if not isinstance(members_raw, list) or not members_raw:
             raise StoryFormatError("empty-members", "scene members must be a non-empty list", loc)
-        members: list[str] = []
+        members: set[str] = set()
         for m in members_raw:
             if not isinstance(m, str) or not m:
                 raise StoryFormatError("bad-shape", "member must be a non-empty string", loc)
-            if declared is not None and m not in declared:
+            if declared_set is not None and m not in declared_set:
                 raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character", loc)
             if m in members:
                 raise StoryFormatError("duplicate-member", f"member {m!r} listed twice", loc)
-            members.append(m)
-            if m not in inferred:
+            members.add(m)
+            if m not in inferred_set:
+                inferred_set.add(m)
                 inferred.append(m)
         sid = sraw.get("id", f"s{k + 1}")
         if not isinstance(sid, str) or not sid:
@@ -317,5 +336,20 @@ def lifespan(story: Story, character: str) -> Lifespan:
 
 
 def all_lifespans(story: Story) -> dict[str, Lifespan]:
-    """Lifespans for all characters, keyed by name (declaration order)."""
-    return {c: lifespan(story, c) for c in story.characters}
+    """Lifespans for all characters, keyed by name (declaration order).
+
+    One pass over the scenes; raises :class:`CharacterHasNoScenes` for the
+    first declared character that appears in no scene, as ``lifespan`` does.
+    """
+    begin: dict[str, Fraction] = {}
+    end: dict[str, Fraction] = {}
+    for s in story.scenes:
+        for m in s.members:
+            if m not in begin or s.begin < begin[m]:
+                begin[m] = s.begin
+            if m not in end or s.end > end[m]:
+                end[m] = s.end
+    for c in story.characters:
+        if c not in begin:
+            raise CharacterHasNoScenes(f"character {c!r} appears in no scene")
+    return {c: Lifespan(c, begin[c], end[c]) for c in story.characters}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mlcm import LayerTree, MlcmInstance, Solution
-from .story import Story, all_lifespans, validate_story
+from .story import Scene, Story, all_lifespans, validate_story
 from .validation import ValidationReport
 
 __all__ = [
@@ -62,21 +62,28 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
         raise InvalidStoryError(report)
 
     times = sorted({t for s in story.scenes for t in (s.begin, s.end)})
-    spans = all_lifespans(story)
+    layer_at = {t: r for r, t in enumerate(times)}
 
-    alive: list[tuple[str, ...]] = []
-    active: list[tuple[str, ...]] = []
-    for t in times:
-        alive.append(tuple(c for c in story.characters if spans[c].begin <= t <= spans[c].end))
-        active.append(tuple(s.id for s in story.scenes if s.begin <= t <= s.end))
+    # Every lifespan and scene endpoint is itself a time point, so each
+    # interval covers the layers layer_at[begin]..layer_at[end].  Filling
+    # them in character and scene input order keeps each layer in that order.
+    alive_lists: list[list[str]] = [[] for _ in times]
+    for c, span in all_lifespans(story).items():
+        for r in range(layer_at[span.begin], layer_at[span.end] + 1):
+            alive_lists[r].append(c)
+    active: list[list[Scene]] = [[] for _ in times]
+    for s in story.scenes:
+        for r in range(layer_at[s.begin], layer_at[s.end] + 1):
+            active[r].append(s)
+    alive = [tuple(chars) for chars in alive_lists]
 
-    scene_by_id = {s.id: s for s in story.scenes}
+    node_of = [{c: i for i, c in enumerate(chars)} for chars in alive]
+
     trees: list[LayerTree] = []
-    for r, t in enumerate(times):
-        chars = alive[r]
-        char_id = {c: i for i, c in enumerate(chars)}
+    for r, chars in enumerate(alive):
+        char_id = node_of[r]
         n = len(chars)
-        groups = [(sid, sorted(char_id[c] for c in scene_by_id[sid].members)) for sid in active[r]]
+        groups = [(s.id, sorted(char_id[c] for c in s.members)) for s in active[r]]
         covered = {v for _, vs in groups for v in vs}
         free = [v for v in range(n) if v not in covered]
         if len(groups) == 1 and not free:
@@ -98,9 +105,8 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
 
     edges: list[tuple[tuple[int, int], ...]] = []
     for r in range(len(times) - 1):
-        up = {c: i for i, c in enumerate(alive[r])}
-        down = {c: i for i, c in enumerate(alive[r + 1])}
-        edges.append(tuple((up[c], down[c]) for c in alive[r] if c in down))
+        down = node_of[r + 1]
+        edges.append(tuple((u, down[c]) for u, c in enumerate(alive[r]) if c in down))
 
     instance = MlcmInstance(
         layer_sizes=tuple(len(a) for a in alive),
@@ -108,7 +114,8 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
         trees=tuple(trees),
         labels=tuple(alive),
     )
-    trace = TransformTrace(tuple(times), tuple(alive), tuple(active))
+    active_ids = tuple(tuple(s.id for s in scenes) for scenes in active)
+    trace = TransformTrace(tuple(times), tuple(alive), active_ids)
     return instance, trace
 
 

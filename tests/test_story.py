@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from storymin import (
     CharacterHasNoScenes,
+    Scene,
+    Story,
     StoryFormatError,
+    Violation,
     all_lifespans,
     lifespan,
     parse_scene_sequence,
@@ -161,6 +166,8 @@ def test_scene_sequence_defaults():
     assert story.scenes[0].begin == story.scenes[0].end == Fraction(0)
     assert story.scenes[1].begin == Fraction(1)
     assert validate_story(story).ok
+    doc = {"scenes": [{"members": ["m", "k"]}, {"members": ["k", "z", "a"]}, {"members": ["a", "m"]}]}
+    assert parse_scene_sequence(json.dumps(doc)).characters == ("m", "k", "z", "a")
 
 
 def test_scene_sequence_declared_characters():
@@ -173,3 +180,103 @@ def test_scene_sequence_declared_characters():
     with pytest.raises(StoryFormatError) as exc:
         parse_scene_sequence(json.dumps(bad))
     assert exc.value.code == "unknown-member"
+
+    with pytest.raises(StoryFormatError) as exc:
+        parse_scene_sequence(json.dumps({"scenes": [{"members": ["x", "y", "x"]}]}))
+    assert exc.value.code == "duplicate-member"
+
+
+def _pairwise_report(story: Story) -> list[Violation]:
+    """Reference validation: every rule checked directly, every scene pair tried."""
+    out: list[Violation] = []
+    declared = set(story.characters)
+    if len(declared) != len(story.characters):
+        out.append(Violation("duplicate-character", "character list contains duplicates", "characters"))
+    ids: set[str] = set()
+    for idx, s in enumerate(story.scenes):
+        loc = f"scenes[{idx}]"
+        if s.id in ids:
+            out.append(Violation("duplicate-scene", f"scene id {s.id!r} declared twice", loc))
+        ids.add(s.id)
+        if not s.members:
+            out.append(Violation("empty-members", f"scene {s.id!r} has no members", loc))
+        for m in sorted(s.members - declared):
+            out.append(Violation("unknown-member", f"scene {s.id!r} member {m!r} is not declared", loc))
+        if s.begin > s.end:
+            out.append(Violation("inverted-interval",
+                                 f"scene {s.id!r} has begin {s.begin} > end {s.end}", loc))
+    for i, a in enumerate(story.scenes):
+        for j in range(i + 1, len(story.scenes)):
+            b = story.scenes[j]
+            shared = a.members & b.members
+            if a.begin <= b.end and b.begin <= a.end and shared:
+                out.append(Violation(
+                    "concurrent-member",
+                    f"scenes {a.id!r} and {b.id!r} overlap in time but share member(s) {sorted(shared)}",
+                    f"scenes[{i}]/scenes[{j}]"))
+    used = set().union(*(s.members for s in story.scenes))
+    for c in story.characters:
+        if c not in used:
+            out.append(Violation("character-without-scenes", f"character {c!r} appears in no scene",
+                                 "characters"))
+    return out
+
+
+def _random_story(rng: random.Random) -> Story:
+    """A programmatic story of any validity: few time points so that equal
+    begins, touching endpoints and instants are common; rational times;
+    some inverted intervals, empty or unknown members and repeated ids."""
+    chars = [f"c{i}" for i in range(rng.randint(1, 6))]
+    grid = [Fraction(k, rng.choice((1, 2, 3))) for k in range(6)]
+    scenes = []
+    for k in range(rng.randint(0, 18)):
+        begin = rng.choice(grid)
+        end = begin if rng.random() < 0.25 else rng.choice(grid)
+        if end < begin and rng.random() < 0.6:
+            begin, end = end, begin  # keep most intervals upright
+        members = set(rng.sample(chars, rng.randint(0, min(3, len(chars)))))
+        if rng.random() < 0.05:
+            members.add("ghost")
+        sid = f"s{rng.randrange(k + 1) if rng.random() < 0.05 else k}"
+        scenes.append(Scene(sid, frozenset(members), begin, end))
+    cast = chars + (["c0"] if rng.random() < 0.05 else [])
+    return Story(tuple(cast), tuple(scenes))
+
+
+def test_validate_matches_pairwise_reference():
+    rng = random.Random(404)
+    seen: Counter[str] = Counter()
+    for _ in range(1500):
+        story = _random_story(rng)
+        got = validate_story(story).violations
+        assert got == _pairwise_report(story)
+        seen.update(v.code for v in got)
+        for v in got:
+            if v.code != "concurrent-member":
+                continue
+            i, j = (int(part[len("scenes["):-1]) for part in v.location.split("/"))
+            a, b = story.scenes[i], story.scenes[j]
+            seen["equal-begins"] += a.begin == b.begin
+            seen["touching"] += a.end == b.begin or b.end == a.begin
+            seen["instant"] += a.begin == a.end or b.begin == b.end
+            seen["inverted-overlap"] += a.begin > a.end or b.begin > b.end
+            seen["rational"] += a.begin.denominator > 1 or b.end.denominator > 1
+    # every case the sweep must handle was met, most of them many times
+    for case in ("concurrent-member", "equal-begins", "touching", "instant", "inverted-overlap",
+                 "rational", "inverted-interval", "unknown-member", "empty-members",
+                 "duplicate-scene", "duplicate-character", "character-without-scenes"):
+        assert seen[case] > 0, case
+
+
+def test_all_lifespans_matches_per_character_lifespan():
+    rng = random.Random(405)
+    for _ in range(200):
+        story = _random_story(rng)
+        used = set().union(*(s.members for s in story.scenes))
+        if not set(story.characters) <= used:
+            with pytest.raises(CharacterHasNoScenes):
+                all_lifespans(story)
+            continue
+        spans = all_lifespans(story)
+        assert list(spans) == list(dict.fromkeys(story.characters))
+        assert spans == {c: lifespan(story, c) for c in story.characters}

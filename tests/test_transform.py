@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from storymin import (
     InvalidStoryError,
+    LayerTree,
+    MlcmInstance,
+    Scene,
     Solution,
+    Story,
+    TransformTrace,
     brute_force_optimum,
     build_instance,
     count_crossings,
@@ -17,6 +23,7 @@ from storymin import (
     merge_layers,
     parse_story,
     validate_instance,
+    validate_story,
 )
 
 from conftest import naive_crossings, random_story_doc
@@ -187,3 +194,81 @@ def test_merge_preserves_optimum_sample():
         assert a == b
         done += 1
     assert done >= 8
+
+
+def _reference_build(story: Story) -> tuple[MlcmInstance, TransformTrace]:
+    """The construction done literally: at every time point, scan every
+    character's lifespan and every scene for the ones that contain it."""
+    times = sorted({t for s in story.scenes for t in (s.begin, s.end)})
+    span = {c: (min(s.begin for s in story.scenes if c in s.members),
+                max(s.end for s in story.scenes if c in s.members)) for c in story.characters}
+    alive = tuple(tuple(c for c in story.characters if span[c][0] <= t <= span[c][1]) for t in times)
+    active = tuple(tuple(s for s in story.scenes if s.begin <= t <= s.end) for t in times)
+    trees = []
+    for chars, scenes in zip(alive, active):
+        n = len(chars)
+        if len(scenes) == 1 and scenes[0].members == set(chars):
+            trees.append(LayerTree(n, (n,) * n + (-1,), (scenes[0].id,)))
+            continue
+        root = n + len(scenes)
+        parent = [root] * n + [root] * len(scenes) + [-1]
+        for g, s in enumerate(scenes):
+            for v, c in enumerate(chars):
+                if c in s.members:
+                    parent[v] = n + g
+        trees.append(LayerTree(n, tuple(parent), tuple(s.id for s in scenes) + ("root",)))
+    edges = tuple(tuple((u, alive[r + 1].index(c)) for u, c in enumerate(alive[r]) if c in alive[r + 1])
+                  for r in range(len(times) - 1))
+    instance = MlcmInstance(tuple(len(a) for a in alive), edges, tuple(trees), alive)
+    return instance, TransformTrace(tuple(times), alive, tuple(tuple(s.id for s in a) for a in active))
+
+
+def _random_valid_story(rng: random.Random) -> Story:
+    """Valid story with rational times, instants, touching scenes, and a
+    cast and scene list in an order unrelated to time."""
+    chars = [f"c{i}" for i in range(rng.randint(2, 9))]
+    grid = [Fraction(k, rng.choice((1, 2, 3))) for k in range(10)]
+    scenes: list[Scene] = []
+    for k in range(rng.randint(1, 16)):
+        begin = rng.choice(grid)
+        end = begin if rng.random() < 0.3 else rng.choice([t for t in grid if t >= begin])
+        busy = set().union(*(s.members for s in scenes if s.begin <= end and begin <= s.end))
+        members = [c for c in rng.sample(chars, rng.randint(1, min(4, len(chars)))) if c not in busy]
+        if members:
+            scenes.append(Scene(f"s{k}", frozenset(members), begin, end))
+    used = set().union(*(s.members for s in scenes))
+    cast = [c for c in chars if c in used]
+    rng.shuffle(cast)
+    return Story(tuple(cast), tuple(scenes))
+
+
+def test_build_instance_matches_per_time_point_scan():
+    rng = random.Random(406)
+    done = 0
+    for _ in range(400):
+        story = _random_valid_story(rng)
+        assert validate_story(story).ok
+        inst, trace = build_instance(story)
+        ref_inst, ref_trace = _reference_build(story)
+        assert trace == ref_trace
+        assert inst == ref_inst
+        assert validate_instance(inst).ok
+        done += len(trace.time_points) > 3
+    assert done >= 200
+
+
+def test_build_instance_scales_with_the_story():
+    # 20,000 instant scenes at distinct rational times: all-pairs validation
+    # would try ~2e8 scene pairs and a per-time scan 20,000 x 20,000 scenes
+    rng = random.Random(407)
+    chars = [f"c{i}" for i in range(8)]
+    scenes = tuple(Scene(f"s{k}", frozenset(rng.sample(chars, 2)), Fraction(k, 3), Fraction(k, 3))
+                   for k in range(20_000))
+    story = Story(tuple(chars), scenes)
+    start = time.perf_counter()
+    assert validate_story(story).ok
+    inst, trace = build_instance(story)
+    elapsed = time.perf_counter() - start
+    assert inst.p == len(trace.active_scenes) == 20_000
+    assert all(len(ids) == 1 for ids in trace.active_scenes)
+    assert elapsed < 5.0, f"validate + build took {elapsed:.2f} s"
