@@ -4,27 +4,29 @@ For every layer and every position pair ``i < j`` (positions taken in a fixed
 *index ordering* of the layer) there is a binary variable that is 1 iff the
 node indexed i is drawn above the node indexed j.  Crossing counts decompose
 into xor/xnor terms between variables of consecutive layers; permutations are
-exactly the assignments satisfying all transitivity triples; tree
-consistency is captured by equalities between same-layer variables.
+exactly the assignments that are transitive on every layer.
 
-The equalities express "outsiders cannot separate a bundle" and are complete
-only when the index ordering itself is tree-consistent (otherwise a bundle
-{first, last} with a free middle index would need a *complement* relation,
-which equalities cannot state).  ``build_model`` therefore reindexes every
-layer by a tree-consistent ordering: the caller's, or a canonical DFS order.
-
-Variable identification merges equality-connected variables into classes and
-rewrites terms and triples over class representatives; xnor terms whose two
-variables collapse into one class become constant and move into the offset.
+``build_model`` indexes every layer by a tree-consistent ordering (the
+caller's, or a canonical DFS order), so every subtree is an index range.  The
+pair (i, j) then belongs to the *class* (A, B): the children A < B of the two
+leaves' lowest common ancestor that hold i and j.  No admissible order splits
+a subtree, so the members of a class are equal ("A above B"); classes are
+numbered by their first member.  ``identify_variables`` rewrites the terms
+over classes (an xnor of a class with itself moves into the offset) and keeps
+one transitivity triple (AB, BC, AC) per three children A < B < C of a tree
+node: every other position triple has two variables in one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .mlcm import MlcmInstance, Solution, is_tree_consistent, lca
+from .mlcm import LayerTree, MlcmInstance, Solution, is_tree_consistent
 
 __all__ = [
     "CrossingTerm",
@@ -49,8 +51,7 @@ XOR = "xor"
 XNOR = "xnor"
 
 
-@dataclass(frozen=True)
-class CrossingTerm:
+class CrossingTerm(NamedTuple):
     """Crossing contribution ``weight * (a XOR b)`` or ``weight * (a XNOR b)``."""
 
     var_a: int
@@ -75,8 +76,7 @@ class TreeEquality:
     var_b: int
 
 
-@dataclass(frozen=True)
-class ClassTriple:
+class ClassTriple(NamedTuple):
     """Transitivity over classes: ``0 <= x_a + x_b - x_c <= 1`` (a < b)."""
 
     a: int
@@ -99,11 +99,9 @@ class OrderingModel:
     orders: tuple[tuple[int, ...], ...]  # index ordering per layer (node ids)
     n_vars: int
     layer_offsets: tuple[int, ...]
-    var_layer: tuple[int, ...]
-    var_pos: tuple[tuple[int, int], ...]  # (i, j) positions, i < j
     terms: tuple[CrossingTerm, ...]
-    triples: tuple[TransitivityTriple, ...]
-    equalities: tuple[TreeEquality, ...]
+    class_of: tuple[int, ...]  # var id -> class id
+    members: tuple[tuple[int, ...], ...]  # class id -> var ids, ascending
 
     def var_id(self, r: int, i: int, j: int) -> int:
         """Variable for positions i < j on layer r."""
@@ -111,6 +109,21 @@ class OrderingModel:
         if not (0 <= i < j < n):
             raise ValueError(f"bad position pair ({i}, {j}) on layer {r}")
         return self.layer_offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
+
+    @cached_property
+    def var_layer(self) -> tuple[int, ...]:
+        """Layer of every variable."""
+        return tuple(r for r, n in enumerate(self.instance.layer_sizes) for _ in range(n * (n - 1) // 2))
+
+    @cached_property
+    def var_pos(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) positions of every variable, i < j."""
+        return tuple((i, j) for n in self.instance.layer_sizes for i in range(n) for j in range(i + 1, n))
+
+    @cached_property
+    def equalities(self) -> tuple[TreeEquality, ...]:
+        """Tree equalities: every variable equals its class's first member (sorted)."""
+        return tuple(TreeEquality(ms[0], v) for ms in self.members for v in ms[1:])
 
 
 @dataclass(frozen=True)
@@ -128,10 +141,36 @@ class ReducedModel:
         """Class assignment -> full model assignment."""
         return [int(z[c]) for c in self.class_of]
 
+    @cached_property
+    def triple_index(self) -> np.ndarray:
+        """Read-only (n_triples, 3) array of the class triples' ``(a, b, c)``."""
+        idx = np.fromiter(chain.from_iterable(self.triples), np.int64, 3 * len(self.triples)).reshape(-1, 3)
+        idx.flags.writeable = False
+        return idx
+
 
 def canonical_orders(instance: MlcmInstance) -> Solution:
     """Deterministic tree-consistent ordering per layer (DFS leaf order)."""
     return Solution(tuple(t.canonical_leaf_order() for t in instance.trees))
+
+
+def _sibling_blocks(tree: LayerTree, leaf_at) -> list[list[tuple[int, int]]]:
+    """Index ranges ``(first, last)`` of the children of every tree node with at
+    least two leaf-holding children, in index order (``leaf_at`` tree-consistent)."""
+    n = len(leaf_at)
+    first = [n] * tree.n_nodes
+    last = [-1] * tree.n_nodes
+    for k, v in enumerate(leaf_at):
+        while v >= 0:
+            if first[v] == n:
+                first[v] = k
+            last[v] = k
+            v = tree.parent[v]
+    kids: dict[int, list[tuple[int, int]]] = {}
+    for v, p in enumerate(tree.parent):
+        if p >= 0 and last[v] >= 0:
+            kids.setdefault(p, []).append((first[v], last[v]))
+    return [sorted(blocks) for blocks in kids.values() if len(blocks) > 1]
 
 
 def build_model(instance: MlcmInstance, order: Solution | None = None) -> OrderingModel:
@@ -154,14 +193,6 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     for n in sizes:
         offsets.append(total)
         total += n * (n - 1) // 2
-
-    var_layer: list[int] = []
-    var_pos: list[tuple[int, int]] = []
-    for r, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(i + 1, n):
-                var_layer.append(r)
-                var_pos.append((i, j))
 
     def vid(r: int, i: int, j: int) -> int:
         n = sizes[r]
@@ -193,38 +224,30 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
                 agg[key] = agg.get(key, 0) + 1
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    triples: list[TransitivityTriple] = []
-    equalities: set[tuple[int, int]] = set()
-    for r in range(instance.p):
-        n = sizes[r]
-        tree = instance.trees[r]
-        leaf_at = order.orders[r]
-        for h in range(n):
-            for i in range(h + 1, n):
-                v_hi = vid(r, h, i)
-                p_hi = lca(tree, leaf_at[h], leaf_at[i])
-                for j in range(i + 1, n):
-                    v_ij = vid(r, i, j)
-                    v_hj = vid(r, h, j)
-                    triples.append(TransitivityTriple(r, v_hi, v_ij, v_hj))
-                    c = leaf_at[j]
-                    if lca(tree, p_hi, c) != p_hi:
-                        # j is outside the {h,i} bundle: it cannot separate them
-                        equalities.add((min(v_hj, v_ij), max(v_hj, v_ij)))
-                    p_ij = lca(tree, leaf_at[i], c)
-                    if lca(tree, leaf_at[h], p_ij) != p_ij:
-                        equalities.add((min(v_hi, v_hj), max(v_hi, v_hj)))
+    # one class per pair of sibling subtrees, keyed by its first member
+    classes: list[tuple[int, int, int, int, int, int]] = []
+    for r, tree in enumerate(instance.trees):
+        for blocks in _sibling_blocks(tree, order.orders[r]):
+            for a, (fa, la) in enumerate(blocks):
+                for fb, lb in blocks[a + 1:]:
+                    classes.append((vid(r, fa, fb), r, fa, la, fb, lb))
+    classes.sort()
+    class_of = [0] * total
+    members: list[tuple[int, ...]] = []
+    for c, (_, r, fa, la, fb, lb) in enumerate(classes):
+        ms = tuple(v for i in range(fa, la + 1) for v in range(vid(r, i, fb), vid(r, i, lb) + 1))
+        for v in ms:
+            class_of[v] = c
+        members.append(ms)
 
     return OrderingModel(
         instance=instance,
         orders=tuple(tuple(o) for o in order.orders),
         n_vars=total,
         layer_offsets=tuple(offsets),
-        var_layer=tuple(var_layer),
-        var_pos=tuple(var_pos),
         terms=terms,
-        triples=tuple(triples),
-        equalities=tuple(TreeEquality(a, b) for a, b in sorted(equalities)),
+        class_of=tuple(class_of),
+        members=tuple(members),
     )
 
 
@@ -244,19 +267,29 @@ def encode_solution(model: OrderingModel, solution: Solution) -> list[int]:
     return x
 
 
+def _intransitive_witness(model: OrderingModel, r: int, x, wins: list[int]) -> TransitivityTriple:
+    """A violated triple of layer r, whose win counts are not 0..n-1."""
+    n = len(wins)
+
+    def above(i: int, j: int) -> bool:
+        return bool(int(x[model.var_id(r, i, j)])) if i < j else not int(x[model.var_id(r, j, i)])
+
+    # unless the layer is transitive, some v above u has wins[v] <= wins[u];
+    # u is then above a w that is above v, which closes the 3-cycle v, u, w
+    u, v = next((u, v) for u in range(n) for v in range(n)
+                if v != u and wins[v] <= wins[u] and above(v, u))
+    w = next(w for w in range(n) if w not in (u, v) and above(u, w) and above(w, v))
+    h, i, j = sorted((u, v, w))
+    return TransitivityTriple(r, model.var_id(r, h, i), model.var_id(r, i, j), model.var_id(r, h, j))
+
+
 def decode_assignment(model: OrderingModel, x) -> Solution:
     """Assignment -> per-layer permutations (top to bottom).
 
-    Requires transitivity (raises :class:`NotTransitive` with a witness
-    triple) and the tree equalities (ValueError), which together make each
-    layer a transitive tournament whose win counts are all distinct.
+    Requires every layer to be transitive, i.e. its win counts to be exactly
+    0..n-1 (raises :class:`NotTransitive` with a witness triple), and every
+    class's members to agree (ValueError).
     """
-    for t in model.triples:
-        if int(x[t.var_hi]) + int(x[t.var_ij]) - int(x[t.var_hj]) not in (0, 1):
-            raise NotTransitive(t)
-    for e in model.equalities:
-        if int(x[e.var_a]) != int(x[e.var_b]):
-            raise ValueError(f"assignment breaks tree equality x{e.var_a} == x{e.var_b}")
     orders = []
     for r in range(model.instance.p):
         n = model.instance.layer_sizes[r]
@@ -270,8 +303,14 @@ def decode_assignment(model: OrderingModel, x) -> Solution:
                 else:
                     wins[j] += 1
                 k += 1
+        if sorted(wins) != list(range(n)):
+            raise NotTransitive(_intransitive_witness(model, r, x, wins))
         by_height = sorted(range(n), key=lambda i: -wins[i])
         orders.append(tuple(model.orders[r][i] for i in by_height))
+    for ms in model.members:
+        for v in ms[1:]:
+            if int(x[v]) != int(x[ms[0]]):
+                raise ValueError(f"assignment breaks tree equality x{ms[0]} == x{v}")
     return Solution(tuple(orders))
 
 
@@ -287,49 +326,16 @@ def objective_value(model, x) -> int:
     return total
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def identify_variables(model: OrderingModel) -> ReducedModel:
-    """Merge equality-connected variables into classes; rewrite terms and triples.
+    """Rewrite the model over its classes: terms by class, sibling triples.
 
     Terms between merged endpoints become constant: an xor of a class with
-    itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  A
-    transitivity triple is dropped when two or three of its variables share a
-    class (the constraint is then implied by the 0/1 bounds); surviving
-    triples are deduplicated.
+    itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  The
+    class triples are (AB, BC, AC) for every three children A < B < C of one
+    tree node, sorted.  ``a < b`` holds without a swap: AB's first member
+    pairs the first leaves of A and B, BC's those of B and C.
     """
-    uf = _UnionFind(model.n_vars)
-    for e in model.equalities:
-        uf.union(e.var_a, e.var_b)
-
-    root_to_class: dict[int, int] = {}
-    class_of = [0] * model.n_vars
-    members: list[list[int]] = []
-    for v in range(model.n_vars):
-        r = uf.find(v)
-        if r not in root_to_class:
-            root_to_class[r] = len(members)
-            members.append([])
-        c = root_to_class[r]
-        class_of[v] = c
-        members[c].append(v)
-
+    class_of = model.class_of
     offset = 0
     agg: dict[tuple[int, int, str], int] = {}
     for t in model.terms:
@@ -344,25 +350,24 @@ def identify_variables(model: OrderingModel) -> ReducedModel:
         agg[key] = agg.get(key, 0) + t.weight
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    triple_set: set[ClassTriple] = set()
-    for t in model.triples:
-        a, b, c = class_of[t.var_hi], class_of[t.var_ij], class_of[t.var_hj]
-        if a == b or a == c or b == c:
-            continue
-        if a > b:
-            a, b = b, a
-        triple_set.add(ClassTriple(a, b, c))
-    triples = tuple(sorted(triple_set, key=lambda t: (t.a, t.b, t.c)))
+    found: list[tuple[int, int, int]] = []
+    for r, tree in enumerate(model.instance.trees):
+        for blocks in _sibling_blocks(tree, model.orders[r]):
+            if len(blocks) > 2:
+                pair = {(a, b): class_of[model.var_id(r, blocks[a][0], blocks[b][0])]
+                        for a, b in combinations(range(len(blocks)), 2)}
+                found.extend((pair[a, b], pair[b, c], pair[a, c])
+                             for a, b, c in combinations(range(len(blocks)), 3))
+    found.sort()
 
-    class_layer = tuple(model.var_layer[ms[0]] for ms in members)
     return ReducedModel(
         model=model,
-        n_classes=len(members),
-        class_of=tuple(class_of),
-        members=tuple(tuple(ms) for ms in members),
-        class_layer=class_layer,
+        n_classes=len(model.members),
+        class_of=class_of,
+        members=model.members,
+        class_layer=tuple(model.var_layer[ms[0]] for ms in model.members),
         terms=terms,
-        triples=triples,
+        triples=tuple(map(ClassTriple._make, found)),
         offset=offset,
     )
 
@@ -389,15 +394,13 @@ def separate_transitivity_values(reduced: ReducedModel, z: np.ndarray, tolerance
     if not reduced.triples:
         return []
     za = np.asarray(z, dtype=float)
-    a = np.fromiter((t.a for t in reduced.triples), dtype=np.int64, count=len(reduced.triples))
-    b = np.fromiter((t.b for t in reduced.triples), dtype=np.int64, count=len(reduced.triples))
-    c = np.fromiter((t.c for t in reduced.triples), dtype=np.int64, count=len(reduced.triples))
-    val = za[a] + za[b] - za[c]
+    idx = reduced.triple_index
+    val = za[idx[:, 0]] + za[idx[:, 1]] - za[idx[:, 2]]
     out = []
-    for idx in np.nonzero(val > 1.0 + tolerance)[0]:
-        out.append((reduced.triples[int(idx)], "upper", float(val[idx] - 1.0)))
-    for idx in np.nonzero(val < -tolerance)[0]:
-        out.append((reduced.triples[int(idx)], "lower", float(-val[idx])))
+    for i in np.nonzero(val > 1.0 + tolerance)[0]:
+        out.append((reduced.triples[int(i)], "upper", float(val[i] - 1.0)))
+    for i in np.nonzero(val < -tolerance)[0]:
+        out.append((reduced.triples[int(i)], "lower", float(-val[i])))
     return out
 
 
@@ -411,8 +414,8 @@ def dump_model(model: OrderingModel) -> str:
         out.append(f"x{v}: layer {r + 1} pos ({i},{j}) nodes ({model.instance.label(r, a)},{model.instance.label(r, b)})")
     for t in model.terms:
         out.append(f"term x{t.var_a} x{t.var_b} {t.parity} w={t.weight}")
-    for t in model.triples:
-        out.append(f"triple x{t.var_hi} + x{t.var_ij} - x{t.var_hj} in [0,1]")
+    for c, ms in enumerate(model.members):
+        out.append(f"class c{c}: " + " ".join(f"x{v}" for v in ms))
     for e in model.equalities:
         out.append(f"equal x{e.var_a} = x{e.var_b}")
     return "\n".join(out) + "\n"

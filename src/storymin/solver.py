@@ -96,8 +96,6 @@ class SolveConfig:
     time_limit: float = 3600.0
     tolerance: float = 1e-6
     max_cuts_per_round: int = 500
-    branching: str = "most-fractional"
-    node_selection: str = "best-bound"
     sweeps: int = 8
     merge: bool = True
     threads: int = 1
@@ -109,10 +107,6 @@ class SolveConfig:
             raise ValueError("tolerance must be in (0, 0.5)")
         if self.max_cuts_per_round < 1:
             raise ValueError("max_cuts_per_round must be >= 1")
-        if self.branching != "most-fractional":
-            raise ValueError(f"unsupported branching rule {self.branching!r}")
-        if self.node_selection != "best-bound":
-            raise ValueError(f"unsupported node selection {self.node_selection!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.sweeps < 1:
@@ -294,6 +288,7 @@ class _Worker:
         self.active: dict[int, list] = {}
         self.active_keys: set = set()
         self.pool: dict = {}
+        self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
     # -- cut handling -----------------------------------------------------
 
@@ -356,9 +351,10 @@ class _Worker:
     # -- node processing --------------------------------------------------
 
     def _apply_fixes(self, fixes: tuple[tuple[int, int], ...]) -> None:
-        m = self.graph.n_edges
-        for var in range(m):
+        # only fixes change bounds: undoing the last node's restores [0, 1] everywhere
+        for var, _ in self.fixes:
             self.backend.set_bounds(var, 0.0, 1.0)
+        self.fixes = fixes
         if self.graph.n_root_edges >= 1:
             self.backend.set_bounds(0, 0.0, 0.0)  # cut symmetry: pin one class
         for var, val in fixes:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
@@ -20,12 +22,21 @@ from storymin import (
     identify_variables,
     objective_value,
 )
+from storymin.mlcm import is_tree_consistent, lca
 from storymin.ordering import (
+    XNOR,
+    XOR,
+    ClassTriple,
+    CrossingTerm,
+    ReducedModel,
+    TransitivityTriple,
+    TreeEquality,
     canonical_orders,
     classes_of_solution,
     dump_model,
     separate_transitivity_values,
 )
+from storymin.solver import barycenter_heuristic
 
 from conftest import (
     random_general_instance,
@@ -37,6 +48,198 @@ def all_solutions(inst: MlcmInstance):
     per_layer = [list(enumerate_tree_orderings(t)) for t in inst.trees]
     for combo in product(*per_layer):
         yield Solution(tuple(combo))
+
+
+# ---------------------------------------------------------------------------
+# reference: the model built from every position triple, reduced by union-find
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceModel:
+    instance: MlcmInstance
+    orders: tuple[tuple[int, ...], ...]
+    n_vars: int
+    layer_offsets: tuple[int, ...]
+    var_layer: tuple[int, ...]
+    var_pos: tuple[tuple[int, int], ...]
+    terms: tuple[CrossingTerm, ...]
+    triples: tuple[TransitivityTriple, ...]
+    equalities: tuple[TreeEquality, ...]
+
+
+def reference_build_model(instance: MlcmInstance, order: Solution | None = None) -> "ReferenceModel":
+    """Build the quadratic model; ``order`` fixes each layer's index ordering.
+
+    The ordering must be tree-consistent per layer (defaults to the canonical
+    DFS order).  Raises ValueError otherwise.
+    """
+    if order is None:
+        order = canonical_orders(instance)
+    if len(order.orders) != instance.p:
+        raise ValueError("index ordering must cover every layer")
+    for r, t in enumerate(instance.trees):
+        if not is_tree_consistent(t, order.orders[r]):
+            raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
+
+    sizes = instance.layer_sizes
+    offsets = []
+    total = 0
+    for n in sizes:
+        offsets.append(total)
+        total += n * (n - 1) // 2
+
+    var_layer: list[int] = []
+    var_pos: list[tuple[int, int]] = []
+    for r, n in enumerate(sizes):
+        for i in range(n):
+            for j in range(i + 1, n):
+                var_layer.append(r)
+                var_pos.append((i, j))
+
+    def vid(r: int, i: int, j: int) -> int:
+        n = sizes[r]
+        return offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
+
+    pos: list[dict[int, int]] = [{v: i for i, v in enumerate(order.orders[r])} for r in range(instance.p)]
+
+    # crossing terms: aggregate equal (var_a, var_b, parity) contributions
+    agg: dict[tuple[int, int, str], int] = {}
+    for r, gap_edges in enumerate(instance.edges):
+        pu, pv = pos[r], pos[r + 1]
+        m = len(gap_edges)
+        for a in range(m):
+            ua, va = gap_edges[a]
+            for b in range(a + 1, m):
+                ub, vb = gap_edges[b]
+                if ua == ub or va == vb:
+                    continue
+                i, j = pu[ua], pu[ub]
+                k, l = pv[va], pv[vb]
+                if i > j:
+                    i, j = j, i
+                    k, l = l, k
+                upper = vid(r, i, j)
+                if k < l:
+                    key = (upper, vid(r + 1, k, l), XOR)
+                else:
+                    key = (upper, vid(r + 1, l, k), XNOR)
+                agg[key] = agg.get(key, 0) + 1
+    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
+
+    triples: list[TransitivityTriple] = []
+    equalities: set[tuple[int, int]] = set()
+    for r in range(instance.p):
+        n = sizes[r]
+        tree = instance.trees[r]
+        leaf_at = order.orders[r]
+        for h in range(n):
+            for i in range(h + 1, n):
+                v_hi = vid(r, h, i)
+                p_hi = lca(tree, leaf_at[h], leaf_at[i])
+                for j in range(i + 1, n):
+                    v_ij = vid(r, i, j)
+                    v_hj = vid(r, h, j)
+                    triples.append(TransitivityTriple(r, v_hi, v_ij, v_hj))
+                    c = leaf_at[j]
+                    if lca(tree, p_hi, c) != p_hi:
+                        # j is outside the {h,i} bundle: it cannot separate them
+                        equalities.add((min(v_hj, v_ij), max(v_hj, v_ij)))
+                    p_ij = lca(tree, leaf_at[i], c)
+                    if lca(tree, leaf_at[h], p_ij) != p_ij:
+                        equalities.add((min(v_hi, v_hj), max(v_hi, v_hj)))
+
+    return ReferenceModel(
+        instance=instance,
+        orders=tuple(tuple(o) for o in order.orders),
+        n_vars=total,
+        layer_offsets=tuple(offsets),
+        var_layer=tuple(var_layer),
+        var_pos=tuple(var_pos),
+        terms=terms,
+        triples=tuple(triples),
+        equalities=tuple(TreeEquality(a, b) for a, b in sorted(equalities)),
+    )
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_identify_variables(model: "ReferenceModel") -> ReducedModel:
+    """Merge equality-connected variables into classes; rewrite terms and triples.
+
+    Terms between merged endpoints become constant: an xor of a class with
+    itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  A
+    transitivity triple is dropped when two or three of its variables share a
+    class (the constraint is then implied by the 0/1 bounds); surviving
+    triples are deduplicated.
+    """
+    uf = _UnionFind(model.n_vars)
+    for e in model.equalities:
+        uf.union(e.var_a, e.var_b)
+
+    root_to_class: dict[int, int] = {}
+    class_of = [0] * model.n_vars
+    members: list[list[int]] = []
+    for v in range(model.n_vars):
+        r = uf.find(v)
+        if r not in root_to_class:
+            root_to_class[r] = len(members)
+            members.append([])
+        c = root_to_class[r]
+        class_of[v] = c
+        members[c].append(v)
+
+    offset = 0
+    agg: dict[tuple[int, int, str], int] = {}
+    for t in model.terms:
+        ca, cb = class_of[t.var_a], class_of[t.var_b]
+        if ca == cb:
+            if t.parity == XNOR:
+                offset += t.weight
+            continue
+        if ca > cb:
+            ca, cb = cb, ca
+        key = (ca, cb, t.parity)
+        agg[key] = agg.get(key, 0) + t.weight
+    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
+
+    triple_set: set[ClassTriple] = set()
+    for t in model.triples:
+        a, b, c = class_of[t.var_hi], class_of[t.var_ij], class_of[t.var_hj]
+        if a == b or a == c or b == c:
+            continue
+        if a > b:
+            a, b = b, a
+        triple_set.add(ClassTriple(a, b, c))
+    triples = tuple(sorted(triple_set, key=lambda t: (t.a, t.b, t.c)))
+
+    class_layer = tuple(model.var_layer[ms[0]] for ms in members)
+    return ReducedModel(
+        model=model,
+        n_classes=len(members),
+        class_of=tuple(class_of),
+        members=tuple(tuple(ms) for ms in members),
+        class_layer=class_layer,
+        terms=terms,
+        triples=triples,
+        offset=offset,
+    )
 
 
 def test_var_id_is_a_bijection():
@@ -198,7 +401,7 @@ def test_reduced_objective_matches_full():
         inst = random_general_instance(rng)
         model = build_model(inst)
         reduced = identify_variables(model)
-        for sol in list(all_solutions(inst))[:12]:
+        for sol in islice(all_solutions(inst), 12):
             z = classes_of_solution(reduced, sol)
             full = objective_value(model, encode_solution(model, sol))
             assert objective_value(reduced, z) == full
@@ -274,3 +477,108 @@ def test_dump_model_mentions_sizes():
     model = build_model(inst)
     text = dump_model(model)
     assert str(model.n_vars) in text
+
+
+# ---------------------------------------------------------------------------
+# the reduction read off the trees equals the one found by union-find
+# ---------------------------------------------------------------------------
+
+
+def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
+    """A random tree-consistent leaf order: children shuffled at every node."""
+    out: list[int] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        if tree.is_leaf(v):
+            out.append(v)
+            continue
+        kids = list(tree.children[v])
+        rng.shuffle(kids)
+        stack.extend(kids)
+    return tuple(out)
+
+
+def reduced_fields(reduced: ReducedModel) -> tuple:
+    return (reduced.n_classes, reduced.class_of, reduced.members, reduced.class_layer,
+            reduced.terms, reduced.triples, reduced.offset)
+
+
+def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
+    reduced = identify_variables(build_model(inst, order))
+    expected = reference_identify_variables(reference_build_model(inst, order))
+    assert reduced_fields(reduced) == reduced_fields(expected)
+    assert reduced.model.terms == expected.model.terms
+    return reduced
+
+
+@pytest.mark.parametrize("shape", ["general", "storyline"])
+def test_reduction_equals_reference_under_canonical_and_random_orders(shape):
+    rng = random.Random(53 if shape == "general" else 54)
+    make = random_general_instance if shape == "general" else random_storyline_instance
+    triples = 0
+    for _ in range(120):
+        inst = make(rng, p_range=(1, 3), n_range=(2, 10))
+        for order in (None, Solution(tuple(random_tree_order(t, rng) for t in inst.trees)),
+                      barycenter_heuristic(inst)):
+            triples += len(assert_same_reduction(inst, order).triples)
+    assert triples > 100
+
+
+def test_wide_layers_build_and_reduce_fast():
+    """Two 200-leaf layers of 20 scenes of 10: classes and triples from the trees."""
+    spec = ("root", [(f"s{k}", list(range(10 * k, 10 * k + 10))) for k in range(20)])
+    tree = LayerTree.from_nested(spec, 200)
+    perm = list(range(200))
+    random.Random(55).shuffle(perm)
+    inst = MlcmInstance((200, 200), (tuple((u, perm[u]) for u in range(200)),), (tree, tree))
+    start = time.monotonic()
+    reduced = identify_variables(build_model(inst))
+    assert time.monotonic() - start < 2.0
+    # per layer: 45 pairs inside each scene, 190 scene pairs; C(10,3) per scene, C(20,3) at the root
+    assert reduced.n_classes == 2 * (20 * 45 + 190)
+    assert len(reduced.triples) == 2 * (20 * 120 + 1140)
+
+
+def test_not_transitive_witness_is_violated():
+    rng = random.Random(56)
+    rejected = 0
+    for _ in range(30):
+        inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 7))
+        model = build_model(inst)
+        for _ in range(20):
+            x = [rng.randint(0, 1) for _ in range(model.n_vars)]
+            violated = set()
+            for r, n in enumerate(inst.layer_sizes):
+                for h in range(n):
+                    for i in range(h + 1, n):
+                        for j in range(i + 1, n):
+                            t = TransitivityTriple(r, model.var_id(r, h, i), model.var_id(r, i, j),
+                                                   model.var_id(r, h, j))
+                            if x[t.var_hi] + x[t.var_ij] - x[t.var_hj] not in (0, 1):
+                                violated.add(t)
+            try:
+                decode_assignment(model, x)
+            except NotTransitive as exc:
+                assert exc.triple in violated
+                # the witness is in the first layer that has one
+                assert exc.triple.layer == min(t.layer for t in violated)
+                rejected += 1
+                continue
+            except ValueError:
+                pass
+            assert not violated
+    assert rejected > 100
+
+
+def test_triple_index_is_cached_and_read_only():
+    rng = random.Random(57)
+    inst = random_general_instance(rng, p_range=(2, 2), n_range=(6, 8))
+    reduced = identify_variables(build_model(inst))
+    assert reduced.triples
+    idx = reduced.triple_index
+    assert idx is reduced.triple_index
+    assert idx.shape == (len(reduced.triples), 3)
+    assert [tuple(row) for row in idx.tolist()] == [(t.a, t.b, t.c) for t in reduced.triples]
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0

@@ -24,7 +24,8 @@ from storymin import (
     parse_story,
     solve_heuristic,
 )
-from storymin import lp, solver
+from storymin import build_model, identify_variables, lp, solver
+from storymin.maxcut import build_maxcut
 from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
 from conftest import (
@@ -237,6 +238,39 @@ def test_medium_instance_proven_with_few_lps():
     assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
 
 
+def test_node_bounds_match_a_full_reset():
+    """Undoing only the last node's fixes leaves the bounds of a full reset."""
+
+    class RecordingBackend:
+        def __init__(self, m):
+            self.bounds = [(0.0, 1.0)] * m
+            self.calls = 0
+
+        def set_bounds(self, var, lo, hi):
+            self.bounds[var] = (lo, hi)
+            self.calls += 1
+
+    rng = random.Random(106)
+    inst = random_storyline_instance(rng, p_range=(4, 4), n_range=(5, 6))
+    graph = build_maxcut(identify_variables(build_model(inst)))
+    m = graph.n_edges
+    assert graph.n_root_edges >= 1 and m > 20
+    backend = RecordingBackend(m)
+    worker = solver._Worker(0, None, graph, None, inst, backend, SolveConfig())
+    previous = ()
+    for _ in range(200):
+        fixes = tuple((var, rng.randint(0, 1)) for var in rng.sample(range(m), rng.randint(0, 8)))
+        backend.calls = 0
+        worker._apply_fixes(fixes)
+        full = [(0.0, 1.0)] * m
+        full[0] = (0.0, 0.0)
+        for var, val in fixes:
+            full[var] = (float(val), float(val))
+        assert backend.bounds == full
+        assert backend.calls == len(previous) + 1 + len(fixes)
+        previous = fixes
+
+
 def test_default_falls_back_to_linprog_without_highs(monkeypatch):
     def no_extension():
         raise ImportError("no HiGHS extension")
@@ -281,10 +315,6 @@ def test_config_validation():
         SolveConfig(time_limit=0)
     with pytest.raises(ValueError):
         SolveConfig(time_limit=float("nan"))
-    with pytest.raises(ValueError):
-        SolveConfig(branching="pseudo-cost")
-    with pytest.raises(ValueError):
-        SolveConfig(node_selection="dfs")
     with pytest.raises(ValueError):
         SolveConfig(threads=0)
     for tolerance in (float("nan"), 0.0, -1.0, 0.5, 0.6):
