@@ -11,10 +11,11 @@ caller's, or a canonical DFS order), so every subtree is an index range.  The
 pair (i, j) then belongs to the *class* (A, B): the children A < B of the two
 leaves' lowest common ancestor that hold i and j.  No admissible order splits
 a subtree, so the members of a class are equal ("A above B"); classes are
-numbered by their first member.  ``identify_variables`` rewrites the terms
-over classes (an xnor of a class with itself moves into the offset) and keeps
-one transitivity triple (AB, BC, AC) per three children A < B < C of a tree
-node: every other position triple has two variables in one class.
+numbered by their first member.  One position triple is kept per three
+children A < B < C of a tree node, on their first leaves; every other triple
+has two variables in one class or the classes of a kept one.
+``identify_variables`` rewrites the terms (an xnor of a class with itself
+moves into the offset) and the kept triples over classes: (AB, BC, AC).
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class CrossingTerm(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class TransitivityTriple:
+class TransitivityTriple(NamedTuple):
     """``0 <= x_hi + x_ij - x_hj <= 1`` for positions h < i < j of one layer."""
 
     layer: int
@@ -102,6 +102,7 @@ class OrderingModel:
     terms: tuple[CrossingTerm, ...]
     class_of: tuple[int, ...]  # var id -> class id
     members: tuple[tuple[int, ...], ...]  # class id -> var ids, ascending
+    triples: tuple[TransitivityTriple, ...]  # one per three sibling subtrees
 
     def var_id(self, r: int, i: int, j: int) -> int:
         """Variable for positions i < j on layer r."""
@@ -224,13 +225,19 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
                 agg[key] = agg.get(key, 0) + 1
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    # one class per pair of sibling subtrees, keyed by its first member
+    # one class per pair of sibling subtrees, keyed by its first member, and
+    # one triple per three sibling subtrees, on their first leaves
     classes: list[tuple[int, int, int, int, int, int]] = []
+    triples: list[TransitivityTriple] = []
     for r, tree in enumerate(instance.trees):
         for blocks in _sibling_blocks(tree, order.orders[r]):
             for a, (fa, la) in enumerate(blocks):
                 for fb, lb in blocks[a + 1:]:
                     classes.append((vid(r, fa, fb), r, fa, la, fb, lb))
+            # vid(r, h, i) == vid(r, h, h + 1) - h - 1 + i
+            firsts = [(vid(r, h, h + 1) - h - 1, h) for h, _ in blocks]
+            triples.extend(TransitivityTriple(r, row_h + i, row_i + j, row_h + j)
+                           for (row_h, _), (row_i, i), (_, j) in combinations(firsts, 3))
     classes.sort()
     class_of = [0] * total
     members: list[tuple[int, ...]] = []
@@ -248,6 +255,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         terms=terms,
         class_of=tuple(class_of),
         members=tuple(members),
+        triples=tuple(triples),
     )
 
 
@@ -327,13 +335,13 @@ def objective_value(model, x) -> int:
 
 
 def identify_variables(model: OrderingModel) -> ReducedModel:
-    """Rewrite the model over its classes: terms by class, sibling triples.
+    """Rewrite the model over its classes: terms and triples by class.
 
     Terms between merged endpoints become constant: an xor of a class with
     itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  The
-    class triples are (AB, BC, AC) for every three children A < B < C of one
-    tree node, sorted.  ``a < b`` holds without a swap: AB's first member
-    pairs the first leaves of A and B, BC's those of B and C.
+    triple of children A < B < C becomes the class triple (AB, BC, AC); the
+    class triples come sorted.  ``a < b`` holds without a swap: AB's first
+    member pairs the first leaves of A and B, BC's those of B and C.
     """
     class_of = model.class_of
     offset = 0
@@ -350,15 +358,7 @@ def identify_variables(model: OrderingModel) -> ReducedModel:
         agg[key] = agg.get(key, 0) + t.weight
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    found: list[tuple[int, int, int]] = []
-    for r, tree in enumerate(model.instance.trees):
-        for blocks in _sibling_blocks(tree, model.orders[r]):
-            if len(blocks) > 2:
-                pair = {(a, b): class_of[model.var_id(r, blocks[a][0], blocks[b][0])]
-                        for a, b in combinations(range(len(blocks)), 2)}
-                found.extend((pair[a, b], pair[b, c], pair[a, c])
-                             for a, b, c in combinations(range(len(blocks)), 3))
-    found.sort()
+    triples = sorted(ClassTriple(class_of[hi], class_of[ij], class_of[hj]) for _, hi, ij, hj in model.triples)
 
     return ReducedModel(
         model=model,
@@ -367,7 +367,7 @@ def identify_variables(model: OrderingModel) -> ReducedModel:
         members=model.members,
         class_layer=tuple(model.var_layer[ms[0]] for ms in model.members),
         terms=terms,
-        triples=tuple(map(ClassTriple._make, found)),
+        triples=tuple(triples),
         offset=offset,
     )
 
@@ -416,6 +416,6 @@ def dump_model(model: OrderingModel) -> str:
         out.append(f"term x{t.var_a} x{t.var_b} {t.parity} w={t.weight}")
     for c, ms in enumerate(model.members):
         out.append(f"class c{c}: " + " ".join(f"x{v}" for v in ms))
-    for e in model.equalities:
-        out.append(f"equal x{e.var_a} = x{e.var_b}")
+    for t in model.triples:
+        out.append(f"triple layer {t.layer + 1}: x{t.var_hi} + x{t.var_ij} - x{t.var_hj}")
     return "\n".join(out) + "\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
 from dataclasses import dataclass
@@ -323,13 +324,18 @@ def test_equalities_and_transitivity_characterize_admissible():
         for sol in all_solutions(inst):
             admissible.add(tuple(encode_solution(model, sol)))
         accepted = set()
+        kept = set()  # satisfies the equalities and the model's own triples
         for bits in product((0, 1), repeat=model.n_vars):
+            if (all(bits[e.var_a] == bits[e.var_b] for e in model.equalities)
+                    and all(bits[t.var_hi] + bits[t.var_ij] - bits[t.var_hj] in (0, 1) for t in model.triples)):
+                kept.add(bits)
             try:
                 decode_assignment(model, list(bits))
             except (NotTransitive, ValueError):
                 continue
             accepted.add(bits)
         assert accepted == admissible
+        assert kept == admissible
 
 
 def test_bundle_needs_complement_rule():
@@ -525,19 +531,46 @@ def test_reduction_equals_reference_under_canonical_and_random_orders(shape):
     assert triples > 100
 
 
+def wide_instance(scenes: int, size: int) -> MlcmInstance:
+    """Two layers of ``scenes`` scenes of ``size`` leaves, joined by a shuffled matching."""
+    n = scenes * size
+    spec = ("root", [(f"s{k}", list(range(size * k, size * k + size))) for k in range(scenes)])
+    tree = LayerTree.from_nested(spec, n)
+    perm = list(range(n))
+    random.Random(55).shuffle(perm)
+    return MlcmInstance((n, n), (tuple((u, perm[u]) for u in range(n)),), (tree, tree))
+
+
+def build_and_reduce_s(inst: MlcmInstance) -> float:
+    """Best of three wall times of ``identify_variables(build_model(inst))``,
+    without the garbage collector, whose passes make the times of the small
+    instance scatter."""
+    times = []
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            identify_variables(build_model(inst))
+            times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return min(times)
+
+
 def test_wide_layers_build_and_reduce_fast():
     """Two 200-leaf layers of 20 scenes of 10: classes and triples from the trees."""
-    spec = ("root", [(f"s{k}", list(range(10 * k, 10 * k + 10))) for k in range(20)])
-    tree = LayerTree.from_nested(spec, 200)
-    perm = list(range(200))
-    random.Random(55).shuffle(perm)
-    inst = MlcmInstance((200, 200), (tuple((u, perm[u]) for u in range(200)),), (tree, tree))
+    inst = wide_instance(20, 10)
     start = time.monotonic()
     reduced = identify_variables(build_model(inst))
     assert time.monotonic() - start < 2.0
     # per layer: 45 pairs inside each scene, 190 scene pairs; C(10,3) per scene, C(20,3) at the root
     assert reduced.n_classes == 2 * (20 * 45 + 190)
     assert len(reduced.triples) == 2 * (20 * 120 + 1140)
+    # k scenes of k leaves have O(k^4) classes and class triples: 6.25x the
+    # leaves is 39x the work, where a loop over every position triple costs 244x
+    growth = build_and_reduce_s(wide_instance(20, 20)) / build_and_reduce_s(wide_instance(8, 8))
+    assert growth < 100
 
 
 def test_not_transitive_witness_is_violated():
