@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--time-limit", type=_positive(float), default=None, help="seconds (default: STORYMIN_TIME_LIMIT or 3600)")
     p.add_argument("--heuristic-only", action="store_true", help="skip the exact search")
     p.add_argument("--no-merge", action="store_true")
-    p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--sweeps", type=_positive(int), default=8, help="barycenter sweeps for the start solution")
     p.add_argument("--backend", choices=("simplex", "scipy"), default="simplex",
                    help="simplex: one warm-started HiGHS model; scipy: cold linprog per LP")
@@ -283,7 +282,6 @@ def _cmd_solve(args) -> int:
     config = SolveConfig(
         time_limit=_default_time_limit(args),
         merge=not args.no_merge,
-        threads=args.threads,
         sweeps=args.sweeps,
     )
     if args.heuristic_only:
@@ -385,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -10,14 +10,14 @@ inequalities separated on demand).
 Separation order at each LP point.  An integral point goes to
 ``cut_consistency``, which returns every reference triangle (a pair edge and
 its two root edges) the point fails; all of them enter the LP at once, up to
-``max_cuts_per_round``.  At an integral cut, violated transitivity rows are
-added if there are any; otherwise the point is decoded, recounted and offered
-as incumbent.  At a fractional point: pooled inequalities that are
-violated again, then ``separate_odd_cycles`` (violated reference triangles if
-there are any, only otherwise Dijkstra), then transitivity; if nothing is
-violated, the node branches.
+500 per round.  At an integral cut, violated transitivity rows are added if
+there are any; otherwise the point is decoded, recounted and offered as
+incumbent.  At a fractional point: pooled inequalities that are violated
+again, then ``separate_odd_cycles`` (violated reference triangles if there
+are any, only otherwise Dijkstra), then transitivity; if nothing is violated,
+the node branches.
 
-Each worker keeps one LP for the whole search (``lp.SimplexBackend``, a HiGHS
+The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
 extension).  Cuts and branching fixes reach it as row and bound changes.  The
 deadline is handed to the LP too, so a long LP stops at the time limit; its
@@ -28,14 +28,13 @@ ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
 index).  Inequalities whose slack stays above 0.1 for 10 consecutive LP
 solves leave the LP for a pool that is re-checked before fresh separation
-rounds.  Everything is deterministic for threads=1.
+rounds.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -82,6 +81,8 @@ FEASIBLE_STATUS = "feasible"
 TIMEOUT_STATUS = "timeout"
 INFEASIBLE_INPUT_STATUS = "infeasible-input"
 
+_TOLERANCE = 1e-6
+_MAX_CUTS = 500  # per separation round
 _SLACK_DROP = 0.1
 _SLACK_ROUNDS = 10
 _FORCE_BRANCH_ROUNDS = 200
@@ -94,21 +95,12 @@ class SolverError(RuntimeError):
 @dataclass
 class SolveConfig:
     time_limit: float = 3600.0
-    tolerance: float = 1e-6
-    max_cuts_per_round: int = 500
     sweeps: int = 8
     merge: bool = True
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not (self.time_limit > 0):  # also rejects NaN
             raise ValueError("time_limit must be positive")
-        if not (0 < self.tolerance < 0.5):  # also rejects NaN
-            raise ValueError("tolerance must be in (0, 0.5)")
-        if self.max_cuts_per_round < 1:
-            raise ValueError("max_cuts_per_round must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
 
@@ -246,49 +238,48 @@ class _Node:
     fixes: tuple[tuple[int, int], ...] = field(compare=False)
 
 
-class _Shared:
-    """State shared by the node-processing workers."""
+def _int_bound(value: float) -> int:
+    return math.ceil(value - _TOLERANCE)
 
-    def __init__(self, incumbent: Solution, incumbent_count: int, deadline: float, stats: SolveStats):
-        self.lock = threading.Lock()
-        self.wake = threading.Condition(self.lock)
-        self.heap: list[_Node] = []
-        self.seq = 0
+
+class _Search:
+    """One best-bound search over one LP: open nodes, incumbent and cuts."""
+
+    def __init__(self, graph: MaxCutGraph, reduced: ReducedModel, work: MlcmInstance,
+                 backend: RelaxationBackend, incumbent: Solution | None, incumbent_count: int,
+                 deadline: float, stats: SolveStats):
+        self.graph = graph
+        self.reduced = reduced
+        self.work = work
+        self.backend = backend
         self.incumbent = incumbent
         self.incumbent_count = incumbent_count
         self.deadline = deadline
         self.stats = stats
-        self.processing: dict[int, float] = {}  # worker id -> bound being processed
+        self.heap: list[_Node] = []
+        self.seq = 0
         self.timed_out = False
-        self.failure: BaseException | None = None
+        # cut bookkeeping: row id -> (cut, consecutive slack count)
+        self.active: dict[int, list] = {}
+        self.active_keys: set = set()
+        self.pool: dict = {}
+        self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
     def push(self, bound: float, fixes: tuple[tuple[int, int], ...]) -> None:
         heapq.heappush(self.heap, _Node(bound, self.seq, fixes))
         self.seq += 1
 
-    def open_bounds(self) -> list[float]:
-        return [n.bound for n in self.heap] + list(self.processing.values())
-
-
-def _int_bound(value: float, tolerance: float) -> int:
-    return math.ceil(value - tolerance)
-
-
-class _Worker:
-    def __init__(self, wid: int, shared: _Shared, graph: MaxCutGraph, reduced: ReducedModel,
-                 work: MlcmInstance, backend: RelaxationBackend, config: SolveConfig):
-        self.wid = wid
-        self.shared = shared
-        self.graph = graph
-        self.reduced = reduced
-        self.work = work
-        self.backend = backend
-        self.config = config
-        # per-backend cut bookkeeping: row id -> (cut, consecutive slack count)
-        self.active: dict[int, list] = {}
-        self.active_keys: set = set()
-        self.pool: dict = {}
-        self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
+    def run(self) -> None:
+        while self.heap:
+            node = heapq.heappop(self.heap)
+            if _int_bound(node.bound) >= self.incumbent_count:
+                # best-bound order: every remaining node is prunable too
+                self.heap.clear()
+                return
+            self.process(node)
+            if self.timed_out or time.monotonic() > self.deadline:
+                self.timed_out = True
+                return
 
     # -- cut handling -----------------------------------------------------
 
@@ -307,19 +298,18 @@ class _Worker:
         for rid, cut in zip(ids, fresh):
             self.active[rid] = [cut, 0]
             self.active_keys.add(cut.key())
-        with self.shared.lock:
-            if kind == "oddc":
-                self.shared.stats.n_oddc += len(fresh)
-            else:
-                self.shared.stats.n_trans += len(fresh)
+        if kind == "oddc":
+            self.stats.n_oddc += len(fresh)
+        else:
+            self.stats.n_trans += len(fresh)
         return len(fresh)
 
     def _reactivate_pool(self, y) -> int:
         violated = []
         for k, cut in self.pool.items():
-            if cut.violation(y) > self.config.tolerance:
+            if cut.violation(y) > _TOLERANCE:
                 violated.append((k, cut))
-                if len(violated) >= self.config.max_cuts_per_round:
+                if len(violated) >= _MAX_CUTS:
                     break
         if not violated:
             return 0
@@ -361,34 +351,28 @@ class _Worker:
             self.backend.set_bounds(var, float(val), float(val))
 
     def process(self, node: _Node) -> None:
-        cfg = self.config
-        shared = self.shared
         self._apply_fixes(node.fixes)
         rounds = 0
         counted = False
         while True:
-            if time.monotonic() > shared.deadline:
+            if time.monotonic() > self.deadline:
                 self._time_out(node)
                 return
             res = self.backend.solve()
             if res.status == TIME_LIMIT:
                 self._time_out(node)
                 return
-            with shared.lock:
-                shared.stats.n_LPs += 1
-                if not counted:
-                    shared.stats.n_sub += 1
-                    counted = True
+            self.stats.n_LPs += 1
+            if not counted:
+                self.stats.n_sub += 1
+                counted = True
             if res.status == INFEASIBLE:
                 return
             if res.status in (NUMERICAL, UNBOUNDED) or res.x is None:
                 raise SolverError(f"LP backend failed with status {res.status!r}")
             total = res.objective + self.graph.offset
             node.bound = max(node.bound, total)
-            with shared.lock:
-                self.processing_bound(total)
-                inc = shared.incumbent_count
-            if _int_bound(total, cfg.tolerance) >= inc:
+            if _int_bound(total) >= self.incumbent_count:
                 return
             if res.slacks:
                 self._manage_slack(res.slacks)
@@ -396,113 +380,65 @@ class _Worker:
             frac = np.minimum(y, 1.0 - y)
             rounds += 1
 
-            if float(frac.max()) <= cfg.tolerance:
+            if float(frac.max()) <= _TOLERANCE:
                 if self._handle_integral(y, total):
                     return
                 continue
 
             if self._reactivate_pool(y):
                 continue
-            added = self._add_cuts(
-                separate_odd_cycles(self.graph, y, cfg.tolerance, cfg.max_cuts_per_round), "oddc")
+            added = self._add_cuts(separate_odd_cycles(self.graph, y, _TOLERANCE, _MAX_CUTS), "oddc")
             if not added:
                 added = self._add_cuts(
-                    separate_transitivity(self.reduced, y, cfg.tolerance)[:cfg.max_cuts_per_round],
-                    "trans")
+                    separate_transitivity(self.reduced, y, _TOLERANCE)[:_MAX_CUTS], "trans")
             if not added or rounds > _FORCE_BRANCH_ROUNDS:
                 self._branch(node, y, total)
                 return
 
     def _time_out(self, node: _Node) -> None:
-        with self.shared.lock:
-            self.shared.timed_out = True
-            # node is still open: repost it so the bound stays honest
-            self.shared.push(node.bound, node.fixes)
-
-    def processing_bound(self, bound: float) -> None:
-        self.shared.processing[self.wid] = bound
+        self.timed_out = True
+        # node is still open: repost it so the bound stays honest
+        self.push(node.bound, node.fixes)
 
     def _handle_integral(self, y: np.ndarray, total: float) -> bool:
         """True if the node is finished (incumbent accepted or pruned)."""
-        cfg = self.config
         yr = np.round(y)
         witnesses = cut_consistency(self.graph, yr)
         if witnesses:
-            if not self._add_cuts(witnesses[:cfg.max_cuts_per_round], "oddc"):
+            if not self._add_cuts(witnesses[:_MAX_CUTS], "oddc"):
                 raise SolverError("no progress at an inconsistent integral point")
             return False
-        trans = separate_transitivity(self.reduced, yr, cfg.tolerance)
+        trans = separate_transitivity(self.reduced, yr, _TOLERANCE)
         if trans:
-            if not self._add_cuts(trans[:cfg.max_cuts_per_round], "trans"):
+            if not self._add_cuts(trans[:_MAX_CUTS], "trans"):
                 raise SolverError("no progress at a non-transitive integral point")
             return False
-        solution = cut_to_solution(self.reduced, yr, cfg.tolerance)
+        solution = cut_to_solution(self.reduced, yr, _TOLERANCE)
         value = count_crossings(self.work, solution)
         if value != round(total):
             raise SolverError(
                 f"objective mismatch: LP says {total}, recount says {value}")
-        with self.shared.lock:
-            if value < self.shared.incumbent_count:
-                self.shared.incumbent_count = value
-                self.shared.incumbent = solution
+        if value < self.incumbent_count:
+            self.incumbent_count = value
+            self.incumbent = solution
         return True
 
     def _branch(self, node: _Node, y: np.ndarray, total: float) -> None:
         frac = np.minimum(y, 1.0 - y)
         j = int(np.argmax(frac))
-        if frac[j] <= self.config.tolerance:
+        if frac[j] <= _TOLERANCE:
             raise SolverError("tried to branch on an integral point")
-        with self.shared.lock:
-            for val in (0, 1):
-                self.shared.push(total, node.fixes + ((j, val),))
-            self.shared.wake.notify_all()
-
-
-def _worker_loop(worker: _Worker) -> None:
-    shared = worker.shared
-    while True:
-        with shared.lock:
-            while True:
-                if shared.failure is not None or shared.timed_out:
-                    return
-                if shared.heap:
-                    break
-                if not shared.processing:
-                    shared.wake.notify_all()
-                    return
-                shared.wake.wait(timeout=0.05)
-            node = heapq.heappop(shared.heap)
-            if _int_bound(node.bound, worker.config.tolerance) >= shared.incumbent_count:
-                # best-bound order: every remaining node is prunable too
-                shared.heap.clear()
-                shared.wake.notify_all()
-                return
-            shared.processing[worker.wid] = node.bound
-        try:
-            worker.process(node)
-        except BaseException as exc:  # surface worker crashes to the caller
-            with shared.lock:
-                shared.failure = exc
-                shared.wake.notify_all()
-            return
-        finally:
-            with shared.lock:
-                shared.processing.pop(worker.wid, None)
-                shared.wake.notify_all()
-        if time.monotonic() > shared.deadline:
-            with shared.lock:
-                shared.timed_out = True
-                shared.wake.notify_all()
-            return
+        for val in (0, 1):
+            self.push(total, node.fixes + ((j, val),))
 
 
 def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
                    backend=None) -> OptResult:
     """Solve to optimality (or best effort within the time limit).
 
-    ``backend`` is an LP backend instance (threads=1) or a zero-argument
-    factory; by default each worker gets its own :class:`SimplexBackend`, or
-    a :class:`ScipyBackend` when the HiGHS extension cannot be loaded.
+    ``backend`` is a zero-argument LP backend factory, such as a backend
+    class; by default the search uses a :class:`SimplexBackend`, or a
+    :class:`ScipyBackend` when the HiGHS extension cannot be loaded.
     """
     config = config or SolveConfig()
     t0 = time.monotonic()
@@ -538,46 +474,17 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         return finish(OPTIMAL_STATUS, heur, incumbent_count, incumbent_count)
 
     if backend is None:
-        factory = SimplexBackend if highs_available() else ScipyBackend
-    elif isinstance(backend, type) or (callable(backend) and not hasattr(backend, "solve")):
-        factory = backend
-    else:
-        if config.threads > 1:
-            raise ValueError("pass a backend factory (not an instance) when threads > 1")
-        factory = lambda: backend  # noqa: E731
+        backend = SimplexBackend if highs_available() else ScipyBackend
+    lp = backend()
+    lp.load([float(w) for w in graph.weights], [0.0] * graph.n_edges, [1.0] * graph.n_edges)
+    lp.set_deadline(deadline)
 
-    trivial = graph.offset + sum(min(0, w) for w in graph.weights)
-    shared = _Shared(heur, incumbent_count, deadline, stats)
-    shared.push(float(trivial), ())
+    search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)
+    search.push(float(graph.offset + sum(min(0, w) for w in graph.weights)), ())
+    search.run()
 
-    workers = []
-    for wid in range(config.threads):
-        be = factory()
-        be.load([float(w) for w in graph.weights],
-                [0.0] * graph.n_edges, [1.0] * graph.n_edges)
-        be.set_deadline(deadline)
-        workers.append(_Worker(wid, shared, graph, reduced, work, be, config))
-
-    if config.threads == 1:
-        _worker_loop(workers[0])
-    else:
-        threads = [threading.Thread(target=_worker_loop, args=(w,), daemon=True)
-                   for w in workers]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    if shared.failure is not None:
-        raise shared.failure
-
-    if shared.timed_out:
-        open_bounds = shared.open_bounds()
-        if open_bounds:
-            lower = min(_int_bound(min(open_bounds), config.tolerance), shared.incumbent_count)
-            lower = max(lower, 0)
-            return finish(TIMEOUT_STATUS, shared.incumbent, shared.incumbent_count, lower)
-        return finish(OPTIMAL_STATUS, shared.incumbent, shared.incumbent_count,
-                      shared.incumbent_count)
-    return finish(OPTIMAL_STATUS, shared.incumbent, shared.incumbent_count,
-                  shared.incumbent_count)
+    count = search.incumbent_count
+    if search.timed_out and search.heap:
+        lower = max(min(_int_bound(search.heap[0].bound), count), 0)
+        return finish(TIMEOUT_STATUS, search.incumbent, count, lower)
+    return finish(OPTIMAL_STATUS, search.incumbent, count, count)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -10,16 +11,27 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from storymin import count_crossings, parse_instance, parse_solution
+from storymin import (
+    SolverError,
+    branch_and_cut,
+    build_instance,
+    count_crossings,
+    parse_instance,
+    parse_solution,
+    parse_story,
+    solver,
+)
 from storymin.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
     main,
 )
+from storymin.lp import NUMERICAL, LpResult, SimplexBackend
 
-from conftest import BUNDLE_STORY, FIG_STORY
+from conftest import BUNDLE_STORY, FIG_STORY, random_story_doc
 
 
 def schema(name: str) -> dict:
@@ -151,6 +163,20 @@ def test_solve_timeout_exit_code(tmp_path, capsys, monkeypatch):
     assert "# status=timeout" in out
 
 
+def test_lp_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    class FailingBackend(SimplexBackend):
+        def solve(self):
+            return LpResult(NUMERICAL)
+
+    doc = random_story_doc(random.Random(3), 5, 6)  # its search needs LPs
+    instance, _ = build_instance(parse_story(json.dumps(doc)))
+    with pytest.raises(SolverError):
+        branch_and_cut(instance, backend=FailingBackend)
+    monkeypatch.setattr(solver, "SimplexBackend", FailingBackend)
+    assert main(["solve", str(write_story(tmp_path, doc))]) == EXIT_INTERNAL
+    assert "internal error: SolverError" in capsys.readouterr().err
+
+
 def test_heuristic_command(tmp_path, capsys):
     code, out = run(capsys, "heuristic", str(write_story(tmp_path)), "--format", "json")
     assert code == EXIT_OK
@@ -227,7 +253,6 @@ def test_usage_error_code(capsys):
 @pytest.mark.parametrize("option", [
     ("--time-limit", "-1"),
     ("--time-limit", "nan"),
-    ("--threads", "0"),
     ("--sweeps", "0"),
 ])
 def test_solve_rejects_non_positive_limits(tmp_path, capsys, option):
