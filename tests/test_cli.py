@@ -253,6 +253,7 @@ def test_usage_error_code(capsys):
 @pytest.mark.parametrize("option", [
     ("--time-limit", "-1"),
     ("--time-limit", "nan"),
+    ("--time-limit", "0"),
     ("--sweeps", "0"),
 ])
 def test_solve_rejects_non_positive_limits(tmp_path, capsys, option):
