@@ -316,6 +316,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     instance = _load_instance(args)
+    timed_out = False
     if args.solution:
         solution = parse_solution(_read(args.solution), instance)
     else:
@@ -324,6 +325,7 @@ def _cmd_render(args) -> int:
             _emit(f"# cannot render: {result.status} {result.message}\n", None)
             return EXIT_INVALID
         solution = result.solution
+        timed_out = result.status == TIMEOUT_STATUS
     options = RenderOptions(width=args.width, row_height=args.row_height, smooth=args.smooth)
     svg = render_svg(instance, solution, options)
     if args.format == "json":
@@ -331,7 +333,8 @@ def _cmd_render(args) -> int:
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         _emit(svg, args.out)
-    return EXIT_OK
+    # the drawing shows the incumbent; the exit code says it is not proven
+    return EXIT_TIMEOUT if timed_out else EXIT_OK
 
 
 def _cmd_stats(args) -> int:

@@ -24,27 +24,44 @@ linearization of that xor.  ``cut_consistency`` checks every pair edge of a
 ``separate_odd_cycles`` scores the triangle inequalities of every pair edge
 with numpy and returns the violated ones when there are any.
 
-Only when no triangle is violated does it search general cycles, via shortest
-paths in a doubled graph (each node split into an even and an odd copy; arcs
-for edge e: same-side of length y_e, side-switching of length 1 - y_e; an
-even->odd path shorter than 1 yields a violated inequality).  Dijkstra runs
-from ``_SOURCE_CHUNK`` nodes at a time, so it holds O(chunk * n) distances
-instead of two n x 2n matrices.  Every node stays a source: a violated cycle
-need not contain a fractional edge (root edges at 0.5 with pair edges 12, 23,
-13 at 1.0 violate the cycle 1-2-3 by a full unit, and no triangle is
-violated), so sources are not picked from fractional edges.  Transitivity of
-the underlying ordering is separated by complete enumeration over the stored
-class triples.
+Only when no triangle is violated does it search general cycles.  In the
+doubled graph (node v split into an even copy 2v and an odd copy 2v+1; edge e
+gives same-side arcs of length y_e and side-switching arcs of length 1 - y_e)
+a violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1
+give arcs of length 0, so the search contracts them first, in one
+connected-components pass:
+
+* Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
+  at 0 or 1 already close an odd cycle through v, violated by a full unit.
+  A breadth-first search from each conflicted node over those edges alone
+  finds the fewest-edge ones.  A violated cycle need not contain a
+  fractional edge (root edges at 0.5 with pair edges 12, 23, 13 at 1.0
+  violate the cycle 1-2-3 by a full unit, and no triangle is violated).
+* Everything else runs on the contracted doubled graph: one node per
+  component (a conflicted one joins both sides), arcs only from the
+  fractional edges.  Each fractional edge with an end outside the
+  conflicted components closes one candidate cycle, the edge plus the
+  shortest contracted path back, by Dijkstra from that end's component.
+  The path is expanded through a breadth-first forest of each component.
+
+Every closed walk is reduced to a simple odd cycle, given its most violated
+odd set and re-checked exactly.  Sources are taken in chunks, so that no
+step holds more than ``_BLOCK`` distances.  Transitivity of the underlying
+ordering is separated by complete enumeration over the stored class
+triples.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .mlcm import Solution
 from .ordering import (
@@ -70,14 +87,10 @@ __all__ = [
     "cut_from_solution",
 ]
 
-# sparse graphs drop explicit zeros, so zero-length arcs get this floor; the
-# error (<= 2 * n_edges * 1e-12) is far below the separation tolerance and
-# every returned inequality is re-checked exactly against y anyway
-_LENGTH_FLOOR = 1e-12
-
-# Dijkstra sources per call: bounds its distance and predecessor arrays to
-# _SOURCE_CHUNK x 2n each
-_SOURCE_CHUNK = 128
+# searches from many sources at once keep (sources x nodes) arrays: distances,
+# predecessors, visited marks; sources are taken in chunks so that each array
+# holds at most this many entries
+_BLOCK = 1 << 19
 
 # the four odd sets of a reference triangle (pair edge, root edge of u, root
 # edge of v), as positions in that cycle; scored in this order below
@@ -267,15 +280,21 @@ def separate_odd_cycles(
     y,
     tolerance: float = 1e-6,
     max_cuts: int = 500,
+    deadline: float = math.inf,
 ) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
 
     Violated reference triangles are returned when there are any.  Otherwise
-    shortest even->odd paths in the doubled graph; every path of length < 1
-    projects to a closed walk with an odd number of side switches, which is
-    reduced to a simple odd cycle and re-checked exactly.  Complete: a
-    violated inequality exists iff some such path is shorter than 1.
-    Returns at most ``max_cuts`` inequalities, most violated first.
+    the doubled graph is contracted along its zero-length arcs (the edges at
+    0 or 1): the odd cycles inside a component that joins both copies of a
+    node are found by breadth-first search, and each fractional edge with an
+    end outside such components closes one candidate cycle through a
+    shortest path of the contracted graph.  Every candidate is reduced to a
+    simple odd cycle and re-checked exactly.  Complete: a violated
+    inequality exists iff one is returned.  Returns at most ``max_cuts``
+    inequalities, most violated first.  The search stops early once
+    ``time.monotonic()`` passes ``deadline``; what it found by then is
+    returned.
     """
     n = graph.n_nodes
     m = graph.n_edges
@@ -286,30 +305,16 @@ def separate_odd_cycles(
     if triangles:
         return triangles
 
-    # doubled graph: node v -> 2v (even side) and 2v+1 (odd side); per edge
-    # four same-side arcs of length y_e, then four side-switching arcs of 1 - y_e
-    even, odd = 2 * graph.ends, 2 * graph.ends + 1
-    u0, v0, u1, v1 = even[:, 0], even[:, 1], odd[:, 0], odd[:, 1]
-    rows = np.concatenate((u0, v0, u1, v1, u0, v1, u1, v0))
-    cols = np.concatenate((v0, u0, v1, u1, v1, u0, v0, u1))
-    same = np.maximum(yv, _LENGTH_FLOOR)
-    cross = np.maximum(1.0 - yv, _LENGTH_FLOOR)
-    data = np.concatenate((same, same, same, same, cross, cross, cross, cross))
-    doubled = csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
-
+    forest = _IntegralForest(graph, yv, tolerance)
     found: dict[tuple, tuple[float, OddCycleInequality]] = {}
-    for start in range(0, n, _SOURCE_CHUNK):
-        src = np.arange(start, min(n, start + _SOURCE_CHUNK))
-        dist, pred = dijkstra(doubled, directed=True, indices=2 * src,
-                              return_predecessors=True, limit=1.0)
-        reach = dist[np.arange(src.size), 2 * src + 1]
-        for i in np.flatnonzero(reach < 1.0 - tolerance).tolist():
-            cycle = _walk_to_cycle(graph, pred[i], int(src[i]))
-            if cycle is None:
-                continue
-            odd_set, violation = _best_odd_set(cycle, yv)
-            if violation <= tolerance:
-                continue
+    ylist = yv.tolist()
+    for nodes, edges in chain(_conflict_walks(forest, deadline), _contracted_walks(forest, deadline)):
+        if time.monotonic() > deadline:
+            break
+        steps = [(e, (a ^ b) & 1 == 1) for e, a, b in zip(edges, nodes, nodes[1:])]
+        cycle = _extract_simple_odd_cycle([v >> 1 for v in nodes], steps)
+        odd_set, violation = _best_odd_set(cycle, ylist)
+        if violation > tolerance:
             ineq = OddCycleInequality(tuple(cycle), odd_set)
             found.setdefault(ineq.key(), (violation, ineq))
 
@@ -317,23 +322,277 @@ def separate_odd_cycles(
     return [ineq for _, (_, ineq) in order[:max_cuts]]
 
 
-def _walk_to_cycle(graph: MaxCutGraph, pred: np.ndarray, s: int) -> list[int] | None:
-    """Simple odd cycle from the predecessor chain of path 2s -> 2s+1."""
-    chain = [2 * s + 1]
-    while chain[-1] != 2 * s:
-        p = int(pred[chain[-1]])
-        if p < 0 or len(chain) > 4 * graph.n_nodes:
-            return None
-        chain.append(p)
-    chain.reverse()
-    steps: list[tuple[int, bool]] = []
-    for a, b in zip(chain, chain[1:]):
-        ga, gb = a // 2, b // 2
-        e = graph.edge_index.get((ga, gb) if ga < gb else (gb, ga))
-        if e is None:
-            return None
-        steps.append((e, (a & 1) != (b & 1)))
-    return _extract_simple_odd_cycle([c // 2 for c in chain], steps)
+class _IntegralForest:
+    """The doubled graph's zero-length arcs: components, labels and BFS over them.
+
+    Doubled node 2v is node v's even copy and 2v+1 its odd copy.  An edge at
+    y <= tol joins the copies on the same side (2u-2v, 2u+1-2v+1), an edge at
+    y >= 1-tol the copies on opposite sides.  Node v is conflicted when 2v
+    and 2v+1 share a component: an odd all-integral cycle runs through it.
+    The arcs are kept as adjacency lists (``indptr``, ``head``) sorted by
+    their tail ``owner``, each with its ``arc_edge``.
+    """
+
+    def __init__(self, graph: MaxCutGraph, yv: np.ndarray, tolerance: float):
+        n2 = 2 * graph.n_nodes
+        ends = graph.ends
+        self.graph = graph
+        self.yv = yv
+        self.tolerance = tolerance
+        self.n2 = n2
+        low, high = yv <= tolerance, yv >= 1.0 - tolerance
+        self.frac = np.flatnonzero(~(low | high))
+        integral = np.flatnonzero(low | high)
+        a = 2 * ends[integral, 0]
+        b = 2 * ends[integral, 1] + high[integral]
+        tail = np.concatenate((a, a ^ 1, b, b ^ 1))
+        order = np.argsort(tail, kind="stable")
+        self.owner = tail[order]
+        self.head = np.concatenate((b, b ^ 1, a, a ^ 1))[order]
+        self.arc_edge = np.tile(integral, 4)[order]
+        self.degree = np.bincount(tail, minlength=n2)
+        self.indptr = np.zeros(n2 + 1, dtype=np.int64)
+        np.cumsum(self.degree, out=self.indptr[1:])
+        # many searches share flat arrays, search r's node x at r * width + x
+        self.width = 1 << max(n2 - 1, 1).bit_length()
+        arcs = csr_matrix((np.ones(tail.size), self.head, self.indptr), shape=(n2, n2))
+        self.n_labels, self.label = connected_components(arcs, directed=True, connection="weak")
+        self.conflicted = np.flatnonzero(self.label[0::2] == self.label[1::2])
+
+    def level(self, frontier: np.ndarray, seen: np.ndarray, via: np.ndarray) -> np.ndarray:
+        """One BFS level for many searches at once.
+
+        Search r has reached node x when seen[r * width + x].  Returns the
+        flat index of every unseen neighbour of the frontier (flat indices),
+        once each, and records in ``via`` the arc it is reached by.
+        """
+        x = frontier & (self.width - 1)
+        deg = self.degree[x]
+        at = np.repeat(self.indptr[x] - np.cumsum(deg) + deg, deg) + np.arange(int(deg.sum()))
+        flat = np.repeat(frontier - x, deg) + self.head[at]
+        fresh = ~seen[flat]
+        flat, at = flat[fresh], at[fresh]
+        via[flat] = at  # one arc wins per node; keep only its entry
+        return flat[via[flat] == at]
+
+    @cached_property
+    def tree(self) -> tuple[list[int], list[int], list[int]]:
+        """BFS forest of every component: (parent, depth, edge to the parent)."""
+        n2 = self.n2
+        roots = np.unique(self.label, return_index=True)[1]
+        seen = np.zeros(n2, dtype=bool)
+        seen[roots] = True
+        via = np.full(n2, -1, dtype=np.int64)
+        depth = np.zeros(n2, dtype=np.int64)
+        frontier, d = roots, 0
+        while frontier.size:
+            d += 1
+            frontier = self.level(frontier, seen, via)
+            seen[frontier] = True
+            depth[frontier] = d
+        has = via >= 0
+        parent = np.full(n2, -1, dtype=np.int64)
+        fedge = np.full(n2, -1, dtype=np.int64)
+        parent[has] = self.owner[via[has]]
+        fedge[has] = self.arc_edge[via[has]]
+        return parent.tolist(), depth.tolist(), fedge.tolist()
+
+    def path(self, p: int, q: int, nodes: list[int], edges: list[int]) -> None:
+        """Append the forest path p -> q (same component) to a walk ending at p."""
+        parent, depth, fedge = self.tree
+        back_nodes: list[int] = []
+        back_edges: list[int] = []
+        while depth[p] > depth[q]:
+            edges.append(fedge[p])
+            p = parent[p]
+            nodes.append(p)
+        while depth[q] > depth[p]:
+            back_nodes.append(q)
+            back_edges.append(fedge[q])
+            q = parent[q]
+        while p != q:
+            edges.append(fedge[p])
+            p = parent[p]
+            nodes.append(p)
+            back_nodes.append(q)
+            back_edges.append(fedge[q])
+            q = parent[q]
+        nodes.extend(reversed(back_nodes))
+        edges.extend(reversed(back_edges))
+
+
+def _source_chunks(n_sources: int, width: int):
+    """Slices of sources whose (sources x width) distance blocks stay under _BLOCK."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, n_sources, step):
+        yield slice(start, min(n_sources, start + step))
+
+
+def _conflict_walks(forest: _IntegralForest, deadline: float):
+    """Min-hop odd closed walks over zero-length arcs, from each conflicted node.
+
+    A breadth-first search from 2v stops at the first level that reaches a
+    node x whose other copy x^1 is reached too.  The path 2v -> x followed by
+    the mirror image of the path 2v -> x^1, run backwards, is then a
+    fewest-arc walk 2v -> 2v+1: an odd cycle, possibly with a stem walked
+    there and back.  Every such x of that level gives a walk (x^1 reached a
+    level earlier makes the walk one arc shorter, so those x win).  Walks
+    whose edges used an odd number of times agree (so stems aside) are
+    yielded once.
+    """
+    width = forest.width
+    m = forest.graph.n_edges
+    for part in _source_chunks(forest.conflicted.size, width):
+        if time.monotonic() > deadline:
+            return
+        start = 2 * forest.conflicted[part]
+        n_src = start.size
+        seen = np.zeros(n_src * width, dtype=bool)
+        frontier = np.arange(n_src) * width + start
+        seen[frontier] = True
+        via = np.full(n_src * width, -1, dtype=np.int64)
+        done = np.zeros(n_src, dtype=bool)
+        meets = []
+        while frontier.size:
+            flat = forest.level(frontier, seen, via)
+            early = seen[flat ^ 1]
+            seen[flat] = True
+            late = seen[flat ^ 1]
+            if late.any():
+                r = flat // width
+                shorter = np.zeros(n_src, dtype=bool)
+                shorter[r[early]] = True
+                meets.append(flat[early | late & ~shorter[r]])
+                done[r[late]] = True
+                flat = flat[~done[r]]
+            frontier = flat
+
+        # paths x -> 2v and x^1 -> 2v, padded with 2v, one row each
+        meet = np.concatenate(meets)
+        cur = np.concatenate((meet, meet ^ 1))
+        base = cur & -width
+        home = base + start[base // width]
+        path, path_edges = [cur], []
+        while True:
+            live = cur != home
+            if not live.any():
+                break
+            at = np.where(live, via[cur], 0)
+            cur = np.where(live, base + forest.owner[at], cur)
+            path.append(cur)
+            path_edges.append(np.where(live, forest.arc_edge[at], -1))
+        path = np.stack(path, axis=1) - base[:, None]
+        path_edges = np.array(path_edges, dtype=np.int64).reshape(-1, cur.size).T
+        k = meet.size
+        # 2v+1 -> x is the mirror image of x^1 -> 2v, run backwards
+        walks = np.concatenate(((path[k:] ^ 1)[:, ::-1], path[:k, 1:]), axis=1)
+        steps = np.concatenate((path_edges[k:, ::-1], path_edges[:k]), axis=1)
+        # drop the edges a walk uses an even number of times, then dedupe rows
+        used = np.sort(steps, axis=1) + 1  # 0 pads
+        flat = (used + np.arange(k)[:, None] * (m + 1)).ravel()
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        run = np.cumsum(first) - 1
+        odd = ((np.bincount(run) % 2 == 1)[run] & first).reshape(used.shape)
+        signature = np.sort(np.where(odd, used, 0), axis=1)
+        order = np.lexsort(signature.T[::-1])
+        signature = signature[order]
+        fresh = np.ones(k, dtype=bool)
+        fresh[1:] = (signature[1:] != signature[:-1]).any(axis=1)
+        for i in np.sort(order[fresh]).tolist():
+            moved = steps[i] >= 0
+            nodes = [int(walks[i, 0])] + walks[i, 1:][moved].tolist()
+            yield nodes, steps[i][moved].tolist()
+
+
+def _contracted_walks(forest: _IntegralForest, deadline: float):
+    """One shortest odd closed walk per fractional edge, over the contracted graph.
+
+    Every component of zero-length arcs is one node, so a conflicted component
+    joins both sides.  A fractional edge gives arcs of length y_e (same side)
+    and 1-y_e (switching sides).  Edge e = (u, v), anchored at the copy s of
+    u, closes the walk s -> ... -> t -> s^1, where t -> s^1 is a copy of e and
+    s -> t a shortest contracted path; walks shorter than 1 - tol are
+    expanded through the forest.  An edge with both ends in conflicted
+    components is left out: the cycles of ``_conflict_walks`` through those
+    ends are violated by a full unit already.
+    """
+    label, n_labels, yv = forest.label, forest.n_labels, forest.yv
+    conflicted = np.zeros(forest.n2 // 2, dtype=bool)
+    conflicted[forest.conflicted] = True
+    ends = forest.graph.ends[forest.frac]
+    # anchor each edge at an end outside the conflicted components
+    swap = conflicted[ends[:, 0]]
+    u = np.where(swap, ends[:, 1], ends[:, 0])
+    keep = ~conflicted[u]
+    if not keep.any():
+        return
+    frac, u = forest.frac[keep], u[keep]
+    v = np.where(swap, ends[:, 0], ends[:, 1])[keep]
+    yf = yv[frac]
+    # the copy of u with the smaller label, so mirror components share a source
+    s = 2 * u + (label[2 * u + 1] < label[2 * u])
+    back = s ^ 1
+    t_same = 2 * v + (back & 1)  # t -> s^1 on the same side
+    t_cross = t_same ^ 1
+
+    # contracted arcs: per (label, label) pair the shortest fractional copy,
+    # in CSR order; arcs inside one label never shorten a path
+    fu, fv = ends.T
+    fy = yv[forest.frac]
+    x = np.concatenate((2 * fu, 2 * fu + 1, 2 * fu, 2 * fu + 1))
+    z = np.concatenate((2 * fv, 2 * fv + 1, 2 * fv + 1, 2 * fv))
+    length = np.concatenate((fy, fy, 1.0 - fy, 1.0 - fy))
+    between = label[x] != label[z]
+    x, z = np.concatenate((x[between], z[between])), np.concatenate((z[between], x[between]))
+    length = np.tile(length[between], 2)
+    edge = np.tile(np.tile(forest.frac, 4)[between], 2)
+    key = label[x] * n_labels + label[z]
+    order = np.lexsort((length, key))
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    pick, key = order[first], key[first]
+    indptr = np.searchsorted(key, np.arange(n_labels + 1) * n_labels)
+    contracted = csr_matrix((length[pick], label[z[pick]], indptr), shape=(n_labels, n_labels))
+    arc_x, arc_z, arc_edge = x[pick].tolist(), z[pick].tolist(), edge[pick].tolist()
+
+    home = label[s]
+    sources = np.unique(home)
+    closed: set[tuple] = set()
+    for part in _source_chunks(sources.size, n_labels):
+        if time.monotonic() > deadline:
+            return
+        chunk = sources[part]
+        dist, pred = dijkstra(contracted, indices=chunk, return_predecessors=True, limit=1.0)
+        mine = np.flatnonzero((home >= chunk[0]) & (home <= chunk[-1]))
+        row = np.searchsorted(chunk, home[mine])
+        same = yf[mine] + dist[row, label[t_same[mine]]]
+        cross = 1.0 - yf[mine] + dist[row, label[t_cross[mine]]]
+        t = np.where(same <= cross, t_same[mine], t_cross[mine])
+        hit = np.minimum(same, cross) < 1.0 - forest.tolerance
+        for i in np.flatnonzero(hit).tolist():
+            r, j = int(row[i]), int(mine[i])
+            # contracted arcs of the path label(s) -> label(t), last first
+            path = []
+            cur = int(label[t[i]])
+            while cur != home[j]:
+                prev = int(pred[r, cur])
+                path.append(int(np.searchsorted(key, prev * n_labels + cur)))
+                cur = prev
+            signature = tuple(sorted([int(frac[j])] + [arc_edge[a] for a in path]))
+            if signature in closed:
+                continue
+            closed.add(signature)
+            nodes, edges = [int(s[j])], []
+            for a in reversed(path):
+                forest.path(nodes[-1], arc_x[a], nodes, edges)
+                nodes.append(arc_z[a])
+                edges.append(arc_edge[a])
+            forest.path(nodes[-1], int(t[i]), nodes, edges)
+            nodes.append(int(back[j]))
+            edges.append(int(frac[j]))
+            yield nodes, edges
 
 
 def separate_transitivity(reduced: ReducedModel, y, tolerance: float = 1e-6) -> list[TransitivityCut]:

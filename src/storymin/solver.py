@@ -14,14 +14,15 @@ its two root edges) the point fails; all of them enter the LP at once, up to
 there are any; otherwise the point is decoded, recounted and offered as
 incumbent.  At a fractional point: pooled inequalities that are violated
 again, then ``separate_odd_cycles`` (violated reference triangles if there
-are any, only otherwise Dijkstra), then transitivity; if nothing is violated,
-the node branches.
+are any, only otherwise the odd cycles of the graph that the edges at 0 or 1
+contract to), then transitivity; if nothing is violated, the node branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
 extension).  Cuts and branching fixes reach it as row and bound changes.  The
-deadline is handed to the LP too, so a long LP stops at the time limit; its
-node then goes back on the heap as if the deadline had been seen between LPs.
+deadline is handed to the LP and to odd-cycle separation too, so a long LP
+or separation round stops at the time limit; its node then goes back on the
+heap as if the deadline had been seen between LPs.
 
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
@@ -387,7 +388,12 @@ class _Search:
 
             if self._reactivate_pool(y):
                 continue
-            added = self._add_cuts(separate_odd_cycles(self.graph, y, _TOLERANCE, _MAX_CUTS), "oddc")
+            cuts = separate_odd_cycles(self.graph, y, _TOLERANCE, _MAX_CUTS, deadline=self.deadline)
+            if time.monotonic() > self.deadline:
+                # the search may have stopped short: neither branch nor prune
+                self._time_out(node)
+                return
+            added = self._add_cuts(cuts, "oddc")
             if not added:
                 added = self._add_cuts(
                     separate_transitivity(self.reduced, y, _TOLERANCE)[:_MAX_CUTS], "trans")

@@ -207,6 +207,16 @@ def test_render_command(tmp_path, capsys):
     assert "crossings=1" in svg
 
 
+def test_render_timeout_writes_the_incumbent(tmp_path, capsys):
+    svg_file = tmp_path / "out.svg"
+    code, _ = run(capsys, "render", str(write_story(tmp_path)), "--time-limit", "0.000001",
+                  "--out", str(svg_file))
+    assert code == EXIT_TIMEOUT
+    svg = svg_file.read_text()
+    assert svg.startswith("<svg")
+    assert "crossings=1" in svg  # the heuristic layout is optimal here, but unproven
+
+
 def test_render_with_solution_file(tmp_path, capsys):
     story = write_story(tmp_path)
     sol_file = tmp_path / "sol.txt"

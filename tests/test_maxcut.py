@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
 
-from storymin import maxcut
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from storymin import solver
 from storymin import (
+    OPTIMAL_STATUS,
     MaxCutGraph,
+    OddCycleInequality,
+    branch_and_cut,
+    build_instance,
     build_maxcut,
     build_model,
     count_crossings,
@@ -19,13 +27,15 @@ from storymin import (
     evaluate_cut,
     identify_variables,
     objective_value,
+    parse_story,
     separate_odd_cycles,
     separate_transitivity,
 )
+from storymin.maxcut import _best_odd_set, _extract_simple_odd_cycle, _violated_triangles
 from storymin.mlcm import Solution
 from storymin.ordering import classes_of_solution
 
-from conftest import random_general_instance, random_storyline_instance
+from conftest import random_general_instance, random_story_doc, random_storyline_instance
 
 
 def all_solutions(inst):
@@ -276,20 +286,175 @@ def test_all_integral_odd_cycle_is_found():
     assert found[0].violation(y) == pytest.approx(1.0)
 
 
-def test_source_chunk_size_does_not_change_the_cuts(monkeypatch):
-    rng = random.Random(74)
-    graphs = []
-    for _ in range(20):
-        n = rng.randint(5, 12)
-        graph = random_cut_graph(rng, n, rng.randint(n, 3 * n))
-        # root edges at 0.5 satisfy every triangle, so Dijkstra does the work
+def parity_conflict(graph: MaxCutGraph, y, tol=1e-6) -> bool:
+    """True if the edges at 0 or 1 close an odd cycle (union-find with parity)."""
+    parent = list(range(graph.n_nodes))
+    parity = [0] * graph.n_nodes
+
+    def find(v):
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    for e, (u, v) in enumerate(graph.edges):
+        if tol < y[e] < 1 - tol:
+            continue
+        side = int(y[e] >= 1 - tol)
+        (ru, pu), (rv, pv) = find(u), find(v)
+        if ru == rv:
+            if pu ^ pv != side:
+                return True
+        else:
+            parent[ru] = rv
+            parity[ru] = pu ^ pv ^ side
+    return False
+
+
+def test_separation_agrees_with_enumeration_at_mixed_points():
+    # root edges at 0.5 satisfy every reference triangle, so the search past
+    # the triangles answers; each pair edge is 0, 1 or fractional
+    rng = random.Random(75)
+    with_conflict = without_conflict = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        graph = random_cut_graph(rng, n, rng.randint(1, n + 3))
         y = np.array([0.5] * graph.n_root_edges
-                     + [rng.random() for _ in range(graph.n_edges - graph.n_root_edges)])
-        graphs.append((graph, y))
-    default = [separate_odd_cycles(g, y) for g, y in graphs]
-    assert sum(1 for cuts in default if cuts) >= 10
-    monkeypatch.setattr(maxcut, "_SOURCE_CHUNK", 1)
-    assert [separate_odd_cycles(g, y) for g, y in graphs] == default
+                     + [rng.choice((0.0, 1.0, rng.random()))
+                        for _ in range(graph.n_edges - graph.n_root_edges)])
+        assert violated_triangles_by_loop(graph, y) == {}
+        found = separate_odd_cycles(graph, y)
+        expected = exhaustive_violated(graph, y)
+        assert bool(found) == bool(expected), (graph, y.tolist())
+        enumerated = {(c, f) for c, f, _ in expected}
+        for ineq in found:
+            assert ineq.violation(y) > 1e-6
+            assert (tuple(sorted(ineq.cycle)), ineq.odd_set) in enumerated
+        if found:
+            if parity_conflict(graph, y):
+                with_conflict += 1
+            else:
+                without_conflict += 1
+    assert with_conflict >= 10 and without_conflict >= 10
+
+
+# The whole-graph separation that the contracted search replaced, kept as the
+# reference: Dijkstra from every node over the full doubled graph.
+
+# sparse graphs drop explicit zeros, so zero-length arcs get this floor; the
+# error (<= 2 * n_edges * 1e-12) is far below the separation tolerance and
+# every returned inequality is re-checked exactly against y anyway
+_LENGTH_FLOOR = 1e-12
+
+# Dijkstra sources per call: bounds its distance and predecessor arrays to
+# _SOURCE_CHUNK x 2n each
+_SOURCE_CHUNK = 128
+
+
+def whole_graph_separate_odd_cycles(
+    graph: MaxCutGraph,
+    y,
+    tolerance: float = 1e-6,
+    max_cuts: int = 500,
+) -> list[OddCycleInequality]:
+    """Find violated odd-cycle inequalities at fractional y.
+
+    Violated reference triangles are returned when there are any.  Otherwise
+    shortest even->odd paths in the doubled graph; every path of length < 1
+    projects to a closed walk with an odd number of side switches, which is
+    reduced to a simple odd cycle and re-checked exactly.  Complete: a
+    violated inequality exists iff some such path is shorter than 1.
+    Returns at most ``max_cuts`` inequalities, most violated first.
+    """
+    n = graph.n_nodes
+    m = graph.n_edges
+    if m == 0 or n < 3:
+        return []
+    yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
+    triangles = _violated_triangles(graph, yv, tolerance, max_cuts)
+    if triangles:
+        return triangles
+
+    # doubled graph: node v -> 2v (even side) and 2v+1 (odd side); per edge
+    # four same-side arcs of length y_e, then four side-switching arcs of 1 - y_e
+    even, odd = 2 * graph.ends, 2 * graph.ends + 1
+    u0, v0, u1, v1 = even[:, 0], even[:, 1], odd[:, 0], odd[:, 1]
+    rows = np.concatenate((u0, v0, u1, v1, u0, v1, u1, v0))
+    cols = np.concatenate((v0, u0, v1, u1, v1, u0, v0, u1))
+    same = np.maximum(yv, _LENGTH_FLOOR)
+    cross = np.maximum(1.0 - yv, _LENGTH_FLOOR)
+    data = np.concatenate((same, same, same, same, cross, cross, cross, cross))
+    doubled = csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
+
+    found: dict[tuple, tuple[float, OddCycleInequality]] = {}
+    for start in range(0, n, _SOURCE_CHUNK):
+        src = np.arange(start, min(n, start + _SOURCE_CHUNK))
+        dist, pred = dijkstra(doubled, directed=True, indices=2 * src,
+                              return_predecessors=True, limit=1.0)
+        reach = dist[np.arange(src.size), 2 * src + 1]
+        for i in np.flatnonzero(reach < 1.0 - tolerance).tolist():
+            cycle = _walk_to_cycle(graph, pred[i], int(src[i]))
+            if cycle is None:
+                continue
+            odd_set, violation = _best_odd_set(cycle, yv)
+            if violation <= tolerance:
+                continue
+            ineq = OddCycleInequality(tuple(cycle), odd_set)
+            found.setdefault(ineq.key(), (violation, ineq))
+
+    order = sorted(found.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    return [ineq for _, (_, ineq) in order[:max_cuts]]
+
+
+def _walk_to_cycle(graph: MaxCutGraph, pred: np.ndarray, s: int) -> list[int] | None:
+    """Simple odd cycle from the predecessor chain of path 2s -> 2s+1."""
+    chain = [2 * s + 1]
+    while chain[-1] != 2 * s:
+        p = int(pred[chain[-1]])
+        if p < 0 or len(chain) > 4 * graph.n_nodes:
+            return None
+        chain.append(p)
+    chain.reverse()
+    steps: list[tuple[int, bool]] = []
+    for a, b in zip(chain, chain[1:]):
+        ga, gb = a // 2, b // 2
+        e = graph.edge_index.get((ga, gb) if ga < gb else (gb, ga))
+        if e is None:
+            return None
+        steps.append((e, (a & 1) != (b & 1)))
+    return _extract_simple_odd_cycle([c // 2 for c in chain], steps)
+
+
+
+def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
+    """At every round past the triangles, both searches agree on the best cut."""
+    rounds = []
+    real = solver.separate_odd_cycles
+
+    def record(graph, y, tolerance, max_cuts, **kwargs):
+        yv = np.clip(np.asarray(y, dtype=float)[:graph.n_edges], 0.0, 1.0)
+        if not _violated_triangles(graph, yv, tolerance, max_cuts):
+            rounds.append((graph, np.array(y, dtype=float)))
+        return real(graph, y, tolerance, max_cuts, **kwargs)
+
+    monkeypatch.setattr(solver, "separate_odd_cycles", record)
+    docs = [random_story_doc(random.Random(seed), 12, 30, 12) for seed in range(1, 9)]
+    docs.append(random_story_doc(random.Random(2), 16, 40, 16))
+    for doc in docs:
+        instance, _ = build_instance(parse_story(json.dumps(doc)))
+        assert branch_and_cut(instance).status == OPTIMAL_STATUS
+    conflicts = 0
+    for graph, y in rounds:
+        new = separate_odd_cycles(graph, y)
+        old = whole_graph_separate_odd_cycles(graph, y)
+        assert bool(new) == bool(old)
+        if old:
+            assert max(c.violation(y) for c in new) == pytest.approx(
+                max(c.violation(y) for c in old), abs=1e-9)
+        conflicts += parity_conflict(graph, y)
+    # both kinds of round: with and without an all-integral odd cycle
+    assert len(rounds) >= 20 and 0 < conflicts < len(rounds)
 
 
 def test_no_cuts_at_consistent_integral_points():

@@ -243,6 +243,51 @@ def test_medium_instance_proven_with_few_lps():
     assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
 
 
+def test_large_instance_returns_near_its_time_limit():
+    # one separation round here took about a second before the deadline
+    # reached inside it
+    doc = random_story_doc(random.Random(1), 20, 60, 20)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    start = time.monotonic()
+    res = branch_and_cut(inst, SolveConfig(time_limit=0.5))
+    assert time.monotonic() - start <= 0.75
+    assert res.status == TIMEOUT_STATUS
+    assert res.lower_bound <= 68 <= res.crossings  # 68 is the proven optimum
+
+
+def test_node_cut_short_in_separation_is_reposted(monkeypatch):
+    """A separation that stops at the deadline neither branches nor prunes."""
+    searches = []
+
+    class RecordedSearch(solver._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    deadlines = []
+
+    def stopped_separation(graph, y, tolerance, max_cuts, deadline):
+        deadlines.append(deadline)
+        while time.monotonic() <= deadline:
+            time.sleep(0.01)
+        return []  # stopped before it found a cut
+
+    monkeypatch.setattr(solver, "_Search", RecordedSearch)
+    monkeypatch.setattr(solver, "separate_odd_cycles", stopped_separation)
+    # with no transitivity cut either, an empty round would branch the node
+    monkeypatch.setattr(solver, "separate_transitivity", lambda *args: [])
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    res = branch_and_cut(inst, SolveConfig(time_limit=0.5))
+    assert len(deadlines) == 1
+    assert res.status == TIMEOUT_STATUS
+    assert res.lower_bound <= 6 <= res.crossings
+    # the root went back on the heap, unbranched
+    (search,) = searches
+    assert [node.fixes for node in search.heap] == [()]
+    assert search.stats.n_sub == 1
+
+
 def test_node_bounds_match_a_full_reset():
     """Undoing only the last node's fixes leaves the bounds of a full reset."""
 
