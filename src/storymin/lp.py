@@ -5,17 +5,19 @@ Both backends hold a problem of the form
     minimize c.x   subject to   A x <= b,   l <= x <= u
 
 with incrementally added/removed rows (cutting planes) and adjustable bounds
-(branching).  ``solve`` reports status, objective, primal point, row duals,
-and row slacks.  A solve that reaches the deadline given to ``set_deadline``
-stops and reports ``TIME_LIMIT``.
+(branching).  Rows are addressed by position, in the order they were added:
+``add_rows`` returns the new positions, and ``remove_rows`` deletes by
+position and closes the gaps, so the rows after a deleted one move up.
+``solve`` reports status, objective, primal point and the row slacks as one
+array in row order.  A solve that reaches the deadline given to
+``set_deadline`` stops and reports ``TIME_LIMIT``.
 
 :class:`SimplexBackend` keeps one persistent HiGHS model (dual simplex,
 presolve off) and sends it deltas only: new rows, deleted rows, and the
 column bounds that changed since the last solve.  Every solve restarts from
 the previous basis, so a round of cuts or a branching fix costs a few pivots
-instead of a cold solve.  HiGHS addresses rows by position and closes the
-gaps a deletion leaves; the row store keeps ids in the same order, so the
-k-th stored id always names the k-th HiGHS row.
+instead of a cold solve.  HiGHS addresses its rows the same way, so the k-th
+stored row is always the k-th HiGHS row.
 
 The model comes from the HiGHS binding that SciPy ships as the private
 extension ``scipy.optimize._highspy._core``.  Importing it the normal way
@@ -38,7 +40,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -67,14 +69,15 @@ _HIGHS_OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False}
 
 _core = None  # the loaded HiGHS extension; False once loading it failed
 
+Row = tuple[dict[int, float], float]  # coefficients and right-hand side of one <= row
+
 
 @dataclass
 class LpResult:
     status: str
     objective: float = float("nan")
     x: np.ndarray | None = None
-    duals: dict[int, float] | None = None
-    slacks: dict[int, float] | None = None
+    slacks: np.ndarray | None = None
 
 
 class RelaxationBackend(Protocol):
@@ -88,9 +91,9 @@ class RelaxationBackend(Protocol):
 
     def get_bounds(self, var: int) -> tuple[float, float]: ...
 
-    def add_rows(self, rows: Iterable[tuple[dict[int, float], float]]) -> list[int]: ...
+    def add_rows(self, rows: Iterable[Row]) -> list[int]: ...
 
-    def remove_rows(self, row_ids: Iterable[int]) -> None: ...
+    def remove_rows(self, positions: Iterable[int]) -> None: ...
 
     def row_count(self) -> int: ...
 
@@ -135,48 +138,21 @@ def highs_available() -> bool:
     return _core is not False
 
 
-@dataclass
-class _Rows:
-    """Insertion-ordered row store shared by both backends."""
+def _csr(rows: list[Row]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``rows`` as CSR arrays (indptr, indices, data) and right-hand sides."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for coefs, _ in rows:
+        indices.extend(coefs)
+        data.extend(coefs.values())
+        indptr.append(len(indices))
+    return (np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32),
+            np.asarray(data, dtype=float), _rhs(rows))
 
-    next_id: int = 0
-    rows: dict[int, tuple[dict[int, float], float]] = field(default_factory=dict)
 
-    def add(self, rows: Iterable[tuple[dict[int, float], float]]) -> list[int]:
-        ids = []
-        for coefs, rhs in rows:
-            rid = self.next_id
-            self.next_id += 1
-            self.rows[rid] = (dict(coefs), float(rhs))
-            ids.append(rid)
-        return ids
-
-    def remove(self, row_ids: Iterable[int]) -> None:
-        for rid in row_ids:
-            del self.rows[rid]
-
-    def csr(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rows ``ids`` as CSR arrays (indptr, indices, data) and right-hand sides."""
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for rid in ids:
-            coefs = self.rows[rid][0]
-            indices.extend(coefs)
-            data.extend(coefs.values())
-            indptr.append(len(indices))
-        return (np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32),
-                np.asarray(data, dtype=float), self.rhs(ids))
-
-    def rhs(self, ids: list[int]) -> np.ndarray:
-        return np.fromiter((self.rows[rid][1] for rid in ids), dtype=float, count=len(ids))
-
-    def matrix(self, n: int):
-        from scipy.sparse import csr_array
-
-        ids = list(self.rows)
-        indptr, indices, data, b = self.csr(ids)
-        return ids, csr_array((data, indices, indptr), shape=(len(ids), n)), b
+def _rhs(rows: list[Row]) -> np.ndarray:
+    return np.fromiter((rhs for _, rhs in rows), dtype=float, count=len(rows))
 
 
 class _BaseBackend:
@@ -185,7 +161,7 @@ class _BaseBackend:
         self.lo = np.zeros(0)
         self.hi = np.zeros(0)
         self.deadline = math.inf
-        self._rows = _Rows()
+        self._rows: list[Row] = []
 
     def load(self, costs, lower, upper) -> None:
         self.c = np.asarray(list(costs), dtype=float)
@@ -195,7 +171,7 @@ class _BaseBackend:
             raise ValueError("costs/lower/upper length mismatch")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
-        self._rows = _Rows()
+        self._rows = []
 
     def set_deadline(self, deadline: float) -> None:
         """``time.monotonic()`` value at which a solve stops with TIME_LIMIT."""
@@ -217,14 +193,20 @@ class _BaseBackend:
             for j in coefs:
                 if not (0 <= j < n):
                     raise ValueError(f"row references unknown variable {j}")
-            checked.append((coefs, rhs))
-        return self._rows.add(checked)
+            checked.append((dict(coefs), float(rhs)))
+        start = len(self._rows)
+        self._rows.extend(checked)
+        return list(range(start, len(self._rows)))
 
-    def remove_rows(self, row_ids) -> None:
-        self._rows.remove(row_ids)
+    def remove_rows(self, positions) -> None:
+        gone = sorted(set(positions))
+        if gone and (gone[0] < 0 or gone[-1] >= len(self._rows)):
+            raise IndexError(f"row positions {gone} out of range for {len(self._rows)} rows")
+        for k in reversed(gone):
+            del self._rows[k]
 
     def row_count(self) -> int:
-        return len(self._rows.rows)
+        return len(self._rows)
 
 
 class SimplexBackend(_BaseBackend):
@@ -240,23 +222,20 @@ class SimplexBackend(_BaseBackend):
         self._highs = None
 
     def add_rows(self, rows) -> list[int]:
-        ids = super().add_rows(rows)
-        if self._highs is not None and ids:
-            self._send_rows(ids)
-        return ids
+        positions = super().add_rows(rows)
+        if self._highs is not None and positions:
+            self._send_rows(self._rows[positions[0]:])
+        return positions
 
-    def remove_rows(self, row_ids) -> None:
-        gone = set(row_ids)
-        if self._highs is not None and gone:
-            where = [k for k, rid in enumerate(self._rows.rows) if rid in gone]
-            if len(where) != len(gone):
-                raise KeyError(f"unknown row ids {sorted(gone - set(self._rows.rows))}")
-            self._highs.deleteRows(len(where), np.asarray(where, dtype=np.int32))
+    def remove_rows(self, positions) -> None:
+        gone = sorted(set(positions))
         super().remove_rows(gone)
+        if self._highs is not None and gone:
+            self._highs.deleteRows(len(gone), np.asarray(gone, dtype=np.int32))
 
-    def _send_rows(self, ids: list[int]) -> None:
-        indptr, indices, data, b = self._rows.csr(ids)
-        self._highs.addRows(len(ids), np.full(len(ids), -np.inf), b,
+    def _send_rows(self, rows: list[Row]) -> None:
+        indptr, indices, data, b = _csr(rows)
+        self._highs.addRows(len(rows), np.full(len(rows), -np.inf), b,
                             len(indices), indptr[:-1], indices, data)
 
     def _send_bounds(self) -> None:
@@ -277,8 +256,8 @@ class SimplexBackend(_BaseBackend):
                       np.zeros(0, dtype=np.int32), np.zeros(0))
         self._highs = highs
         self._sent_lo, self._sent_hi = self.lo.copy(), self.hi.copy()
-        if self._rows.rows:
-            self._send_rows(list(self._rows.rows))
+        if self._rows:
+            self._send_rows(self._rows)
 
     def solve(self) -> LpResult:
         if self._highs is None:
@@ -302,12 +281,9 @@ class SimplexBackend(_BaseBackend):
         if status != OPTIMAL:
             return LpResult(status)
         sol = highs.getSolution()
-        ids = list(self._rows.rows)
-        slack = self._rows.rhs(ids) - np.asarray(sol.row_value, dtype=float)
         return LpResult(OPTIMAL, float(highs.getObjectiveValue()),
                         np.asarray(sol.col_value, dtype=float),
-                        dict(zip(ids, sol.row_dual)),
-                        dict(zip(ids, slack.tolist())))
+                        _rhs(self._rows) - np.asarray(sol.row_value, dtype=float))
 
 
 class ScipyBackend(_BaseBackend):
@@ -315,12 +291,16 @@ class ScipyBackend(_BaseBackend):
 
     def solve(self) -> LpResult:
         from scipy.optimize import linprog
+        from scipy.sparse import csr_array
 
         left = self.deadline - time.monotonic()
         if left <= 0:
             return LpResult(TIME_LIMIT)
-        ids, a, b = self._rows.matrix(len(self.c))
-        kwargs = {"A_ub": a, "b_ub": b} if ids else {}
+        kwargs = {}
+        if self._rows:
+            indptr, indices, data, b = _csr(self._rows)
+            kwargs = {"A_ub": csr_array((data, indices, indptr), shape=(len(b), len(self.c))),
+                      "b_ub": b}
         if math.isfinite(left):
             kwargs["options"] = {"time_limit": left}
         res = linprog(self.c, bounds=list(zip(self.lo, self.hi)), method="highs", **kwargs)
@@ -333,5 +313,4 @@ class ScipyBackend(_BaseBackend):
         if res.status != 0 or res.x is None:
             return LpResult(NUMERICAL)
         return LpResult(OPTIMAL, float(res.fun), np.asarray(res.x, dtype=float),
-                        dict(zip(ids, res.ineqlin.marginals.tolist())),
-                        dict(zip(ids, res.slack.tolist())))
+                        np.asarray(res.slack, dtype=float))

@@ -12,10 +12,10 @@ Separation order at each LP point.  An integral point goes to
 its two root edges) the point fails; all of them enter the LP at once, up to
 500 per round.  At an integral cut, violated transitivity rows are added if
 there are any; otherwise the point is decoded, recounted and offered as
-incumbent.  At a fractional point: pooled inequalities that are violated
-again, then ``separate_odd_cycles`` (violated reference triangles if there
-are any, only otherwise the odd cycles of the graph that the edges at 0 or 1
-contract to), then transitivity; if nothing is violated, the node branches.
+incumbent.  At a fractional point: ``separate_odd_cycles`` (violated
+reference triangles if there are any, only otherwise the odd cycles of the
+graph that the edges at 0 or 1 contract to), then transitivity; if nothing
+is violated, the node branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
@@ -27,9 +27,11 @@ heap as if the deadline had been seen between LPs.
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
-index).  Inequalities whose slack stays above 0.1 for 10 consecutive LP
-solves leave the LP for a pool that is re-checked before fresh separation
-rounds.  Everything is deterministic.
+index).  The cuts in the LP are kept as one list of keys in row order, beside
+one array of consecutive-slack counts; an inequality whose slack stays above
+0.1 for 10 consecutive LP solves leaves the LP and is forgotten, and
+separation finds it again if it is violated again.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not (self.time_limit > 0):  # also rejects NaN
             raise ValueError("time_limit must be positive")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        if not isinstance(self.sweeps, int) or self.sweeps < 1:
+            raise ValueError("sweeps must be an int >= 1")
 
 
 @dataclass
@@ -260,10 +262,10 @@ class _Search:
         self.heap: list[_Node] = []
         self.seq = 0
         self.timed_out = False
-        # cut bookkeeping: row id -> (cut, consecutive slack count)
-        self.active: dict[int, list] = {}
-        self.active_keys: set = set()
-        self.pool: dict = {}
+        # the LP's cuts in row order: their keys and consecutive-slack counts
+        self.row_keys: list = []
+        self.lp_keys: set = set()
+        self.slack_rounds = np.zeros(0, dtype=np.int64)
         self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
     def push(self, bound: float, fixes: tuple[tuple[int, int], ...]) -> None:
@@ -285,59 +287,29 @@ class _Search:
     # -- cut handling -----------------------------------------------------
 
     def _add_cuts(self, cuts, kind: str) -> int:
-        fresh = []
-        for cut in cuts:
-            k = cut.key()
-            if k in self.active_keys:
-                continue
-            self.pool.pop(k, None)
-            fresh.append(cut)
+        fresh = [cut for cut in cuts if cut.key() not in self.lp_keys]
         if not fresh:
             return 0
-        rows = [cut.lp_row() for cut in fresh]
-        ids = self.backend.add_rows(rows)
-        for rid, cut in zip(ids, fresh):
-            self.active[rid] = [cut, 0]
-            self.active_keys.add(cut.key())
+        self.backend.add_rows([cut.lp_row() for cut in fresh])
+        keys = [cut.key() for cut in fresh]
+        self.row_keys += keys
+        self.lp_keys.update(keys)
+        self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(fresh), np.int64)])
         if kind == "oddc":
             self.stats.n_oddc += len(fresh)
         else:
             self.stats.n_trans += len(fresh)
         return len(fresh)
 
-    def _reactivate_pool(self, y) -> int:
-        violated = []
-        for k, cut in self.pool.items():
-            if cut.violation(y) > _TOLERANCE:
-                violated.append((k, cut))
-                if len(violated) >= _MAX_CUTS:
-                    break
-        if not violated:
-            return 0
-        rows = [cut.lp_row() for _, cut in violated]
-        ids = self.backend.add_rows(rows)
-        for (k, cut), rid in zip(violated, ids):
-            del self.pool[k]
-            self.active[rid] = [cut, 0]
-            self.active_keys.add(k)
-        return len(violated)
-
-    def _manage_slack(self, slacks: dict[int, float]) -> None:
-        drop = []
-        for rid, entry in self.active.items():
-            if slacks.get(rid, 0.0) > _SLACK_DROP:
-                entry[1] += 1
-                if entry[1] >= _SLACK_ROUNDS:
-                    drop.append(rid)
-            else:
-                entry[1] = 0
-        if drop:
-            self.backend.remove_rows(drop)
-            for rid in drop:
-                cut, _ = self.active.pop(rid)
-                k = cut.key()
-                self.active_keys.discard(k)
-                self.pool[k] = cut
+    def _manage_slack(self, slacks: np.ndarray) -> None:
+        self.slack_rounds = np.where(slacks > _SLACK_DROP, self.slack_rounds + 1, 0)
+        keep = self.slack_rounds < _SLACK_ROUNDS
+        if keep.all():
+            return
+        self.backend.remove_rows(np.flatnonzero(~keep).tolist())
+        self.lp_keys.difference_update(k for k, kept in zip(self.row_keys, keep) if not kept)
+        self.row_keys = [k for k, kept in zip(self.row_keys, keep) if kept]
+        self.slack_rounds = self.slack_rounds[keep]
 
     # -- node processing --------------------------------------------------
 
@@ -375,8 +347,7 @@ class _Search:
             node.bound = max(node.bound, total)
             if _int_bound(total) >= self.incumbent_count:
                 return
-            if res.slacks:
-                self._manage_slack(res.slacks)
+            self._manage_slack(res.slacks)
             y = np.asarray(res.x, dtype=float)
             frac = np.minimum(y, 1.0 - y)
             rounds += 1
@@ -386,8 +357,6 @@ class _Search:
                     return
                 continue
 
-            if self._reactivate_pool(y):
-                continue
             cuts = separate_odd_cycles(self.graph, y, _TOLERANCE, _MAX_CUTS, deadline=self.deadline)
             if time.monotonic() > self.deadline:
                 # the search may have stopped short: neither branch nor prune

@@ -141,6 +141,24 @@ def test_solve_stats_json(tmp_path, capsys):
     assert list(doc) == ["n_var", "n_oddc", "n_trans", "n_sub", "n_LPs", "time"]
 
 
+def test_solve_scipy_backend_matches_default(tmp_path, capsys):
+    # the barycenter layout has 4 crossings here: only the LP proves 3
+    story = write_story(tmp_path, random_story_doc(random.Random(25), 6, 8))
+    stats_file = tmp_path / "stats.json"
+    code, out = run(capsys, "solve", str(story), "--backend", "scipy",
+                    "--stats-json", str(stats_file))
+    default_code, default_out = run(capsys, "solve", str(story))
+    assert code == default_code == EXIT_OK
+
+    def verdict(text):
+        return [line for line in text.splitlines()
+                if line.startswith(("# status=", "# lower_bound=", "crossings="))]
+
+    assert verdict(out) == verdict(default_out) == [
+        "# status=optimal", "# lower_bound=3", "crossings=3"]
+    assert json.loads(stats_file.read_text())["n_LPs"] >= 1
+
+
 def test_solve_instance_text_input(tmp_path, capsys):
     _, inst_text = run(capsys, "convert", str(write_story(tmp_path)))
     path = tmp_path / "inst.txt"

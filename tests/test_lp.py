@@ -77,17 +77,24 @@ def test_negative_rhs_feasible(backend_cls):
 
 
 def test_row_bookkeeping():
-    be = make(SimplexBackend, [0.0, 0.0], [0, 0], [1, 1])
-    ids1 = be.add_rows([({0: 1.0}, 0.5), ({1: 1.0}, 0.5)])
-    assert be.row_count() == 2
-    ids2 = be.add_rows([({0: 1.0, 1: 1.0}, 0.8)])
-    assert be.row_count() == 3
-    assert len(set(ids1 + ids2)) == 3
-    be.remove_rows([ids1[0]])
-    assert be.row_count() == 2
-    res = be.solve()
-    assert set(res.duals) == {ids1[1], ids2[0]}
-    assert set(res.slacks) == {ids1[1], ids2[0]}
+    for backend_cls in (SimplexBackend, ScipyBackend):
+        be = make(backend_cls, [0.0, 0.0], [0, 0], [1, 1])
+        assert be.add_rows([({0: 1.0}, 0.5), ({1: 1.0}, 0.5)]) == [0, 1]
+        assert be.row_count() == 2
+        assert be.add_rows([({0: 1.0, 1: 1.0}, 0.8)]) == [2]
+        assert be.row_count() == 3
+        be.solve()  # the HiGHS model now holds the rows too
+        be.remove_rows([0])
+        assert be.row_count() == 2
+        # the rows after the deleted one moved up: x1 <= 0.5, then x0 + x1 <= 0.8
+        assert be.solve().slacks == pytest.approx([0.5, 0.8])
+        assert be.add_rows([({0: 1.0}, 0.25)]) == [2]
+        assert be.solve().slacks == pytest.approx([0.5, 0.8, 0.25])
+        for positions in ([3], [-1], [0, 5]):
+            with pytest.raises(IndexError):
+                be.remove_rows(positions)
+        assert be.row_count() == 3  # a rejected call removes nothing
+        assert be.solve().slacks == pytest.approx([0.5, 0.8, 0.25])
 
 
 def test_bad_variable_in_row():
@@ -104,19 +111,6 @@ def test_bounds_update():
     assert res.x[0] == pytest.approx(0.25)
     with pytest.raises(ValueError):
         be.set_bounds(1, 0.9, 0.1)
-
-
-def test_duals_match_scipy_convention():
-    """Binding <=-row duals are non-positive for minimization, both backends.
-
-    The vertex (2, 2) is nondegenerate, so the duals are unique: (-1, -1).
-    """
-    rows = [({0: 1.0, 1: 1.0}, 4.0), ({0: 1.0, 1: 2.0}, 6.0)]
-    a = make(SimplexBackend, [-2.0, -3.0], [0, 0], [10, 10], rows).solve()
-    b = make(ScipyBackend, [-2.0, -3.0], [0, 0], [10, 10], rows).solve()
-    assert sorted(a.duals.values()) == pytest.approx(sorted(b.duals.values()), abs=1e-8)
-    assert all(d <= 1e-12 for d in a.duals.values())
-    assert list(a.duals.values()) == pytest.approx([-1.0, -1.0])
 
 
 def random_lp(rng: random.Random):
@@ -206,32 +200,33 @@ def test_warm_model_matches_fresh_linprog():
     """One SimplexBackend under a seeded mix of row/bound changes.
 
     After every step a fresh ScipyBackend gets the same rows and bounds; the
-    status, the objective and the row ids of duals and slacks must agree.
-    This pins the id-to-position mapping of the HiGHS rows after deletions.
+    status and the objective must agree, and each slack must be its row's
+    ``rhs - activity``, position by position.  This pins the row order of
+    the HiGHS model after deletions.
     """
     rng = random.Random(83)
     n = 10
     c = [rng.uniform(-3, 3) for _ in range(n)]
     warm = make(SimplexBackend, c, [0.0] * n, [1.0] * n)
-    rows: dict[int, tuple[dict[int, float], float]] = {}
+    rows: list[tuple[dict[int, float], float]] = []
     solved = infeasible = 0
     for _ in range(120):
         op = rng.random()
         if op < 0.35:
             new = random_lp(rng)[3][:rng.randint(1, 4)]
             new = [({j % n: w for j, w in coefs.items()}, rhs) for coefs, rhs in new]
-            rows.update(zip(warm.add_rows(new), new))
+            assert warm.add_rows(new) == list(range(len(rows), len(rows) + len(new)))
+            rows += new
         elif op < 0.55 and rows:
-            gone = rng.sample(sorted(rows), rng.randint(1, len(rows)))
+            gone = rng.sample(range(len(rows)), rng.randint(1, len(rows)))
             warm.remove_rows(gone)
-            for rid in gone:
-                del rows[rid]
+            rows = [row for k, row in enumerate(rows) if k not in gone]
         elif op < 0.75:
             var = rng.randrange(n)
             val = rng.choice([0.0, 1.0, None])
             warm.set_bounds(var, *((0.0, 1.0) if val is None else (val, val)))
         res = warm.solve()
-        fresh = make(ScipyBackend, c, warm.lo, warm.hi, list(rows.values()))
+        fresh = make(ScipyBackend, c, warm.lo, warm.hi, rows)
         ref = fresh.solve()
         assert res.status == ref.status
         assert warm.row_count() == len(rows)
@@ -239,10 +234,10 @@ def test_warm_model_matches_fresh_linprog():
         if res.status == OPTIMAL:
             solved += 1
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
-            assert set(res.duals) == set(res.slacks) == set(rows)
-            for rid, (coefs, rhs) in rows.items():
+            assert len(res.slacks) == len(ref.slacks) == len(rows)
+            for k, (coefs, rhs) in enumerate(rows):
                 activity = sum(w * res.x[j] for j, w in coefs.items())
-                assert res.slacks[rid] == pytest.approx(rhs - activity, abs=1e-7)
+                assert res.slacks[k] == pytest.approx(rhs - activity, abs=1e-7)
     assert solved >= 30 and infeasible >= 5
 
 

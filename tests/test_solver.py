@@ -243,6 +243,43 @@ def test_medium_instance_proven_with_few_lps():
     assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
 
 
+def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
+    """A dropped cut is forgotten: only separation, which counts it, adds it back."""
+    searches = []
+
+    class RecordedSearch(solver._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    class CheckedBackend(SimplexBackend):
+        def __init__(self):
+            super().__init__()
+            self.removed = self.solves = 0
+
+        def remove_rows(self, positions):
+            positions = list(positions)
+            super().remove_rows(positions)
+            self.removed += len(positions)
+
+        def solve(self):
+            stats = searches[-1].stats
+            assert self.row_count() == stats.n_oddc + stats.n_trans - self.removed
+            self.solves += 1
+            return super().solve()
+
+    monkeypatch.setattr(solver, "_Search", RecordedSearch)
+    doc = random_story_doc(random.Random(2), 16, 40, 16)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    res = branch_and_cut(inst, backend=CheckedBackend)
+    assert res.status == OPTIMAL_STATUS
+    assert res.crossings == res.lower_bound == 38
+    (search,) = searches
+    backend = search.backend
+    assert backend.removed > 0  # slack rows did leave the LP
+    assert backend.solves == res.stats.n_LPs
+
+
 def test_large_instance_returns_near_its_time_limit():
     # one separation round here took about a second before the deadline
     # reached inside it
@@ -367,6 +404,8 @@ def test_config_validation():
         SolveConfig(time_limit=float("nan"))
     with pytest.raises(ValueError):
         SolveConfig(sweeps=0)
+    with pytest.raises(ValueError):
+        SolveConfig(sweeps=2.5)
 
 
 def test_solver_on_stories_end_to_end():
