@@ -37,8 +37,6 @@ from .oracle import (
 )
 from .ordering import (
     NotTransitive,
-    OrderingModel,
-    ReducedModel,
     build_model,
     decode_assignment,
     encode_solution,
@@ -48,7 +46,6 @@ from .ordering import (
 from .maxcut import (
     MaxCutGraph,
     OddCycleInequality,
-    TransitivityCut,
     build_maxcut,
     cut_consistency,
     cut_from_solution,
@@ -63,7 +60,6 @@ from .solver import (
     INFEASIBLE_INPUT_STATUS,
     OPTIMAL_STATUS,
     TIMEOUT_STATUS,
-    OptResult,
     SolveConfig,
     SolveStats,
     SolverError,
@@ -73,7 +69,6 @@ from .solver import (
 )
 from .story import (
     CharacterHasNoScenes,
-    Lifespan,
     Scene,
     Story,
     StoryFormatError,
@@ -86,19 +81,17 @@ from .story import (
 )
 from .transform import (
     InvalidStoryError,
-    MergeMap,
     TransformTrace,
     build_instance,
     expand_solution,
-    identity_merge_map,
     merge_layers,
 )
-from .validation import FormatError, ValidationReport, Violation
+from .validation import Violation
 
 __all__ = [
     "__version__",
     # story
-    "Story", "Scene", "Lifespan", "StoryFormatError", "CharacterHasNoScenes",
+    "Story", "Scene", "StoryFormatError", "CharacterHasNoScenes",
     "parse_story", "parse_scene_sequence", "serialize_story", "validate_story",
     "lifespan", "all_lifespans",
     # instances
@@ -107,18 +100,18 @@ __all__ = [
     "count_crossings", "validate_instance", "is_tree_consistent", "lca",
     # transform
     "build_instance", "TransformTrace", "InvalidStoryError",
-    "merge_layers", "expand_solution", "MergeMap", "identity_merge_map",
+    "merge_layers", "expand_solution",
     # model
-    "OrderingModel", "ReducedModel", "NotTransitive",
+    "NotTransitive",
     "build_model", "identify_variables", "encode_solution", "decode_assignment",
     "objective_value",
     # cut problem
-    "MaxCutGraph", "OddCycleInequality", "TransitivityCut",
+    "MaxCutGraph", "OddCycleInequality",
     "build_maxcut", "evaluate_cut", "cut_consistency",
     "separate_odd_cycles", "separate_transitivity",
     "cut_from_solution", "cut_to_solution",
     # solving
-    "SolveConfig", "SolveStats", "OptResult", "SolverError",
+    "SolveConfig", "SolveStats", "SolverError",
     "OPTIMAL_STATUS", "FEASIBLE_STATUS", "TIMEOUT_STATUS", "INFEASIBLE_INPUT_STATUS",
     "branch_and_cut", "solve_heuristic", "barycenter_heuristic",
     # oracle
@@ -127,5 +120,5 @@ __all__ = [
     # rendering
     "render_svg", "RenderOptions", "assign_slots", "PALETTE",
     # shared
-    "FormatError", "ValidationReport", "Violation",
+    "Violation",
 ]

@@ -21,6 +21,7 @@ import re
 import sys
 
 from . import __version__
+from .lp import ScipyBackend
 from .mlcm import (
     MlcmInstance,
     count_crossings,
@@ -99,9 +100,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="minimize crossings exactly (branch and cut)")
     add_common(p)
     p.add_argument("--time-limit", type=_positive(float), default=None, help="seconds (default: STORYMIN_TIME_LIMIT or 3600)")
-    p.add_argument("--heuristic-only", action="store_true", help="skip the exact search")
-    p.add_argument("--no-merge", action="store_true")
-    p.add_argument("--sweeps", type=_positive(int), default=8, help="barycenter sweeps for the start solution")
     p.add_argument("--backend", choices=("simplex", "scipy"), default="simplex",
                    help="simplex: one warm-started HiGHS model; scipy: cold linprog per LP")
     p.add_argument("--stats-json", help="also write solve statistics to this file")
@@ -109,8 +107,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("heuristic", help="tree-aware barycenter layout only")
     add_common(p)
-    p.add_argument("--sweeps", type=_positive(int), default=8)
-    p.add_argument("--no-merge", action="store_true")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
@@ -279,20 +275,9 @@ def _cmd_convert(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args)
-    config = SolveConfig(
-        time_limit=_default_time_limit(args),
-        merge=not args.no_merge,
-        sweeps=args.sweeps,
-    )
-    if args.heuristic_only:
-        result = solve_heuristic(instance, config)
-    else:
-        if args.backend == "scipy":
-            from .lp import ScipyBackend
-            backend = ScipyBackend
-        else:
-            backend = None
-        result = branch_and_cut(instance, config, backend=backend)
+    config = SolveConfig(time_limit=_default_time_limit(args))
+    backend = ScipyBackend if args.backend == "scipy" else None
+    result = branch_and_cut(instance, config, backend=backend)
     if args.stats_json:
         with open(args.stats_json, "w", encoding="utf-8") as fh:
             json.dump(result.stats.to_json(), fh, indent=2)
@@ -302,8 +287,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     instance = _load_instance(args)
-    config = SolveConfig(merge=not args.no_merge, sweeps=args.sweeps)
-    result = solve_heuristic(instance, config)
+    result = solve_heuristic(instance)
     return _emit_result(result, instance, args)
 
 

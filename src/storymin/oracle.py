@@ -43,7 +43,7 @@ def count_tree_orderings(tree: LayerTree) -> int:
     return total
 
 
-def enumerate_tree_orderings(tree: LayerTree, cap: int = LEAF_CAP):
+def enumerate_tree_orderings(tree: LayerTree):
     """Yield every tree-consistent leaf permutation exactly once.
 
     Recursively interleaves child blocks: each internal node contributes the
@@ -51,8 +51,8 @@ def enumerate_tree_orderings(tree: LayerTree, cap: int = LEAF_CAP):
     block's recursive orderings.  Deterministic order (children permuted in
     stored order).
     """
-    if tree.n_leaves > cap:
-        raise OrderingCapExceeded(f"{tree.n_leaves} leaves exceeds cap {cap}")
+    if tree.n_leaves > LEAF_CAP:
+        raise OrderingCapExceeded(f"{tree.n_leaves} leaves exceeds cap {LEAF_CAP}")
 
     def orders_of(v: int):
         if tree.is_leaf(v):

@@ -133,7 +133,6 @@ class ReducedModel:
     n_classes: int
     class_of: tuple[int, ...]  # var id -> class id
     members: tuple[tuple[int, ...], ...]  # class id -> var ids
-    class_layer: tuple[int, ...]
     terms: tuple[CrossingTerm, ...]  # var_a/var_b are class ids here
     triples: tuple[ClassTriple, ...]
     offset: int
@@ -365,7 +364,6 @@ def identify_variables(model: OrderingModel) -> ReducedModel:
         n_classes=len(model.members),
         class_of=class_of,
         members=model.members,
-        class_layer=tuple(model.var_layer[ms[0]] for ms in model.members),
         terms=terms,
         triples=tuple(triples),
         offset=offset,

@@ -24,16 +24,16 @@ PALETTE = (
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
 )
+MARGIN = 48
+STROKE_WIDTH = 2.5
+FONT_SIZE = 11
 
 
 @dataclass(frozen=True)
 class RenderOptions:
     width: int = 100
     row_height: int = 24
-    margin: int = 48
     smooth: bool = False
-    stroke_width: float = 2.5
-    font_size: int = 11
 
 
 def assign_slots(instance: MlcmInstance, solution: Solution) -> list[list[int]]:
@@ -81,14 +81,14 @@ def render_svg(instance: MlcmInstance, solution: Solution,
     crossings = count_crossings(instance, solution)
 
     def x(r: int) -> float:
-        return opt.margin + r * opt.width
+        return MARGIN + r * opt.width
 
     def y(slot: int) -> float:
-        return opt.margin + slot * opt.row_height
+        return MARGIN + slot * opt.row_height
 
     max_slot = max((s for layer in slots for s in layer), default=0)
-    width = 2 * opt.margin + max(instance.p - 1, 0) * opt.width
-    height = 2 * opt.margin + max_slot * opt.row_height + 2 * opt.font_size
+    width = 2 * MARGIN + max(instance.p - 1, 0) * opt.width
+    height = 2 * MARGIN + max_slot * opt.row_height + 2 * FONT_SIZE
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -106,19 +106,19 @@ def render_svg(instance: MlcmInstance, solution: Solution,
                 mid = (x0 + x1) / 2.0
                 d.append(f"C {mid:.1f} {y0:.1f} {mid:.1f} {y1:.1f} {x1:.1f} {y1:.1f}")
             parts.append(f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
-                         f'stroke-width="{opt.stroke_width}"/>')
+                         f'stroke-width="{STROKE_WIDTH}"/>')
         else:
             points = " ".join(f"{px:.1f},{py:.1f}" for px, py in coords)
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                         f'stroke-width="{opt.stroke_width}"/>')
+                         f'stroke-width="{STROKE_WIDTH}"/>')
         lx, ly = coords[0]
         safe = _escape(name)
         parts.append(f'<text x="{lx - 6:.1f}" y="{ly + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="{opt.font_size}" '
+                     f'font-family="sans-serif" font-size="{FONT_SIZE}" '
                      f'fill="{color}">{safe}</text>')
 
-    parts.append(f'<text id="crossing-count" x="{opt.margin}" y="{height - opt.font_size}" '
-                 f'font-family="sans-serif" font-size="{opt.font_size}" '
+    parts.append(f'<text id="crossing-count" x="{MARGIN}" y="{height - FONT_SIZE}" '
+                 f'font-family="sans-serif" font-size="{FONT_SIZE}" '
                  f'fill="#333333">crossings={crossings}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -63,7 +63,7 @@ from .maxcut import (
 )
 from .mlcm import MlcmInstance, Solution, count_crossings, validate_instance
 from .ordering import ReducedModel, build_model, identify_variables
-from .transform import expand_solution, identity_merge_map, merge_layers
+from .transform import expand_solution, merge_layers
 
 __all__ = [
     "SolveConfig",
@@ -98,14 +98,10 @@ class SolverError(RuntimeError):
 @dataclass
 class SolveConfig:
     time_limit: float = 3600.0
-    sweeps: int = 8
-    merge: bool = True
 
     def __post_init__(self) -> None:
         if not (self.time_limit > 0):  # also rejects NaN
             raise ValueError("time_limit must be positive")
-        if not isinstance(self.sweeps, int) or self.sweeps < 1:
-            raise ValueError("sweeps must be an int >= 1")
 
 
 @dataclass
@@ -143,8 +139,7 @@ class OptResult:
 # ---------------------------------------------------------------------------
 
 
-def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8,
-                         start: Solution | None = None) -> Solution:
+def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     """Tree-aware barycenter sweeps; always returns a tree-consistent solution.
 
     A sweep walks the layers left-to-right (odd sweeps right-to-left) and
@@ -158,11 +153,7 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8,
     p = instance.p
     if p == 0:
         return Solution(())
-    orders: list[list[int]] = (
-        [list(t.canonical_leaf_order()) for t in instance.trees]
-        if start is None
-        else [list(o) for o in start.orders]
-    )
+    orders = [list(t.canonical_leaf_order()) for t in instance.trees]
 
     up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
     down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
@@ -216,15 +207,14 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8,
     return best
 
 
-def solve_heuristic(instance: MlcmInstance, config: SolveConfig | None = None) -> OptResult:
+def solve_heuristic(instance: MlcmInstance) -> OptResult:
     """Heuristic-only pipeline: fast, no optimality proof (lower bound 0)."""
-    config = config or SolveConfig()
     t0 = time.monotonic()
     report = validate_instance(instance)
     if not report.ok:
         return OptResult(INFEASIBLE_INPUT_STATUS, None, None, 0, SolveStats(), report.summary())
-    work, mm = merge_layers(instance) if config.merge else (instance, identity_merge_map(instance))
-    sol = expand_solution(mm, barycenter_heuristic(work, sweeps=config.sweeps))
+    work, mm = merge_layers(instance)
+    sol = expand_solution(mm, barycenter_heuristic(work))
     stats = SolveStats(time=time.monotonic() - t0)
     return OptResult(FEASIBLE_STATUS, sol, count_crossings(instance, sol), 0, stats)
 
@@ -424,9 +414,9 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     if not report.ok:
         return OptResult(INFEASIBLE_INPUT_STATUS, None, None, 0, stats, report.summary())
 
-    work, mm = merge_layers(instance) if config.merge else (instance, identity_merge_map(instance))
+    work, mm = merge_layers(instance)
 
-    heur = barycenter_heuristic(work, sweeps=config.sweeps)
+    heur = barycenter_heuristic(work)
     incumbent_count = count_crossings(work, heur)
 
     def finish(status: str, incumbent: Solution, count: int, lower: int) -> OptResult:

@@ -29,7 +29,6 @@ __all__ = [
     "build_instance",
     "merge_layers",
     "expand_solution",
-    "identity_merge_map",
 ]
 
 
@@ -133,14 +132,6 @@ class MergeMap:
     node_maps: tuple[tuple[int, ...], ...]
 
 
-def identity_merge_map(instance: MlcmInstance) -> MergeMap:
-    return MergeMap(
-        layer_of=tuple(range(instance.p)),
-        rep_layer=tuple(range(instance.p)),
-        node_maps=tuple(tuple(range(n)) for n in instance.layer_sizes),
-    )
-
-
 def _matching_bijection(instance: MlcmInstance, r: int) -> list[int] | None:
     """If gap r's edges are a perfect matching, return phi with phi[u] = v."""
     nu, nv = instance.layer_sizes[r], instance.layer_sizes[r + 1]
@@ -184,7 +175,7 @@ def merge_layers(instance: MlcmInstance) -> tuple[MlcmInstance, MergeMap]:
     """
     p = instance.p
     if p == 0:
-        return instance, identity_merge_map(instance)
+        return instance, MergeMap((), (), ())
 
     phis: list[list[int] | None] = [_mergeable(instance, r) for r in range(p - 1)]
 

@@ -168,12 +168,6 @@ def test_solve_instance_text_input(tmp_path, capsys):
     assert "crossings=1" in out
 
 
-def test_solve_heuristic_only(tmp_path, capsys):
-    code, out = run(capsys, "solve", str(write_story(tmp_path)), "--heuristic-only")
-    assert code == EXIT_OK
-    assert "# status=feasible" in out
-
-
 def test_solve_timeout_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STORYMIN_TIME_LIMIT", "0.000001")
     code, out = run(capsys, "solve", str(write_story(tmp_path)))
@@ -282,13 +276,29 @@ def test_usage_error_code(capsys):
     ("--time-limit", "-1"),
     ("--time-limit", "nan"),
     ("--time-limit", "0"),
-    ("--sweeps", "0"),
 ])
 def test_solve_rejects_non_positive_limits(tmp_path, capsys, option):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(write_story(tmp_path)), *option])
     assert exc.value.code == EXIT_USAGE
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--heuristic-only"),
+    ("solve", "--no-merge"),
+    ("solve", "--sweeps", "3"),
+    ("heuristic", "--no-merge"),
+    ("heuristic", "--sweeps", "3"),
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    # the pipeline always merges and sweeps 8 times; `heuristic` is the
+    # heuristic-only path
+    command, *option = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(write_story(tmp_path)), *option])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -230,13 +230,11 @@ def reference_identify_variables(model: "ReferenceModel") -> ReducedModel:
         triple_set.add(ClassTriple(a, b, c))
     triples = tuple(sorted(triple_set, key=lambda t: (t.a, t.b, t.c)))
 
-    class_layer = tuple(model.var_layer[ms[0]] for ms in members)
     return ReducedModel(
         model=model,
         n_classes=len(members),
         class_of=tuple(class_of),
         members=tuple(tuple(ms) for ms in members),
-        class_layer=class_layer,
         terms=terms,
         triples=triples,
         offset=offset,
@@ -395,7 +393,7 @@ def test_identify_variables_consistency():
         for c, cls in enumerate(reduced.members):
             for v in cls:
                 assert reduced.class_of[v] == c
-                assert model.var_layer[v] == reduced.class_layer[c]
+                assert model.var_layer[v] == model.var_layer[cls[0]]
         # equal vars are in the same class
         for e in model.equalities:
             assert reduced.class_of[e.var_a] == reduced.class_of[e.var_b]
@@ -506,8 +504,8 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
 
 
 def reduced_fields(reduced: ReducedModel) -> tuple:
-    return (reduced.n_classes, reduced.class_of, reduced.members, reduced.class_layer,
-            reduced.terms, reduced.triples, reduced.offset)
+    return (reduced.n_classes, reduced.class_of, reduced.members, reduced.terms,
+            reduced.triples, reduced.offset)
 
 
 def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:

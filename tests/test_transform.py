@@ -19,7 +19,6 @@ from storymin import (
     build_instance,
     count_crossings,
     expand_solution,
-    identity_merge_map,
     merge_layers,
     parse_story,
     validate_instance,
@@ -103,7 +102,7 @@ def test_merge_is_idempotent(fig_story_text):
     merged, _ = merge_layers(inst)
     again, mm2 = merge_layers(merged)
     assert again == merged
-    assert mm2.layer_of == identity_merge_map(merged).layer_of
+    assert mm2.layer_of == tuple(range(merged.p))
 
 
 def test_merge_spans_lifespan_gaps():
