@@ -64,15 +64,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .mlcm import Solution
-from .ordering import (
-    XNOR,
-    XOR,
-    ClassTriple,
-    ReducedModel,
-    classes_of_solution,
-    decode_assignment,
-    separate_transitivity_values,
-)
+from .ordering import XOR, ReducedModel, classes_of_solution, decode_assignment
 
 __all__ = [
     "MaxCutGraph",
@@ -185,11 +177,13 @@ class OddCycleInequality:
 class TransitivityCut:
     """Transitivity of three classes, written over their root-edge variables."""
 
-    triple: ClassTriple
+    a: int
+    b: int
+    c: int
     sense: str  # "upper": x_a + x_b - x_c <= 1;  "lower": -x_a - x_b + x_c <= 0
 
     def lp_row(self) -> tuple[dict[int, float], float]:
-        a, b, c = self.triple.a, self.triple.b, self.triple.c
+        a, b, c = self.a, self.b, self.c
         if self.sense == "upper":
             return {a: 1.0, b: 1.0, c: -1.0}, 1.0
         return {a: -1.0, b: -1.0, c: 1.0}, 0.0
@@ -199,7 +193,7 @@ class TransitivityCut:
         return sum(w * y[e] for e, w in coefs.items()) - rhs
 
     def key(self) -> tuple:
-        return ("transitivity", self.triple.a, self.triple.b, self.triple.c, self.sense)
+        return ("transitivity", self.a, self.b, self.c, self.sense)
 
 
 def _violated_triangles(graph: MaxCutGraph, yv: np.ndarray, tolerance: float,
@@ -596,12 +590,13 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
 
 
 def separate_transitivity(reduced: ReducedModel, y, tolerance: float = 1e-6) -> list[TransitivityCut]:
-    """Violated transitivity constraints, read off the root-edge values of y."""
+    """Violated class triples, read off the root-edge values of y: every
+    violated "upper" row in triple order, then every violated "lower" one."""
     z = np.asarray(y, dtype=float)[:reduced.n_classes]
-    out = []
-    for triple, sense, violation in separate_transitivity_values(reduced, z, tolerance):
-        out.append(TransitivityCut(triple, sense))
-    return out
+    t = reduced.triples
+    val = z[t[:, 0]] + z[t[:, 1]] - z[t[:, 2]]
+    return ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + tolerance].tolist()]
+            + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -tolerance].tolist()])
 
 
 def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solution) -> np.ndarray:

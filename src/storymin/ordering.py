@@ -16,13 +16,14 @@ children A < B < C of a tree node, on their first leaves; every other triple
 has two variables in one class or the classes of a kept one.
 ``identify_variables`` rewrites the terms (an xnor of a class with itself
 moves into the offset) and the kept triples over classes: (AB, BC, AC).
+Both triple lists are read-only ``(k, 3)`` int64 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "CrossingTerm",
     "TransitivityTriple",
     "TreeEquality",
-    "ClassTriple",
     "OrderingModel",
     "ReducedModel",
     "NotTransitive",
@@ -44,7 +44,6 @@ __all__ = [
     "objective_value",
     "identify_variables",
     "classes_of_solution",
-    "separate_transitivity_values",
     "dump_model",
 ]
 
@@ -62,7 +61,8 @@ class CrossingTerm(NamedTuple):
 
 
 class TransitivityTriple(NamedTuple):
-    """``0 <= x_hi + x_ij - x_hj <= 1`` for positions h < i < j of one layer."""
+    """``0 <= x_hi + x_ij - x_hj <= 1`` for positions h < i < j of one layer
+    (the witness of :class:`NotTransitive`)."""
 
     layer: int
     var_hi: int
@@ -74,14 +74,6 @@ class TransitivityTriple(NamedTuple):
 class TreeEquality:
     var_a: int
     var_b: int
-
-
-class ClassTriple(NamedTuple):
-    """Transitivity over classes: ``0 <= x_a + x_b - x_c <= 1`` (a < b)."""
-
-    a: int
-    b: int
-    c: int
 
 
 class NotTransitive(ValueError):
@@ -102,7 +94,7 @@ class OrderingModel:
     terms: tuple[CrossingTerm, ...]
     class_of: tuple[int, ...]  # var id -> class id
     members: tuple[tuple[int, ...], ...]  # class id -> var ids, ascending
-    triples: tuple[TransitivityTriple, ...]  # one per three sibling subtrees
+    triples: np.ndarray  # (k, 3) var ids (hi, ij, hj), one row per three sibling subtrees
 
     def var_id(self, r: int, i: int, j: int) -> int:
         """Variable for positions i < j on layer r."""
@@ -131,22 +123,13 @@ class OrderingModel:
 class ReducedModel:
     model: OrderingModel
     n_classes: int
-    class_of: tuple[int, ...]  # var id -> class id
-    members: tuple[tuple[int, ...], ...]  # class id -> var ids
     terms: tuple[CrossingTerm, ...]  # var_a/var_b are class ids here
-    triples: tuple[ClassTriple, ...]
+    triples: np.ndarray  # (k, 3) class ids (a, b, c): 0 <= x_a + x_b - x_c <= 1, rows sorted
     offset: int
 
     def expand(self, z) -> list[int]:
         """Class assignment -> full model assignment."""
-        return [int(z[c]) for c in self.class_of]
-
-    @cached_property
-    def triple_index(self) -> np.ndarray:
-        """Read-only (n_triples, 3) array of the class triples' ``(a, b, c)``."""
-        idx = np.fromiter(chain.from_iterable(self.triples), np.int64, 3 * len(self.triples)).reshape(-1, 3)
-        idx.flags.writeable = False
-        return idx
+        return [int(z[c]) for c in self.model.class_of]
 
 
 def canonical_orders(instance: MlcmInstance) -> Solution:
@@ -227,7 +210,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     # one class per pair of sibling subtrees, keyed by its first member, and
     # one triple per three sibling subtrees, on their first leaves
     classes: list[tuple[int, int, int, int, int, int]] = []
-    triples: list[TransitivityTriple] = []
+    triples: list[tuple[int, int, int]] = []
     for r, tree in enumerate(instance.trees):
         for blocks in _sibling_blocks(tree, order.orders[r]):
             for a, (fa, la) in enumerate(blocks):
@@ -235,7 +218,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
                     classes.append((vid(r, fa, fb), r, fa, la, fb, lb))
             # vid(r, h, i) == vid(r, h, h + 1) - h - 1 + i
             firsts = [(vid(r, h, h + 1) - h - 1, h) for h, _ in blocks]
-            triples.extend(TransitivityTriple(r, row_h + i, row_i + j, row_h + j)
+            triples.extend((row_h + i, row_i + j, row_h + j)
                            for (row_h, _), (row_i, i), (_, j) in combinations(firsts, 3))
     classes.sort()
     class_of = [0] * total
@@ -245,6 +228,8 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         for v in ms:
             class_of[v] = c
         members.append(ms)
+    triple_rows = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    triple_rows.flags.writeable = False
 
     return OrderingModel(
         instance=instance,
@@ -254,7 +239,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         terms=terms,
         class_of=tuple(class_of),
         members=tuple(members),
-        triples=tuple(triples),
+        triples=triple_rows,
     )
 
 
@@ -357,15 +342,15 @@ def identify_variables(model: OrderingModel) -> ReducedModel:
         agg[key] = agg.get(key, 0) + t.weight
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    triples = sorted(ClassTriple(class_of[hi], class_of[ij], class_of[hj]) for _, hi, ij, hj in model.triples)
+    rows = np.array(class_of, dtype=np.int64)[model.triples]
+    triples = rows[np.lexsort(rows.T[::-1])]
+    triples.flags.writeable = False
 
     return ReducedModel(
         model=model,
         n_classes=len(model.members),
-        class_of=class_of,
-        members=model.members,
         terms=terms,
-        triples=tuple(triples),
+        triples=triples,
         offset=offset,
     )
 
@@ -374,32 +359,12 @@ def classes_of_solution(reduced: ReducedModel, solution: Solution) -> list[int]:
     """Class assignment of a tree-consistent solution (members must agree)."""
     x = encode_solution(reduced.model, solution)
     z = [0] * reduced.n_classes
-    for c, ms in enumerate(reduced.members):
+    for c, ms in enumerate(reduced.model.members):
         vals = {x[v] for v in ms}
         if len(vals) != 1:
             raise ValueError(f"solution is not tree-consistent: class {c} members disagree")
         z[c] = vals.pop()
     return z
-
-
-def separate_transitivity_values(reduced: ReducedModel, z: np.ndarray, tolerance: float = 1e-6):
-    """Violated class-triple constraints at fractional values ``z`` (by class id).
-
-    Yields ``(triple, sense, violation)`` with sense "upper" for
-    ``x_a + x_b - x_c <= 1`` and "lower" for ``x_a + x_b - x_c >= 0``.
-    Vectorized over all stored triples.
-    """
-    if not reduced.triples:
-        return []
-    za = np.asarray(z, dtype=float)
-    idx = reduced.triple_index
-    val = za[idx[:, 0]] + za[idx[:, 1]] - za[idx[:, 2]]
-    out = []
-    for i in np.nonzero(val > 1.0 + tolerance)[0]:
-        out.append((reduced.triples[int(i)], "upper", float(val[i] - 1.0)))
-    for i in np.nonzero(val < -tolerance)[0]:
-        out.append((reduced.triples[int(i)], "lower", float(-val[i])))
-    return out
 
 
 def dump_model(model: OrderingModel) -> str:
@@ -414,6 +379,6 @@ def dump_model(model: OrderingModel) -> str:
         out.append(f"term x{t.var_a} x{t.var_b} {t.parity} w={t.weight}")
     for c, ms in enumerate(model.members):
         out.append(f"class c{c}: " + " ".join(f"x{v}" for v in ms))
-    for t in model.triples:
-        out.append(f"triple layer {t.layer + 1}: x{t.var_hi} + x{t.var_ij} - x{t.var_hj}")
+    for hi, ij, hj in model.triples.tolist():
+        out.append(f"triple layer {model.var_layer[hi] + 1}: x{hi} + x{ij} - x{hj}")
     return "\n".join(out) + "\n"

@@ -166,28 +166,18 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
         tree = instance.trees[r]
         ref_pos = {v: i for i, v in enumerate(orders[ref])}
         cur_pos = {v: i for i, v in enumerate(orders[r])}
-        bc: dict[int, float] = {}
-        for v in range(tree.n_leaves):
-            nbrs = adj[v]
-            bc[v] = (sum(ref_pos[u] for u in nbrs) / len(nbrs)) if nbrs else float(cur_pos[v])
-        for v in range(tree.n_leaves, tree.n_nodes):
-            leaves = tree.leaf_sets[v]
-            bc[v] = sum(bc[x] for x in leaves) / len(leaves)
 
-        def first_leaf_pos(v: int) -> int:
-            return min(cur_pos[x] for x in tree.leaf_sets[v])
-
-        out: list[int] = []
-
-        def emit(v: int) -> None:
+        def place(v: int) -> tuple[float, int, int, list[int]]:
+            """Barycenter sum, leaf count, first current position and new leaf order of v's subtree."""
             if tree.is_leaf(v):
-                out.append(v)
-                return
-            for child in sorted(tree.children[v], key=lambda cvar: (bc[cvar], first_leaf_pos(cvar))):
-                emit(child)
+                nbrs = adj[v]
+                bc = (sum(ref_pos[u] for u in nbrs) / len(nbrs)) if nbrs else float(cur_pos[v])
+                return bc, 1, cur_pos[v], [v]
+            parts = sorted((place(child) for child in tree.children[v]), key=lambda s: (s[0] / s[1], s[2]))
+            return (sum(s[0] for s in parts), sum(s[1] for s in parts), min(s[2] for s in parts),
+                    [x for s in parts for x in s[3]])
 
-        emit(tree.root)
-        orders[r] = out
+        orders[r] = place(tree.root)[3]
 
     best = Solution(tuple(tuple(o) for o in orders))
     best_count = count_crossings(instance, best)

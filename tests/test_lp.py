@@ -14,7 +14,6 @@ from storymin.lp import (
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
-    LpResult,
     ScipyBackend,
     SimplexBackend,
 )

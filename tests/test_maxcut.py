@@ -31,9 +31,8 @@ from storymin import (
     separate_odd_cycles,
     separate_transitivity,
 )
-from storymin.maxcut import _best_odd_set, _extract_simple_odd_cycle, _violated_triangles
+from storymin.maxcut import TransitivityCut, _best_odd_set, _extract_simple_odd_cycle, _violated_triangles
 from storymin.mlcm import Solution
-from storymin.ordering import classes_of_solution
 
 from conftest import random_general_instance, random_story_doc, random_storyline_instance
 
@@ -485,7 +484,7 @@ def test_separate_transitivity_cuts():
     for _ in range(50):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
         reduced = reduced_of(inst)
-        if not reduced.triples:
+        if not len(reduced.triples):
             continue
         graph = build_maxcut(reduced)
         y = np.array([rng.random() for _ in range(graph.n_edges)])
@@ -497,3 +496,42 @@ def test_separate_transitivity_cuts():
             assert all(e < reduced.n_classes for e in coefs)
             hit = True
     assert hit
+
+
+def two_step_transitivity(reduced, y, tolerance=1e-6):
+    """Transitivity separation as it was done over sorted class-triple tuples:
+    scan a cached index array, collect ``(triple, sense, violation)``, then
+    wrap each hit in a cut."""
+    class_of = reduced.model.class_of
+    triples = sorted((class_of[hi], class_of[ij], class_of[hj]) for hi, ij, hj in reduced.model.triples.tolist())
+    z = np.asarray(y, dtype=float)[:reduced.n_classes]
+    if not triples:
+        return []
+    za = np.asarray(z, dtype=float)
+    idx = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    val = za[idx[:, 0]] + za[idx[:, 1]] - za[idx[:, 2]]
+    out = []
+    for i in np.nonzero(val > 1.0 + tolerance)[0]:
+        out.append((triples[int(i)], "upper", float(val[i] - 1.0)))
+    for i in np.nonzero(val < -tolerance)[0]:
+        out.append((triples[int(i)], "lower", float(-val[i])))
+    return [TransitivityCut(*triple, sense) for triple, sense, violation in out]
+
+
+@pytest.mark.parametrize("shape", ["general", "storyline"])
+def test_separate_transitivity_matches_two_step_separation(shape):
+    """Same cuts in the same order as the two-step separation, so cut keys
+    and the solver's cut sequence do not change."""
+    rng = random.Random(72 if shape == "general" else 73)
+    make = random_general_instance if shape == "general" else random_storyline_instance
+    n_cuts = 0
+    for _ in range(60):
+        reduced = reduced_of(make(rng, p_range=(1, 3), n_range=(3, 8)))
+        graph = build_maxcut(reduced)
+        for _ in range(3):
+            y = np.array([rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(graph.n_edges)])
+            cuts = separate_transitivity(reduced, y)
+            assert cuts == two_step_transitivity(reduced, y)
+            assert all(type(v) is int for cut in cuts for v in (cut.a, cut.b, cut.c))
+            n_cuts += len(cuts)
+    assert n_cuts > 50

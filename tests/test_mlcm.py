@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 

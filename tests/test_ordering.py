@@ -27,7 +27,6 @@ from storymin.mlcm import is_tree_consistent, lca
 from storymin.ordering import (
     XNOR,
     XOR,
-    ClassTriple,
     CrossingTerm,
     ReducedModel,
     TransitivityTriple,
@@ -35,8 +34,8 @@ from storymin.ordering import (
     canonical_orders,
     classes_of_solution,
     dump_model,
-    separate_transitivity_values,
 )
+from storymin.maxcut import separate_transitivity
 from storymin.solver import barycenter_heuristic
 
 from conftest import (
@@ -181,14 +180,14 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def reference_identify_variables(model: "ReferenceModel") -> ReducedModel:
+def reference_identify_variables(model: "ReferenceModel") -> tuple:
     """Merge equality-connected variables into classes; rewrite terms and triples.
 
     Terms between merged endpoints become constant: an xor of a class with
     itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  A
     transitivity triple is dropped when two or three of its variables share a
     class (the constraint is then implied by the 0/1 bounds); surviving
-    triples are deduplicated.
+    triples are deduplicated.  Returns the fields of ``reduced_fields``.
     """
     uf = _UnionFind(model.n_vars)
     for e in model.equalities:
@@ -220,25 +219,17 @@ def reference_identify_variables(model: "ReferenceModel") -> ReducedModel:
         agg[key] = agg.get(key, 0) + t.weight
     terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
 
-    triple_set: set[ClassTriple] = set()
+    triple_set: set[tuple[int, int, int]] = set()
     for t in model.triples:
         a, b, c = class_of[t.var_hi], class_of[t.var_ij], class_of[t.var_hj]
         if a == b or a == c or b == c:
             continue
         if a > b:
             a, b = b, a
-        triple_set.add(ClassTriple(a, b, c))
-    triples = tuple(sorted(triple_set, key=lambda t: (t.a, t.b, t.c)))
+        triple_set.add((a, b, c))
 
-    return ReducedModel(
-        model=model,
-        n_classes=len(members),
-        class_of=tuple(class_of),
-        members=tuple(tuple(ms) for ms in members),
-        terms=terms,
-        triples=triples,
-        offset=offset,
-    )
+    return (len(members), tuple(class_of), tuple(tuple(ms) for ms in members), terms,
+            [list(t) for t in sorted(triple_set)], offset)
 
 
 def test_var_id_is_a_bijection():
@@ -325,7 +316,7 @@ def test_equalities_and_transitivity_characterize_admissible():
         kept = set()  # satisfies the equalities and the model's own triples
         for bits in product((0, 1), repeat=model.n_vars):
             if (all(bits[e.var_a] == bits[e.var_b] for e in model.equalities)
-                    and all(bits[t.var_hi] + bits[t.var_ij] - bits[t.var_hj] in (0, 1) for t in model.triples)):
+                    and all(bits[hi] + bits[ij] - bits[hj] in (0, 1) for hi, ij, hj in model.triples.tolist())):
                 kept.add(bits)
             try:
                 decode_assignment(model, list(bits))
@@ -388,15 +379,16 @@ def test_identify_variables_consistency():
         reduced = identify_variables(model)
         assert reduced.n_classes <= model.n_vars
         # class structure: members partition the variables
-        seen = sorted(v for cls in reduced.members for v in cls)
+        assert reduced.n_classes == len(model.members)
+        seen = sorted(v for cls in model.members for v in cls)
         assert seen == list(range(model.n_vars))
-        for c, cls in enumerate(reduced.members):
+        for c, cls in enumerate(model.members):
             for v in cls:
-                assert reduced.class_of[v] == c
+                assert model.class_of[v] == c
                 assert model.var_layer[v] == model.var_layer[cls[0]]
         # equal vars are in the same class
         for e in model.equalities:
-            assert reduced.class_of[e.var_a] == reduced.class_of[e.var_b]
+            assert model.class_of[e.var_a] == model.class_of[e.var_b]
 
 
 def test_reduced_objective_matches_full():
@@ -423,34 +415,33 @@ def test_identification_shrinks_bundled_layers():
     assert reduced.n_classes == 7
 
 
-def test_separate_transitivity_values():
+def test_separate_transitivity_reports_every_violated_triple():
     rng = random.Random(49)
     found_any = False
     for _ in range(40):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
         reduced = identify_variables(build_model(inst))
-        if not reduced.triples:
+        if not len(reduced.triples):
             continue
         z = np.array([rng.random() for _ in range(reduced.n_classes)])
-        hits = separate_transitivity_values(reduced, z, 1e-9)
+        hits = separate_transitivity(reduced, z, 1e-9)
         # verify every reported triple and its violation by brute recompute
-        for triple, sense, violation in hits:
-            val = z[triple.a] + z[triple.b] - z[triple.c]
-            if sense == "upper":
-                assert val - 1.0 == pytest.approx(violation)
-                assert violation > 0
+        for cut in hits:
+            val = z[cut.a] + z[cut.b] - z[cut.c]
+            if cut.sense == "upper":
+                assert val - 1.0 == pytest.approx(cut.violation(z))
             else:
-                assert -val == pytest.approx(violation)
-                assert violation > 0
+                assert -val == pytest.approx(cut.violation(z))
+            assert cut.violation(z) > 0
             found_any = True
         # completeness: no unreported violated triple
-        reported = {(t.a, t.b, t.c, s) for t, s, _ in hits}
-        for t in reduced.triples:
-            val = z[t.a] + z[t.b] - z[t.c]
+        reported = {cut.key() for cut in hits}
+        for a, b, c in reduced.triples.tolist():
+            val = z[a] + z[b] - z[c]
             if val > 1.0 + 1e-9:
-                assert (t.a, t.b, t.c, "upper") in reported
+                assert ("transitivity", a, b, c, "upper") in reported
             if val < -1e-9:
-                assert (t.a, t.b, t.c, "lower") in reported
+                assert ("transitivity", a, b, c, "lower") in reported
     assert found_any
 
 
@@ -461,7 +452,7 @@ def test_transitivity_satisfied_at_solutions():
         reduced = identify_variables(build_model(inst))
         for sol in list(all_solutions(inst))[:8]:
             z = np.array(classes_of_solution(reduced, sol), dtype=float)
-            assert separate_transitivity_values(reduced, z, 1e-9) == []
+            assert separate_transitivity(reduced, z, 1e-9) == []
 
 
 def test_optimum_over_assignments_matches_oracle():
@@ -504,15 +495,15 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
 
 
 def reduced_fields(reduced: ReducedModel) -> tuple:
-    return (reduced.n_classes, reduced.class_of, reduced.members, reduced.terms,
-            reduced.triples, reduced.offset)
+    return (reduced.n_classes, reduced.model.class_of, reduced.model.members, reduced.terms,
+            reduced.triples.tolist(), reduced.offset)
 
 
 def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
     reduced = identify_variables(build_model(inst, order))
-    expected = reference_identify_variables(reference_build_model(inst, order))
-    assert reduced_fields(reduced) == reduced_fields(expected)
-    assert reduced.model.terms == expected.model.terms
+    reference = reference_build_model(inst, order)
+    assert reduced_fields(reduced) == reference_identify_variables(reference)
+    assert reduced.model.terms == reference.terms
     return reduced
 
 
@@ -602,14 +593,15 @@ def test_not_transitive_witness_is_violated():
     assert rejected > 100
 
 
-def test_triple_index_is_cached_and_read_only():
+def test_triple_arrays_are_read_only():
     rng = random.Random(57)
     inst = random_general_instance(rng, p_range=(2, 2), n_range=(6, 8))
-    reduced = identify_variables(build_model(inst))
-    assert reduced.triples
-    idx = reduced.triple_index
-    assert idx is reduced.triple_index
-    assert idx.shape == (len(reduced.triples), 3)
-    assert [tuple(row) for row in idx.tolist()] == [(t.a, t.b, t.c) for t in reduced.triples]
-    with pytest.raises(ValueError):
-        idx[0, 0] = 0
+    model = build_model(inst)
+    reduced = identify_variables(model)
+    assert len(model.triples) == len(reduced.triples) > 0
+    for triples in (model.triples, reduced.triples):
+        assert triples.shape == (len(triples), 3)
+        assert triples.dtype == np.int64
+        assert not triples.flags.writeable
+        with pytest.raises(ValueError):
+            triples[0, 0] = 0

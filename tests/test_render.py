@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from fractions import Fraction
 
 from storymin import (
     PALETTE,

@@ -13,7 +13,6 @@ from storymin import (
     TIMEOUT_STATUS,
     LayerTree,
     MlcmInstance,
-    Solution,
     SolveConfig,
     SolveStats,
     barycenter_heuristic,

@@ -12,7 +12,6 @@ from storymin import (
     LayerTree,
     MlcmInstance,
     Scene,
-    Solution,
     Story,
     TransformTrace,
     brute_force_optimum,
