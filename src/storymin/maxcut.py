@@ -64,7 +64,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .mlcm import Solution
-from .ordering import XOR, ReducedModel, classes_of_solution, decode_assignment
+from .ordering import ReducedModel, classes_of_solution, solution_of_classes
 
 __all__ = [
     "MaxCutGraph",
@@ -124,23 +124,15 @@ class MaxCutGraph:
 def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
     """Build the cut graph; keeps pair edges even when their net weight is 0."""
     n_classes = reduced.n_classes
-    edges: list[tuple[int, int]] = [(0, c + 1) for c in range(n_classes)]
-    weights: list[int] = [0] * n_classes
-    offset = reduced.offset
-    net: dict[tuple[int, int], int] = {}
-    for t in reduced.terms:
-        u, v = t.var_a + 1, t.var_b + 1
-        if u > v:
-            u, v = v, u
-        if t.parity == XOR:
-            net[(u, v)] = net.get((u, v), 0) + t.weight
-        else:
-            net[(u, v)] = net.get((u, v), 0) - t.weight
-            offset += t.weight
-    for (u, v), w in sorted(net.items()):
-        edges.append((u, v))
-        weights.append(w)
-    return MaxCutGraph(n_classes + 1, tuple(edges), tuple(weights), offset)
+    a, b, xor, w = reduced.terms.T
+    # the rows are sorted, so the xnor and the xor row of a class pair are adjacent
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    start = first.nonzero()[0]
+    net = np.add.reduceat(w * (2 * xor - 1), start)
+    edges = tuple(zip([0] * n_classes, range(1, n_classes + 1))) + tuple(
+        zip((a[start] + 1).tolist(), (b[start] + 1).tolist()))
+    return MaxCutGraph(n_classes + 1, edges, (0,) * n_classes + tuple(net.tolist()), int(w[xor == 0].sum()))
 
 
 def evaluate_cut(graph: MaxCutGraph, y) -> float:
@@ -612,11 +604,9 @@ def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solut
 
 def cut_to_solution(reduced: ReducedModel, y, tolerance: float = 1e-6) -> Solution:
     """Decode a (near-)integral consistent cut vector into a solution."""
-    z = []
-    for c in range(reduced.n_classes):
-        val = float(y[c])
-        r = round(val)
-        if abs(val - r) > tolerance or r not in (0, 1):
-            raise ValueError(f"root edge of class {c} is not integral: {val}")
-        z.append(int(r))
-    return decode_assignment(reduced.model, reduced.expand(z))
+    z = np.asarray(y, dtype=float)[:reduced.n_classes]
+    r = np.round(z)
+    bad = np.flatnonzero((np.abs(z - r) > tolerance) | ((r != 0) & (r != 1)))
+    if len(bad):
+        raise ValueError(f"root edge of class {bad[0]} is not integral: {z[bad[0]]}")
+    return solution_of_classes(reduced, r)

@@ -29,6 +29,7 @@ __all__ = [
     "InstanceFormatError",
     "lca",
     "is_tree_consistent",
+    "leaf_ranges",
     "count_crossings",
     "validate_instance",
     "parse_instance",
@@ -214,17 +215,32 @@ def lca(tree: LayerTree, a: int, b: int) -> int:
     return a
 
 
-def is_tree_consistent(tree: LayerTree, order: tuple[int, ...] | list[int]) -> bool:
-    """True iff every subtree's leaves form a contiguous block in ``order``."""
+def leaf_ranges(tree: LayerTree, order: tuple[int, ...] | list[int]) -> tuple[list[int], list[int]] | None:
+    """First and last index in ``order`` of every node's leaves (``len(order)``
+    and -1 for a node without leaves), or None if some node's leaves are not
+    a contiguous block."""
     if sorted(order) != list(range(tree.n_leaves)):
         raise ValueError("order must be a permutation of the layer's leaves")
-    pos = {v: i for i, v in enumerate(order)}
-    for v in range(tree.n_leaves, tree.n_nodes):
-        leaves = tree.leaf_sets[v]
-        ps = [pos[x] for x in leaves]
-        if max(ps) - min(ps) + 1 != len(ps):
-            return False
-    return True
+    n = len(order)
+    first = [n] * tree.n_nodes
+    last = [-1] * tree.n_nodes
+    count = [0] * tree.n_nodes
+    parent = tree.parent
+    for k, v in enumerate(order):
+        while v >= 0:
+            if first[v] == n:
+                first[v] = k
+            last[v] = k
+            count[v] += 1
+            v = parent[v]
+    if any(c and lo + c != hi + 1 for lo, hi, c in zip(first, last, count)):
+        return None
+    return first, last
+
+
+def is_tree_consistent(tree: LayerTree, order: tuple[int, ...] | list[int]) -> bool:
+    """True iff every subtree's leaves form a contiguous block in ``order``."""
+    return leaf_ranges(tree, order) is not None
 
 
 def _inversions(values: list[int]) -> int:

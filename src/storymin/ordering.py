@@ -11,27 +11,38 @@ caller's, or a canonical DFS order), so every subtree is an index range.  The
 pair (i, j) then belongs to the *class* (A, B): the children A < B of the two
 leaves' lowest common ancestor that hold i and j.  No admissible order splits
 a subtree, so the members of a class are equal ("A above B"); classes are
-numbered by their first member.  One position triple is kept per three
-children A < B < C of a tree node, on their first leaves; every other triple
-has two variables in one class or the classes of a kept one.
-``identify_variables`` rewrites the terms (an xnor of a class with itself
-moves into the offset) and the kept triples over classes: (AB, BC, AC).
-Both triple lists are read-only ``(k, 3)`` int64 arrays.
+numbered by their first member.  A walk over the sibling subtrees of every
+layer writes each class's rectangle of index pairs into one flat array of the
+layers' ``n x n`` class-id tables.  The walk also keeps one position triple
+per three children A < B < C of a tree node, on their first leaves; every
+other triple has two variables in one class or the classes of a kept one.
+
+``identify_variables`` reads the class terms off the tables: every pair of
+edges of every gap, enumerated for all gaps at once, joins the class of its
+two upper ends to the class of its two lower ends, and equal terms are
+summed.  A term's two classes lie on consecutive layers, so no term joins a
+class to itself.  The kept triples become class triples (AB, BC, AC).  The
+position-level ``terms``, ``class_of``, ``members`` and ``equalities`` of the
+paper's model are built on first use, the terms by the same pair kernel over
+tables of variable ids; solving reads none but ``class_of``.
+
+Terms are read-only ``(k, 4)`` int64 arrays of sorted rows ``(a, b, xor,
+weight)``: ``weight * (x_a XOR x_b)`` if ``xor`` is 1, ``weight * (x_a XNOR
+x_b)`` if 0.  Both triple lists are read-only ``(k, 3)`` int64 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .mlcm import LayerTree, MlcmInstance, Solution, is_tree_consistent
+from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
 
 __all__ = [
-    "CrossingTerm",
     "TransitivityTriple",
     "TreeEquality",
     "OrderingModel",
@@ -44,20 +55,9 @@ __all__ = [
     "objective_value",
     "identify_variables",
     "classes_of_solution",
+    "solution_of_classes",
     "dump_model",
 ]
-
-XOR = "xor"
-XNOR = "xnor"
-
-
-class CrossingTerm(NamedTuple):
-    """Crossing contribution ``weight * (a XOR b)`` or ``weight * (a XNOR b)``."""
-
-    var_a: int
-    var_b: int
-    parity: str
-    weight: int
 
 
 class TransitivityTriple(NamedTuple):
@@ -85,15 +85,22 @@ class NotTransitive(ValueError):
                          f"vars ({triple.var_hi}, {triple.var_ij}, {triple.var_hj})")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class OrderingModel:
     instance: MlcmInstance
     orders: tuple[tuple[int, ...], ...]  # index ordering per layer (node ids)
     n_vars: int
     layer_offsets: tuple[int, ...]
-    terms: tuple[CrossingTerm, ...]
-    class_of: tuple[int, ...]  # var id -> class id
-    members: tuple[tuple[int, ...], ...]  # class id -> var ids, ascending
+    n_classes: int
+    # class of index pair (i, j) of layer r at table_base[r] + i * n_r + j, for
+    # i > j too; -1 for i == j
+    table_base: tuple[int, ...]
+    class_table: np.ndarray
     triples: np.ndarray  # (k, 3) var ids (hi, ij, hj), one row per three sibling subtrees
 
     def var_id(self, r: int, i: int, j: int) -> int:
@@ -114,22 +121,46 @@ class OrderingModel:
         return tuple((i, j) for n in self.instance.layer_sizes for i in range(n) for j in range(i + 1, n))
 
     @cached_property
+    def var_table(self) -> np.ndarray:
+        """The layer tables with variable ids in place of class ids."""
+        tables = [np.empty(0, dtype=np.int64)]
+        for n, offset in zip(self.instance.layer_sizes, self.layer_offsets):
+            ids = np.full((n, n), -1, dtype=np.int64)
+            ids[_upper(n).reshape(n, n)] = np.arange(offset, offset + n * (n - 1) // 2)
+            tables.append(np.maximum(ids, ids.T).reshape(-1))
+        return _read_only(np.concatenate(tables))
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        """Class of every variable (read-only int64)."""
+        upper = [_upper(0)] + [_upper(n) for n in self.instance.layer_sizes]
+        return _read_only(self.class_table[np.concatenate(upper)])
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Variables of every class, ascending."""
+        groups: list[list[int]] = [[] for _ in range(self.n_classes)]
+        for v, c in enumerate(self.class_of.tolist()):
+            groups[c].append(v)
+        return tuple(tuple(ms) for ms in groups)
+
+    @cached_property
     def equalities(self) -> tuple[TreeEquality, ...]:
         """Tree equalities: every variable equals its class's first member (sorted)."""
         return tuple(TreeEquality(ms[0], v) for ms in self.members for v in ms[1:])
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """Crossing terms over the variables: rows (var_a, var_b, xor, weight)."""
+        return _crossing_terms(self, self.var_table, self.n_vars)
 
 
 @dataclass(frozen=True)
 class ReducedModel:
     model: OrderingModel
     n_classes: int
-    terms: tuple[CrossingTerm, ...]  # var_a/var_b are class ids here
+    terms: np.ndarray  # (k, 4) rows (class_a, class_b, xor, weight), class_a < class_b, sorted
     triples: np.ndarray  # (k, 3) class ids (a, b, c): 0 <= x_a + x_b - x_c <= 1, rows sorted
-    offset: int
-
-    def expand(self, z) -> list[int]:
-        """Class assignment -> full model assignment."""
-        return [int(z[c]) for c in self.model.class_of]
 
 
 def canonical_orders(instance: MlcmInstance) -> Solution:
@@ -137,23 +168,28 @@ def canonical_orders(instance: MlcmInstance) -> Solution:
     return Solution(tuple(t.canonical_leaf_order() for t in instance.trees))
 
 
-def _sibling_blocks(tree: LayerTree, leaf_at) -> list[list[tuple[int, int]]]:
+def _sibling_blocks(tree: LayerTree, first: list[int], last: list[int]) -> list[list[tuple[int, int]]]:
     """Index ranges ``(first, last)`` of the children of every tree node with at
-    least two leaf-holding children, in index order (``leaf_at`` tree-consistent)."""
-    n = len(leaf_at)
-    first = [n] * tree.n_nodes
-    last = [-1] * tree.n_nodes
-    for k, v in enumerate(leaf_at):
-        while v >= 0:
-            if first[v] == n:
-                first[v] = k
-            last[v] = k
-            v = tree.parent[v]
+    least two leaf-holding children, in index order."""
     kids: dict[int, list[tuple[int, int]]] = {}
     for v, p in enumerate(tree.parent):
         if p >= 0 and last[v] >= 0:
             kids.setdefault(p, []).append((first[v], last[v]))
     return [sorted(blocks) for blocks in kids.values() if len(blocks) > 1]
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> np.ndarray:
+    """Flat mask of the entries (i, j), i < j, of an n x n table."""
+    return _read_only(np.triu(np.ones((n, n), dtype=bool), 1).reshape(-1))
+
+
+@lru_cache(maxsize=None)
+def _combinations3(k: int) -> np.ndarray:
+    """Rows (h, i, h, i, j, j) for every h < i < j < k: the first leaves whose
+    rows, and those whose positions, make up a triple's three variables."""
+    rows = [(h, i, h, i, j, j) for h, i, j in combinations(range(k), 3)]
+    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
 
 
 def build_model(instance: MlcmInstance, order: Solution | None = None) -> OrderingModel:
@@ -166,81 +202,90 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         order = canonical_orders(instance)
     if len(order.orders) != instance.p:
         raise ValueError("index ordering must cover every layer")
-    for r, t in enumerate(instance.trees):
-        if not is_tree_consistent(t, order.orders[r]):
-            raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
 
-    sizes = instance.layer_sizes
-    offsets = []
-    total = 0
-    for n in sizes:
-        offsets.append(total)
-        total += n * (n - 1) // 2
-
-    def vid(r: int, i: int, j: int) -> int:
-        n = sizes[r]
-        return offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    pos: list[dict[int, int]] = [{v: i for i, v in enumerate(order.orders[r])} for r in range(instance.p)]
-
-    # crossing terms: aggregate equal (var_a, var_b, parity) contributions
-    agg: dict[tuple[int, int, str], int] = {}
-    for r, gap_edges in enumerate(instance.edges):
-        pu, pv = pos[r], pos[r + 1]
-        m = len(gap_edges)
-        for a in range(m):
-            ua, va = gap_edges[a]
-            for b in range(a + 1, m):
-                ub, vb = gap_edges[b]
-                if ua == ub or va == vb:
-                    continue
-                i, j = pu[ua], pu[ub]
-                k, l = pv[va], pv[vb]
-                if i > j:
-                    i, j = j, i
-                    k, l = l, k
-                upper = vid(r, i, j)
-                if k < l:
-                    key = (upper, vid(r + 1, k, l), XOR)
-                else:
-                    key = (upper, vid(r + 1, l, k), XNOR)
-                agg[key] = agg.get(key, 0) + 1
-    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
-
-    # one class per pair of sibling subtrees, keyed by its first member, and
-    # one triple per three sibling subtrees, on their first leaves
-    classes: list[tuple[int, int, int, int, int, int]] = []
-    triples: list[tuple[int, int, int]] = []
+    # per class: the table entry of its first member (i, j), its layer's
+    # table base and width, and the index ranges of its two sibling subtrees.
+    # Per node with three or more leaf-holding children: where the children's
+    # entries start in ``heads`` and their number; per child, (row(h), h) for
+    # its first leaf h, with vid(r, h, i) == row(h) + i
+    classes: list[tuple[int, int, int, int, int, int, int]] = []
+    trios: list[tuple[int, int]] = []
+    heads: list[int] = []
+    offsets, table_base = [0], [0]
     for r, tree in enumerate(instance.trees):
-        for blocks in _sibling_blocks(tree, order.orders[r]):
+        ranges = leaf_ranges(tree, order.orders[r])
+        if ranges is None:
+            raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
+        n, base, offset = instance.layer_sizes[r], table_base[-1], offsets[-1]
+        for blocks in _sibling_blocks(tree, *ranges):
             for a, (fa, la) in enumerate(blocks):
                 for fb, lb in blocks[a + 1:]:
-                    classes.append((vid(r, fa, fb), r, fa, la, fb, lb))
-            # vid(r, h, i) == vid(r, h, h + 1) - h - 1 + i
-            firsts = [(vid(r, h, h + 1) - h - 1, h) for h, _ in blocks]
-            triples.extend((row_h + i, row_i + j, row_h + j)
-                           for (row_h, _), (row_i, i), (_, j) in combinations(firsts, 3))
+                    classes.append((base + fa * n + fb, base, n, fa, la, fb, lb))
+            if len(blocks) > 2:
+                trios.append((len(heads) // 2, len(blocks)))
+                for h, _ in blocks:
+                    heads += (offset + h * n - h * (h + 1) // 2 - h - 1, h)
+        offsets.append(offset + n * (n - 1) // 2)
+        table_base.append(base + n * n)
+
+    # classes are numbered by their first member, which the table entry orders
     classes.sort()
-    class_of = [0] * total
-    members: list[tuple[int, ...]] = []
-    for c, (_, r, fa, la, fb, lb) in enumerate(classes):
-        ms = tuple(v for i in range(fa, la + 1) for v in range(vid(r, i, fb), vid(r, i, lb) + 1))
-        for v in ms:
-            class_of[v] = c
-        members.append(ms)
-    triple_rows = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    triple_rows.flags.writeable = False
+    table = [-1] * table_base[-1]
+    for c, (_, base, n, fa, la, fb, lb) in enumerate(classes):
+        for i in range(fa, la + 1):
+            for j in range(fb, lb + 1):
+                table[base + i * n + j] = table[base + j * n + i] = c
+
+    # the triple of children A < B < C with first leaves h < i < j:
+    # (row(h) + i, row(i) + j, row(h) + j)
+    picks = np.concatenate([_combinations3(0)] + [_combinations3(k) + s for s, k in trios])
+    row, first = np.array(heads, dtype=np.int64).reshape(-1, 2).T
+    triples = row[picks[:, :3]] + first[picks[:, 3:]]
 
     return OrderingModel(
         instance=instance,
         orders=tuple(tuple(o) for o in order.orders),
-        n_vars=total,
-        layer_offsets=tuple(offsets),
-        terms=terms,
-        class_of=tuple(class_of),
-        members=tuple(members),
-        triples=triple_rows,
+        n_vars=offsets[-1],
+        layer_offsets=tuple(offsets[:-1]),
+        n_classes=len(classes),
+        table_base=tuple(table_base),
+        class_table=_read_only(np.array(table, dtype=np.int64)),
+        triples=_read_only(triples),
     )
+
+
+def _crossing_terms(model: OrderingModel, table: np.ndarray, n_ids: int) -> np.ndarray:
+    """Crossing terms between the ids ``table`` gives the index pairs.
+
+    Every pair of edges of a gap with distinct upper and distinct lower ends
+    contributes 1 to the term of its upper and its lower pair: an xor if the
+    two pairs are in the same index order, else an xnor.  All gaps at once.
+    """
+    sizes, base = model.instance.layer_sizes, model.table_base
+    rank = [dict(zip(o, range(len(o)))) for o in model.orders]
+    # per edge e: the table rows of its upper and lower end, their index
+    # positions, its number of later edges in the gap, and e + 1 - (the
+    # number of pairs before its first)
+    cols: list[int] = []
+    e = n_pairs = 0
+    for r, gap_edges in enumerate(model.instance.edges):
+        upper, lower, m = rank[r], rank[r + 1], len(gap_edges)
+        for k, (u, v) in enumerate(gap_edges):
+            i, j, later = upper[u], lower[v], m - 1 - k
+            cols += (base[r] + i * sizes[r], base[r + 1] + j * sizes[r + 1], i, j, later, e + 1 - n_pairs)
+            e += 1
+            n_pairs += later
+    row_u, row_v, pu, pv, later, shift = np.array(cols, dtype=np.int64).reshape(-1, 6).T.copy()
+
+    # every pair a < b of edges of one gap
+    a = np.arange(len(later)).repeat(later)
+    b = np.arange(len(a)) + shift[a]
+    pu_b, pv_b = pu[b], pv[b]
+    order = (pu[a] - pu_b) * (pv[a] - pv_b)  # > 0: same index order, 0: a shared end
+    key = (table[row_u[a] + pu_b] * n_ids + table[row_v[a] + pv_b]) * 2 + (order > 0)
+    keys, weight = np.unique(key[order != 0], return_counts=True)
+    pair, xor = np.divmod(keys, 2)
+    return _read_only(np.array(np.divmod(pair, n_ids) + (xor, weight)).T.copy())
 
 
 def encode_solution(model: OrderingModel, solution: Solution) -> list[int]:
@@ -259,12 +304,13 @@ def encode_solution(model: OrderingModel, solution: Solution) -> list[int]:
     return x
 
 
-def _intransitive_witness(model: OrderingModel, r: int, x, wins: list[int]) -> TransitivityTriple:
+def _intransitive_witness(model: OrderingModel, r: int, pair: list[bool], wins: list[int]) -> TransitivityTriple:
     """A violated triple of layer r, whose win counts are not 0..n-1."""
     n = len(wins)
+    base = model.table_base[r]
 
     def above(i: int, j: int) -> bool:
-        return bool(int(x[model.var_id(r, i, j)])) if i < j else not int(x[model.var_id(r, j, i)])
+        return bool(pair[base + i * n + j]) if i < j else not pair[base + i * n + j]
 
     # unless the layer is transitive, some v above u has wins[v] <= wins[u];
     # u is then above a w that is above v, which closes the 3-cycle v, u, w
@@ -275,6 +321,31 @@ def _intransitive_witness(model: OrderingModel, r: int, x, wins: list[int]) -> T
     return TransitivityTriple(r, model.var_id(r, h, i), model.var_id(r, i, j), model.var_id(r, h, j))
 
 
+def _decode(model: OrderingModel, values, table: np.ndarray) -> Solution:
+    """Per-layer permutations from the 0/1 ``values`` of the ids in ``table``.
+
+    Requires every layer to be transitive, i.e. its win counts to be exactly
+    0..n-1 (raises :class:`NotTransitive` with a witness triple).
+    """
+    # the 0 appended is read by the diagonal's -1
+    pair = (np.append(np.asarray(values).astype(np.int64), 0)[table] != 0).tolist()
+    orders = []
+    for r, (n, base) in enumerate(zip(model.instance.layer_sizes, model.table_base)):
+        wins = [0] * n
+        for i in range(n):
+            row = base + i * n
+            for j in range(i + 1, n):
+                if pair[row + j]:
+                    wins[i] += 1
+                else:
+                    wins[j] += 1
+        if sorted(wins) != list(range(n)):
+            raise NotTransitive(_intransitive_witness(model, r, pair, wins))
+        by_height = sorted(range(n), key=lambda i: -wins[i])
+        orders.append(tuple(model.orders[r][i] for i in by_height))
+    return Solution(tuple(orders))
+
+
 def decode_assignment(model: OrderingModel, x) -> Solution:
     """Assignment -> per-layer permutations (top to bottom).
 
@@ -282,89 +353,57 @@ def decode_assignment(model: OrderingModel, x) -> Solution:
     0..n-1 (raises :class:`NotTransitive` with a witness triple), and every
     class's members to agree (ValueError).
     """
-    orders = []
-    for r in range(model.instance.p):
-        n = model.instance.layer_sizes[r]
-        wins = [0] * n
-        base = model.layer_offsets[r]
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if int(x[base + k]):
-                    wins[i] += 1
-                else:
-                    wins[j] += 1
-                k += 1
-        if sorted(wins) != list(range(n)):
-            raise NotTransitive(_intransitive_witness(model, r, x, wins))
-        by_height = sorted(range(n), key=lambda i: -wins[i])
-        orders.append(tuple(model.orders[r][i] for i in by_height))
+    solution = _decode(model, x, model.var_table)
     for ms in model.members:
         for v in ms[1:]:
             if int(x[v]) != int(x[ms[0]]):
                 raise ValueError(f"assignment breaks tree equality x{ms[0]} == x{v}")
-    return Solution(tuple(orders))
+    return solution
 
 
 def objective_value(model, x) -> int:
     """Exact crossing count of an assignment under a model or reduced model."""
-    total = getattr(model, "offset", 0)
-    for t in model.terms:
-        differ = int(x[t.var_a]) != int(x[t.var_b])
-        if t.parity == XOR:
-            total += t.weight * differ
-        else:
-            total += t.weight * (not differ)
-    return total
+    t = model.terms
+    x = np.asarray(x).astype(np.int64)
+    differ = x[t[:, 0]] != x[t[:, 1]]
+    return int(t[differ == (t[:, 2] == 1), 3].sum())
 
 
 def identify_variables(model: OrderingModel) -> ReducedModel:
     """Rewrite the model over its classes: terms and triples by class.
 
-    Terms between merged endpoints become constant: an xor of a class with
-    itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  The
-    triple of children A < B < C becomes the class triple (AB, BC, AC); the
-    class triples come sorted.  ``a < b`` holds without a swap: AB's first
-    member pairs the first leaves of A and B, BC's those of B and C.
+    The terms come from the class tables directly.  The triple of children
+    A < B < C becomes the class triple (AB, BC, AC); the class triples come
+    sorted.  ``a < b`` holds without a swap: AB's first member pairs the
+    first leaves of A and B, BC's those of B and C.
     """
-    class_of = model.class_of
-    offset = 0
-    agg: dict[tuple[int, int, str], int] = {}
-    for t in model.terms:
-        ca, cb = class_of[t.var_a], class_of[t.var_b]
-        if ca == cb:
-            if t.parity == XNOR:
-                offset += t.weight
-            continue
-        if ca > cb:
-            ca, cb = cb, ca
-        key = (ca, cb, t.parity)
-        agg[key] = agg.get(key, 0) + t.weight
-    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
-
-    rows = np.array(class_of, dtype=np.int64)[model.triples]
-    triples = rows[np.lexsort(rows.T[::-1])]
-    triples.flags.writeable = False
-
+    rows = model.class_of[model.triples]
     return ReducedModel(
         model=model,
-        n_classes=len(model.members),
-        terms=terms,
-        triples=triples,
-        offset=offset,
+        n_classes=model.n_classes,
+        terms=_crossing_terms(model, model.class_table, model.n_classes),
+        triples=_read_only(rows[np.lexsort(rows.T[::-1])]),
     )
 
 
 def classes_of_solution(reduced: ReducedModel, solution: Solution) -> list[int]:
     """Class assignment of a tree-consistent solution (members must agree)."""
-    x = encode_solution(reduced.model, solution)
-    z = [0] * reduced.n_classes
-    for c, ms in enumerate(reduced.model.members):
-        vals = {x[v] for v in ms}
-        if len(vals) != 1:
-            raise ValueError(f"solution is not tree-consistent: class {c} members disagree")
-        z[c] = vals.pop()
-    return z
+    x = np.array(encode_solution(reduced.model, solution), dtype=np.int64)
+    cls = reduced.model.class_of
+    z = np.zeros(reduced.n_classes, dtype=np.int64)
+    z[cls] = x
+    split = cls[z[cls] != x]
+    if len(split):
+        raise ValueError(f"solution is not tree-consistent: class {split.min()} members disagree")
+    return z.tolist()
+
+
+def solution_of_classes(reduced: ReducedModel, z) -> Solution:
+    """Class assignment -> per-layer permutations, read off the class tables.
+
+    Raises :class:`NotTransitive` like :func:`decode_assignment`.
+    """
+    return _decode(reduced.model, z, reduced.model.class_table)
 
 
 def dump_model(model: OrderingModel) -> str:
@@ -375,8 +414,8 @@ def dump_model(model: OrderingModel) -> str:
         i, j = model.var_pos[v]
         a, b = model.orders[r][i], model.orders[r][j]
         out.append(f"x{v}: layer {r + 1} pos ({i},{j}) nodes ({model.instance.label(r, a)},{model.instance.label(r, b)})")
-    for t in model.terms:
-        out.append(f"term x{t.var_a} x{t.var_b} {t.parity} w={t.weight}")
+    for a, b, xor, w in model.terms.tolist():
+        out.append(f"term x{a} x{b} {'xor' if xor else 'xnor'} w={w}")
     for c, ms in enumerate(model.members):
         out.append(f"class c{c}: " + " ".join(f"x{v}" for v in ms))
     for hi, ij, hj in model.triples.tolist():

@@ -5,6 +5,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,17 +26,15 @@ from storymin import (
 )
 from storymin.mlcm import is_tree_consistent, lca
 from storymin.ordering import (
-    XNOR,
-    XOR,
-    CrossingTerm,
     ReducedModel,
     TransitivityTriple,
     TreeEquality,
     canonical_orders,
     classes_of_solution,
     dump_model,
+    solution_of_classes,
 )
-from storymin.maxcut import separate_transitivity
+from storymin.maxcut import build_maxcut, separate_transitivity
 from storymin.solver import barycenter_heuristic
 
 from conftest import (
@@ -53,6 +52,23 @@ def all_solutions(inst: MlcmInstance):
 # ---------------------------------------------------------------------------
 # reference: the model built from every position triple, reduced by union-find
 # ---------------------------------------------------------------------------
+
+XOR = "xor"
+XNOR = "xnor"
+
+
+class CrossingTerm(NamedTuple):
+    """Crossing contribution ``weight * (a XOR b)`` or ``weight * (a XNOR b)``."""
+
+    var_a: int
+    var_b: int
+    parity: str
+    weight: int
+
+
+def as_crossing_terms(terms: np.ndarray) -> tuple[CrossingTerm, ...]:
+    """Rows ``(a, b, xor, weight)`` of a term array as the reference's tuples."""
+    return tuple(CrossingTerm(a, b, XOR if xor else XNOR, w) for a, b, xor, w in terms.tolist())
 
 
 @dataclass(frozen=True)
@@ -232,6 +248,27 @@ def reference_identify_variables(model: "ReferenceModel") -> tuple:
             [list(t) for t in sorted(triple_set)], offset)
 
 
+def reference_build_maxcut(n_classes: int, terms: tuple[CrossingTerm, ...], offset: int) -> tuple:
+    """The cut graph of reference terms: root edges, then pair edges by net
+    weight.  Returns ``(n_nodes, edges, weights, offset)``."""
+    edges: list[tuple[int, int]] = [(0, c + 1) for c in range(n_classes)]
+    weights: list[int] = [0] * n_classes
+    net: dict[tuple[int, int], int] = {}
+    for t in terms:
+        u, v = t.var_a + 1, t.var_b + 1
+        if u > v:
+            u, v = v, u
+        if t.parity == XOR:
+            net[(u, v)] = net.get((u, v), 0) + t.weight
+        else:
+            net[(u, v)] = net.get((u, v), 0) - t.weight
+            offset += t.weight
+    for (u, v), w in sorted(net.items()):
+        edges.append((u, v))
+        weights.append(w)
+    return n_classes + 1, tuple(edges), tuple(weights), offset
+
+
 def test_var_id_is_a_bijection():
     rng = random.Random(41)
     inst = random_general_instance(rng, p_range=(2, 3), n_range=(3, 5))
@@ -401,7 +438,8 @@ def test_reduced_objective_matches_full():
             z = classes_of_solution(reduced, sol)
             full = objective_value(model, encode_solution(model, sol))
             assert objective_value(reduced, z) == full
-            assert reduced.expand(z) == encode_solution(model, sol)
+            assert [z[c] for c in model.class_of] == encode_solution(model, sol)
+            assert solution_of_classes(reduced, z) == sol
 
 
 def test_identification_shrinks_bundled_layers():
@@ -495,15 +533,21 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
 
 
 def reduced_fields(reduced: ReducedModel) -> tuple:
-    return (reduced.n_classes, reduced.model.class_of, reduced.model.members, reduced.terms,
-            reduced.triples.tolist(), reduced.offset)
+    return (reduced.n_classes, tuple(reduced.model.class_of.tolist()), reduced.model.members,
+            as_crossing_terms(reduced.terms), reduced.triples.tolist())
 
 
 def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
     reduced = identify_variables(build_model(inst, order))
     reference = reference_build_model(inst, order)
-    assert reduced_fields(reduced) == reference_identify_variables(reference)
-    assert reduced.model.terms == reference.terms
+    *fields, offset = reference_identify_variables(reference)
+    # every term joins a class of layer r to one of layer r + 1: none is constant
+    assert offset == 0
+    assert reduced_fields(reduced) == tuple(fields)
+    assert as_crossing_terms(reduced.model.terms) == reference.terms
+    graph = build_maxcut(reduced)
+    assert (graph.n_nodes, graph.edges, graph.weights, graph.offset) == \
+        reference_build_maxcut(reduced.n_classes, fields[3], offset)
     return reduced
 
 
@@ -518,6 +562,31 @@ def test_reduction_equals_reference_under_canonical_and_random_orders(shape):
                       barycenter_heuristic(inst)):
             triples += len(assert_same_reduction(inst, order).triples)
     assert triples > 100
+
+
+def test_reduction_equals_reference_at_paper_shape():
+    """Twenty-odd layers of 2 to 16 leaves: an error in one layer's table base
+    or variable offset shows only past the first few layers."""
+    rng = random.Random(58)
+    for _ in range(4):
+        inst = random_storyline_instance(rng, p_range=(20, 26), n_range=(2, 16))
+        assert max(inst.layer_sizes) > 10
+        for order in (None, Solution(tuple(random_tree_order(t, rng) for t in inst.trees)),
+                      barycenter_heuristic(inst)):
+            assert_same_reduction(inst, order)
+
+
+def test_identify_variables_leaves_position_terms_unbuilt():
+    """The class model is read off the class tables: the position-level terms
+    and class member lists stay unbuilt until something asks for them."""
+    rng = random.Random(59)
+    model = build_model(random_storyline_instance(rng, p_range=(6, 8), n_range=(4, 9)))
+    reduced = identify_variables(model)
+    assert len(reduced.terms) > 0
+    for name in ("terms", "members", "equalities"):
+        assert name not in vars(model)
+    assert len(model.terms) >= len(reduced.terms)
+    assert "terms" in vars(model)
 
 
 def wide_instance(scenes: int, size: int) -> MlcmInstance:
