@@ -8,6 +8,9 @@ part moves into the offset.  For a cut vector y (y_e = 1 iff e crosses the
 cut), ``offset + sum_e w_e y_e`` equals the crossing count of the assignment
 ``x_c = y_(0,c+1)``, so minimizing crossings is a minimum/maximum cut problem
 depending on sign -- we keep everything as "minimize the weighted cut".
+The graph is two read-only int64 arrays, the ``(m, 2)`` edge ends and the
+``(m,)`` weights, root edges first: ``build_maxcut`` writes them from the
+grouped term rows, and the LP, the separators and the decoders read them.
 
 Cut vectors are exactly the 0/1 vectors with even overlap with every cycle;
 fractional LP points are separated by odd-cycle inequalities
@@ -19,17 +22,18 @@ is y_(0,c+1), and the tree path between two class nodes is their two root
 edges.  So every pair edge (u, v) closes a *reference triangle* with the root
 edges of u and v, and a 0/1 vector is a cut iff y_uv == y_u0 xor y_v0 on every
 pair edge.  The four odd-set inequalities of a triangle are exactly the
-linearization of that xor.  ``cut_consistency`` checks every pair edge of a
-0/1 vector in one numpy pass and returns every failing triangle;
-``separate_odd_cycles`` scores the triangle inequalities of every pair edge
-with numpy and returns the violated ones when there are any.
+linearization of that xor.  ``cut_consistency`` scores them for every pair
+edge in one numpy pass and returns the violated ones, most violated first:
+at a 0/1 vector the failing triangles (none iff the vector is a cut), at a
+fractional one what ``separate_odd_cycles`` returns whenever a triangle is
+violated.
 
-Only when no triangle is violated does it search general cycles.  In the
-doubled graph (node v split into an even copy 2v and an odd copy 2v+1; edge e
-gives same-side arcs of length y_e and side-switching arcs of length 1 - y_e)
-a violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1
-give arcs of length 0, so the search contracts them first, in one
-connected-components pass:
+Only when no triangle is violated does ``separate_odd_cycles`` search
+general cycles.  In the doubled graph (node v split into an even copy 2v and
+an odd copy 2v+1; edge e gives same-side arcs of length y_e and
+side-switching arcs of length 1 - y_e) a violated inequality is a walk
+2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs of length 0, so the
+search contracts them first, in one connected-components pass:
 
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
   at 0 or 1 already close an odd cycle through v, violated by a full unit.
@@ -89,59 +93,50 @@ _BLOCK = 1 << 19
 _TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxCutGraph:
-    """Cut instance.  Edge c is the root edge (0, c+1) for every class c."""
+    """Cut instance: read-only int64 ``ends`` (m, 2) and ``weights`` (m,).
+
+    Edge c is the root edge (0, c+1) for every class c; the pair edges follow.
+    """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
+    ends: np.ndarray
+    weights: np.ndarray
     offset: int
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
 
     @property
     def n_root_edges(self) -> int:
         return self.n_nodes - 1
 
-    def root_edge(self, cls: int) -> int:
-        return cls
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """Read-only (n_edges, 2) array of the edge endpoints."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
 
 def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
     """Build the cut graph; keeps pair edges even when their net weight is 0."""
     n_classes = reduced.n_classes
-    a, b, xor, w = reduced.terms.T
+    terms = reduced.terms
+    a, b, xor, w = terms.T
     # the rows are sorted, so the xnor and the xor row of a class pair are adjacent
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    pair = a * n_classes + b
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
     start = first.nonzero()[0]
-    net = np.add.reduceat(w * (2 * xor - 1), start)
-    edges = tuple(zip([0] * n_classes, range(1, n_classes + 1))) + tuple(
-        zip((a[start] + 1).tolist(), (b[start] + 1).tolist()))
-    return MaxCutGraph(n_classes + 1, edges, (0,) * n_classes + tuple(net.tolist()), int(w[xor == 0].sum()))
+    ends = np.zeros((n_classes + len(start), 2), dtype=np.int64)
+    ends[:n_classes, 1] = np.arange(1, n_classes + 1)
+    ends[n_classes:] = terms[start, :2] + 1
+    weights = np.zeros(len(ends), dtype=np.int64)
+    weights[n_classes:] = np.add.reduceat(np.where(xor, w, -w), start)
+    ends.flags.writeable = False
+    weights.flags.writeable = False
+    return MaxCutGraph(n_classes + 1, ends, weights, int(w[xor == 0].sum()))
 
 
 def evaluate_cut(graph: MaxCutGraph, y) -> float:
     """offset + sum of edge weights on the cut (exact for integral y)."""
-    total = graph.offset
-    for e, w in enumerate(graph.weights):
-        if w:
-            total += w * y[e]
-    return total
+    return graph.offset + float(graph.weights @ np.asarray(y, dtype=float)[:graph.n_edges])
 
 
 @dataclass(frozen=True)
@@ -188,32 +183,29 @@ class TransitivityCut:
         return ("transitivity", self.a, self.b, self.c, self.sense)
 
 
-def _violated_triangles(graph: MaxCutGraph, yv: np.ndarray, tolerance: float,
-                        max_cuts: int) -> list[OddCycleInequality]:
-    """Violated reference-triangle inequalities, most violated first (ties by edge)."""
+def cut_consistency(graph: MaxCutGraph, y, tolerance: float = 1e-6,
+                    max_cuts: int = 500) -> list[OddCycleInequality]:
+    """Violated reference-triangle inequalities at y clipped to [0, 1], at
+    most ``max_cuts``, most violated first (ties by edge).
+
+    At a 0/1 vector a failing pair edge (y_uv != y_u0 xor y_v0) closes a
+    triangle with an odd number of y=1 edges, violated by a full unit, so
+    the list is empty iff y is a cut.
+    """
     r = graph.n_root_edges
-    pairs = graph.ends[r:]
-    a, b, c = yv[r:], yv[pairs[:, 0] - 1], yv[pairs[:, 1] - 1]
+    yv = np.clip(np.asarray(y, dtype=float)[:graph.n_edges], 0.0, 1.0)
+    roots = graph.ends[r:] - 1  # node v's root edge is v - 1
+    a, b, c = yv[r:], yv[roots[:, 0]], yv[roots[:, 1]]
     viol = np.column_stack((a - b - c, b - a - c, c - a - b, a + b + c - 2.0)).ravel()
     hits = np.flatnonzero(viol > tolerance)
     hits = hits[np.argsort(-viol[hits], kind="stable")][:max_cuts]
     out = []
     for k in hits.tolist():
         p, kind = divmod(k, 4)
-        cycle = (r + p, int(pairs[p, 0]) - 1, int(pairs[p, 1]) - 1)
+        cycle = (r + p, int(roots[p, 0]), int(roots[p, 1]))
         odd = frozenset(cycle[i] for i in _TRIANGLE_ODD_SETS[kind])
         out.append(OddCycleInequality(cycle, odd))
     return out
-
-
-def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
-    """Every reference triangle that 0/1 vector y fails; empty iff y is a cut.
-
-    A failing pair edge (y_uv != y_u0 xor y_v0) closes a triangle with an odd
-    number of y=1 edges, whose inequality y violates by a full unit.
-    """
-    yr = np.rint(np.asarray(y, dtype=float)[:graph.n_edges])
-    return _violated_triangles(graph, yr, 0.5, graph.n_edges)
 
 
 def _best_odd_set(cycle: list[int], y) -> tuple[frozenset[int], float]:
@@ -287,7 +279,7 @@ def separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = _violated_triangles(graph, yv, tolerance, max_cuts)
+    triangles = cut_consistency(graph, yv, tolerance, max_cuts)
     if triangles:
         return triangles
 
@@ -593,13 +585,8 @@ def separate_transitivity(reduced: ReducedModel, y, tolerance: float = 1e-6) -> 
 
 def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solution) -> np.ndarray:
     """Cut vector of a tree-consistent solution (root edges carry the classes)."""
-    z = classes_of_solution(reduced, solution)
-    y = np.zeros(graph.n_edges, dtype=float)
-    for e, (u, v) in enumerate(graph.edges):
-        zu = 0 if u == 0 else z[u - 1]
-        zv = 0 if v == 0 else z[v - 1]
-        y[e] = float(zu ^ zv)
-    return y
+    side = np.array([0] + classes_of_solution(reduced, solution), dtype=np.int64)
+    return (side[graph.ends[:, 0]] ^ side[graph.ends[:, 1]]).astype(float)
 
 
 def cut_to_solution(reduced: ReducedModel, y, tolerance: float = 1e-6) -> Solution:

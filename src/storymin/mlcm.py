@@ -107,18 +107,6 @@ class LayerTree:
             return None
         return self.internal_labels[v - self.n_leaves]
 
-    @cached_property
-    def leaf_sets(self) -> tuple[frozenset[int], ...]:
-        """Leaves under each node (by node id)."""
-        sets: list[set[int]] = [set() for _ in range(self.n_nodes)]
-        for v in reversed(self._topo_order()):
-            if self.is_leaf(v):
-                sets[v].add(v)
-            p = self.parent[v]
-            if p >= 0:
-                sets[p] |= sets[v]
-        return tuple(frozenset(s) for s in sets)
-
     def scene_nodes(self) -> tuple[int, ...]:
         """Internal nodes that stand for a scene (label not starting 'root')."""
         out = []
@@ -130,7 +118,8 @@ class LayerTree:
 
     def canonical_leaf_order(self) -> tuple[int, ...]:
         """Leaves in DFS order with children taken as stored (tree-consistent)."""
-        return tuple(v for v in self._topo_order() if self.is_leaf(v))
+        n = self.n_leaves
+        return tuple(v for v in self._topo_order() if v < n)
 
     @staticmethod
     def from_nested(spec, n_leaves: int) -> "LayerTree":
@@ -224,17 +213,15 @@ def leaf_ranges(tree: LayerTree, order: tuple[int, ...] | list[int]) -> tuple[li
     n = len(order)
     first = [n] * tree.n_nodes
     last = [-1] * tree.n_nodes
-    count = [0] * tree.n_nodes
     parent = tree.parent
     for k, v in enumerate(order):
         while v >= 0:
             if first[v] == n:
                 first[v] = k
+            elif last[v] != k - 1:  # a leaf of another node came between
+                return None
             last[v] = k
-            count[v] += 1
             v = parent[v]
-    if any(c and lo + c != hi + 1 for lo, hi, c in zip(first, last, count)):
-        return None
     return first, last
 
 

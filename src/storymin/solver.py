@@ -8,9 +8,9 @@ relaxation (box bounds only at the root; odd-cycle and transitivity
 inequalities separated on demand).
 
 Separation order at each LP point.  An integral point goes to
-``cut_consistency``, which returns every reference triangle (a pair edge and
-its two root edges) the point fails; all of them enter the LP at once, up to
-500 per round.  At an integral cut, violated transitivity rows are added if
+``cut_consistency``, which returns the reference triangles (a pair edge and
+its two root edges) the point fails; they enter the LP at once, up to 500
+per round.  At an integral cut, violated transitivity rows are added if
 there are any; otherwise the point is decoded, recounted and offered as
 incumbent.  At a fractional point: ``separate_odd_cycles`` (violated
 reference triangles if there are any, only otherwise the odd cycles of the
@@ -267,13 +267,12 @@ class _Search:
     # -- cut handling -----------------------------------------------------
 
     def _add_cuts(self, cuts, kind: str) -> int:
-        fresh = [cut for cut in cuts if cut.key() not in self.lp_keys]
+        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.lp_keys}
         if not fresh:
             return 0
-        self.backend.add_rows([cut.lp_row() for cut in fresh])
-        keys = [cut.key() for cut in fresh]
-        self.row_keys += keys
-        self.lp_keys.update(keys)
+        self.backend.add_rows([cut.lp_row() for cut in fresh.values()])
+        self.row_keys.extend(fresh)
+        self.lp_keys.update(fresh)
         self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(fresh), np.int64)])
         if kind == "oddc":
             self.stats.n_oddc += len(fresh)
@@ -294,12 +293,11 @@ class _Search:
     # -- node processing --------------------------------------------------
 
     def _apply_fixes(self, fixes: tuple[tuple[int, int], ...]) -> None:
-        # only fixes change bounds: undoing the last node's restores [0, 1] everywhere
+        # only fixes change bounds, and none is on edge 0: undoing the last
+        # node's restores the loaded bounds
         for var, _ in self.fixes:
             self.backend.set_bounds(var, 0.0, 1.0)
         self.fixes = fixes
-        if self.graph.n_root_edges >= 1:
-            self.backend.set_bounds(0, 0.0, 0.0)  # cut symmetry: pin one class
         for var, val in fixes:
             self.backend.set_bounds(var, float(val), float(val))
 
@@ -358,9 +356,9 @@ class _Search:
     def _handle_integral(self, y: np.ndarray, total: float) -> bool:
         """True if the node is finished (incumbent accepted or pruned)."""
         yr = np.round(y)
-        witnesses = cut_consistency(self.graph, yr)
+        witnesses = cut_consistency(self.graph, yr, _TOLERANCE, _MAX_CUTS)
         if witnesses:
-            if not self._add_cuts(witnesses[:_MAX_CUTS], "oddc"):
+            if not self._add_cuts(witnesses, "oddc"):
                 raise SolverError("no progress at an inconsistent integral point")
             return False
         trans = separate_transitivity(self.reduced, yr, _TOLERANCE)
@@ -431,11 +429,14 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     if backend is None:
         backend = SimplexBackend if highs_available() else ScipyBackend
     lp = backend()
-    lp.load([float(w) for w in graph.weights], [0.0] * graph.n_edges, [1.0] * graph.n_edges)
+    # edge 0 is class 0's root edge: pinning it at 0 fixes the cut symmetry,
+    # and branching never picks it
+    m = graph.n_edges
+    lp.load(graph.weights.tolist(), [0.0] * m, [0.0] + [1.0] * (m - 1))
     lp.set_deadline(deadline)
 
     search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)
-    search.push(float(graph.offset + sum(min(0, w) for w in graph.weights)), ())
+    search.push(float(graph.offset + np.minimum(graph.weights, 0).sum()), ())
     search.run()
 
     count = search.incumbent_count

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mlcm import LayerTree, MlcmInstance, Solution
+from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
 from .story import Scene, Story, all_lifespans, validate_story
 from .validation import ValidationReport
 
@@ -147,21 +147,29 @@ def _matching_bijection(instance: MlcmInstance, r: int) -> list[int] | None:
     return phi
 
 
-def _laminar_family(tree: LayerTree) -> set[frozenset[int]]:
-    return {tree.leaf_sets[v] for v in range(tree.n_leaves, tree.n_nodes)}
+def _bundles(tree: LayerTree, order: tuple[int, ...] | list[int]) -> set[tuple[int, int]] | None:
+    """(first, last) index in ``order`` of every internal node's leaves, or
+    None if some node's leaves are not contiguous there."""
+    ranges = leaf_ranges(tree, order)
+    if ranges is None:
+        return None
+    first, last = ranges
+    return set(zip(first[tree.n_leaves:], last[tree.n_leaves:]))
 
 
 def _mergeable(instance: MlcmInstance, r: int) -> list[int] | None:
     """Bijection for merging layers r and r+1, or None.
 
     Requires a perfect matching whose induced leaf relabeling carries layer
-    r's bundling structure exactly onto layer r+1's.
+    r's bundling structure exactly onto layer r+1's.  Laid out in layer r's
+    canonical order and its image under the matching, every bundle is an
+    index range, so the structures agree iff the ranges do.
     """
     phi = _matching_bijection(instance, r)
     if phi is None:
         return None
-    fam_r = {frozenset(phi[x] for x in s) for s in _laminar_family(instance.trees[r])}
-    if fam_r != _laminar_family(instance.trees[r + 1]):
+    order = instance.trees[r].canonical_leaf_order()
+    if _bundles(instance.trees[r + 1], [phi[x] for x in order]) != _bundles(instance.trees[r], order):
         return None
     return phi
 

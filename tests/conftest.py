@@ -11,9 +11,10 @@ import json
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
-from storymin import LayerTree, MlcmInstance, Solution
+from storymin import LayerTree, MaxCutGraph, MlcmInstance, Solution
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,14 @@ def naive_optimum(instance: MlcmInstance) -> int:
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
+
+
+def cut_graph(n_nodes: int, edges, weights, offset: int = 0) -> MaxCutGraph:
+    """A cut graph from edge and weight lists, held as ``build_maxcut`` holds it."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.array(weights, dtype=np.int64)
+    ends.flags.writeable = weights.flags.writeable = False
+    return MaxCutGraph(n_nodes, ends, weights, offset)
 
 
 def random_storyline_tree(rng: random.Random, n_leaves: int, max_blocks: int = 2) -> LayerTree:

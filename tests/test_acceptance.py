@@ -46,6 +46,7 @@ from storymin.maxcut import build_maxcut, cut_to_solution
 from storymin.ordering import classes_of_solution
 
 from conftest import (
+    cut_graph,
     random_general_instance,
     random_story_doc,
     random_storyline_instance,
@@ -182,7 +183,7 @@ def test_criterion_3_maxcut_equivalence():
         for z in product((0, 1), repeat=reduced.n_classes):
             y = np.zeros(graph.n_edges)
             zfull = (0,) + z
-            for e, (u, v) in enumerate(graph.edges):
+            for e, (u, v) in enumerate(graph.ends.tolist()):
                 y[e] = float(zfull[u] ^ zfull[v])
             assert cut_consistency(graph, y) == [], \
                 "every side assignment must induce a consistent cut"
@@ -207,7 +208,7 @@ def test_criterion_3_maxcut_equivalence():
 
 def exhaustive_violation_exists(graph: MaxCutGraph, y, tol: float) -> bool:
     adj: dict[int, list[tuple[int, int]]] = {}
-    for e, (u, v) in enumerate(graph.edges):
+    for e, (u, v) in enumerate(graph.ends.tolist()):
         adj.setdefault(u, []).append((v, e))
         adj.setdefault(v, []).append((u, e))
 
@@ -245,7 +246,7 @@ def test_criterion_4_separation_agreement():
         pool = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
         rng.shuffle(pool)
         edges += pool[:rng.randint(1, n + 2)]
-        graph = MaxCutGraph(n, tuple(edges), tuple([0] * len(edges)), 0)
+        graph = cut_graph(n, edges, [0] * len(edges))
         y = np.array([rng.random() for _ in range(graph.n_edges)])
         found = separate_odd_cycles(graph, y, tolerance=tol)
         exists = exhaustive_violation_exists(graph, y, tol)

@@ -31,10 +31,10 @@ from storymin import (
     separate_odd_cycles,
     separate_transitivity,
 )
-from storymin.maxcut import TransitivityCut, _best_odd_set, _extract_simple_odd_cycle, _violated_triangles
+from storymin.maxcut import TransitivityCut, _best_odd_set, _extract_simple_odd_cycle
 from storymin.mlcm import Solution
 
-from conftest import random_general_instance, random_story_doc, random_storyline_instance
+from conftest import cut_graph, random_general_instance, random_story_doc, random_storyline_instance
 
 
 def all_solutions(inst):
@@ -54,9 +54,16 @@ def test_root_edges_come_first():
         graph = build_maxcut(reduced)
         assert graph.n_nodes == reduced.n_classes + 1
         for c in range(reduced.n_classes):
-            assert graph.edges[c] == (0, c + 1)
+            assert graph.ends[c].tolist() == [0, c + 1]
             assert graph.weights[c] == 0
-            assert graph.root_edge(c) == c
+        # the graph is two read-only int64 arrays
+        assert graph.ends.shape == (graph.n_edges, 2)
+        assert graph.weights.shape == (graph.n_edges,)
+        for arr in (graph.ends, graph.weights):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def test_cut_value_equals_crossings():
@@ -98,7 +105,7 @@ def test_cut_vectors_enumerate_assignments():
         seen = {}
         for sides in product((0, 1), repeat=reduced.n_classes):
             z = np.array((0,) + sides)  # node 0 pinned to side 0
-            y = np.array([z[u] ^ z[v] for u, v in graph.edges], dtype=float)
+            y = np.array([z[u] ^ z[v] for u, v in graph.ends.tolist()], dtype=float)
             assert cut_consistency(graph, y) == []
             seen[sides] = evaluate_cut(graph, y)
         assert len(seen) == 2 ** reduced.n_classes
@@ -123,7 +130,7 @@ def test_inconsistent_cut_has_witness():
         # exactly one triangle fails: the flipped pair edge and its two root
         # edges, violated by a full unit at integral y
         assert len(witnesses) == 1
-        u, v = graph.edges[flip]
+        u, v = graph.ends[flip].tolist()
         assert sorted(witnesses[0].cycle) == sorted((flip, u - 1, v - 1))
         assert witnesses[0].violation(y) >= 1.0
         tried += 1
@@ -139,7 +146,7 @@ def exhaustive_violated(graph: MaxCutGraph, y, tol=1e-6):
     """All violated odd-set inequalities over all simple cycles, by brute force."""
     n = graph.n_nodes
     adj = {}
-    for e, (u, v) in enumerate(graph.edges):
+    for e, (u, v) in enumerate(graph.ends.tolist()):
         adj.setdefault(u, []).append((v, e))
         adj.setdefault(v, []).append((u, e))
 
@@ -176,7 +183,7 @@ def random_cut_graph(rng: random.Random, n: int, extra: int) -> MaxCutGraph:
     for u, v in pool[:extra]:
         edges.append((u, v))
         weights.append(rng.randint(-3, 3))
-    return MaxCutGraph(n, tuple(edges), tuple(weights), 0)
+    return cut_graph(n, edges, weights)
 
 
 def test_separation_agrees_with_enumeration():
@@ -227,7 +234,7 @@ def violated_triangles_by_loop(graph: MaxCutGraph, y, tol=1e-6):
     r = graph.n_root_edges
     out = {}
     for e in range(r, graph.n_edges):
-        u, v = graph.edges[e]
+        u, v = graph.ends[e].tolist()
         cyc = (e, u - 1, v - 1)
         for odd_size in (1, 3):
             for f in combinations(cyc, odd_size):
@@ -255,6 +262,9 @@ def test_violated_triangles_come_first():
         violations = [ineq.violation(y) for ineq in found]
         assert violations == sorted(violations, reverse=True)
         assert violations == pytest.approx(sorted(expected.values(), reverse=True))
+        # the shortcut is the consistency check's triangle pass, cap included
+        assert cut_consistency(graph, y) == found
+        assert cut_consistency(graph, y, 1e-6, 2) == separate_odd_cycles(graph, y, 1e-6, 2) == found[:2]
     assert with_triangles >= 20
 
 
@@ -264,8 +274,9 @@ def test_cut_consistency_flags_every_failing_pair_edge():
         n = rng.randint(3, 9)
         graph = random_cut_graph(rng, n, rng.randint(1, 2 * n))
         y = np.array([float(rng.random() < 0.5) for _ in range(graph.n_edges)])
+        ends = graph.ends.tolist()
         failing = {e for e in range(graph.n_root_edges, graph.n_edges)
-                   if y[e] != float(int(y[graph.edges[e][0] - 1]) ^ int(y[graph.edges[e][1] - 1]))}
+                   if y[e] != float(int(y[ends[e][0] - 1]) ^ int(y[ends[e][1] - 1]))}
         witnesses = cut_consistency(graph, y)
         assert {w.cycle[0] for w in witnesses} == failing
         assert all(w.violation(y) == 1.0 for w in witnesses)
@@ -275,7 +286,7 @@ def test_cut_consistency_flags_every_failing_pair_edge():
 def test_all_integral_odd_cycle_is_found():
     # root edges at 0.5 and a triangle of pair edges at 1.0: no reference
     # triangle is violated, but the cycle 12-23-13 is, by a full unit
-    graph = MaxCutGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (0,) * 6, 0)
+    graph = cut_graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (0,) * 6)
     y = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
     assert violated_triangles_by_loop(graph, y) == {}
     found = separate_odd_cycles(graph, y)
@@ -297,7 +308,7 @@ def parity_conflict(graph: MaxCutGraph, y, tol=1e-6) -> bool:
             v = parent[v]
         return v, p
 
-    for e, (u, v) in enumerate(graph.edges):
+    for e, (u, v) in enumerate(graph.ends.tolist()):
         if tol < y[e] < 1 - tol:
             continue
         side = int(y[e] >= 1 - tol)
@@ -371,7 +382,7 @@ def whole_graph_separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = _violated_triangles(graph, yv, tolerance, max_cuts)
+    triangles = cut_consistency(graph, yv, tolerance, max_cuts)
     if triangles:
         return triangles
 
@@ -386,6 +397,7 @@ def whole_graph_separate_odd_cycles(
     data = np.concatenate((same, same, same, same, cross, cross, cross, cross))
     doubled = csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
 
+    edge_index = {(u, v): e for e, (u, v) in enumerate(graph.ends.tolist())}
     found: dict[tuple, tuple[float, OddCycleInequality]] = {}
     for start in range(0, n, _SOURCE_CHUNK):
         src = np.arange(start, min(n, start + _SOURCE_CHUNK))
@@ -393,7 +405,7 @@ def whole_graph_separate_odd_cycles(
                               return_predecessors=True, limit=1.0)
         reach = dist[np.arange(src.size), 2 * src + 1]
         for i in np.flatnonzero(reach < 1.0 - tolerance).tolist():
-            cycle = _walk_to_cycle(graph, pred[i], int(src[i]))
+            cycle = _walk_to_cycle(edge_index, n, pred[i], int(src[i]))
             if cycle is None:
                 continue
             odd_set, violation = _best_odd_set(cycle, yv)
@@ -406,19 +418,20 @@ def whole_graph_separate_odd_cycles(
     return [ineq for _, (_, ineq) in order[:max_cuts]]
 
 
-def _walk_to_cycle(graph: MaxCutGraph, pred: np.ndarray, s: int) -> list[int] | None:
+def _walk_to_cycle(edge_index: dict[tuple[int, int], int], n_nodes: int, pred: np.ndarray,
+                   s: int) -> list[int] | None:
     """Simple odd cycle from the predecessor chain of path 2s -> 2s+1."""
     chain = [2 * s + 1]
     while chain[-1] != 2 * s:
         p = int(pred[chain[-1]])
-        if p < 0 or len(chain) > 4 * graph.n_nodes:
+        if p < 0 or len(chain) > 4 * n_nodes:
             return None
         chain.append(p)
     chain.reverse()
     steps: list[tuple[int, bool]] = []
     for a, b in zip(chain, chain[1:]):
         ga, gb = a // 2, b // 2
-        e = graph.edge_index.get((ga, gb) if ga < gb else (gb, ga))
+        e = edge_index.get((ga, gb) if ga < gb else (gb, ga))
         if e is None:
             return None
         steps.append((e, (a & 1) != (b & 1)))
@@ -432,8 +445,7 @@ def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
     real = solver.separate_odd_cycles
 
     def record(graph, y, tolerance, max_cuts, **kwargs):
-        yv = np.clip(np.asarray(y, dtype=float)[:graph.n_edges], 0.0, 1.0)
-        if not _violated_triangles(graph, yv, tolerance, max_cuts):
+        if not cut_consistency(graph, y, tolerance, max_cuts):
             rounds.append((graph, np.array(y, dtype=float)))
         return real(graph, y, tolerance, max_cuts, **kwargs)
 

@@ -22,7 +22,6 @@ from storymin import (
 
 from conftest import (
     naive_crossings,
-    naive_leaf_sets,
     naive_tree_consistent,
     random_general_instance,
     random_general_tree,
@@ -46,15 +45,6 @@ def test_from_nested_structure():
     assert t.label_of(0) is None
     assert t.scene_nodes() == (6, 7)
     assert t.depth[0] == 2 and t.depth[4] == 1 and t.depth[5] == 0
-
-
-def test_leaf_sets_match_naive():
-    rng = random.Random(5)
-    for _ in range(25):
-        t = random_general_tree(rng, rng.randint(2, 8))
-        naive = naive_leaf_sets(t)
-        for v in range(t.n_nodes):
-            assert set(t.leaf_sets[v]) == naive[v]
 
 
 def test_canonical_leaf_order_is_consistent():

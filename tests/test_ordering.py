@@ -546,8 +546,9 @@ def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> Reduced
     assert reduced_fields(reduced) == tuple(fields)
     assert as_crossing_terms(reduced.model.terms) == reference.terms
     graph = build_maxcut(reduced)
-    assert (graph.n_nodes, graph.edges, graph.weights, graph.offset) == \
-        reference_build_maxcut(reduced.n_classes, fields[3], offset)
+    n_nodes, edges, weights, ref_offset = reference_build_maxcut(reduced.n_classes, fields[3], offset)
+    assert (graph.n_nodes, graph.ends.tolist(), graph.weights.tolist(), graph.offset) == \
+        (n_nodes, [list(e) for e in edges], list(weights), ref_offset)
     return reduced
 
 

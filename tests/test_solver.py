@@ -314,7 +314,8 @@ def test_node_bounds_match_a_full_reset():
 
     class RecordingBackend:
         def __init__(self, m):
-            self.bounds = [(0.0, 1.0)] * m
+            # as branch_and_cut loads them: edge 0 pinned at 0
+            self.bounds = [(0.0, 0.0)] + [(0.0, 1.0)] * (m - 1)
             self.calls = 0
 
         def set_bounds(self, var, lo, hi):
@@ -330,16 +331,39 @@ def test_node_bounds_match_a_full_reset():
     search = solver._Search(graph, None, inst, backend, None, 0, 0.0, SolveStats())
     previous = ()
     for _ in range(200):
-        fixes = tuple((var, rng.randint(0, 1)) for var in rng.sample(range(m), rng.randint(0, 8)))
+        # branching never picks the pinned edge 0
+        fixes = tuple((var, rng.randint(0, 1)) for var in rng.sample(range(1, m), rng.randint(0, 8)))
         backend.calls = 0
         search._apply_fixes(fixes)
-        full = [(0.0, 1.0)] * m
-        full[0] = (0.0, 0.0)
+        full = [(0.0, 0.0)] + [(0.0, 1.0)] * (m - 1)
         for var, val in fixes:
             full[var] = (float(val), float(val))
         assert backend.bounds == full
-        assert backend.calls == len(previous) + 1 + len(fixes)
+        assert backend.calls == len(previous) + len(fixes)
         previous = fixes
+
+
+def test_edge_0_is_pinned_at_every_solve():
+    """The cut symmetry pin is loaded once and holds at every node of a search that branches."""
+    pins = []
+
+    class PinRecordingBackend(SimplexBackend):
+        def solve(self):
+            pins.append(self.get_bounds(0))
+            return super().solve()
+
+    rng = random.Random(95)
+    for _ in range(40):
+        pins.clear()
+        inst = random_general_instance(rng, p_range=(4, 6), n_range=(6, 10))
+        res = branch_and_cut(inst, backend=PinRecordingBackend)
+        assert res.status == OPTIMAL_STATUS
+        assert set(pins) <= {(0.0, 0.0)}
+        if res.stats.n_sub >= 3:
+            break
+    else:
+        pytest.fail("no instance branched")
+    assert len(pins) == res.stats.n_LPs
 
 
 def test_default_falls_back_to_linprog_without_highs(monkeypatch):

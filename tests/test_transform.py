@@ -23,8 +23,9 @@ from storymin import (
     validate_instance,
     validate_story,
 )
+from storymin import transform
 
-from conftest import naive_crossings, random_story_doc
+from conftest import naive_crossings, naive_leaf_sets, random_general_tree, random_story_doc
 
 
 def test_layers_from_time_points(fig_story_text):
@@ -150,6 +151,85 @@ def test_merge_requires_equal_families():
                  {inst.trees[r].label_of(v) for v in inst.trees[r].scene_nodes()}]
     assert s1_layers and s2_layers
     assert {reps[r] for r in s1_layers}.isdisjoint({reps[r] for r in s2_layers})
+
+
+def reference_mergeable(instance: MlcmInstance, r: int) -> list[int] | None:
+    """The merge check straight from its definition: a perfect matching that
+    carries layer r's family of leaf sets onto layer r+1's."""
+    n, edges = instance.layer_sizes[r], instance.edges[r]
+    phi = dict(edges)
+    if (n == 0 or n != instance.layer_sizes[r + 1] or len(edges) != n or len(phi) != n
+            or len(set(phi.values())) != n):
+        return None
+
+    def family(tree: LayerTree) -> set[frozenset[int]]:
+        return {frozenset(s) for s in naive_leaf_sets(tree)[tree.n_leaves:]}
+
+    if {frozenset(phi[x] for x in s) for s in family(instance.trees[r])} != family(instance.trees[r + 1]):
+        return None
+    return [phi[u] for u in range(n)]
+
+
+def relabeled(tree: LayerTree, phi: list[int]) -> LayerTree:
+    """The same tree with leaf x renamed phi[x]."""
+    n = tree.n_leaves
+    parent = list(tree.parent)
+    for x in range(n):
+        parent[phi[x]] = tree.parent[x]
+    return LayerTree(n, tuple(parent), tree.internal_labels)
+
+
+def with_unary_chains(tree: LayerTree, rng: random.Random) -> LayerTree:
+    """Insert chains of 1-2 one-child nodes above one node in five."""
+    parent, labels = list(tree.parent), list(tree.internal_labels)
+    for v in range(tree.n_nodes):
+        for _ in range(rng.choice((0,) * 8 + (1, 2))):
+            parent.append(parent[v])
+            parent[v] = len(parent) - 1
+            labels.append(f"u{len(parent) - 1}")
+    return LayerTree(tree.n_leaves, tuple(parent), tuple(labels))
+
+
+def random_merge_chain(rng: random.Random) -> MlcmInstance:
+    """Layers of one leaf count whose gaps are perfect matchings that carry
+    the tree over, permuted matchings between equal-shape trees, different
+    trees, or not perfect; each tree with random unary chains."""
+    n = rng.randint(2, 7)
+    tree = random_general_tree(rng, n)
+    trees, edges = [with_unary_chains(tree, rng)], []
+    for _ in range(rng.randint(1, 4)):
+        phi = list(range(n))
+        rng.shuffle(phi)
+        match = list(phi)
+        kind = rng.random()
+        if kind < 0.7:
+            tree = relabeled(tree, phi)
+            if kind >= 0.4:  # same shape, another matching
+                rng.shuffle(match)
+        else:
+            tree = random_general_tree(rng, n)
+        gap = [(u, match[u]) for u in range(n)]
+        if kind >= 0.9:
+            gap.pop(rng.randrange(n))
+        trees.append(with_unary_chains(tree, rng))
+        edges.append(tuple(sorted(gap)))
+    return MlcmInstance((n,) * len(trees), tuple(edges), tuple(trees))
+
+
+def test_merge_matches_leaf_set_family_reference(monkeypatch):
+    rng = random.Random(33)
+    merged_gaps = kept_perfect = 0
+    for _ in range(400):
+        inst = random_merge_chain(rng)
+        got = merge_layers(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(transform, "_mergeable", reference_mergeable)
+            assert got == merge_layers(inst)
+        for r in range(inst.p - 1):
+            merged_gaps += reference_mergeable(inst, r) is not None
+            kept_perfect += reference_mergeable(inst, r) is None and transform._matching_bijection(inst, r) is not None
+    # both outcomes at perfect matchings, so the family comparison decides
+    assert merged_gaps >= 100 and kept_perfect >= 300
 
 
 def test_expand_solution_round_trip():
