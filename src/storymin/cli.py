@@ -361,13 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, InvalidStoryError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except (BudgetExceeded, OrderingCapExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except OSError as exc:
+    except (FormatError, InvalidStoryError, BudgetExceeded, OrderingCapExceeded, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except Exception as exc:

@@ -12,21 +12,23 @@ position and closes the gaps, so the rows after a deleted one move up.
 array in row order.  A solve that reaches the deadline given to
 ``set_deadline`` stops and reports ``TIME_LIMIT``.
 
-:class:`SimplexBackend` keeps one persistent HiGHS model (dual simplex,
-presolve off) and sends it deltas only: new rows, deleted rows, and the
-column bounds that changed since the last solve.  Every solve restarts from
-the previous basis, so a round of cuts or a branching fix costs a few pivots
-instead of a cold solve.  HiGHS addresses its rows the same way, so the k-th
-stored row is always the k-th HiGHS row.
+:class:`SimplexBackend` builds one HiGHS model (dual simplex, presolve off)
+on ``load`` and sends it each change as it is made: ``set_bounds``,
+``add_rows`` and ``remove_rows`` update the model at once.  Every solve
+restarts from the previous basis, so a round of cuts or a branching fix
+costs a few pivots instead of a cold solve.  HiGHS addresses its rows the
+same way, so the k-th stored row is always the k-th HiGHS row.  The backend
+also keeps the rows, costs and bounds it was given (``_BaseBackend``), for
+the slacks and ``get_bounds``.
 
 The model comes from the HiGHS binding that SciPy ships as the private
 extension ``scipy.optimize._highspy._core``.  Importing it the normal way
 runs all of ``scipy.optimize`` (about 0.24 s and 15 MB that the package does
 not otherwise need), so the extension alone is loaded from its file on the
-first solve and registered under its own name, where a later
-``import scipy.optimize`` finds the same module.  The HiGHS object is also
-created on the first solve, not on ``load``: many small instances are closed
-by the start heuristic before any LP runs.  A SciPy without the extension
+first ``load`` and registered under its own name, where a later
+``import scipy.optimize`` finds the same module.  Branch-and-cut creates no
+backend for an instance whose start heuristic already meets the root
+bound, so such instances never load it.  A SciPy without the extension
 makes :func:`highs_available` false, and branch-and-cut then uses
 :class:`ScipyBackend`, which calls ``scipy.optimize.linprog`` cold on a
 sparse matrix at every solve.
@@ -212,58 +214,36 @@ class _BaseBackend:
 class SimplexBackend(_BaseBackend):
     """One persistent HiGHS simplex model; see the module docstring."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._highs = None
-        self._sent_lo = self._sent_hi = np.zeros(0)
-
     def load(self, costs, lower, upper) -> None:
         super().load(costs, lower, upper)
-        self._highs = None
-
-    def add_rows(self, rows) -> list[int]:
-        positions = super().add_rows(rows)
-        if self._highs is not None and positions:
-            self._send_rows(self._rows[positions[0]:])
-        return positions
-
-    def remove_rows(self, positions) -> None:
-        gone = sorted(set(positions))
-        super().remove_rows(gone)
-        if self._highs is not None and gone:
-            self._highs.deleteRows(len(gone), np.asarray(gone, dtype=np.int32))
-
-    def _send_rows(self, rows: list[Row]) -> None:
-        indptr, indices, data, b = _csr(rows)
-        self._highs.addRows(len(rows), np.full(len(rows), -np.inf), b,
-                            len(indices), indptr[:-1], indices, data)
-
-    def _send_bounds(self) -> None:
-        changed = np.flatnonzero((self.lo != self._sent_lo) | (self.hi != self._sent_hi))
-        if changed.size:
-            self._highs.changeColsBounds(changed.size, changed.astype(np.int32),
-                                         self.lo[changed], self.hi[changed])
-        self._sent_lo, self._sent_hi = self.lo.copy(), self.hi.copy()
-
-    def _build(self) -> None:
         if not highs_available():
             raise ImportError(f"{_HIGHS_MODULE} cannot be loaded; use ScipyBackend")
-        highs = _core._Highs()
+        self._highs = highs = _core._Highs()
         for name, value in _HIGHS_OPTIONS.items():
             highs.setOptionValue(name, value)
         n = len(self.c)
         highs.addCols(n, self.c, self.lo, self.hi, 0, np.zeros(n, dtype=np.int32),
                       np.zeros(0, dtype=np.int32), np.zeros(0))
-        self._highs = highs
-        self._sent_lo, self._sent_hi = self.lo.copy(), self.hi.copy()
-        if self._rows:
-            self._send_rows(self._rows)
+
+    def set_bounds(self, var: int, lo: float, hi: float) -> None:
+        super().set_bounds(var, lo, hi)
+        self._highs.changeColBounds(var, lo, hi)
+
+    def add_rows(self, rows) -> list[int]:
+        positions = super().add_rows(rows)
+        if positions:
+            indptr, indices, data, b = _csr(self._rows[positions[0]:])
+            self._highs.addRows(len(b), np.full(len(b), -np.inf), b,
+                                len(indices), indptr[:-1], indices, data)
+        return positions
+
+    def remove_rows(self, positions) -> None:
+        gone = sorted(set(positions))
+        super().remove_rows(gone)
+        if gone:
+            self._highs.deleteRows(len(gone), np.asarray(gone, dtype=np.int32))
 
     def solve(self) -> LpResult:
-        if self._highs is None:
-            self._build()
-        else:
-            self._send_bounds()
         highs = self._highs
         left = self.deadline - time.monotonic()
         if left <= 0:

@@ -88,6 +88,10 @@ __all__ = [
 # holds at most this many entries
 _BLOCK = 1 << 19
 
+# a row or point is violated, and a value is 0/1, beyond this much; the
+# solver reads it too, for its integrality test, branching and pruning
+TOLERANCE = 1e-6
+
 # the four odd sets of a reference triangle (pair edge, root edge of u, root
 # edge of v), as positions in that cycle; scored in this order below
 _TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
@@ -183,8 +187,7 @@ class TransitivityCut:
         return ("transitivity", self.a, self.b, self.c, self.sense)
 
 
-def cut_consistency(graph: MaxCutGraph, y, tolerance: float = 1e-6,
-                    max_cuts: int = 500) -> list[OddCycleInequality]:
+def cut_consistency(graph: MaxCutGraph, y, max_cuts: int = 500) -> list[OddCycleInequality]:
     """Violated reference-triangle inequalities at y clipped to [0, 1], at
     most ``max_cuts``, most violated first (ties by edge).
 
@@ -197,7 +200,7 @@ def cut_consistency(graph: MaxCutGraph, y, tolerance: float = 1e-6,
     roots = graph.ends[r:] - 1  # node v's root edge is v - 1
     a, b, c = yv[r:], yv[roots[:, 0]], yv[roots[:, 1]]
     viol = np.column_stack((a - b - c, b - a - c, c - a - b, a + b + c - 2.0)).ravel()
-    hits = np.flatnonzero(viol > tolerance)
+    hits = np.flatnonzero(viol > TOLERANCE)
     hits = hits[np.argsort(-viol[hits], kind="stable")][:max_cuts]
     out = []
     for k in hits.tolist():
@@ -256,7 +259,6 @@ def _extract_simple_odd_cycle(nodes: list[int], steps: list[tuple[int, bool]]) -
 def separate_odd_cycles(
     graph: MaxCutGraph,
     y,
-    tolerance: float = 1e-6,
     max_cuts: int = 500,
     deadline: float = math.inf,
 ) -> list[OddCycleInequality]:
@@ -279,11 +281,11 @@ def separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = cut_consistency(graph, yv, tolerance, max_cuts)
+    triangles = cut_consistency(graph, yv, max_cuts)
     if triangles:
         return triangles
 
-    forest = _IntegralForest(graph, yv, tolerance)
+    forest = _IntegralForest(graph, yv)
     found: dict[tuple, tuple[float, OddCycleInequality]] = {}
     ylist = yv.tolist()
     for nodes, edges in chain(_conflict_walks(forest, deadline), _contracted_walks(forest, deadline)):
@@ -292,7 +294,7 @@ def separate_odd_cycles(
         steps = [(e, (a ^ b) & 1 == 1) for e, a, b in zip(edges, nodes, nodes[1:])]
         cycle = _extract_simple_odd_cycle([v >> 1 for v in nodes], steps)
         odd_set, violation = _best_odd_set(cycle, ylist)
-        if violation > tolerance:
+        if violation > TOLERANCE:
             ineq = OddCycleInequality(tuple(cycle), odd_set)
             found.setdefault(ineq.key(), (violation, ineq))
 
@@ -311,14 +313,13 @@ class _IntegralForest:
     their tail ``owner``, each with its ``arc_edge``.
     """
 
-    def __init__(self, graph: MaxCutGraph, yv: np.ndarray, tolerance: float):
+    def __init__(self, graph: MaxCutGraph, yv: np.ndarray):
         n2 = 2 * graph.n_nodes
         ends = graph.ends
         self.graph = graph
         self.yv = yv
-        self.tolerance = tolerance
         self.n2 = n2
-        low, high = yv <= tolerance, yv >= 1.0 - tolerance
+        low, high = yv <= TOLERANCE, yv >= 1.0 - TOLERANCE
         self.frac = np.flatnonzero(~(low | high))
         integral = np.flatnonzero(low | high)
         a = 2 * ends[integral, 0]
@@ -548,7 +549,7 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
         same = yf[mine] + dist[row, label[t_same[mine]]]
         cross = 1.0 - yf[mine] + dist[row, label[t_cross[mine]]]
         t = np.where(same <= cross, t_same[mine], t_cross[mine])
-        hit = np.minimum(same, cross) < 1.0 - forest.tolerance
+        hit = np.minimum(same, cross) < 1.0 - TOLERANCE
         for i in np.flatnonzero(hit).tolist():
             r, j = int(row[i]), int(mine[i])
             # contracted arcs of the path label(s) -> label(t), last first
@@ -573,14 +574,14 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
             yield nodes, edges
 
 
-def separate_transitivity(reduced: ReducedModel, y, tolerance: float = 1e-6) -> list[TransitivityCut]:
+def separate_transitivity(reduced: ReducedModel, y) -> list[TransitivityCut]:
     """Violated class triples, read off the root-edge values of y: every
     violated "upper" row in triple order, then every violated "lower" one."""
     z = np.asarray(y, dtype=float)[:reduced.n_classes]
     t = reduced.triples
     val = z[t[:, 0]] + z[t[:, 1]] - z[t[:, 2]]
-    return ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + tolerance].tolist()]
-            + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -tolerance].tolist()])
+    return ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + TOLERANCE].tolist()]
+            + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -TOLERANCE].tolist()])
 
 
 def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solution) -> np.ndarray:
@@ -589,11 +590,11 @@ def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solut
     return (side[graph.ends[:, 0]] ^ side[graph.ends[:, 1]]).astype(float)
 
 
-def cut_to_solution(reduced: ReducedModel, y, tolerance: float = 1e-6) -> Solution:
+def cut_to_solution(reduced: ReducedModel, y) -> Solution:
     """Decode a (near-)integral consistent cut vector into a solution."""
     z = np.asarray(y, dtype=float)[:reduced.n_classes]
     r = np.round(z)
-    bad = np.flatnonzero((np.abs(z - r) > tolerance) | ((r != 0) & (r != 1)))
+    bad = np.flatnonzero((np.abs(z - r) > TOLERANCE) | ((r != 0) & (r != 1)))
     if len(bad):
         raise ValueError(f"root edge of class {bad[0]} is not integral: {z[bad[0]]}")
     return solution_of_classes(reduced, r)

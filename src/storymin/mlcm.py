@@ -17,6 +17,7 @@ of layer 0 and node 3 of layer 1 are unrelated).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,13 +84,14 @@ class LayerTree:
     @cached_property
     def depth(self) -> tuple[int, ...]:
         d = [0] * self.n_nodes
-        for v in self._topo_order():
+        for v in self._topo_order:
             p = self.parent[v]
             if p >= 0:
                 d[v] = d[p] + 1
         return tuple(d)
 
-    def _topo_order(self) -> list[int]:
+    @cached_property
+    def _topo_order(self) -> tuple[int, ...]:
         """Root first, children after parents (iterative DFS)."""
         order: list[int] = []
         stack = [self.root]
@@ -97,7 +99,7 @@ class LayerTree:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(self.children[v]))
-        return order
+        return tuple(order)
 
     def is_leaf(self, v: int) -> bool:
         return v < self.n_leaves
@@ -119,7 +121,7 @@ class LayerTree:
     def canonical_leaf_order(self) -> tuple[int, ...]:
         """Leaves in DFS order with children taken as stored (tree-consistent)."""
         n = self.n_leaves
-        return tuple(v for v in self._topo_order() if v < n)
+        return tuple(v for v in self._topo_order if v < n)
 
     @staticmethod
     def from_nested(spec, n_leaves: int) -> "LayerTree":
@@ -231,32 +233,12 @@ def is_tree_consistent(tree: LayerTree, order: tuple[int, ...] | list[int]) -> b
 
 
 def _inversions(values: list[int]) -> int:
-    """Strict inversions (i<j with v[i] > v[j]) via a Fenwick tree."""
-    if not values:
-        return 0
-    size = max(values) + 1
-    fen = [0] * (size + 1)
-
-    def add(i: int) -> None:
-        i += 1
-        while i <= size:
-            fen[i] += 1
-            i += i & (-i)
-
-    def count_le(i: int) -> int:  # count of added values <= i
-        i += 1
-        s = 0
-        while i > 0:
-            s += fen[i]
-            i -= i & (-i)
-        return s
-
+    """Strict inversions (i<j with v[i] > v[j]), counted against a sorted prefix."""
     inv = 0
-    seen = 0
-    for v in values:
-        inv += seen - count_le(v)  # previously added values strictly greater
-        add(v)
-        seen += 1
+    seen: list[int] = []
+    for k, v in enumerate(values):
+        inv += k - bisect_right(seen, v)  # earlier values strictly greater
+        insort(seen, v)
     return inv
 
 

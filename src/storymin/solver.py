@@ -19,10 +19,13 @@ is violated, the node branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
-extension).  Cuts and branching fixes reach it as row and bound changes.  The
-deadline is handed to the LP and to odd-cycle separation too, so a long LP
-or separation round stops at the time limit; its node then goes back on the
-heap as if the deadline had been seen between LPs.
+extension).  Cuts and branching fixes reach it as row and bound changes.
+The LP is created only when the heuristic's count is above the root bound
+(every negative-weight edge cut, no other); otherwise the heuristic layout
+is returned as optimal at once.  The deadline is handed to the LP and to
+odd-cycle separation too, so a long LP or separation round stops at the time
+limit; its node then goes back on the heap as if the deadline had been seen
+between LPs.
 
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
@@ -39,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .lp import (
     highs_available,
 )
 from .maxcut import (
+    TOLERANCE,
     MaxCutGraph,
     build_maxcut,
     cut_consistency,
@@ -84,7 +88,6 @@ FEASIBLE_STATUS = "feasible"
 TIMEOUT_STATUS = "timeout"
 INFEASIBLE_INPUT_STATUS = "infeasible-input"
 
-_TOLERANCE = 1e-6
 _MAX_CUTS = 500  # per separation round
 _SLACK_DROP = 0.1
 _SLACK_ROUNDS = 10
@@ -114,14 +117,7 @@ class SolveStats:
     time: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "n_var": self.n_var,
-            "n_oddc": self.n_oddc,
-            "n_trans": self.n_trans,
-            "n_sub": self.n_sub,
-            "n_LPs": self.n_LPs,
-            "time": self.time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -222,7 +218,7 @@ class _Node:
 
 
 def _int_bound(value: float) -> int:
-    return math.ceil(value - _TOLERANCE)
+    return math.ceil(value - TOLERANCE)
 
 
 class _Search:
@@ -330,12 +326,12 @@ class _Search:
             frac = np.minimum(y, 1.0 - y)
             rounds += 1
 
-            if float(frac.max()) <= _TOLERANCE:
+            if float(frac.max()) <= TOLERANCE:
                 if self._handle_integral(y, total):
                     return
                 continue
 
-            cuts = separate_odd_cycles(self.graph, y, _TOLERANCE, _MAX_CUTS, deadline=self.deadline)
+            cuts = separate_odd_cycles(self.graph, y, _MAX_CUTS, deadline=self.deadline)
             if time.monotonic() > self.deadline:
                 # the search may have stopped short: neither branch nor prune
                 self._time_out(node)
@@ -343,7 +339,7 @@ class _Search:
             added = self._add_cuts(cuts, "oddc")
             if not added:
                 added = self._add_cuts(
-                    separate_transitivity(self.reduced, y, _TOLERANCE)[:_MAX_CUTS], "trans")
+                    separate_transitivity(self.reduced, y)[:_MAX_CUTS], "trans")
             if not added or rounds > _FORCE_BRANCH_ROUNDS:
                 self._branch(node, y, total)
                 return
@@ -356,17 +352,17 @@ class _Search:
     def _handle_integral(self, y: np.ndarray, total: float) -> bool:
         """True if the node is finished (incumbent accepted or pruned)."""
         yr = np.round(y)
-        witnesses = cut_consistency(self.graph, yr, _TOLERANCE, _MAX_CUTS)
+        witnesses = cut_consistency(self.graph, yr, _MAX_CUTS)
         if witnesses:
             if not self._add_cuts(witnesses, "oddc"):
                 raise SolverError("no progress at an inconsistent integral point")
             return False
-        trans = separate_transitivity(self.reduced, yr, _TOLERANCE)
+        trans = separate_transitivity(self.reduced, yr)
         if trans:
             if not self._add_cuts(trans[:_MAX_CUTS], "trans"):
                 raise SolverError("no progress at a non-transitive integral point")
             return False
-        solution = cut_to_solution(self.reduced, yr, _TOLERANCE)
+        solution = cut_to_solution(self.reduced, yr)
         value = count_crossings(self.work, solution)
         if value != round(total):
             raise SolverError(
@@ -379,7 +375,7 @@ class _Search:
     def _branch(self, node: _Node, y: np.ndarray, total: float) -> None:
         frac = np.minimum(y, 1.0 - y)
         j = int(np.argmax(frac))
-        if frac[j] <= _TOLERANCE:
+        if frac[j] <= TOLERANCE:
             raise SolverError("tried to branch on an integral point")
         for val in (0, 1):
             self.push(total, node.fixes + ((j, val),))
@@ -422,8 +418,10 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     graph = build_maxcut(reduced)
     stats.n_var = reduced.n_classes
 
-    if graph.n_edges == 0:
-        # no choices anywhere: the heuristic layout is trivially optimal
+    # the box relaxation's bound: every negative edge cut, no positive one
+    root = float(graph.offset + np.minimum(graph.weights, 0).sum())
+    if _int_bound(root) >= incumbent_count:
+        # the heuristic meets it (always so without edges): no LP is needed
         return finish(OPTIMAL_STATUS, heur, incumbent_count, incumbent_count)
 
     if backend is None:
@@ -436,7 +434,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     lp.set_deadline(deadline)
 
     search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)
-    search.push(float(graph.offset + np.minimum(graph.weights, 0).sum()), ())
+    search.push(root, ())
     search.run()
 
     count = search.incumbent_count

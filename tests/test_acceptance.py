@@ -42,7 +42,7 @@ from storymin import (
     separate_odd_cycles,
     SolveConfig,
 )
-from storymin.maxcut import build_maxcut, cut_to_solution
+from storymin.maxcut import TOLERANCE, build_maxcut, cut_to_solution
 from storymin.ordering import classes_of_solution
 
 from conftest import (
@@ -239,6 +239,7 @@ def exhaustive_violation_exists(graph: MaxCutGraph, y, tol: float) -> bool:
 def test_criterion_4_separation_agreement():
     rng = random.Random(20240904)
     tol = TOL["separation"]
+    assert TOLERANCE == tol
     with_cut = without_cut = 0
     for _ in range(150):
         n = rng.randint(3, 8)
@@ -248,7 +249,7 @@ def test_criterion_4_separation_agreement():
         edges += pool[:rng.randint(1, n + 2)]
         graph = cut_graph(n, edges, [0] * len(edges))
         y = np.array([rng.random() for _ in range(graph.n_edges)])
-        found = separate_odd_cycles(graph, y, tolerance=tol)
+        found = separate_odd_cycles(graph, y)
         exists = exhaustive_violation_exists(graph, y, tol)
         assert bool(found) == exists, (edges, y.tolist())
         for ineq in found:

@@ -82,7 +82,7 @@ def test_row_bookkeeping():
         assert be.row_count() == 2
         assert be.add_rows([({0: 1.0, 1: 1.0}, 0.8)]) == [2]
         assert be.row_count() == 3
-        be.solve()  # the HiGHS model now holds the rows too
+        be.solve()  # deleting rows from a solved model keeps the rest in step
         be.remove_rows([0])
         assert be.row_count() == 2
         # the rows after the deleted one moved up: x1 <= 0.5, then x0 + x1 <= 0.8
@@ -271,12 +271,11 @@ def test_highs_extension_loads_without_scipy_optimize():
 def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:
     """A random LP whose next solve takes a few tenths of a second.
 
-    The HiGHS model is built by a bounds-only solve first, so that a timed
-    solve is all simplex iterations.
+    The rows reach the HiGHS model as they are added, so a timed solve is
+    all simplex iterations.
     """
     rng = random.Random(7)
     be = make(SimplexBackend, [rng.uniform(-1, 1) for _ in range(n)], [0.0] * n, [1.0] * n)
-    assert be.solve().status == OPTIMAL
     be.add_rows([({j: rng.choice([-1.0, 1.0]) for j in rng.sample(range(n), 8)},
                   rng.uniform(0.5, 2.0)) for _ in range(m)])
     return be

@@ -31,7 +31,7 @@ from storymin import (
     separate_odd_cycles,
     separate_transitivity,
 )
-from storymin.maxcut import TransitivityCut, _best_odd_set, _extract_simple_odd_cycle
+from storymin.maxcut import TOLERANCE, TransitivityCut, _best_odd_set, _extract_simple_odd_cycle
 from storymin.mlcm import Solution
 
 from conftest import cut_graph, random_general_instance, random_story_doc, random_storyline_instance
@@ -193,7 +193,7 @@ def test_separation_agrees_with_enumeration():
         n = rng.randint(3, 6)
         graph = random_cut_graph(rng, n, rng.randint(1, n))
         y = np.array([rng.random() for _ in range(graph.n_edges)])
-        found = separate_odd_cycles(graph, y, tolerance=1e-6)
+        found = separate_odd_cycles(graph, y)
         expected = exhaustive_violated(graph, y)
         assert bool(found) == bool(expected), (graph, y.tolist())
         for ineq in found:
@@ -264,7 +264,7 @@ def test_violated_triangles_come_first():
         assert violations == pytest.approx(sorted(expected.values(), reverse=True))
         # the shortcut is the consistency check's triangle pass, cap included
         assert cut_consistency(graph, y) == found
-        assert cut_consistency(graph, y, 1e-6, 2) == separate_odd_cycles(graph, y, 1e-6, 2) == found[:2]
+        assert cut_consistency(graph, y, 2) == separate_odd_cycles(graph, y, 2) == found[:2]
     assert with_triangles >= 20
 
 
@@ -365,7 +365,6 @@ _SOURCE_CHUNK = 128
 def whole_graph_separate_odd_cycles(
     graph: MaxCutGraph,
     y,
-    tolerance: float = 1e-6,
     max_cuts: int = 500,
 ) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
@@ -382,7 +381,7 @@ def whole_graph_separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = cut_consistency(graph, yv, tolerance, max_cuts)
+    triangles = cut_consistency(graph, yv, max_cuts)
     if triangles:
         return triangles
 
@@ -404,12 +403,12 @@ def whole_graph_separate_odd_cycles(
         dist, pred = dijkstra(doubled, directed=True, indices=2 * src,
                               return_predecessors=True, limit=1.0)
         reach = dist[np.arange(src.size), 2 * src + 1]
-        for i in np.flatnonzero(reach < 1.0 - tolerance).tolist():
+        for i in np.flatnonzero(reach < 1.0 - TOLERANCE).tolist():
             cycle = _walk_to_cycle(edge_index, n, pred[i], int(src[i]))
             if cycle is None:
                 continue
             odd_set, violation = _best_odd_set(cycle, yv)
-            if violation <= tolerance:
+            if violation <= TOLERANCE:
                 continue
             ineq = OddCycleInequality(tuple(cycle), odd_set)
             found.setdefault(ineq.key(), (violation, ineq))
@@ -444,10 +443,10 @@ def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
     rounds = []
     real = solver.separate_odd_cycles
 
-    def record(graph, y, tolerance, max_cuts, **kwargs):
-        if not cut_consistency(graph, y, tolerance, max_cuts):
+    def record(graph, y, max_cuts, **kwargs):
+        if not cut_consistency(graph, y, max_cuts):
             rounds.append((graph, np.array(y, dtype=float)))
-        return real(graph, y, tolerance, max_cuts, **kwargs)
+        return real(graph, y, max_cuts, **kwargs)
 
     monkeypatch.setattr(solver, "separate_odd_cycles", record)
     docs = [random_story_doc(random.Random(seed), 12, 30, 12) for seed in range(1, 9)]

@@ -34,7 +34,7 @@ from storymin.ordering import (
     dump_model,
     solution_of_classes,
 )
-from storymin.maxcut import build_maxcut, separate_transitivity
+from storymin.maxcut import TOLERANCE, build_maxcut, separate_transitivity
 from storymin.solver import barycenter_heuristic
 
 from conftest import (
@@ -462,7 +462,7 @@ def test_separate_transitivity_reports_every_violated_triple():
         if not len(reduced.triples):
             continue
         z = np.array([rng.random() for _ in range(reduced.n_classes)])
-        hits = separate_transitivity(reduced, z, 1e-9)
+        hits = separate_transitivity(reduced, z)
         # verify every reported triple and its violation by brute recompute
         for cut in hits:
             val = z[cut.a] + z[cut.b] - z[cut.c]
@@ -476,9 +476,9 @@ def test_separate_transitivity_reports_every_violated_triple():
         reported = {cut.key() for cut in hits}
         for a, b, c in reduced.triples.tolist():
             val = z[a] + z[b] - z[c]
-            if val > 1.0 + 1e-9:
+            if val > 1.0 + TOLERANCE:
                 assert ("transitivity", a, b, c, "upper") in reported
-            if val < -1e-9:
+            if val < -TOLERANCE:
                 assert ("transitivity", a, b, c, "lower") in reported
     assert found_any
 
@@ -490,7 +490,7 @@ def test_transitivity_satisfied_at_solutions():
         reduced = identify_variables(build_model(inst))
         for sol in list(all_solutions(inst))[:8]:
             z = np.array(classes_of_solution(reduced, sol), dtype=float)
-            assert separate_transitivity(reduced, z, 1e-9) == []
+            assert separate_transitivity(reduced, z) == []
 
 
 def test_optimum_over_assignments_matches_oracle():

@@ -287,7 +287,7 @@ def test_node_cut_short_in_separation_is_reposted(monkeypatch):
 
     deadlines = []
 
-    def stopped_separation(graph, y, tolerance, max_cuts, deadline):
+    def stopped_separation(graph, y, max_cuts, deadline):
         deadlines.append(deadline)
         while time.monotonic() <= deadline:
             time.sleep(0.01)
@@ -366,6 +366,29 @@ def test_edge_0_is_pinned_at_every_solve():
     assert len(pins) == res.stats.n_LPs
 
 
+def test_no_lp_when_the_heuristic_meets_the_root_bound():
+    """A start layout at the box relaxation's bound is optimal before any LP is made."""
+
+    def no_backend():
+        raise AssertionError("an LP backend was constructed")
+
+    doc = {"characters": ["a", "b", "c", "d"], "scenes": [
+        {"id": "s1", "members": ["a", "b"], "begin": 0, "end": 1},
+        {"id": "s2", "members": ["c", "d"], "begin": 0, "end": 1},
+        {"id": "s3", "members": ["a", "c"], "begin": 2, "end": 3},
+        {"id": "s4", "members": ["b", "d"], "begin": 2, "end": 3}]}
+    story, _ = build_instance(parse_story(json.dumps(doc)))
+    leaf = LayerTree(1, (1, -1), ("root",))
+    edgeless = MlcmInstance((1, 1), (((0, 0),),), (leaf, leaf))
+    for inst, crossings in ((story, 1), (edgeless, 0)):
+        res = branch_and_cut(inst, backend=no_backend)
+        assert res.status == OPTIMAL_STATUS
+        assert res.crossings == res.lower_bound == crossings
+        assert res.stats.n_LPs == res.stats.n_sub == 0
+    assert build_maxcut(identify_variables(build_model(story))).n_edges > 0
+    assert build_maxcut(identify_variables(build_model(edgeless))).n_edges == 0
+
+
 def test_default_falls_back_to_linprog_without_highs(monkeypatch):
     def no_extension():
         raise ImportError("no HiGHS extension")
@@ -381,10 +404,8 @@ def test_default_falls_back_to_linprog_without_highs(monkeypatch):
     monkeypatch.setattr(lp, "_load_highs_core", no_extension)
     monkeypatch.setattr(solver, "ScipyBackend", CountedScipyBackend)
     assert not lp.highs_available()
-    backend = SimplexBackend()
-    backend.load([1.0], [0.0], [1.0])
     with pytest.raises(ImportError):
-        backend.solve()
+        SimplexBackend().load([1.0], [0.0], [1.0])
     rng = random.Random(103)
     for _ in range(6):
         inst = random_storyline_instance(rng)
