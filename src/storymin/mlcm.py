@@ -242,23 +242,35 @@ def _inversions(values: list[int]) -> int:
     return inv
 
 
+def _positions(order: tuple[int, ...] | list[int]) -> list[int]:
+    """``pos[v]`` is the index of node v in ``order``, a permutation of the layer's nodes."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
+def _gap_crossings(gap_edges, pos_u: list[int], pos_v: list[int]) -> int:
+    """Crossings of one gap, given both layers' positions (see ``_positions``)."""
+    pairs = sorted([(pos_u[u], pos_v[v]) for u, v in gap_edges])
+    return _inversions([b for _, b in pairs])
+
+
 def count_crossings(instance: MlcmInstance, solution: Solution) -> int:
     """Number of edge pairs that cross, summed over consecutive-layer gaps.
 
     Two edges of the same gap cross iff their endpoints appear in opposite
     relative order on the two layers.  Edges sharing an endpoint never cross.
+    Raises ValueError unless every order is a permutation of its layer's nodes.
     """
     if len(solution.orders) != instance.p:
         raise ValueError("solution layer count does not match instance")
-    total = 0
-    for r, gap_edges in enumerate(instance.edges):
-        if not gap_edges:
-            continue
-        pos_u = {v: i for i, v in enumerate(solution.orders[r])}
-        pos_v = {v: i for i, v in enumerate(solution.orders[r + 1])}
-        pairs = sorted((pos_u[u], pos_v[v]) for u, v in gap_edges)
-        total += _inversions([b for _, b in pairs])
-    return total
+    for r, order in enumerate(solution.orders):
+        if sorted(order) != list(range(instance.layer_sizes[r])):
+            raise ValueError(f"solution layer {r + 1} is not a permutation of the layer's nodes")
+    pos = [_positions(order) for order in solution.orders]
+    return sum(_gap_crossings(gap_edges, pos[r], pos[r + 1])
+               for r, gap_edges in enumerate(instance.edges) if gap_edges)
 
 
 def validate_instance(instance: MlcmInstance) -> ValidationReport:

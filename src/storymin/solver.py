@@ -2,7 +2,9 @@
 
 Pipeline: validate -> merge equivalent consecutive layers -> run the
 barycenter heuristic (its solution provides both the incumbent and the
-per-layer variable indexing) -> build the quadratic ordering model -> identify
+per-layer variable indexing; at most 8 sweeps, each recounting only the
+gaps next to a layer it reordered, and stopping early once the alternating
+sweeps repeat a layout) -> build the quadratic ordering model -> identify
 variables -> reduce to a weighted cut problem -> branch and cut on the LP
 relaxation (box bounds only at the root; odd-cycle and transitivity
 inequalities separated on demand).
@@ -65,7 +67,14 @@ from .maxcut import (
     separate_odd_cycles,
     separate_transitivity,
 )
-from .mlcm import MlcmInstance, Solution, count_crossings, validate_instance
+from .mlcm import (
+    MlcmInstance,
+    Solution,
+    _gap_crossings,
+    _positions,
+    count_crossings,
+    validate_instance,
+)
 from .ordering import ReducedModel, build_model, identify_variables
 from .transform import expand_solution, merge_layers
 
@@ -143,13 +152,23 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     mean position of their neighbors on the reference layer (isolated leaves
     keep their current position), internal nodes take the mean of their
     subtree's leaf barycenters, and each internal node's children are sorted
-    stably by barycenter.  Reading the tree off in DFS order keeps every
-    bundle contiguous.  The best layout over all sweeps is returned.
+    by barycenter (ties by current position).  Reading the tree off in DFS
+    order keeps every bundle contiguous.  One bottom-up pass over the
+    layer's internal nodes does this, children before parents.
+
+    The best layout over all sweeps is returned (the first of equal counts).
+    Crossings are kept per gap, and after a sweep only the gaps next to a
+    layer whose order changed are recounted.  A sweep depends only on the
+    layout it starts from and on its direction, and the direction
+    alternates: once a sweep ends on the layout of two sweeps before, every
+    later layout repeats one already counted, so the sweeps stop there
+    without changing the result.
     """
     p = instance.p
-    if p == 0:
-        return Solution(())
-    orders = [list(t.canonical_leaf_order()) for t in instance.trees]
+    trees = instance.trees
+    orders = [list(t.canonical_leaf_order()) for t in trees]
+    if p <= 1 or sweeps <= 0:
+        return Solution(tuple(tuple(o) for o in orders))
 
     up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
     down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
@@ -157,40 +176,63 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
         for u, v in gap_edges:
             down_adj[r][u].append(v)
             up_adj[r + 1][v].append(u)
+    # each layer's internal nodes, children before parents
+    bottom_up = [[v for v in reversed(t._topo_order) if v >= t.n_leaves] for t in trees]
+    pos = [_positions(o) for o in orders]
 
-    def reorder(r: int, ref: int, adj: list[list[int]]) -> None:
-        tree = instance.trees[r]
-        ref_pos = {v: i for i, v in enumerate(orders[ref])}
-        cur_pos = {v: i for i, v in enumerate(orders[r])}
+    def reorder(r: int, ref_pos: list[int], adj: list[list[int]]) -> list[int]:
+        """Layer r's new order against the reference layer's positions."""
+        tree = trees[r]
+        n, extra = tree.n_leaves, tree.n_nodes - tree.n_leaves
+        cur = pos[r]
+        children = tree.children
+        # per node: barycenter sum, leaf count, first current position, new leaf order
+        bsum = [sum([ref_pos[u] for u in nbrs]) / len(nbrs) if nbrs else float(cur[v])
+                for v, nbrs in enumerate(adj)] + [0.0] * extra
+        count = [1] * (n + extra)
+        first = cur + [0] * extra
+        seq: list[list[int]] = [[]] * (n + extra)
+        for v in bottom_up[r]:
+            kids = sorted([(bsum[c] / count[c], first[c], c) for c in children[v]])
+            m, f, out = 0, n, []
+            for _, fc, c in kids:
+                m += count[c]
+                if fc < f:
+                    f = fc
+                if c < n:
+                    out.append(c)
+                else:
+                    out += seq[c]
+            # builtin sum() in key order: another order or summation could round
+            # the parent's key differently and change the layout
+            bsum[v] = sum([bsum[c] for _, _, c in kids])
+            count[v], first[v], seq[v] = m, f, out
+        return seq[tree.root]
 
-        def place(v: int) -> tuple[float, int, int, list[int]]:
-            """Barycenter sum, leaf count, first current position and new leaf order of v's subtree."""
-            if tree.is_leaf(v):
-                nbrs = adj[v]
-                bc = (sum(ref_pos[u] for u in nbrs) / len(nbrs)) if nbrs else float(cur_pos[v])
-                return bc, 1, cur_pos[v], [v]
-            parts = sorted((place(child) for child in tree.children[v]), key=lambda s: (s[0] / s[1], s[2]))
-            return (sum(s[0] for s in parts), sum(s[1] for s in parts), min(s[2] for s in parts),
-                    [x for s in parts for x in s[3]])
-
-        orders[r] = place(tree.root)[3]
-
-    best = Solution(tuple(tuple(o) for o in orders))
-    best_count = count_crossings(instance, best)
+    gap_counts = [_gap_crossings(e, pos[r], pos[r + 1]) for r, e in enumerate(instance.edges)]
+    best, best_count = list(orders), sum(gap_counts)
+    # the layouts after the last two sweeps; orders[r] is replaced, never mutated
+    before, last = None, list(orders)
     for k in range(sweeps):
-        if p == 1:
-            break
         if k % 2 == 0:
-            for r in range(1, p):
-                reorder(r, r - 1, up_adj[r])
+            steps = [(r, r - 1, up_adj[r]) for r in range(1, p)]
         else:
-            for r in range(p - 2, -1, -1):
-                reorder(r, r + 1, down_adj[r])
-        cand = Solution(tuple(tuple(o) for o in orders))
-        c = count_crossings(instance, cand)
-        if c < best_count:
-            best, best_count = cand, c
-    return best
+            steps = [(r, r + 1, down_adj[r]) for r in range(p - 2, -1, -1)]
+        stale: set[int] = set()
+        for r, ref, adj in steps:
+            new = reorder(r, pos[ref], adj)
+            if new != orders[r]:
+                orders[r], pos[r] = new, _positions(new)
+                stale.update(g for g in (r - 1, r) if 0 <= g < p - 1)
+        for g in stale:
+            gap_counts[g] = _gap_crossings(instance.edges[g], pos[g], pos[g + 1])
+        total = sum(gap_counts)
+        if total < best_count:
+            best, best_count = list(orders), total
+        if orders == before:
+            break
+        before, last = last, list(orders)
+    return Solution(tuple(tuple(o) for o in best))
 
 
 def solve_heuristic(instance: MlcmInstance) -> OptResult:

@@ -111,13 +111,38 @@ def test_count_crossings_basics():
     assert count_crossings(inst2, Solution(((0, 1), (1, 0)))) == 1
 
 
+def one_node_layers_and_empty_gaps(rng: random.Random, inst: MlcmInstance) -> MlcmInstance:
+    """``inst`` with some layers cut to a single node and some gaps emptied."""
+    sizes, trees, edges = list(inst.layer_sizes), list(inst.trees), list(inst.edges)
+    for r in range(inst.p):
+        if rng.random() < 0.3:
+            sizes[r], trees[r] = 1, flat_tree(1)
+    for g in range(inst.p - 1):
+        edges[g] = () if rng.random() < 0.3 else tuple(sorted(
+            {(min(u, sizes[g] - 1), min(v, sizes[g + 1] - 1)) for u, v in edges[g]}))
+    return MlcmInstance(tuple(sizes), tuple(edges), tuple(trees))
+
+
 def test_count_crossings_matches_naive():
     rng = random.Random(9)
-    for _ in range(60):
+    variants = 0
+    for i in range(120):
         inst = random_general_instance(rng)
+        if i >= 60:
+            inst = one_node_layers_and_empty_gaps(rng, random_general_instance(rng, p_range=(3, 6)))
+            assert validate_instance(inst).ok
+            variants += 1 in inst.layer_sizes and () in inst.edges
         sol = Solution(tuple(
             tuple(rng.sample(range(n), n)) for n in inst.layer_sizes))
         assert count_crossings(inst, sol) == naive_crossings(inst, sol)
+    assert variants >= 10
+
+
+@pytest.mark.parametrize("orders", [((0, 1),), ((0, 0), (0, 1)), ((0,), (1, 0)),
+                                    ((0, 1, 2), (1, 0)), ((0, 2), (0, 1))])
+def test_count_crossings_rejects_a_non_permutation(orders):
+    with pytest.raises(ValueError):
+        count_crossings(two_layer(2, 2, [(0, 0), (1, 1)]), Solution(orders))
 
 
 def test_count_crossings_large_random():

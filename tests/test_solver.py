@@ -13,6 +13,7 @@ from storymin import (
     TIMEOUT_STATUS,
     LayerTree,
     MlcmInstance,
+    Solution,
     SolveConfig,
     SolveStats,
     barycenter_heuristic,
@@ -21,15 +22,19 @@ from storymin import (
     build_instance,
     count_crossings,
     is_tree_consistent,
+    merge_layers,
     parse_story,
     solve_heuristic,
+    validate_instance,
 )
 from storymin import build_model, identify_variables, lp, solver
 from storymin.maxcut import build_maxcut
 from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
 from conftest import (
+    naive_crossings,
     random_general_instance,
+    random_general_tree,
     random_story_doc,
     random_storyline_instance,
 )
@@ -65,6 +70,112 @@ def test_heuristic_finds_zero_crossing_layouts(fig_story_text):
     inst, _ = build_instance(parse_story(fig_story_text))
     sol = barycenter_heuristic(inst)
     assert count_crossings(inst, sol) == 0
+
+
+def reference_barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
+    """The heuristic as it was before the per-gap recount and the 2-cycle stop:
+    a recursive placement per layer, dict positions, every sweep run and
+    every layout counted in full.  The count is the naive O(E^2) one, so the
+    reference shares no counting code with the heuristic under test."""
+    p = instance.p
+    if p == 0:
+        return Solution(())
+    orders = [list(t.canonical_leaf_order()) for t in instance.trees]
+
+    up_adj = [[[] for _ in range(n)] for n in instance.layer_sizes]
+    down_adj = [[[] for _ in range(n)] for n in instance.layer_sizes]
+    for r, gap_edges in enumerate(instance.edges):
+        for u, v in gap_edges:
+            down_adj[r][u].append(v)
+            up_adj[r + 1][v].append(u)
+
+    def reorder(r, ref, adj):
+        tree = instance.trees[r]
+        ref_pos = {v: i for i, v in enumerate(orders[ref])}
+        cur_pos = {v: i for i, v in enumerate(orders[r])}
+
+        def place(v):
+            if tree.is_leaf(v):
+                nbrs = adj[v]
+                bc = (sum(ref_pos[u] for u in nbrs) / len(nbrs)) if nbrs else float(cur_pos[v])
+                return bc, 1, cur_pos[v], [v]
+            parts = sorted((place(child) for child in tree.children[v]), key=lambda s: (s[0] / s[1], s[2]))
+            return (sum(s[0] for s in parts), sum(s[1] for s in parts), min(s[2] for s in parts),
+                    [x for s in parts for x in s[3]])
+
+        orders[r] = place(tree.root)[3]
+
+    best = Solution(tuple(tuple(o) for o in orders))
+    best_count = naive_crossings(instance, best)
+    for k in range(sweeps):
+        if p == 1:
+            break
+        if k % 2 == 0:
+            for r in range(1, p):
+                reorder(r, r - 1, up_adj[r])
+        else:
+            for r in range(p - 2, -1, -1):
+                reorder(r, r + 1, down_adj[r])
+        cand = Solution(tuple(tuple(o) for o in orders))
+        c = naive_crossings(instance, cand)
+        if c < best_count:
+            best, best_count = cand, c
+    return best
+
+
+def path_tree(rng: random.Random, n: int) -> LayerTree:
+    """A tree as deep as the layer is wide: every internal node has one leaf child."""
+    leaves = rng.sample(range(n), n)
+    spec = ("g", leaves[-2:])
+    for leaf in reversed(leaves[:-2]):
+        kids = [leaf, spec]
+        rng.shuffle(kids)
+        spec = ("g", kids)
+    return LayerTree.from_nested(spec, n)
+
+
+def sparse_general_instance(rng: random.Random, p: int) -> MlcmInstance:
+    """Arbitrary trees (some of them paths), one-node layers, isolated leaves
+    and gaps without edges."""
+    sizes = tuple(rng.randint(1, 9) for _ in range(p))
+    trees = []
+    for n in sizes:
+        if n == 1:
+            trees.append(LayerTree(1, (1, -1), ("root",)))
+        elif rng.random() < 0.3:
+            trees.append(path_tree(rng, n))
+        else:
+            trees.append(random_general_tree(rng, n))
+    edges = []
+    for r in range(p - 1):
+        density = 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 0.5)
+        edges.append(tuple((u, v) for u in range(sizes[r]) for v in range(sizes[r + 1])
+                           if rng.random() < density))
+    return MlcmInstance(sizes, tuple(edges), tuple(trees))
+
+
+def assert_same_as_reference(inst: MlcmInstance) -> None:
+    for sweeps in range(10):
+        assert barycenter_heuristic(inst, sweeps) == reference_barycenter_heuristic(inst, sweeps), sweeps
+
+
+def test_heuristic_matches_reference_on_general_instances():
+    rng = random.Random(93)
+    for i in range(90):
+        inst = sparse_general_instance(rng, i % 3 if i < 12 else rng.randint(2, 7))
+        assert validate_instance(inst).ok
+        assert_same_as_reference(inst)
+
+
+def test_heuristic_matches_reference_on_storyline_instances():
+    rng = random.Random(94)
+    for _ in range(30):
+        assert_same_as_reference(random_storyline_instance(rng, p_range=(2, 6), n_range=(3, 9)))
+    for _ in range(20):
+        doc = random_story_doc(rng, rng.randint(4, 10), rng.randint(4, 14), tmax=12)
+        inst, _ = build_instance(parse_story(json.dumps(doc)))
+        assert_same_as_reference(inst)
+        assert_same_as_reference(merge_layers(inst)[0])
 
 
 def test_solve_heuristic_result(bundle_story_text):
