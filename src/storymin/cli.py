@@ -231,7 +231,7 @@ def _default_time_limit(args) -> float:
         if not (value > 0):
             raise FormatError("bad-env", f"STORYMIN_TIME_LIMIT is not a positive number: {env!r}")
         return value
-    return 3600.0
+    return SolveConfig.time_limit
 
 
 def _cmd_validate(args) -> int:

@@ -68,7 +68,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .mlcm import Solution
-from .ordering import ReducedModel, classes_of_solution, solution_of_classes
+from .ordering import ReducedModel, _read_only, classes_of_solution, solution_of_classes
 
 __all__ = [
     "MaxCutGraph",
@@ -91,6 +91,9 @@ _BLOCK = 1 << 19
 # a row or point is violated, and a value is 0/1, beyond this much; the
 # solver reads it too, for its integrality test, branching and pruning
 TOLERANCE = 1e-6
+
+# each separator returns at most this many inequalities per call
+MAX_CUTS = 500
 
 # the four odd sets of a reference triangle (pair edge, root edge of u, root
 # edge of v), as positions in that cycle; scored in this order below
@@ -133,9 +136,7 @@ def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
     ends[n_classes:] = terms[start, :2] + 1
     weights = np.zeros(len(ends), dtype=np.int64)
     weights[n_classes:] = np.add.reduceat(np.where(xor, w, -w), start)
-    ends.flags.writeable = False
-    weights.flags.writeable = False
-    return MaxCutGraph(n_classes + 1, ends, weights, int(w[xor == 0].sum()))
+    return MaxCutGraph(n_classes + 1, _read_only(ends), _read_only(weights), int(w[xor == 0].sum()))
 
 
 def evaluate_cut(graph: MaxCutGraph, y) -> float:
@@ -187,9 +188,9 @@ class TransitivityCut:
         return ("transitivity", self.a, self.b, self.c, self.sense)
 
 
-def cut_consistency(graph: MaxCutGraph, y, max_cuts: int = 500) -> list[OddCycleInequality]:
+def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
     """Violated reference-triangle inequalities at y clipped to [0, 1], at
-    most ``max_cuts``, most violated first (ties by edge).
+    most ``MAX_CUTS``, most violated first (ties by edge).
 
     At a 0/1 vector a failing pair edge (y_uv != y_u0 xor y_v0) closes a
     triangle with an odd number of y=1 edges, violated by a full unit, so
@@ -201,7 +202,7 @@ def cut_consistency(graph: MaxCutGraph, y, max_cuts: int = 500) -> list[OddCycle
     a, b, c = yv[r:], yv[roots[:, 0]], yv[roots[:, 1]]
     viol = np.column_stack((a - b - c, b - a - c, c - a - b, a + b + c - 2.0)).ravel()
     hits = np.flatnonzero(viol > TOLERANCE)
-    hits = hits[np.argsort(-viol[hits], kind="stable")][:max_cuts]
+    hits = hits[np.argsort(-viol[hits], kind="stable")][:MAX_CUTS]
     out = []
     for k in hits.tolist():
         p, kind = divmod(k, 4)
@@ -256,12 +257,7 @@ def _extract_simple_odd_cycle(nodes: list[int], steps: list[tuple[int, bool]]) -
             nodes, steps = outer_nodes, outer_steps
 
 
-def separate_odd_cycles(
-    graph: MaxCutGraph,
-    y,
-    max_cuts: int = 500,
-    deadline: float = math.inf,
-) -> list[OddCycleInequality]:
+def separate_odd_cycles(graph: MaxCutGraph, y, deadline: float = math.inf) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
 
     Violated reference triangles are returned when there are any.  Otherwise
@@ -271,7 +267,7 @@ def separate_odd_cycles(
     end outside such components closes one candidate cycle through a
     shortest path of the contracted graph.  Every candidate is reduced to a
     simple odd cycle and re-checked exactly.  Complete: a violated
-    inequality exists iff one is returned.  Returns at most ``max_cuts``
+    inequality exists iff one is returned.  Returns at most ``MAX_CUTS``
     inequalities, most violated first.  The search stops early once
     ``time.monotonic()`` passes ``deadline``; what it found by then is
     returned.
@@ -281,7 +277,7 @@ def separate_odd_cycles(
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = cut_consistency(graph, yv, max_cuts)
+    triangles = cut_consistency(graph, yv)
     if triangles:
         return triangles
 
@@ -299,7 +295,7 @@ def separate_odd_cycles(
             found.setdefault(ineq.key(), (violation, ineq))
 
     order = sorted(found.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return [ineq for _, (_, ineq) in order[:max_cuts]]
+    return [ineq for _, (_, ineq) in order[:MAX_CUTS]]
 
 
 class _IntegralForest:
@@ -576,12 +572,14 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
 
 def separate_transitivity(reduced: ReducedModel, y) -> list[TransitivityCut]:
     """Violated class triples, read off the root-edge values of y: every
-    violated "upper" row in triple order, then every violated "lower" one."""
+    violated "upper" row in triple order, then every violated "lower" one,
+    the first ``MAX_CUTS`` of them."""
     z = np.asarray(y, dtype=float)[:reduced.n_classes]
     t = reduced.triples
     val = z[t[:, 0]] + z[t[:, 1]] - z[t[:, 2]]
-    return ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + TOLERANCE].tolist()]
+    cuts = ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + TOLERANCE].tolist()]
             + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -TOLERANCE].tolist()])
+    return cuts[:MAX_CUTS]
 
 
 def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solution) -> np.ndarray:

@@ -290,30 +290,27 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
         if tree.n_leaves != n:
             report.add("tree-leaf-mismatch", f"layer has {n} nodes but tree has {tree.n_leaves} leaves", loc)
             continue
-        roots = [v for v, p in enumerate(tree.parent) if p == -1]
-        if len(roots) != 1:
-            report.add("not-a-tree", f"{len(roots)} roots", loc)
+        m = tree.n_nodes
+        stray = next((v for v, p in enumerate(tree.parent) if not -1 <= p < m), None)
+        if stray is not None:
+            report.add("not-a-tree", f"node {stray} has parent {tree.parent[stray]}, not in -1..{m - 1}", loc)
             continue
-        # reachability + acyclicity: every node must reach the root
-        ok = True
-        for v in range(tree.n_nodes):
-            seen = set()
-            x = v
-            while x != -1 and x not in seen:
-                seen.add(x)
-                x = tree.parent[x]
-            if x != -1:
-                report.add("not-a-tree", f"parent cycle through node {v}", loc)
-                ok = False
-                break
-        if not ok:
+        n_roots = tree.parent.count(-1)
+        if n_roots != 1:
+            report.add("not-a-tree", f"{n_roots} roots", loc)
             continue
-        if tree.n_nodes == tree.n_leaves:
+        # every node has one parent, so the DFS from the root misses a node
+        # iff that node's parent chain runs into a cycle
+        if len(tree._topo_order) != m:
+            v = min(set(range(m)).difference(tree._topo_order))
+            report.add("not-a-tree", f"parent cycle through node {v}", loc)
+            continue
+        if m == n:
             report.add("no-internal-node", "tree has no internal node", loc)
             continue
         if n > 0 and tree.is_leaf(tree.root):
             report.add("leaf-root", "root must be internal", loc)
-        for v in range(tree.n_leaves, tree.n_nodes):
+        for v in range(n, m):
             if not tree.children[v]:
                 report.add("childless-internal", f"internal node {v} has no children", loc)
         if instance.labels is not None and len(instance.labels[r]) != n:

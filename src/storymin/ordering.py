@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
+from .mlcm import LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
 
 __all__ = [
     "TransitivityTriple",
@@ -262,7 +262,7 @@ def _crossing_terms(model: OrderingModel, table: np.ndarray, n_ids: int) -> np.n
     two pairs are in the same index order, else an xnor.  All gaps at once.
     """
     sizes, base = model.instance.layer_sizes, model.table_base
-    rank = [dict(zip(o, range(len(o)))) for o in model.orders]
+    rank = [_positions(o) for o in model.orders]
     # per edge e: the table rows of its upper and lower end, their index
     # positions, its number of later edges in the gap, and e + 1 - (the
     # number of pairs before its first)

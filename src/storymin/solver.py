@@ -11,13 +11,14 @@ inequalities separated on demand).
 
 Separation order at each LP point.  An integral point goes to
 ``cut_consistency``, which returns the reference triangles (a pair edge and
-its two root edges) the point fails; they enter the LP at once, up to 500
-per round.  At an integral cut, violated transitivity rows are added if
-there are any; otherwise the point is decoded, recounted and offered as
-incumbent.  At a fractional point: ``separate_odd_cycles`` (violated
-reference triangles if there are any, only otherwise the odd cycles of the
-graph that the edges at 0 or 1 contract to), then transitivity; if nothing
-is violated, the node branches.
+its two root edges) the point fails; they enter the LP at once, up to
+``MAX_CUTS`` per round (``maxcut.MAX_CUTS`` caps every separator's list).
+At an integral cut, violated transitivity rows are added if there are any;
+otherwise the point is decoded, recounted and offered as incumbent.  At a
+fractional point: ``separate_odd_cycles`` (violated reference triangles if
+there are any, only otherwise the odd cycles of the graph that the edges at
+0 or 1 contract to), then transitivity; if nothing is violated, the node
+branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
@@ -32,7 +33,7 @@ between LPs.
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
-index).  The cuts in the LP are kept as one list of keys in row order, beside
+index).  The cuts in the LP are kept as one dict by key, in row order, beside
 one array of consecutive-slack counts; an inequality whose slack stays above
 0.1 for 10 consecutive LP solves leaves the LP and is forgotten, and
 separation finds it again if it is violated again.  Everything is
@@ -97,7 +98,6 @@ FEASIBLE_STATUS = "feasible"
 TIMEOUT_STATUS = "timeout"
 INFEASIBLE_INPUT_STATUS = "infeasible-input"
 
-_MAX_CUTS = 500  # per separation round
 _SLACK_DROP = 0.1
 _SLACK_ROUNDS = 10
 _FORCE_BRANCH_ROUNDS = 200
@@ -280,9 +280,8 @@ class _Search:
         self.heap: list[_Node] = []
         self.seq = 0
         self.timed_out = False
-        # the LP's cuts in row order: their keys and consecutive-slack counts
-        self.row_keys: list = []
-        self.lp_keys: set = set()
+        # the LP's cuts by key, in row order, and their consecutive-slack counts
+        self.row_cuts: dict = {}
         self.slack_rounds = np.zeros(0, dtype=np.int64)
         self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
@@ -305,12 +304,11 @@ class _Search:
     # -- cut handling -----------------------------------------------------
 
     def _add_cuts(self, cuts, kind: str) -> int:
-        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.lp_keys}
+        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.row_cuts}
         if not fresh:
             return 0
         self.backend.add_rows([cut.lp_row() for cut in fresh.values()])
-        self.row_keys.extend(fresh)
-        self.lp_keys.update(fresh)
+        self.row_cuts.update(fresh)
         self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(fresh), np.int64)])
         if kind == "oddc":
             self.stats.n_oddc += len(fresh)
@@ -324,8 +322,7 @@ class _Search:
         if keep.all():
             return
         self.backend.remove_rows(np.flatnonzero(~keep).tolist())
-        self.lp_keys.difference_update(k for k, kept in zip(self.row_keys, keep) if not kept)
-        self.row_keys = [k for k, kept in zip(self.row_keys, keep) if kept]
+        self.row_cuts = {k: cut for (k, cut), kept in zip(self.row_cuts.items(), keep) if kept}
         self.slack_rounds = self.slack_rounds[keep]
 
     # -- node processing --------------------------------------------------
@@ -373,15 +370,14 @@ class _Search:
                     return
                 continue
 
-            cuts = separate_odd_cycles(self.graph, y, _MAX_CUTS, deadline=self.deadline)
+            cuts = separate_odd_cycles(self.graph, y, deadline=self.deadline)
             if time.monotonic() > self.deadline:
                 # the search may have stopped short: neither branch nor prune
                 self._time_out(node)
                 return
             added = self._add_cuts(cuts, "oddc")
             if not added:
-                added = self._add_cuts(
-                    separate_transitivity(self.reduced, y)[:_MAX_CUTS], "trans")
+                added = self._add_cuts(separate_transitivity(self.reduced, y), "trans")
             if not added or rounds > _FORCE_BRANCH_ROUNDS:
                 self._branch(node, y, total)
                 return
@@ -394,14 +390,14 @@ class _Search:
     def _handle_integral(self, y: np.ndarray, total: float) -> bool:
         """True if the node is finished (incumbent accepted or pruned)."""
         yr = np.round(y)
-        witnesses = cut_consistency(self.graph, yr, _MAX_CUTS)
+        witnesses = cut_consistency(self.graph, yr)
         if witnesses:
             if not self._add_cuts(witnesses, "oddc"):
                 raise SolverError("no progress at an inconsistent integral point")
             return False
         trans = separate_transitivity(self.reduced, yr)
         if trans:
-            if not self._add_cuts(trans[:_MAX_CUTS], "trans"):
+            if not self._add_cuts(trans, "trans"):
                 raise SolverError("no progress at a non-transitive integral point")
             return False
         solution = cut_to_solution(self.reduced, yr)

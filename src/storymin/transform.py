@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
+from .mlcm import ROOT_LABEL, LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
 from .story import Scene, Story, all_lifespans, validate_story
 from .validation import ValidationReport
 
@@ -94,7 +94,7 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
             k = len(groups)
             root = n + k
             parent = [0] * n + [root] * k + [-1]
-            labels = [sid for sid, _ in groups] + ["root"]
+            labels = [sid for sid, _ in groups] + [ROOT_LABEL]
             for gi, (_, vs) in enumerate(groups):
                 for v in vs:
                     parent[v] = n + gi
@@ -194,11 +194,8 @@ def merge_layers(instance: MlcmInstance) -> tuple[MlcmInstance, MergeMap]:
         phi = phis[r - 1]
         if phi is not None:
             layer_of[r] = layer_of[r - 1]
-            inv = [0] * len(phi)
-            for u, v in enumerate(phi):
-                inv[v] = u
             prev = node_maps[r - 1]
-            node_maps.append([prev[inv[v]] for v in range(len(phi))])
+            node_maps.append([prev[u] for u in _positions(phi)])  # u = phi^-1(v)
         else:
             layer_of[r] = layer_of[r - 1] + 1
             rep_layer.append(r)
@@ -225,7 +222,6 @@ def expand_solution(mm: MergeMap, merged_solution: Solution) -> Solution:
     """Pull a merged-instance solution back to the original layering."""
     orders = []
     for r, m in enumerate(mm.layer_of):
-        to_rep = mm.node_maps[r]
-        inv = {rep: orig for orig, rep in enumerate(to_rep)}
+        inv = _positions(mm.node_maps[r])  # representative id -> original id
         orders.append(tuple(inv[v] for v in merged_solution.orders[m]))
     return Solution(tuple(orders))

@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from storymin import solver
+from storymin import maxcut, solver
 from storymin import (
     OPTIMAL_STATUS,
     MaxCutGraph,
@@ -221,11 +221,12 @@ def test_separation_returns_most_violated_first():
         assert len({ineq.key() for ineq in found}) == len(found)
 
 
-def test_separation_max_cuts_cap():
+def test_separation_max_cuts_cap(monkeypatch):
     rng = random.Random(68)
     graph = random_cut_graph(rng, 7, 10)
     y = np.array([0.5] * graph.n_edges)
-    found = separate_odd_cycles(graph, y, max_cuts=2)
+    monkeypatch.setattr(maxcut, "MAX_CUTS", 2)
+    found = separate_odd_cycles(graph, y)
     assert len(found) <= 2
 
 
@@ -244,7 +245,7 @@ def violated_triangles_by_loop(graph: MaxCutGraph, y, tol=1e-6):
     return out
 
 
-def test_violated_triangles_come_first():
+def test_violated_triangles_come_first(monkeypatch):
     rng = random.Random(72)
     with_triangles = 0
     for _ in range(60):
@@ -264,7 +265,9 @@ def test_violated_triangles_come_first():
         assert violations == pytest.approx(sorted(expected.values(), reverse=True))
         # the shortcut is the consistency check's triangle pass, cap included
         assert cut_consistency(graph, y) == found
-        assert cut_consistency(graph, y, 2) == separate_odd_cycles(graph, y, 2) == found[:2]
+        with monkeypatch.context() as patch:
+            patch.setattr(maxcut, "MAX_CUTS", 2)
+            assert cut_consistency(graph, y) == separate_odd_cycles(graph, y) == found[:2]
     assert with_triangles >= 20
 
 
@@ -362,11 +365,7 @@ _LENGTH_FLOOR = 1e-12
 _SOURCE_CHUNK = 128
 
 
-def whole_graph_separate_odd_cycles(
-    graph: MaxCutGraph,
-    y,
-    max_cuts: int = 500,
-) -> list[OddCycleInequality]:
+def whole_graph_separate_odd_cycles(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
 
     Violated reference triangles are returned when there are any.  Otherwise
@@ -374,14 +373,14 @@ def whole_graph_separate_odd_cycles(
     projects to a closed walk with an odd number of side switches, which is
     reduced to a simple odd cycle and re-checked exactly.  Complete: a
     violated inequality exists iff some such path is shorter than 1.
-    Returns at most ``max_cuts`` inequalities, most violated first.
+    Returns at most ``MAX_CUTS`` inequalities, most violated first.
     """
     n = graph.n_nodes
     m = graph.n_edges
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = cut_consistency(graph, yv, max_cuts)
+    triangles = cut_consistency(graph, yv)
     if triangles:
         return triangles
 
@@ -414,7 +413,7 @@ def whole_graph_separate_odd_cycles(
             found.setdefault(ineq.key(), (violation, ineq))
 
     order = sorted(found.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return [ineq for _, (_, ineq) in order[:max_cuts]]
+    return [ineq for _, (_, ineq) in order[:maxcut.MAX_CUTS]]
 
 
 def _walk_to_cycle(edge_index: dict[tuple[int, int], int], n_nodes: int, pred: np.ndarray,
@@ -443,10 +442,10 @@ def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
     rounds = []
     real = solver.separate_odd_cycles
 
-    def record(graph, y, max_cuts, **kwargs):
-        if not cut_consistency(graph, y, max_cuts):
+    def record(graph, y, **kwargs):
+        if not cut_consistency(graph, y):
             rounds.append((graph, np.array(y, dtype=float)))
-        return real(graph, y, max_cuts, **kwargs)
+        return real(graph, y, **kwargs)
 
     monkeypatch.setattr(solver, "separate_odd_cycles", record)
     docs = [random_story_doc(random.Random(seed), 12, 30, 12) for seed in range(1, 9)]
@@ -530,9 +529,9 @@ def two_step_transitivity(reduced, y, tolerance=1e-6):
 
 
 @pytest.mark.parametrize("shape", ["general", "storyline"])
-def test_separate_transitivity_matches_two_step_separation(shape):
+def test_separate_transitivity_matches_two_step_separation(shape, monkeypatch):
     """Same cuts in the same order as the two-step separation, so cut keys
-    and the solver's cut sequence do not change."""
+    and the solver's cut sequence do not change; a cap keeps the first ones."""
     rng = random.Random(72 if shape == "general" else 73)
     make = random_general_instance if shape == "general" else random_storyline_instance
     n_cuts = 0
@@ -543,6 +542,9 @@ def test_separate_transitivity_matches_two_step_separation(shape):
             y = np.array([rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(graph.n_edges)])
             cuts = separate_transitivity(reduced, y)
             assert cuts == two_step_transitivity(reduced, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(maxcut, "MAX_CUTS", 2)
+                assert separate_transitivity(reduced, y) == cuts[:2]
             assert all(type(v) is int for cut in cuts for v in (cut.a, cut.b, cut.c))
             n_cuts += len(cuts)
     assert n_cuts > 50

@@ -188,6 +188,54 @@ def test_validate_instance_codes(inst, code):
     assert any(v.code == code for v in report.violations), report.summary()
 
 
+@pytest.mark.parametrize("parent", [(2, 5, -1), (2, -7, -1), (2, -2, -1)])
+def test_validate_instance_names_a_parent_out_of_range(parent):
+    report = validate_instance(MlcmInstance((2,), (), (LayerTree(2, parent, ("root",)),)))
+    (violation,) = report.violations
+    assert violation.code == "not-a-tree"
+    assert f"node 1 has parent {parent[1]}," in violation.message
+
+
+def per_node_walk_violations(tree: LayerTree) -> list[tuple[str, str]]:
+    """The tree checks of validate_instance, with acyclicity shown by walking
+    every node up to its root with a fresh set (parents must be in range)."""
+    roots = [v for v, p in enumerate(tree.parent) if p == -1]
+    if len(roots) != 1:
+        return [("not-a-tree", f"{len(roots)} roots")]
+    for v in range(tree.n_nodes):
+        seen = set()
+        x = v
+        while x != -1 and x not in seen:
+            seen.add(x)
+            x = tree.parent[x]
+        if x != -1:
+            return [("not-a-tree", f"parent cycle through node {v}")]
+    if tree.n_nodes == tree.n_leaves:
+        return [("no-internal-node", "tree has no internal node")]
+    out = []
+    if tree.n_leaves > 0 and tree.is_leaf(tree.root):
+        out.append(("leaf-root", "root must be internal"))
+    for v in range(tree.n_leaves, tree.n_nodes):
+        if not tree.children[v]:
+            out.append(("childless-internal", f"internal node {v} has no children"))
+    return out
+
+
+def test_validate_instance_matches_the_per_node_walk():
+    rng = random.Random(6)
+    cycles = 0
+    for _ in range(20_000):
+        n_leaves = rng.randint(0, 5)
+        n_nodes = n_leaves + rng.randint(0, 4)
+        parent = tuple(rng.randint(-1, n_nodes - 1) for _ in range(n_nodes))
+        tree = LayerTree(n_leaves, parent, tuple(f"s{i}" for i in range(n_nodes - n_leaves)))
+        expected = per_node_walk_violations(tree)
+        report = validate_instance(MlcmInstance((n_leaves,), (), (tree,)))
+        assert [(v.code, v.message) for v in report.violations] == expected, parent
+        cycles += any(message.startswith("parent cycle") for _, message in expected)
+    assert cycles >= 1000
+
+
 SAMPLE_INSTANCE = """\
 # layered example
 p=2

@@ -27,7 +27,7 @@ from storymin import (
     solve_heuristic,
     validate_instance,
 )
-from storymin import build_model, identify_variables, lp, solver
+from storymin import build_model, identify_variables, lp, maxcut, solver
 from storymin.maxcut import build_maxcut
 from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
@@ -338,6 +338,23 @@ def test_medium_instance_proven_with_few_lps():
     assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
 
 
+def test_every_cut_round_holds_at_most_max_cuts(monkeypatch):
+    added = []
+
+    class CountingBackend(SimplexBackend):
+        def add_rows(self, rows):
+            added.append(len(rows))
+            return super().add_rows(rows)
+
+    monkeypatch.setattr(maxcut, "MAX_CUTS", 3)
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    res = branch_and_cut(inst, backend=CountingBackend)
+    assert res.status == OPTIMAL_STATUS
+    assert res.crossings == res.lower_bound == 6
+    assert added and max(added) <= 3
+
+
 def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
     """A dropped cut is forgotten: only separation, which counts it, adds it back."""
     searches = []
@@ -398,7 +415,7 @@ def test_node_cut_short_in_separation_is_reposted(monkeypatch):
 
     deadlines = []
 
-    def stopped_separation(graph, y, max_cuts, deadline):
+    def stopped_separation(graph, y, deadline):
         deadlines.append(deadline)
         while time.monotonic() <= deadline:
             time.sleep(0.01)
@@ -535,6 +552,15 @@ def test_infeasible_input_status():
     assert res.message
     res2 = solve_heuristic(broken)
     assert res2.status == INFEASIBLE_INPUT_STATUS
+
+
+@pytest.mark.parametrize("parent", [(2, 5, -1), (2, -7, -1), (2, -2, -1)])
+def test_parent_out_of_range_is_infeasible_input(parent):
+    broken = MlcmInstance((2,), (), (LayerTree(2, parent, ("root",)),))
+    for res in (branch_and_cut(broken), solve_heuristic(broken)):
+        assert res.status == INFEASIBLE_INPUT_STATUS
+        assert "not-a-tree" in res.message and f"node 1 has parent {parent[1]}," in res.message
+
 
 
 def test_config_validation():
