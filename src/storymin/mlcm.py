@@ -54,8 +54,7 @@ class LayerTree:
     Leaves are node ids ``0..n_leaves-1``; internal nodes get the ids
     ``n_leaves..n_nodes-1``.  ``parent[v]`` is -1 exactly for the root.
     ``internal_labels`` names internal nodes (scene ids; a synthetic root is
-    labeled ``"root"``).  Labels whose value starts with ``"root"`` mark
-    non-scene internals for rendering purposes.
+    labeled ``ROOT_LABEL``, see :meth:`scene_nodes`).
     """
 
     n_leaves: int
@@ -110,13 +109,19 @@ class LayerTree:
         return self.internal_labels[v - self.n_leaves]
 
     def scene_nodes(self) -> tuple[int, ...]:
-        """Internal nodes that stand for a scene (label not starting 'root')."""
-        out = []
-        for v in range(self.n_leaves, self.n_nodes):
-            lbl = self.label_of(v)
-            if lbl is not None and not lbl.startswith(ROOT_LABEL):
-                out.append(v)
-        return tuple(out)
+        """Labelled internal nodes that stand for a scene: all but a synthetic root.
+
+        The synthetic root is the root labelled ``ROOT_LABEL`` above other
+        internal nodes.  A root so labelled with only leaves below it is a
+        scene named ``root`` that gathers the whole layer, since every layer
+        of a built instance has an active scene.
+        """
+        if not self.internal_labels:
+            return ()
+        internal = range(self.n_leaves, self.n_nodes)
+        if len(internal) > 1 and self.label_of(self.root) == ROOT_LABEL:
+            return tuple(v for v in internal if v != self.root)
+        return tuple(internal)
 
     def canonical_leaf_order(self) -> tuple[int, ...]:
         """Leaves in DFS order with children taken as stored (tree-consistent)."""

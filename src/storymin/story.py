@@ -9,6 +9,9 @@ cannot be in two places at once.
 Times are kept exact as :class:`fractions.Fraction`.  The JSON format accepts
 integers, ``[numerator, denominator]`` pairs, and decimal strings ("2.5");
 floats are rejected because binary floats silently misrepresent decimals.
+Validation, lifespans and the instance construction compare times as their
+ranks among the story's distinct times (``_time_ranks``): comparing and
+hashing Fractions cost as much as the rest of the construction.
 """
 
 from __future__ import annotations
@@ -191,6 +194,43 @@ def serialize_story(story: Story) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _time_ranks(scenes) -> tuple[list[Fraction], list[int], list[int]]:
+    """The distinct scene times in increasing order, and every scene's begin
+    and end as its index there: exact integer keys for the same comparisons.
+
+    A Fraction is stored in lowest terms, so equal times have equal
+    (numerator, denominator) pairs, which hash as ints do; only the distinct
+    times are compared as Fractions, once, to sort them.  (Scaling every time
+    by the lcm of the denominators would give integer keys as well, but keys
+    whose size grows with the number of distinct denominators.)
+    """
+    first: dict[tuple[int, int], Fraction] = {}
+    for s in scenes:
+        first.setdefault((s.begin.numerator, s.begin.denominator), s.begin)
+        first.setdefault((s.end.numerator, s.end.denominator), s.end)
+    order = sorted(first, key=first.__getitem__)
+    rank = {key: r for r, key in enumerate(order)}
+    return ([first[key] for key in order],
+            [rank[s.begin.numerator, s.begin.denominator] for s in scenes],
+            [rank[s.end.numerator, s.end.denominator] for s in scenes])
+
+
+def _span_ranks(scenes, begin: list[int], end: list[int]) -> dict[str, list[int]]:
+    """[first begin, last end] of every character in some scene, as time ranks."""
+    span: dict[str, list[int]] = {}
+    for s, b, e in zip(scenes, begin, end):
+        for m in s.members:
+            lo_hi = span.get(m)
+            if lo_hi is None:
+                span[m] = [b, e]
+            else:
+                if b < lo_hi[0]:
+                    lo_hi[0] = b
+                if e > lo_hi[1]:
+                    lo_hi[1] = e
+    return span
+
+
 def validate_story(story: Story) -> ValidationReport:
     """Check every story invariant; the report lists all violations found.
 
@@ -211,6 +251,7 @@ def validate_story(story: Story) -> ValidationReport:
         report.add("duplicate-character", "character list contains duplicates", "characters")
 
     scenes = story.scenes
+    _, begin, end = _time_ranks(scenes)
     ids_seen: set[str] = set()
     for idx, s in enumerate(scenes):
         loc = f"scenes[{idx}]"
@@ -222,7 +263,7 @@ def validate_story(story: Story) -> ValidationReport:
         for m in sorted(s.members):
             if m not in declared:
                 report.add("unknown-member", f"scene {s.id!r} member {m!r} is not declared", loc)
-        if s.begin > s.end:
+        if begin[idx] > end[idx]:
             report.add("inverted-interval", f"scene {s.id!r} has begin {s.begin} > end {s.end}", loc)
 
     # Closed intervals a, b overlap iff a.begin <= b.end and b.begin <= a.end
@@ -231,16 +272,15 @@ def validate_story(story: Story) -> ValidationReport:
     # (end, index)) drops every scene whose end has passed; a.begin <= b.end
     # is tested as well because an inverted b may end before it begins.
     conflicts: list[tuple[int, int]] = []
-    open_: list[tuple[Fraction, int]] = []
-    for j in sorted(range(len(scenes)), key=lambda k: scenes[k].begin):
-        b = scenes[j]
-        while open_ and open_[0][0] < b.begin:
+    open_: list[tuple[int, int]] = []
+    for j in sorted(range(len(scenes)), key=begin.__getitem__):
+        members = scenes[j].members
+        while open_ and open_[0][0] < begin[j]:
             heapq.heappop(open_)
         for _, i in open_:
-            a = scenes[i]
-            if not a.members.isdisjoint(b.members) and a.begin <= b.end:
+            if not scenes[i].members.isdisjoint(members) and begin[i] <= end[j]:
                 conflicts.append((i, j) if i < j else (j, i))
-        heapq.heappush(open_, (b.end, j))
+        heapq.heappush(open_, (end[j], j))
     for i, j in sorted(conflicts):
         a, b = scenes[i], scenes[j]
         report.add(
@@ -341,15 +381,9 @@ def all_lifespans(story: Story) -> dict[str, Lifespan]:
     One pass over the scenes; raises :class:`CharacterHasNoScenes` for the
     first declared character that appears in no scene, as ``lifespan`` does.
     """
-    begin: dict[str, Fraction] = {}
-    end: dict[str, Fraction] = {}
-    for s in story.scenes:
-        for m in s.members:
-            if m not in begin or s.begin < begin[m]:
-                begin[m] = s.begin
-            if m not in end or s.end > end[m]:
-                end[m] = s.end
+    times, begin, end = _time_ranks(story.scenes)
+    span = _span_ranks(story.scenes, begin, end)
     for c in story.characters:
-        if c not in begin:
+        if c not in span:
             raise CharacterHasNoScenes(f"character {c!r} appears in no scene")
-    return {c: Lifespan(c, begin[c], end[c]) for c in story.characters}
+    return {c: Lifespan(c, times[span[c][0]], times[span[c][1]]) for c in story.characters}

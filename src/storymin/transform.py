@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mlcm import ROOT_LABEL, LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
-from .story import Scene, Story, all_lifespans, validate_story
+from .story import Scene, Story, _span_ranks, _time_ranks, validate_story
 from .validation import ValidationReport
 
 __all__ = [
@@ -60,19 +60,20 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
     if not report.ok:
         raise InvalidStoryError(report)
 
-    times = sorted({t for s in story.scenes for t in (s.begin, s.end)})
-    layer_at = {t: r for r, t in enumerate(times)}
-
-    # Every lifespan and scene endpoint is itself a time point, so each
-    # interval covers the layers layer_at[begin]..layer_at[end].  Filling
-    # them in character and scene input order keeps each layer in that order.
+    # Layer r sits at the r-th distinct time, and every lifespan and scene
+    # endpoint is one of them, so each interval covers the layers from the
+    # rank of its begin to the rank of its end.  Filling them in character
+    # and scene input order keeps each layer in that order.
+    times, begin, end = _time_ranks(story.scenes)
+    span = _span_ranks(story.scenes, begin, end)
     alive_lists: list[list[str]] = [[] for _ in times]
-    for c, span in all_lifespans(story).items():
-        for r in range(layer_at[span.begin], layer_at[span.end] + 1):
+    for c in story.characters:
+        lo, hi = span[c]
+        for r in range(lo, hi + 1):
             alive_lists[r].append(c)
     active: list[list[Scene]] = [[] for _ in times]
-    for s in story.scenes:
-        for r in range(layer_at[s.begin], layer_at[s.end] + 1):
+    for s, b, e in zip(story.scenes, begin, end):
+        for r in range(b, e + 1):
             active[r].append(s)
     alive = [tuple(chars) for chars in alive_lists]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -10,6 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from storymin import (
+    brute_force_optimum,
+    build_instance,
+    merge_layers,
+    parse_story,
+)
 from storymin.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -17,6 +24,8 @@ from storymin.lp import (
     ScipyBackend,
     SimplexBackend,
 )
+
+from conftest import random_story_doc
 
 
 def make(backend_cls, c, lo, hi, rows=()):
@@ -249,6 +258,15 @@ def test_past_deadline_reports_time_limit(backend_cls):
     assert be.solve().status == OPTIMAL
 
 
+def run_fresh(code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter that sees this one's path; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_highs_extension_loads_without_scipy_optimize():
     """The lazy file load registers the module where scipy.optimize finds it."""
     code = (
@@ -262,10 +280,33 @@ def test_highs_extension_loads_without_scipy_optimize():
         "import scipy.optimize._highspy._core as core; "
         "assert core is lp._core"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
+
+
+def test_import_loads_no_scipy_sparse_or_optimize():
+    run_fresh("import sys, storymin, storymin.cli; "
+              "loaded = {'scipy.sparse', 'scipy.optimize'} & set(sys.modules); "
+              "assert not loaded, loaded")
+
+
+def test_scipy_sparse_loads_only_for_the_general_cycle_search():
+    """The layout path never loads scipy.sparse; a solve that reaches Dijkstra does."""
+    layout = json.dumps(random_story_doc(random.Random(1), 16, 400, 120))
+    exact = json.dumps(random_story_doc(random.Random(55), 6, 10, 5))
+    code = (
+        "import sys; from storymin import *; "
+        "layout, exact = sys.stdin.read().split('\\n'); "
+        "inst, _ = build_instance(parse_story(layout)); "
+        "assert inst.p >= 100, inst.p; "
+        "render_svg(inst, solve_heuristic(inst).solution); "
+        "build_maxcut(identify_variables(build_model(merge_layers(inst)[0]))); "
+        "assert 'scipy.sparse' not in sys.modules; "
+        "result = branch_and_cut(build_instance(parse_story(exact))[0]); "
+        "assert 'scipy.sparse.csgraph' in sys.modules; "
+        "print(result.status, result.crossings)"
+    )
+    merged, _ = merge_layers(build_instance(parse_story(exact))[0])
+    assert run_fresh(code, layout + "\n" + exact).split() == ["optimal", str(brute_force_optimum(merged)[0])]
 
 
 def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:

@@ -4,6 +4,8 @@ import json
 import random
 import re
 
+import pytest
+
 from storymin import (
     PALETTE,
     RenderOptions,
@@ -28,6 +30,18 @@ def test_slot_spacing_rule(bundle_story_text):
     slots = assign_slots(inst, Solution(tuple(sol_orders)))
     # within a bundle: +1; across bundles: +2
     assert slots[0] == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("scene", ["rootcause", "root", "cause"])
+def test_a_scene_named_like_the_root_is_a_bundle(scene):
+    # one scene gathers both characters; its name must not change the drawing
+    doc = {"characters": ["a", "b"],
+           "scenes": [{"id": scene, "members": ["a", "b"], "begin": 0, "end": 1}]}
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    sol = Solution(((0, 1), (0, 1)))
+    assert assign_slots(inst, sol) == [[0, 1], [0, 1]]
+    assert re.findall(r'points="([^"]*)"', render_svg(inst, sol)) == [
+        "48.0,48.0 148.0,48.0", "48.0,72.0 148.0,72.0"]
 
 
 def test_slots_strictly_increase():

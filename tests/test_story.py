@@ -20,6 +20,7 @@ from storymin import (
     serialize_story,
     validate_story,
 )
+from storymin.story import _time_ranks
 
 from conftest import FIG_STORY
 
@@ -280,3 +281,20 @@ def test_all_lifespans_matches_per_character_lifespan():
         spans = all_lifespans(story)
         assert list(spans) == list(dict.fromkeys(story.characters))
         assert spans == {c: lifespan(story, c) for c in story.characters}
+
+
+def test_time_ranks_order_times_exactly():
+    # times a float cannot tell apart, huge ones, and equal ones written apart
+    big = 10 ** 400
+    pool = [Fraction(1, 3), Fraction(333333333333333333, 10 ** 18),
+            Fraction(3333333333333333333, 10 ** 19), Fraction(big), Fraction(big + 1),
+            Fraction(-big, 7), Fraction(2, 4), Fraction("0.5"), Fraction(0),
+            Fraction(-1, 10 ** 30), Fraction(1, 10 ** 30)]
+    rng = random.Random(408)
+    for _ in range(200):
+        scenes = tuple(Scene(f"s{k}", frozenset({"a"}), rng.choice(pool), rng.choice(pool))
+                       for k in range(rng.randint(1, 12)))
+        times, begin, end = _time_ranks(scenes)
+        assert times == sorted({t for s in scenes for t in (s.begin, s.end)})
+        assert [times[r] for r in begin] == [s.begin for s in scenes]
+        assert [times[r] for r in end] == [s.end for s in scenes]

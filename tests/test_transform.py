@@ -68,6 +68,17 @@ def test_single_covering_scene_becomes_root():
         assert t.scene_nodes() == (t.root,)
 
 
+def test_a_scene_named_root_beside_the_synthetic_root():
+    doc = {"characters": ["a", "b", "c"],
+           "scenes": [{"id": "root", "members": ["a", "b"], "begin": 0, "end": 1},
+                      {"id": "x", "members": ["c"], "begin": 0, "end": 1}]}
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    for t in inst.trees:
+        assert t.label_of(t.root) == "root"
+        assert t.root not in t.scene_nodes()
+        assert sorted(t.label_of(v) for v in t.scene_nodes()) == ["root", "x"]
+
+
 def test_path_edges_follow_characters(fig_story_text):
     inst, trace = build_instance(parse_story(fig_story_text))
     for r in range(inst.p - 1):
