@@ -35,22 +35,13 @@ from .oracle import (
     count_tree_orderings,
     enumerate_tree_orderings,
 )
-from .ordering import (
-    NotTransitive,
-    build_model,
-    decode_assignment,
-    encode_solution,
-    identify_variables,
-    objective_value,
-)
+from .ordering import NotTransitive, build_model, identify_variables
 from .maxcut import (
     MaxCutGraph,
     OddCycleInequality,
     build_maxcut,
     cut_consistency,
-    cut_from_solution,
     cut_to_solution,
-    evaluate_cut,
     separate_odd_cycles,
     separate_transitivity,
 )
@@ -103,13 +94,11 @@ __all__ = [
     "merge_layers", "expand_solution",
     # model
     "NotTransitive",
-    "build_model", "identify_variables", "encode_solution", "decode_assignment",
-    "objective_value",
+    "build_model", "identify_variables",
     # cut problem
     "MaxCutGraph", "OddCycleInequality",
-    "build_maxcut", "evaluate_cut", "cut_consistency",
-    "separate_odd_cycles", "separate_transitivity",
-    "cut_from_solution", "cut_to_solution",
+    "build_maxcut", "cut_consistency",
+    "separate_odd_cycles", "separate_transitivity", "cut_to_solution",
     # solving
     "SolveConfig", "SolveStats", "SolverError",
     "OPTIMAL_STATUS", "FEASIBLE_STATUS", "TIMEOUT_STATUS", "INFEASIBLE_INPUT_STATUS",

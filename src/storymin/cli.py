@@ -143,15 +143,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sanitize_names(names: list[str]) -> list[str]:
-    """Make names safe for the instance text format, keeping them unique."""
-    seen: dict[str, int] = {}
+    """Make names safe for the instance text format, keeping them unique: a
+    name already taken gets the next suffix ``.k`` that no earlier name holds."""
+    taken: set[str] = set()
+    last_suffix: dict[str, int] = {}
     out = []
     for name in names:
-        safe = _SAFE_ID.sub("_", name) or "_"
-        if safe in seen:
-            seen[safe] += 1
-            safe = f"{safe}.{seen[safe]}"
-        seen.setdefault(safe, 0)
+        safe = base = _SAFE_ID.sub("_", name) or "_"
+        while safe in taken:
+            last_suffix[base] = last_suffix.get(base, 0) + 1
+            safe = f"{base}.{last_suffix[base]}"
+        taken.add(safe)
         out.append(safe)
     return out
 

@@ -74,19 +74,17 @@ from itertools import chain
 import numpy as np
 
 from .mlcm import Solution
-from .ordering import ReducedModel, _read_only, classes_of_solution, solution_of_classes
+from .ordering import ReducedModel, _read_only, solution_of_classes
 
 __all__ = [
     "MaxCutGraph",
     "OddCycleInequality",
     "TransitivityCut",
     "build_maxcut",
-    "evaluate_cut",
     "cut_consistency",
     "separate_odd_cycles",
     "separate_transitivity",
     "cut_to_solution",
-    "cut_from_solution",
 ]
 
 # searches from many sources at once keep (sources x nodes) arrays: distances,
@@ -145,23 +143,12 @@ def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
     return MaxCutGraph(n_classes + 1, _read_only(ends), _read_only(weights), int(w[xor == 0].sum()))
 
 
-def evaluate_cut(graph: MaxCutGraph, y) -> float:
-    """offset + sum of edge weights on the cut (exact for integral y)."""
-    return graph.offset + float(graph.weights @ np.asarray(y, dtype=float)[:graph.n_edges])
-
-
 @dataclass(frozen=True)
 class OddCycleInequality:
     """sum_{e in odd_set} y_e - sum_{e in cycle-odd_set} y_e <= |odd_set| - 1."""
 
     cycle: tuple[int, ...]
     odd_set: frozenset[int]
-
-    def violation(self, y) -> float:
-        lhs = 0.0
-        for e in self.cycle:
-            lhs += y[e] if e in self.odd_set else -y[e]
-        return lhs - (len(self.odd_set) - 1)
 
     def lp_row(self) -> tuple[dict[int, float], float]:
         coefs = {e: (1.0 if e in self.odd_set else -1.0) for e in self.cycle}
@@ -185,10 +172,6 @@ class TransitivityCut:
         if self.sense == "upper":
             return {a: 1.0, b: 1.0, c: -1.0}, 1.0
         return {a: -1.0, b: -1.0, c: 1.0}, 0.0
-
-    def violation(self, y) -> float:
-        coefs, rhs = self.lp_row()
-        return sum(w * y[e] for e, w in coefs.items()) - rhs
 
     def key(self) -> tuple:
         return ("transitivity", self.a, self.b, self.c, self.sense)
@@ -592,12 +575,6 @@ def separate_transitivity(reduced: ReducedModel, y) -> list[TransitivityCut]:
     cuts = ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + TOLERANCE].tolist()]
             + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -TOLERANCE].tolist()])
     return cuts[:MAX_CUTS]
-
-
-def cut_from_solution(graph: MaxCutGraph, reduced: ReducedModel, solution: Solution) -> np.ndarray:
-    """Cut vector of a tree-consistent solution (root edges carry the classes)."""
-    side = np.array([0] + classes_of_solution(reduced, solution), dtype=np.int64)
-    return (side[graph.ends[:, 0]] ^ side[graph.ends[:, 1]]).astype(float)
 
 
 def cut_to_solution(reduced: ReducedModel, y) -> Solution:

@@ -13,28 +13,29 @@ leaves' lowest common ancestor that hold i and j.  No admissible order splits
 a subtree, so the members of a class are equal ("A above B"); classes are
 numbered by their first member.  A walk over the sibling subtrees of every
 layer writes each class's rectangle of index pairs into one flat array of the
-layers' ``n x n`` class-id tables.  The walk also keeps one position triple
-per three children A < B < C of a tree node, on their first leaves; every
-other triple has two variables in one class or the classes of a kept one.
+layers' ``n x n`` class-id tables.  The walk also keeps one class triple
+(AB, BC, AC) per three children A < B < C of a tree node, read off the table
+at their first leaves; every other position triple has two variables in one
+class or the classes of a kept one.  Only this class model is built: the
+paper's position-level variables are numbered (``var_id``, for the witness
+of :class:`NotTransitive`) but their terms and equalities never are.
 
 ``identify_variables`` reads the class terms off the tables: every pair of
 edges of every gap, enumerated for all gaps at once, joins the class of its
 two upper ends to the class of its two lower ends, and equal terms are
 summed.  A term's two classes lie on consecutive layers, so no term joins a
-class to itself.  The kept triples become class triples (AB, BC, AC).  The
-position-level ``terms``, ``class_of``, ``members`` and ``equalities`` of the
-paper's model are built on first use, the terms by the same pair kernel over
-tables of variable ids; solving reads none but ``class_of``.
+class to itself.
 
 Terms are read-only ``(k, 4)`` int64 arrays of sorted rows ``(a, b, xor,
 weight)``: ``weight * (x_a XOR x_b)`` if ``xor`` is 1, ``weight * (x_a XNOR
-x_b)`` if 0.  Both triple lists are read-only ``(k, 3)`` int64 arrays.
+x_b)`` if 0.  Both triple lists are read-only ``(k, 3)`` int64 arrays of
+class ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -44,19 +45,13 @@ from .mlcm import LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
 
 __all__ = [
     "TransitivityTriple",
-    "TreeEquality",
     "OrderingModel",
     "ReducedModel",
     "NotTransitive",
     "build_model",
     "canonical_orders",
-    "encode_solution",
-    "decode_assignment",
-    "objective_value",
     "identify_variables",
-    "classes_of_solution",
     "solution_of_classes",
-    "dump_model",
 ]
 
 
@@ -68,12 +63,6 @@ class TransitivityTriple(NamedTuple):
     var_hi: int
     var_ij: int
     var_hj: int
-
-
-@dataclass(frozen=True)
-class TreeEquality:
-    var_a: int
-    var_b: int
 
 
 class NotTransitive(ValueError):
@@ -101,7 +90,7 @@ class OrderingModel:
     # i > j too; -1 for i == j
     table_base: tuple[int, ...]
     class_table: np.ndarray
-    triples: np.ndarray  # (k, 3) var ids (hi, ij, hj), one row per three sibling subtrees
+    triples: np.ndarray  # (k, 3) class ids (AB, BC, AC), one row per three sibling subtrees
 
     def var_id(self, r: int, i: int, j: int) -> int:
         """Variable for positions i < j on layer r."""
@@ -109,50 +98,6 @@ class OrderingModel:
         if not (0 <= i < j < n):
             raise ValueError(f"bad position pair ({i}, {j}) on layer {r}")
         return self.layer_offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    @cached_property
-    def var_layer(self) -> tuple[int, ...]:
-        """Layer of every variable."""
-        return tuple(r for r, n in enumerate(self.instance.layer_sizes) for _ in range(n * (n - 1) // 2))
-
-    @cached_property
-    def var_pos(self) -> tuple[tuple[int, int], ...]:
-        """(i, j) positions of every variable, i < j."""
-        return tuple((i, j) for n in self.instance.layer_sizes for i in range(n) for j in range(i + 1, n))
-
-    @cached_property
-    def var_table(self) -> np.ndarray:
-        """The layer tables with variable ids in place of class ids."""
-        tables = [np.empty(0, dtype=np.int64)]
-        for n, offset in zip(self.instance.layer_sizes, self.layer_offsets):
-            ids = np.full((n, n), -1, dtype=np.int64)
-            ids[_upper(n).reshape(n, n)] = np.arange(offset, offset + n * (n - 1) // 2)
-            tables.append(np.maximum(ids, ids.T).reshape(-1))
-        return _read_only(np.concatenate(tables))
-
-    @cached_property
-    def class_of(self) -> np.ndarray:
-        """Class of every variable (read-only int64)."""
-        upper = [_upper(0)] + [_upper(n) for n in self.instance.layer_sizes]
-        return _read_only(self.class_table[np.concatenate(upper)])
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Variables of every class, ascending."""
-        groups: list[list[int]] = [[] for _ in range(self.n_classes)]
-        for v, c in enumerate(self.class_of.tolist()):
-            groups[c].append(v)
-        return tuple(tuple(ms) for ms in groups)
-
-    @cached_property
-    def equalities(self) -> tuple[TreeEquality, ...]:
-        """Tree equalities: every variable equals its class's first member (sorted)."""
-        return tuple(TreeEquality(ms[0], v) for ms in self.members for v in ms[1:])
-
-    @cached_property
-    def terms(self) -> np.ndarray:
-        """Crossing terms over the variables: rows (var_a, var_b, xor, weight)."""
-        return _crossing_terms(self, self.var_table, self.n_vars)
 
 
 @dataclass(frozen=True)
@@ -179,15 +124,9 @@ def _sibling_blocks(tree: LayerTree, first: list[int], last: list[int]) -> list[
 
 
 @lru_cache(maxsize=None)
-def _upper(n: int) -> np.ndarray:
-    """Flat mask of the entries (i, j), i < j, of an n x n table."""
-    return _read_only(np.triu(np.ones((n, n), dtype=bool), 1).reshape(-1))
-
-
-@lru_cache(maxsize=None)
 def _combinations3(k: int) -> np.ndarray:
     """Rows (h, i, h, i, j, j) for every h < i < j < k: the first leaves whose
-    rows, and those whose positions, make up a triple's three variables."""
+    table rows, and those whose columns, make up a triple's three entries."""
     rows = [(h, i, h, i, j, j) for h, i, j in combinations(range(k), 3)]
     return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
 
@@ -207,7 +146,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     # table base and width, and the index ranges of its two sibling subtrees.
     # Per node with three or more leaf-holding children: where the children's
     # entries start in ``heads`` and their number; per child, (row(h), h) for
-    # its first leaf h, with vid(r, h, i) == row(h) + i
+    # its first leaf h, with entry (h, i) at row(h) + i
     classes: list[tuple[int, int, int, int, int, int, int]] = []
     trios: list[tuple[int, int]] = []
     heads: list[int] = []
@@ -224,7 +163,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
             if len(blocks) > 2:
                 trios.append((len(heads) // 2, len(blocks)))
                 for h, _ in blocks:
-                    heads += (offset + h * n - h * (h + 1) // 2 - h - 1, h)
+                    heads += (base + h * n, h)
         offsets.append(offset + n * (n - 1) // 2)
         table_base.append(base + n * n)
 
@@ -236,11 +175,13 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
             for j in range(fb, lb + 1):
                 table[base + i * n + j] = table[base + j * n + i] = c
 
-    # the triple of children A < B < C with first leaves h < i < j:
-    # (row(h) + i, row(i) + j, row(h) + j)
+    class_table = _read_only(np.array(table, dtype=np.int64))
+
+    # the triple of children A < B < C with first leaves h < i < j: the
+    # classes at (row(h) + i, row(i) + j, row(h) + j)
     picks = np.concatenate([_combinations3(0)] + [_combinations3(k) + s for s, k in trios])
     row, first = np.array(heads, dtype=np.int64).reshape(-1, 2).T
-    triples = row[picks[:, :3]] + first[picks[:, 3:]]
+    triples = class_table[row[picks[:, :3]] + first[picks[:, 3:]]]
 
     return OrderingModel(
         instance=instance,
@@ -249,13 +190,13 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         layer_offsets=tuple(offsets[:-1]),
         n_classes=len(classes),
         table_base=tuple(table_base),
-        class_table=_read_only(np.array(table, dtype=np.int64)),
+        class_table=class_table,
         triples=_read_only(triples),
     )
 
 
-def _crossing_terms(model: OrderingModel, table: np.ndarray, n_ids: int) -> np.ndarray:
-    """Crossing terms between the ids ``table`` gives the index pairs.
+def _crossing_terms(model: OrderingModel) -> np.ndarray:
+    """Crossing terms between the classes of the index pairs.
 
     Every pair of edges of a gap with distinct upper and distinct lower ends
     contributes 1 to the term of its upper and its lower pair: an xor if the
@@ -282,26 +223,11 @@ def _crossing_terms(model: OrderingModel, table: np.ndarray, n_ids: int) -> np.n
     b = np.arange(len(a)) + shift[a]
     pu_b, pv_b = pu[b], pv[b]
     order = (pu[a] - pu_b) * (pv[a] - pv_b)  # > 0: same index order, 0: a shared end
-    key = (table[row_u[a] + pu_b] * n_ids + table[row_v[a] + pv_b]) * 2 + (order > 0)
+    table, n = model.class_table, model.n_classes
+    key = (table[row_u[a] + pu_b] * n + table[row_v[a] + pv_b]) * 2 + (order > 0)
     keys, weight = np.unique(key[order != 0], return_counts=True)
     pair, xor = np.divmod(keys, 2)
-    return _read_only(np.array(np.divmod(pair, n_ids) + (xor, weight)).T.copy())
-
-
-def encode_solution(model: OrderingModel, solution: Solution) -> list[int]:
-    """0/1 assignment of a solution: var is 1 iff its lower-index node is higher."""
-    x = [0] * model.n_vars
-    for r in range(model.instance.p):
-        sol_pos = {v: i for i, v in enumerate(solution.orders[r])}
-        leaf_at = model.orders[r]
-        n = model.instance.layer_sizes[r]
-        base = model.layer_offsets[r]
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                x[base + k] = 1 if sol_pos[leaf_at[i]] < sol_pos[leaf_at[j]] else 0
-                k += 1
-    return x
+    return _read_only(np.array(np.divmod(pair, n) + (xor, weight)).T.copy())
 
 
 def _intransitive_witness(model: OrderingModel, r: int, pair: list[bool], wins: list[int]) -> TransitivityTriple:
@@ -321,14 +247,15 @@ def _intransitive_witness(model: OrderingModel, r: int, pair: list[bool], wins: 
     return TransitivityTriple(r, model.var_id(r, h, i), model.var_id(r, i, j), model.var_id(r, h, j))
 
 
-def _decode(model: OrderingModel, values, table: np.ndarray) -> Solution:
-    """Per-layer permutations from the 0/1 ``values`` of the ids in ``table``.
+def solution_of_classes(reduced: ReducedModel, z) -> Solution:
+    """Class assignment -> per-layer permutations, read off the class tables.
 
     Requires every layer to be transitive, i.e. its win counts to be exactly
     0..n-1 (raises :class:`NotTransitive` with a witness triple).
     """
+    model = reduced.model
     # the 0 appended is read by the diagonal's -1
-    pair = (np.append(np.asarray(values).astype(np.int64), 0)[table] != 0).tolist()
+    pair = (np.append(np.asarray(z).astype(np.int64), 0)[model.class_table] != 0).tolist()
     orders = []
     for r, (n, base) in enumerate(zip(model.instance.layer_sizes, model.table_base)):
         wins = [0] * n
@@ -346,78 +273,15 @@ def _decode(model: OrderingModel, values, table: np.ndarray) -> Solution:
     return Solution(tuple(orders))
 
 
-def decode_assignment(model: OrderingModel, x) -> Solution:
-    """Assignment -> per-layer permutations (top to bottom).
-
-    Requires every layer to be transitive, i.e. its win counts to be exactly
-    0..n-1 (raises :class:`NotTransitive` with a witness triple), and every
-    class's members to agree (ValueError).
-    """
-    solution = _decode(model, x, model.var_table)
-    for ms in model.members:
-        for v in ms[1:]:
-            if int(x[v]) != int(x[ms[0]]):
-                raise ValueError(f"assignment breaks tree equality x{ms[0]} == x{v}")
-    return solution
-
-
-def objective_value(model, x) -> int:
-    """Exact crossing count of an assignment under a model or reduced model."""
-    t = model.terms
-    x = np.asarray(x).astype(np.int64)
-    differ = x[t[:, 0]] != x[t[:, 1]]
-    return int(t[differ == (t[:, 2] == 1), 3].sum())
-
-
 def identify_variables(model: OrderingModel) -> ReducedModel:
-    """Rewrite the model over its classes: terms and triples by class.
-
-    The terms come from the class tables directly.  The triple of children
-    A < B < C becomes the class triple (AB, BC, AC); the class triples come
-    sorted.  ``a < b`` holds without a swap: AB's first member pairs the
-    first leaves of A and B, BC's those of B and C.
-    """
-    rows = model.class_of[model.triples]
+    """Rewrite the model over its classes: the terms from the class tables,
+    and the class triples sorted.  In a triple (AB, BC, AC), ``AB < BC``
+    holds without a swap: AB's first member pairs the first leaves of A and
+    B, BC's those of B and C."""
+    rows = model.triples
     return ReducedModel(
         model=model,
         n_classes=model.n_classes,
-        terms=_crossing_terms(model, model.class_table, model.n_classes),
+        terms=_crossing_terms(model),
         triples=_read_only(rows[np.lexsort(rows.T[::-1])]),
     )
-
-
-def classes_of_solution(reduced: ReducedModel, solution: Solution) -> list[int]:
-    """Class assignment of a tree-consistent solution (members must agree)."""
-    x = np.array(encode_solution(reduced.model, solution), dtype=np.int64)
-    cls = reduced.model.class_of
-    z = np.zeros(reduced.n_classes, dtype=np.int64)
-    z[cls] = x
-    split = cls[z[cls] != x]
-    if len(split):
-        raise ValueError(f"solution is not tree-consistent: class {split.min()} members disagree")
-    return z.tolist()
-
-
-def solution_of_classes(reduced: ReducedModel, z) -> Solution:
-    """Class assignment -> per-layer permutations, read off the class tables.
-
-    Raises :class:`NotTransitive` like :func:`decode_assignment`.
-    """
-    return _decode(reduced.model, z, reduced.model.class_table)
-
-
-def dump_model(model: OrderingModel) -> str:
-    """Stable text dump for golden tests and debugging."""
-    out = [f"n_vars={model.n_vars}"]
-    for v in range(model.n_vars):
-        r = model.var_layer[v]
-        i, j = model.var_pos[v]
-        a, b = model.orders[r][i], model.orders[r][j]
-        out.append(f"x{v}: layer {r + 1} pos ({i},{j}) nodes ({model.instance.label(r, a)},{model.instance.label(r, b)})")
-    for a, b, xor, w in model.terms.tolist():
-        out.append(f"term x{a} x{b} {'xor' if xor else 'xnor'} w={w}")
-    for c, ms in enumerate(model.members):
-        out.append(f"class c{c}: " + " ".join(f"x{v}" for v in ms))
-    for hi, ij, hj in model.triples.tolist():
-        out.append(f"triple layer {model.var_layer[hi] + 1}: x{hi} + x{ij} - x{hj}")
-    return "\n".join(out) + "\n"

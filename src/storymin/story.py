@@ -245,13 +245,19 @@ def validate_story(story: Story) -> ValidationReport:
     begin, so the work grows with the number of overlapping pairs rather
     than with all pairs.  Conflicts are reported in scene-index pair order.
     """
+    return _validate(story, _time_ranks(story.scenes))
+
+
+def _validate(story: Story, ranks: tuple[list[Fraction], list[int], list[int]]) -> ValidationReport:
+    """``validate_story`` on the story's ``_time_ranks``, which a caller that
+    needs them too computes once."""
     report = ValidationReport()
     declared = set(story.characters)
     if len(declared) != len(story.characters):
         report.add("duplicate-character", "character list contains duplicates", "characters")
 
     scenes = story.scenes
-    _, begin, end = _time_ranks(scenes)
+    _, begin, end = ranks
     ids_seen: set[str] = set()
     for idx, s in enumerate(scenes):
         loc = f"scenes[{idx}]"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mlcm import ROOT_LABEL, LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
-from .story import Scene, Story, _span_ranks, _time_ranks, validate_story
+from .story import Scene, Story, _span_ranks, _time_ranks, _validate
 from .validation import ValidationReport
 
 __all__ = [
@@ -56,7 +56,8 @@ class TransformTrace:
 
 def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
     """Construct the layered instance for a validated story."""
-    report = validate_story(story)
+    ranks = _time_ranks(story.scenes)
+    report = _validate(story, ranks)
     if not report.ok:
         raise InvalidStoryError(report)
 
@@ -64,7 +65,7 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
     # endpoint is one of them, so each interval covers the layers from the
     # rank of its begin to the rank of its end.  Filling them in character
     # and scene input order keeps each layer in that order.
-    times, begin, end = _time_ranks(story.scenes)
+    times, begin, end = ranks
     span = _span_ranks(story.scenes, begin, end)
     alive_lists: list[list[str]] = [[] for _ in times]
     for c in story.characters:

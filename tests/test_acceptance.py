@@ -29,13 +29,10 @@ from storymin import (
     build_model,
     count_crossings,
     cut_consistency,
-    encode_solution,
     enumerate_tree_orderings,
-    evaluate_cut,
     identify_variables,
     is_tree_consistent,
     merge_layers,
-    objective_value,
     parse_scene_sequence,
     parse_story,
     render_svg,
@@ -43,13 +40,22 @@ from storymin import (
     SolveConfig,
 )
 from storymin.maxcut import TOLERANCE, build_maxcut, cut_to_solution
-from storymin.ordering import classes_of_solution
 
 from conftest import (
     cut_graph,
     random_general_instance,
     random_story_doc,
     random_storyline_instance,
+)
+from reference_model import (
+    as_crossing_terms,
+    classes,
+    cut_value,
+    cut_vector,
+    encode,
+    objective,
+    reference_build_model,
+    violation,
 )
 
 TOL = {
@@ -141,13 +147,17 @@ def test_criterion_2_objective_consistency():
     pairs = 0
     while pairs < 1000:
         inst = random_storyline_instance(rng, p_range=(2, 4), n_range=(3, 7))
-        model = build_model(inst)
+        # the paper's position-level model, and the class model it reduces to
+        reference = reference_build_model(inst)
+        reduced = identify_variables(build_model(inst))
+        terms = as_crossing_terms(reduced.terms)
         for _ in range(8):
             sol = Solution(tuple(random_tree_order(rng, t) for t in inst.trees))
-            x = encode_solution(model, sol)
-            assert objective_value(model, x) == count_crossings(inst, sol)
+            crossings = count_crossings(inst, sol)
+            assert objective(reference.terms, encode(reference, sol)) == crossings
+            assert objective(terms, classes(reduced.model, sol)) == crossings
             pairs += 1
-    verdict(2, "objective consistency", f"{pairs} (instance, solution) pairs, exact")
+    verdict(2, "objective consistency", f"{pairs} (instance, solution) pairs, position and class model, exact")
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +185,20 @@ def test_criterion_3_maxcut_equivalence():
         per_layer = [list(enumerate_tree_orderings(t)) for t in inst.trees]
         for combo in product(*per_layer):
             sol = Solution(tuple(combo))
-            z = tuple(classes_of_solution(reduced, sol))
+            z = tuple(classes(reduced.model, sol))
             cr = count_crossings(inst, sol)
             assert admissible.setdefault(z, cr) == cr
         # route B: integral consistent cut vectors, filtered by decodability
         from_cuts: dict[tuple[int, ...], int] = {}
         for z in product((0, 1), repeat=reduced.n_classes):
-            y = np.zeros(graph.n_edges)
-            zfull = (0,) + z
-            for e, (u, v) in enumerate(graph.ends.tolist()):
-                y[e] = float(zfull[u] ^ zfull[v])
+            y = cut_vector(graph, z)
             assert cut_consistency(graph, y) == [], \
                 "every side assignment must induce a consistent cut"
             try:
                 sol = cut_to_solution(reduced, y)
             except ValueError:
                 continue
-            value = evaluate_cut(graph, y)
+            value = cut_value(graph, y)
             assert value == count_crossings(inst, sol)
             from_cuts[z] = int(value)
         assert from_cuts == admissible
@@ -253,7 +260,7 @@ def test_criterion_4_separation_agreement():
         exists = exhaustive_violation_exists(graph, y, tol)
         assert bool(found) == exists, (edges, y.tolist())
         for ineq in found:
-            assert ineq.violation(y) > tol
+            assert violation(ineq, y) > tol
         if exists:
             with_cut += 1
         else:

@@ -108,6 +108,20 @@ def test_convert_sanitizes_labels(tmp_path, capsys):
     assert "spaced_name" in names
     assert any(n.startswith("spaced_name.") for n in names), names
 
+    # "x y" becomes "x_y", so the second "x_y" needs a suffix that the first
+    # name, "x_y.1", does not already hold
+    doc = {"characters": ["x_y.1", "x y", "x_y"],
+           "scenes": [{"id": "s1", "members": ["x_y.1", "x y"], "begin": 0, "end": 1},
+                      {"id": "s2", "members": ["x_y"], "begin": 0, "end": 1}]}
+    story = write_story(tmp_path, doc)
+    text = tmp_path / "collide.txt"
+    code, _ = run(capsys, "convert", str(story), "--out", str(text))
+    assert code == EXIT_OK
+    assert parse_instance(text.read_text()).labels == (("x_y.1", "x_y", "x_y.2"),)
+    solved = [run(capsys, "solve", str(path), "--format", "json") for path in (story, text)]
+    assert [code for code, _ in solved] == [EXIT_OK, EXIT_OK]
+    assert len({json.loads(out)["crossings"] for _, out in solved}) == 1
+
 
 def test_solve_text_output(tmp_path, capsys):
     story = write_story(tmp_path)
@@ -249,6 +263,23 @@ def test_stats_command(tmp_path, capsys):
     assert doc["p"] == 4
     assert doc["p_merged"] == 2
     assert doc["n_var"] <= doc["n_var_raw"]
+
+
+def test_stats_of_the_ci_lp_story(tmp_path, capsys):
+    """Every size `storymin stats` reports for the CI's ``lp_story.json``."""
+    doc = {"characters": ["c0", "c1", "c2", "c3", "c4", "c5"], "scenes": [
+        {"id": "s0", "members": ["c2", "c3"], "begin": 6, "end": 7},
+        {"id": "s1", "members": ["c2", "c4"], "begin": 0, "end": 2},
+        {"id": "s2", "members": ["c0", "c4", "c1"], "begin": 6, "end": 7},
+        {"id": "s4", "members": ["c3", "c1"], "begin": 1, "end": 2},
+        {"id": "s5", "members": ["c3", "c0", "c4", "c1"], "begin": 3, "end": 4},
+        {"id": "s6", "members": ["c0", "c5"], "begin": 1, "end": 2},
+        {"id": "s7", "members": ["c5", "c2"], "begin": 3, "end": 5}]}
+    code, out = run(capsys, "stats", str(write_story(tmp_path, doc)), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "p": 8, "n_nodes": 42, "n_edges": 36, "p_merged": 5, "n_nodes_merged": 25,
+        "n_edges_merged": 19, "n_var_raw": 56, "n_var": 31, "n_terms": 35, "n_triples": 16}
 
 
 def test_book_mode(tmp_path, capsys):

@@ -21,12 +21,9 @@ from storymin import (
     build_model,
     count_crossings,
     cut_consistency,
-    cut_from_solution,
     cut_to_solution,
     enumerate_tree_orderings,
-    evaluate_cut,
     identify_variables,
-    objective_value,
     parse_story,
     separate_odd_cycles,
     separate_transitivity,
@@ -35,6 +32,7 @@ from storymin.maxcut import TOLERANCE, TransitivityCut, _best_odd_set, _extract_
 from storymin.mlcm import Solution
 
 from conftest import cut_graph, random_general_instance, random_story_doc, random_storyline_instance
+from reference_model import as_crossing_terms, classes, cut_value, cut_vector, objective, violation
 
 
 def all_solutions(inst):
@@ -73,8 +71,8 @@ def test_cut_value_equals_crossings():
         reduced = reduced_of(inst)
         graph = build_maxcut(reduced)
         for sol in islice(all_solutions(inst), 15):
-            y = cut_from_solution(graph, reduced, sol)
-            assert evaluate_cut(graph, y) == count_crossings(inst, sol)
+            y = cut_vector(graph, classes(reduced.model, sol))
+            assert cut_value(graph, y) == count_crossings(inst, sol)
 
 
 def test_cut_round_trip():
@@ -84,7 +82,7 @@ def test_cut_round_trip():
         reduced = reduced_of(inst)
         graph = build_maxcut(reduced)
         for sol in islice(all_solutions(inst), 10):
-            y = cut_from_solution(graph, reduced, sol)
+            y = cut_vector(graph, classes(reduced.model, sol))
             assert cut_consistency(graph, y) == []
             assert cut_to_solution(reduced, y) == sol
 
@@ -104,13 +102,13 @@ def test_cut_vectors_enumerate_assignments():
         graph = build_maxcut(reduced)
         seen = {}
         for sides in product((0, 1), repeat=reduced.n_classes):
-            z = np.array((0,) + sides)  # node 0 pinned to side 0
-            y = np.array([z[u] ^ z[v] for u, v in graph.ends.tolist()], dtype=float)
+            y = cut_vector(graph, sides)  # node 0 pinned to side 0
             assert cut_consistency(graph, y) == []
-            seen[sides] = evaluate_cut(graph, y)
+            seen[sides] = cut_value(graph, y)
         assert len(seen) == 2 ** reduced.n_classes
+        terms = as_crossing_terms(reduced.terms)
         for sides, value in seen.items():
-            assert value == objective_value(reduced, list(sides))
+            assert value == objective(terms, sides)
 
 
 def test_inconsistent_cut_has_witness():
@@ -122,7 +120,7 @@ def test_inconsistent_cut_has_witness():
         graph = build_maxcut(reduced)
         if graph.n_edges <= reduced.n_classes:
             continue  # tree graphs: every 0/1 vector is a cut
-        base = cut_from_solution(graph, reduced, next(all_solutions(inst)))
+        base = cut_vector(graph, classes(reduced.model, next(all_solutions(inst))))
         y = base.copy()
         flip = rng.randrange(reduced.n_classes, graph.n_edges)
         y[flip] = 1.0 - y[flip]
@@ -132,7 +130,7 @@ def test_inconsistent_cut_has_witness():
         assert len(witnesses) == 1
         u, v = graph.ends[flip].tolist()
         assert sorted(witnesses[0].cycle) == sorted((flip, u - 1, v - 1))
-        assert witnesses[0].violation(y) >= 1.0
+        assert violation(witnesses[0], y) >= 1.0
         tried += 1
     assert tried >= 10
 
@@ -198,7 +196,7 @@ def test_separation_agrees_with_enumeration():
         assert bool(found) == bool(expected), (graph, y.tolist())
         for ineq in found:
             # every returned inequality is genuinely violated
-            assert ineq.violation(y) > 1e-6
+            assert violation(ineq, y) > 1e-6
             # and is one of the enumerated ones
             assert (tuple(sorted(ineq.cycle)), ineq.odd_set) in {
                 (c, f) for c, f, _ in expected}
@@ -216,7 +214,7 @@ def test_separation_returns_most_violated_first():
         graph = random_cut_graph(rng, rng.randint(4, 7), rng.randint(2, 6))
         y = np.array([rng.random() for _ in range(graph.n_edges)])
         found = separate_odd_cycles(graph, y)
-        violations = [ineq.violation(y) for ineq in found]
+        violations = [violation(ineq, y) for ineq in found]
         assert violations == sorted(violations, reverse=True)
         assert len({ineq.key() for ineq in found}) == len(found)
 
@@ -260,7 +258,7 @@ def test_violated_triangles_come_first(monkeypatch):
         assert {(tuple(sorted(i.cycle)), i.odd_set) for i in found} == set(expected)
         enumerated = {(c, f) for c, f, _ in exhaustive_violated(graph, y)}
         assert all((tuple(sorted(i.cycle)), i.odd_set) in enumerated for i in found)
-        violations = [ineq.violation(y) for ineq in found]
+        violations = [violation(ineq, y) for ineq in found]
         assert violations == sorted(violations, reverse=True)
         assert violations == pytest.approx(sorted(expected.values(), reverse=True))
         # the shortcut is the consistency check's triangle pass, cap included
@@ -282,7 +280,7 @@ def test_cut_consistency_flags_every_failing_pair_edge():
                    if y[e] != float(int(y[ends[e][0] - 1]) ^ int(y[ends[e][1] - 1]))}
         witnesses = cut_consistency(graph, y)
         assert {w.cycle[0] for w in witnesses} == failing
-        assert all(w.violation(y) == 1.0 for w in witnesses)
+        assert all(violation(w, y) == 1.0 for w in witnesses)
         assert len({w.key() for w in witnesses}) == len(witnesses)
 
 
@@ -296,7 +294,7 @@ def test_all_integral_odd_cycle_is_found():
     assert found
     assert sorted(found[0].cycle) == [3, 4, 5]
     assert found[0].odd_set == frozenset({3, 4, 5})
-    assert found[0].violation(y) == pytest.approx(1.0)
+    assert violation(found[0], y) == pytest.approx(1.0)
 
 
 def parity_conflict(graph: MaxCutGraph, y, tol=1e-6) -> bool:
@@ -342,7 +340,7 @@ def test_separation_agrees_with_enumeration_at_mixed_points():
         assert bool(found) == bool(expected), (graph, y.tolist())
         enumerated = {(c, f) for c, f, _ in expected}
         for ineq in found:
-            assert ineq.violation(y) > 1e-6
+            assert violation(ineq, y) > 1e-6
             assert (tuple(sorted(ineq.cycle)), ineq.odd_set) in enumerated
         if found:
             if parity_conflict(graph, y):
@@ -406,11 +404,11 @@ def whole_graph_separate_odd_cycles(graph: MaxCutGraph, y) -> list[OddCycleInequ
             cycle = _walk_to_cycle(edge_index, n, pred[i], int(src[i]))
             if cycle is None:
                 continue
-            odd_set, violation = _best_odd_set(cycle, yv)
-            if violation <= TOLERANCE:
+            odd_set, amount = _best_odd_set(cycle, yv)
+            if amount <= TOLERANCE:
                 continue
             ineq = OddCycleInequality(tuple(cycle), odd_set)
-            found.setdefault(ineq.key(), (violation, ineq))
+            found.setdefault(ineq.key(), (amount, ineq))
 
     order = sorted(found.items(), key=lambda kv: (-kv[1][0], kv[0]))
     return [ineq for _, (_, ineq) in order[:maxcut.MAX_CUTS]]
@@ -459,8 +457,8 @@ def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
         old = whole_graph_separate_odd_cycles(graph, y)
         assert bool(new) == bool(old)
         if old:
-            assert max(c.violation(y) for c in new) == pytest.approx(
-                max(c.violation(y) for c in old), abs=1e-9)
+            assert max(violation(c, y) for c in new) == pytest.approx(
+                max(violation(c, y) for c in old), abs=1e-9)
         conflicts += parity_conflict(graph, y)
     # both kinds of round: with and without an all-integral odd cycle
     assert len(rounds) >= 20 and 0 < conflicts < len(rounds)
@@ -473,19 +471,19 @@ def test_no_cuts_at_consistent_integral_points():
         reduced = reduced_of(inst)
         graph = build_maxcut(reduced)
         sol = next(all_solutions(inst))
-        y = cut_from_solution(graph, reduced, sol)
+        y = cut_vector(graph, classes(reduced.model, sol))
         assert separate_odd_cycles(graph, y) == []
 
 
 def test_odd_cycle_lp_row_matches_violation():
+    """The row is sum_{e in F} y_e - sum_{e in C \\ F} y_e <= |F| - 1."""
     rng = random.Random(70)
     for _ in range(30):
         graph = random_cut_graph(rng, rng.randint(4, 7), rng.randint(2, 6))
         y = np.array([rng.random() for _ in range(graph.n_edges)])
         for ineq in separate_odd_cycles(graph, y):
-            coefs, rhs = ineq.lp_row()
-            lhs = sum(w * y[e] for e, w in coefs.items())
-            assert lhs - rhs == pytest.approx(ineq.violation(y))
+            lhs = sum(y[e] if e in ineq.odd_set else -y[e] for e in ineq.cycle)
+            assert lhs - (len(ineq.odd_set) - 1) == pytest.approx(violation(ineq, y))
 
 
 def test_separate_transitivity_cuts():
@@ -500,7 +498,7 @@ def test_separate_transitivity_cuts():
         y = np.array([rng.random() for _ in range(graph.n_edges)])
         cuts = separate_transitivity(reduced, y)
         for cut in cuts:
-            assert cut.violation(y) > 0
+            assert violation(cut, y) > 0
             coefs, rhs = cut.lp_row()
             # rows are written over root-edge indices (= class ids)
             assert all(e < reduced.n_classes for e in coefs)
@@ -512,8 +510,7 @@ def two_step_transitivity(reduced, y, tolerance=1e-6):
     """Transitivity separation as it was done over sorted class-triple tuples:
     scan a cached index array, collect ``(triple, sense, violation)``, then
     wrap each hit in a cut."""
-    class_of = reduced.model.class_of
-    triples = sorted((class_of[hi], class_of[ij], class_of[hj]) for hi, ij, hj in reduced.model.triples.tolist())
+    triples = sorted(map(tuple, reduced.model.triples.tolist()))
     z = np.asarray(y, dtype=float)[:reduced.n_classes]
     if not triples:
         return []
@@ -525,7 +522,7 @@ def two_step_transitivity(reduced, y, tolerance=1e-6):
         out.append((triples[int(i)], "upper", float(val[i] - 1.0)))
     for i in np.nonzero(val < -tolerance)[0]:
         out.append((triples[int(i)], "lower", float(-val[i])))
-    return [TransitivityCut(*triple, sense) for triple, sense, violation in out]
+    return [TransitivityCut(*triple, sense) for triple, sense, _ in out]
 
 
 @pytest.mark.parametrize("shape", ["general", "storyline"])

@@ -3,9 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass
 from itertools import islice, product
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,28 +16,27 @@ from storymin import (
     brute_force_optimum,
     build_model,
     count_crossings,
-    decode_assignment,
-    encode_solution,
     enumerate_tree_orderings,
     identify_variables,
-    objective_value,
 )
-from storymin.mlcm import is_tree_consistent, lca
-from storymin.ordering import (
-    ReducedModel,
-    TransitivityTriple,
-    TreeEquality,
-    canonical_orders,
-    classes_of_solution,
-    dump_model,
-    solution_of_classes,
-)
+from storymin.ordering import ReducedModel, TransitivityTriple, solution_of_classes
 from storymin.maxcut import TOLERANCE, build_maxcut, separate_transitivity
 from storymin.solver import barycenter_heuristic
 
 from conftest import (
     random_general_instance,
     random_storyline_instance,
+)
+from reference_model import (
+    as_crossing_terms,
+    class_of,
+    classes,
+    encode,
+    objective,
+    reference_build_maxcut,
+    reference_build_model,
+    reference_identify_variables,
+    violation,
 )
 
 
@@ -49,230 +46,11 @@ def all_solutions(inst: MlcmInstance):
         yield Solution(tuple(combo))
 
 
-# ---------------------------------------------------------------------------
-# reference: the model built from every position triple, reduced by union-find
-# ---------------------------------------------------------------------------
-
-XOR = "xor"
-XNOR = "xnor"
-
-
-class CrossingTerm(NamedTuple):
-    """Crossing contribution ``weight * (a XOR b)`` or ``weight * (a XNOR b)``."""
-
-    var_a: int
-    var_b: int
-    parity: str
-    weight: int
-
-
-def as_crossing_terms(terms: np.ndarray) -> tuple[CrossingTerm, ...]:
-    """Rows ``(a, b, xor, weight)`` of a term array as the reference's tuples."""
-    return tuple(CrossingTerm(a, b, XOR if xor else XNOR, w) for a, b, xor, w in terms.tolist())
-
-
-@dataclass(frozen=True)
-class ReferenceModel:
-    instance: MlcmInstance
-    orders: tuple[tuple[int, ...], ...]
-    n_vars: int
-    layer_offsets: tuple[int, ...]
-    var_layer: tuple[int, ...]
-    var_pos: tuple[tuple[int, int], ...]
-    terms: tuple[CrossingTerm, ...]
-    triples: tuple[TransitivityTriple, ...]
-    equalities: tuple[TreeEquality, ...]
-
-
-def reference_build_model(instance: MlcmInstance, order: Solution | None = None) -> "ReferenceModel":
-    """Build the quadratic model; ``order`` fixes each layer's index ordering.
-
-    The ordering must be tree-consistent per layer (defaults to the canonical
-    DFS order).  Raises ValueError otherwise.
-    """
-    if order is None:
-        order = canonical_orders(instance)
-    if len(order.orders) != instance.p:
-        raise ValueError("index ordering must cover every layer")
-    for r, t in enumerate(instance.trees):
-        if not is_tree_consistent(t, order.orders[r]):
-            raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
-
-    sizes = instance.layer_sizes
-    offsets = []
-    total = 0
-    for n in sizes:
-        offsets.append(total)
-        total += n * (n - 1) // 2
-
-    var_layer: list[int] = []
-    var_pos: list[tuple[int, int]] = []
-    for r, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(i + 1, n):
-                var_layer.append(r)
-                var_pos.append((i, j))
-
-    def vid(r: int, i: int, j: int) -> int:
-        n = sizes[r]
-        return offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    pos: list[dict[int, int]] = [{v: i for i, v in enumerate(order.orders[r])} for r in range(instance.p)]
-
-    # crossing terms: aggregate equal (var_a, var_b, parity) contributions
-    agg: dict[tuple[int, int, str], int] = {}
-    for r, gap_edges in enumerate(instance.edges):
-        pu, pv = pos[r], pos[r + 1]
-        m = len(gap_edges)
-        for a in range(m):
-            ua, va = gap_edges[a]
-            for b in range(a + 1, m):
-                ub, vb = gap_edges[b]
-                if ua == ub or va == vb:
-                    continue
-                i, j = pu[ua], pu[ub]
-                k, l = pv[va], pv[vb]
-                if i > j:
-                    i, j = j, i
-                    k, l = l, k
-                upper = vid(r, i, j)
-                if k < l:
-                    key = (upper, vid(r + 1, k, l), XOR)
-                else:
-                    key = (upper, vid(r + 1, l, k), XNOR)
-                agg[key] = agg.get(key, 0) + 1
-    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
-
-    triples: list[TransitivityTriple] = []
-    equalities: set[tuple[int, int]] = set()
-    for r in range(instance.p):
-        n = sizes[r]
-        tree = instance.trees[r]
-        leaf_at = order.orders[r]
-        for h in range(n):
-            for i in range(h + 1, n):
-                v_hi = vid(r, h, i)
-                p_hi = lca(tree, leaf_at[h], leaf_at[i])
-                for j in range(i + 1, n):
-                    v_ij = vid(r, i, j)
-                    v_hj = vid(r, h, j)
-                    triples.append(TransitivityTriple(r, v_hi, v_ij, v_hj))
-                    c = leaf_at[j]
-                    if lca(tree, p_hi, c) != p_hi:
-                        # j is outside the {h,i} bundle: it cannot separate them
-                        equalities.add((min(v_hj, v_ij), max(v_hj, v_ij)))
-                    p_ij = lca(tree, leaf_at[i], c)
-                    if lca(tree, leaf_at[h], p_ij) != p_ij:
-                        equalities.add((min(v_hi, v_hj), max(v_hi, v_hj)))
-
-    return ReferenceModel(
-        instance=instance,
-        orders=tuple(tuple(o) for o in order.orders),
-        n_vars=total,
-        layer_offsets=tuple(offsets),
-        var_layer=tuple(var_layer),
-        var_pos=tuple(var_pos),
-        terms=terms,
-        triples=tuple(triples),
-        equalities=tuple(TreeEquality(a, b) for a, b in sorted(equalities)),
-    )
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def reference_identify_variables(model: "ReferenceModel") -> tuple:
-    """Merge equality-connected variables into classes; rewrite terms and triples.
-
-    Terms between merged endpoints become constant: an xor of a class with
-    itself is 0 (dropped), an xnor is 1 (weight moves to the offset).  A
-    transitivity triple is dropped when two or three of its variables share a
-    class (the constraint is then implied by the 0/1 bounds); surviving
-    triples are deduplicated.  Returns the fields of ``reduced_fields``.
-    """
-    uf = _UnionFind(model.n_vars)
-    for e in model.equalities:
-        uf.union(e.var_a, e.var_b)
-
-    root_to_class: dict[int, int] = {}
-    class_of = [0] * model.n_vars
-    members: list[list[int]] = []
-    for v in range(model.n_vars):
-        r = uf.find(v)
-        if r not in root_to_class:
-            root_to_class[r] = len(members)
-            members.append([])
-        c = root_to_class[r]
-        class_of[v] = c
-        members[c].append(v)
-
-    offset = 0
-    agg: dict[tuple[int, int, str], int] = {}
-    for t in model.terms:
-        ca, cb = class_of[t.var_a], class_of[t.var_b]
-        if ca == cb:
-            if t.parity == XNOR:
-                offset += t.weight
-            continue
-        if ca > cb:
-            ca, cb = cb, ca
-        key = (ca, cb, t.parity)
-        agg[key] = agg.get(key, 0) + t.weight
-    terms = tuple(CrossingTerm(a, b, par, w) for (a, b, par), w in sorted(agg.items()))
-
-    triple_set: set[tuple[int, int, int]] = set()
-    for t in model.triples:
-        a, b, c = class_of[t.var_hi], class_of[t.var_ij], class_of[t.var_hj]
-        if a == b or a == c or b == c:
-            continue
-        if a > b:
-            a, b = b, a
-        triple_set.add((a, b, c))
-
-    return (len(members), tuple(class_of), tuple(tuple(ms) for ms in members), terms,
-            [list(t) for t in sorted(triple_set)], offset)
-
-
-def reference_build_maxcut(n_classes: int, terms: tuple[CrossingTerm, ...], offset: int) -> tuple:
-    """The cut graph of reference terms: root edges, then pair edges by net
-    weight.  Returns ``(n_nodes, edges, weights, offset)``."""
-    edges: list[tuple[int, int]] = [(0, c + 1) for c in range(n_classes)]
-    weights: list[int] = [0] * n_classes
-    net: dict[tuple[int, int], int] = {}
-    for t in terms:
-        u, v = t.var_a + 1, t.var_b + 1
-        if u > v:
-            u, v = v, u
-        if t.parity == XOR:
-            net[(u, v)] = net.get((u, v), 0) + t.weight
-        else:
-            net[(u, v)] = net.get((u, v), 0) - t.weight
-            offset += t.weight
-    for (u, v), w in sorted(net.items()):
-        edges.append((u, v))
-        weights.append(w)
-    return n_classes + 1, tuple(edges), tuple(weights), offset
-
-
 def test_var_id_is_a_bijection():
     rng = random.Random(41)
     inst = random_general_instance(rng, p_range=(2, 3), n_range=(3, 5))
     model = build_model(inst)
+    reference = reference_build_model(inst)
     seen = {}
     for r, n in enumerate(inst.layer_sizes):
         for i in range(n):
@@ -280,9 +58,9 @@ def test_var_id_is_a_bijection():
                 v = model.var_id(r, i, j)
                 assert v not in seen
                 seen[v] = (r, i, j)
-                assert model.var_layer[v] == r
-                assert model.var_pos[v] == (i, j)
-    assert len(seen) == model.n_vars
+                assert reference.var_layer[v] == r
+                assert reference.var_pos[v] == (i, j)
+    assert len(seen) == model.n_vars == reference.n_vars
     with pytest.raises(ValueError):
         model.var_id(0, 1, 1)
 
@@ -291,42 +69,28 @@ def test_encode_decode_round_trip():
     rng = random.Random(42)
     for _ in range(30):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 5))
-        model = build_model(inst)
+        reduced = identify_variables(build_model(inst))
         for sol in all_solutions(inst):
-            x = encode_solution(model, sol)
-            assert decode_assignment(model, x) == sol
+            assert solution_of_classes(reduced, classes(reduced.model, sol)) == sol
 
 
 def test_objective_equals_crossings():
     rng = random.Random(43)
     for _ in range(40):
         inst = random_general_instance(rng)
-        model = build_model(inst)
+        reference = reference_build_model(inst)
         for sol in islice(all_solutions(inst), 20):
-            x = encode_solution(model, sol)
-            assert objective_value(model, x) == count_crossings(inst, sol)
+            assert objective(reference.terms, encode(reference, sol)) == count_crossings(inst, sol)
 
 
 def test_decode_rejects_intransitive():
     flat = LayerTree(3, (3, 3, 3, -1), ("root",))
     inst = MlcmInstance((3,), (), (flat,))
-    model = build_model(inst)
-    # x01 = 1, x12 = 1, x02 = 0 is a directed 3-cycle
+    reduced = identify_variables(build_model(inst))
+    # one class per pair: x01 = 1, x12 = 1, x02 = 0 is a directed 3-cycle
+    assert class_of(reduced.model) == [0, 1, 2]
     with pytest.raises(NotTransitive):
-        decode_assignment(model, [1, 0, 1])
-
-
-def test_decode_rejects_equality_break():
-    # bundle {0,1} with a free leaf 2: separating the bundle breaks equality
-    t = LayerTree.from_nested(("root", [("s", [0, 1]), 2]), 3)
-    inst = MlcmInstance((3,), (), (t,))
-    model = build_model(inst)
-    assert model.equalities
-    a = model.equalities[0]
-    x = encode_solution(model, canonical_orders(inst))
-    x[a.var_a] = 1 - x[a.var_a]
-    with pytest.raises((ValueError, NotTransitive)):
-        decode_assignment(model, x)
+        solution_of_classes(reduced, [1, 0, 1])
 
 
 def test_equalities_hold_on_every_admissible_order():
@@ -334,57 +98,68 @@ def test_equalities_hold_on_every_admissible_order():
     for _ in range(25):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 6))
         model = build_model(inst)
+        reference = reference_build_model(inst)
         for sol in all_solutions(inst):
-            x = encode_solution(model, sol)
-            for e in model.equalities:
+            # the reference's equalities, and the package's classes
+            x = encode(reference, sol)
+            for e in reference.equalities:
                 assert x[e.var_a] == x[e.var_b]
+            classes(model, sol)
 
 
 def test_equalities_and_transitivity_characterize_admissible():
-    """0/1 points satisfying the triples and equalities = admissible orders."""
+    """0/1 points satisfying the triples (and equalities) = admissible orders,
+    over the reference's variables and over the package's classes."""
     rng = random.Random(45)
     for _ in range(10):
         inst = random_general_instance(rng, p_range=(1, 1), n_range=(3, 4))
-        model = build_model(inst)
-        admissible = set()
-        for sol in all_solutions(inst):
-            admissible.add(tuple(encode_solution(model, sol)))
-        accepted = set()
-        kept = set()  # satisfies the equalities and the model's own triples
-        for bits in product((0, 1), repeat=model.n_vars):
-            if (all(bits[e.var_a] == bits[e.var_b] for e in model.equalities)
-                    and all(bits[hi] + bits[ij] - bits[hj] in (0, 1) for hi, ij, hj in model.triples.tolist())):
+        reference = reference_build_model(inst)
+        admissible = {tuple(encode(reference, sol)) for sol in all_solutions(inst)}
+        kept = set()
+        for bits in product((0, 1), repeat=reference.n_vars):
+            if (all(bits[e.var_a] == bits[e.var_b] for e in reference.equalities)
+                    and all(bits[t.var_hi] + bits[t.var_ij] - bits[t.var_hj] in (0, 1) for t in reference.triples)):
                 kept.add(bits)
+        assert kept == admissible
+
+        reduced = identify_variables(build_model(inst))
+        admissible = {tuple(classes(reduced.model, sol)) for sol in all_solutions(inst)}
+        accepted = set()
+        kept = set()  # satisfies the class triples
+        for z in product((0, 1), repeat=reduced.n_classes):
+            if all(z[a] + z[b] - z[c] in (0, 1) for a, b, c in reduced.triples.tolist()):
+                kept.add(z)
             try:
-                decode_assignment(model, list(bits))
-            except (NotTransitive, ValueError):
+                solution_of_classes(reduced, z)
+            except NotTransitive:
                 continue
-            accepted.add(bits)
+            accepted.add(z)
         assert accepted == admissible
         assert kept == admissible
 
 
 def test_bundle_needs_complement_rule():
-    """A 2-leaf bundle with the free leaf *between* its variables.
+    """A 2-leaf bundle {0, 2} with leaf 1 outside it, between them in node order.
 
-    With leaves indexed h < i < j where {h, j} is the bundle, neither of the
-    two pairwise-LCA tests fires for (h, i) vs (i, j); the order (j, h, i)
-    vs (i, j, h) shows both relative signs, so only the pairing with var_hj
-    through the *other* rule keeps the model sound.  Guards the LCA rules.
+    The canonical index order (0, 2, 1) keeps the bundle an index range.  The
+    reference's LCA rules must tie the pair (0, 1) to the pair (2, 1), which
+    every admissible order keeps equal, and leave the bundle's own pair
+    alone; the package finds the same two classes.  Guards the reference's
+    rules.
     """
     t = LayerTree.from_nested(("root", [("s", [0, 2]), 1]), 3)
     inst = MlcmInstance((3,), (), (t,))
-    model = build_model(inst)
-    # v01=x(0,1), v02=x(0,2), v12=x(1,2) in canonical DFS index order
+    reference = reference_build_model(inst)
     for sol in all_solutions(inst):
-        x = encode_solution(model, sol)
-        for e in model.equalities:
+        x = encode(reference, sol)
+        for e in reference.equalities:
             assert x[e.var_a] == x[e.var_b]
-    # the model must force x(h,i) == x(h,j) when i is outside the bundle --
-    # check the equality set is non-empty and decoding round-trips
-    assert model.equalities
+    assert reference.equalities
+    # the package's classes follow the same rules, and decode every order
+    reduced = identify_variables(build_model(inst))
+    assert reduced.n_classes == 2
     for sol in all_solutions(inst):
-        assert decode_assignment(model, encode_solution(model, sol)) == sol
+        assert solution_of_classes(reduced, classes(reduced.model, sol)) == sol
 
 
 def test_non_tree_consistent_index_order_rejected():
@@ -398,13 +173,13 @@ def test_custom_index_order_same_objectives():
     rng = random.Random(46)
     for _ in range(15):
         inst = random_general_instance(rng, p_range=(2, 2), n_range=(2, 4))
-        base = build_model(inst)
+        base = identify_variables(build_model(inst))
         # any admissible order may serve as the variable indexing
         alt_order = list(all_solutions(inst))[-1]
-        alt = build_model(inst, alt_order)
+        alt = identify_variables(build_model(inst, alt_order))
         for sol in all_solutions(inst):
-            a = objective_value(base, encode_solution(base, sol))
-            b = objective_value(alt, encode_solution(alt, sol))
+            a = objective(as_crossing_terms(base.terms), classes(base.model, sol))
+            b = objective(as_crossing_terms(alt.terms), classes(alt.model, sol))
             assert a == b == count_crossings(inst, sol)
 
 
@@ -414,18 +189,21 @@ def test_identify_variables_consistency():
         inst = random_general_instance(rng)
         model = build_model(inst)
         reduced = identify_variables(model)
-        assert reduced.n_classes <= model.n_vars
-        # class structure: members partition the variables
-        assert reduced.n_classes == len(model.members)
-        seen = sorted(v for cls in model.members for v in cls)
-        assert seen == list(range(model.n_vars))
-        for c, cls in enumerate(model.members):
-            for v in cls:
-                assert model.class_of[v] == c
-                assert model.var_layer[v] == model.var_layer[cls[0]]
-        # equal vars are in the same class
-        for e in model.equalities:
-            assert model.class_of[e.var_a] == model.class_of[e.var_b]
+        assert reduced.n_classes == model.n_classes <= model.n_vars
+        # every layer's table: symmetric, -1 exactly on the diagonal, and its
+        # classes found in no other layer
+        assert len(model.class_table) == model.table_base[-1]
+        layer_of = {}
+        for r, n in enumerate(inst.layer_sizes):
+            base = model.table_base[r]
+            table = model.class_table[base:base + n * n].reshape(n, n)
+            assert (table == table.T).all()
+            assert (np.diag(table) == -1).all()
+            assert (table[~np.eye(n, dtype=bool)] >= 0).all()
+            for c in set(table.reshape(-1).tolist()) - {-1}:
+                assert layer_of.setdefault(c, r) == r
+        # every class has a member
+        assert sorted(layer_of) == list(range(reduced.n_classes))
 
 
 def test_reduced_objective_matches_full():
@@ -434,11 +212,12 @@ def test_reduced_objective_matches_full():
         inst = random_general_instance(rng)
         model = build_model(inst)
         reduced = identify_variables(model)
+        reference = reference_build_model(inst)
         for sol in islice(all_solutions(inst), 12):
-            z = classes_of_solution(reduced, sol)
-            full = objective_value(model, encode_solution(model, sol))
-            assert objective_value(reduced, z) == full
-            assert [z[c] for c in model.class_of] == encode_solution(model, sol)
+            z = classes(model, sol)
+            full = objective(reference.terms, encode(reference, sol))
+            assert objective(as_crossing_terms(reduced.terms), z) == full
+            assert [z[c] for c in class_of(model)] == encode(reference, sol)
             assert solution_of_classes(reduced, z) == sol
 
 
@@ -467,10 +246,10 @@ def test_separate_transitivity_reports_every_violated_triple():
         for cut in hits:
             val = z[cut.a] + z[cut.b] - z[cut.c]
             if cut.sense == "upper":
-                assert val - 1.0 == pytest.approx(cut.violation(z))
+                assert val - 1.0 == pytest.approx(violation(cut, z))
             else:
-                assert -val == pytest.approx(cut.violation(z))
-            assert cut.violation(z) > 0
+                assert -val == pytest.approx(violation(cut, z))
+            assert violation(cut, z) > 0
             found_any = True
         # completeness: no unreported violated triple
         reported = {cut.key() for cut in hits}
@@ -489,7 +268,7 @@ def test_transitivity_satisfied_at_solutions():
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
         reduced = identify_variables(build_model(inst))
         for sol in list(all_solutions(inst))[:8]:
-            z = np.array(classes_of_solution(reduced, sol), dtype=float)
+            z = np.array(classes(reduced.model, sol), dtype=float)
             assert separate_transitivity(reduced, z) == []
 
 
@@ -497,19 +276,11 @@ def test_optimum_over_assignments_matches_oracle():
     rng = random.Random(51)
     for _ in range(20):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 4))
-        model = build_model(inst)
-        best_model = min(objective_value(model, encode_solution(model, s))
-                         for s in all_solutions(inst))
+        reduced = identify_variables(build_model(inst))
+        terms = as_crossing_terms(reduced.terms)
+        best_model = min(objective(terms, classes(reduced.model, s)) for s in all_solutions(inst))
         oracle_best, _ = brute_force_optimum(inst)
         assert best_model == oracle_best
-
-
-def test_dump_model_mentions_sizes():
-    rng = random.Random(52)
-    inst = random_general_instance(rng)
-    model = build_model(inst)
-    text = dump_model(model)
-    assert str(model.n_vars) in text
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +304,13 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
 
 
 def reduced_fields(reduced: ReducedModel) -> tuple:
-    return (reduced.n_classes, tuple(reduced.model.class_of.tolist()), reduced.model.members,
-            as_crossing_terms(reduced.terms), reduced.triples.tolist())
+    """The fields of ``reference_identify_variables``, read off the package's
+    class tables; the class model's triples are its unsorted ``triples``
+    sorted."""
+    of = class_of(reduced.model)
+    members = tuple(tuple(v for v, c in enumerate(of) if c == k) for k in range(reduced.n_classes))
+    assert sorted(reduced.model.triples.tolist()) == reduced.triples.tolist()
+    return (reduced.n_classes, tuple(of), members, as_crossing_terms(reduced.terms), reduced.triples.tolist())
 
 
 def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
@@ -544,7 +320,6 @@ def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> Reduced
     # every term joins a class of layer r to one of layer r + 1: none is constant
     assert offset == 0
     assert reduced_fields(reduced) == tuple(fields)
-    assert as_crossing_terms(reduced.model.terms) == reference.terms
     graph = build_maxcut(reduced)
     n_nodes, edges, weights, ref_offset = reference_build_maxcut(reduced.n_classes, fields[3], offset)
     assert (graph.n_nodes, graph.ends.tolist(), graph.weights.tolist(), graph.offset) == \
@@ -575,19 +350,6 @@ def test_reduction_equals_reference_at_paper_shape():
         for order in (None, Solution(tuple(random_tree_order(t, rng) for t in inst.trees)),
                       barycenter_heuristic(inst)):
             assert_same_reduction(inst, order)
-
-
-def test_identify_variables_leaves_position_terms_unbuilt():
-    """The class model is read off the class tables: the position-level terms
-    and class member lists stay unbuilt until something asks for them."""
-    rng = random.Random(59)
-    model = build_model(random_storyline_instance(rng, p_range=(6, 8), n_range=(4, 9)))
-    reduced = identify_variables(model)
-    assert len(reduced.terms) > 0
-    for name in ("terms", "members", "equalities"):
-        assert name not in vars(model)
-    assert len(model.terms) >= len(reduced.terms)
-    assert "terms" in vars(model)
 
 
 def wide_instance(scenes: int, size: int) -> MlcmInstance:
@@ -637,9 +399,11 @@ def test_not_transitive_witness_is_violated():
     rejected = 0
     for _ in range(30):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 7))
-        model = build_model(inst)
+        reduced = identify_variables(build_model(inst))
+        model, of = reduced.model, class_of(reduced.model)
         for _ in range(20):
-            x = [rng.randint(0, 1) for _ in range(model.n_vars)]
+            z = [rng.randint(0, 1) for _ in range(reduced.n_classes)]
+            x = [z[c] for c in of]
             violated = set()
             for r, n in enumerate(inst.layer_sizes):
                 for h in range(n):
@@ -650,15 +414,13 @@ def test_not_transitive_witness_is_violated():
                             if x[t.var_hi] + x[t.var_ij] - x[t.var_hj] not in (0, 1):
                                 violated.add(t)
             try:
-                decode_assignment(model, x)
+                solution_of_classes(reduced, z)
             except NotTransitive as exc:
                 assert exc.triple in violated
                 # the witness is in the first layer that has one
                 assert exc.triple.layer == min(t.layer for t in violated)
                 rejected += 1
                 continue
-            except ValueError:
-                pass
             assert not violated
     assert rejected > 100
 

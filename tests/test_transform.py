@@ -361,3 +361,26 @@ def test_build_instance_scales_with_the_story():
     assert inst.p == len(trace.active_scenes) == 20_000
     assert all(len(ids) == 1 for ids in trace.active_scenes)
     assert elapsed < 5.0, f"validate + build took {elapsed:.2f} s"
+
+
+def test_build_instance_ranks_the_times_once(fig_story_text, monkeypatch):
+    """Validation and the construction share one ranking of the times."""
+    from storymin import story as story_module
+
+    calls = []
+    real = story_module._time_ranks
+
+    def counted(scenes):
+        calls.append(len(scenes))
+        return real(scenes)
+
+    monkeypatch.setattr(story_module, "_time_ranks", counted)
+    monkeypatch.setattr(transform, "_time_ranks", counted)
+    story = parse_story(fig_story_text)
+    build_instance(story)
+    assert calls == [len(story.scenes)]
+    # an invalid story is reported from the same ranking
+    bad = Story(story.characters, story.scenes + (Scene("late", frozenset(), Fraction(9), Fraction(8)),))
+    with pytest.raises(InvalidStoryError):
+        build_instance(bad)
+    assert calls == [len(story.scenes), len(bad.scenes)]
