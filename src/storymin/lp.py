@@ -8,9 +8,12 @@ with incrementally added/removed rows (cutting planes) and adjustable bounds
 (branching).  Rows are addressed by position, in the order they were added:
 ``add_rows`` returns the new positions, and ``remove_rows`` deletes by
 position and closes the gaps, so the rows after a deleted one move up.
-``solve`` reports status, objective, primal point and the row slacks as one
-array in row order.  A solve that reaches the deadline given to
-``set_deadline`` stops and reports ``TIME_LIMIT``.
+``add_rows`` takes a :class:`RowBlock` (CSR arrays, for many rows built in
+bulk) or any iterable of ``(coefficients dict, rhs)`` rows, and the backend
+keeps its rows as one ``RowBlock``.  ``solve`` reports status, objective,
+primal point and the row slacks as one array in row order.  A solve that
+reaches the deadline given to ``set_deadline`` stops and reports
+``TIME_LIMIT``.
 
 :class:`SimplexBackend` builds one HiGHS model (dual simplex, presolve off)
 on ``load`` and sends it each change as it is made: ``set_bounds``,
@@ -55,6 +58,7 @@ __all__ = [
     "TIME_LIMIT",
     "LpResult",
     "RelaxationBackend",
+    "RowBlock",
     "SimplexBackend",
     "ScipyBackend",
     "highs_available",
@@ -93,7 +97,7 @@ class RelaxationBackend(Protocol):
 
     def get_bounds(self, var: int) -> tuple[float, float]: ...
 
-    def add_rows(self, rows: Iterable[Row]) -> list[int]: ...
+    def add_rows(self, rows: RowBlock | Iterable[Row]) -> list[int]: ...
 
     def remove_rows(self, positions: Iterable[int]) -> None: ...
 
@@ -140,21 +144,52 @@ def highs_available() -> bool:
     return _core is not False
 
 
-def _csr(rows: list[Row]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``rows`` as CSR arrays (indptr, indices, data) and right-hand sides."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for coefs, _ in rows:
-        indices.extend(coefs)
-        data.extend(coefs.values())
-        indptr.append(len(indices))
-    return (np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32),
-            np.asarray(data, dtype=float), _rhs(rows))
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Rows ``A x <= b`` in CSR form: row k's coefficients ``data`` on the
+    variables ``indices``, both over ``indptr[k]:indptr[k + 1]``, and its
+    right-hand side ``rhs[k]``."""
+
+    indptr: np.ndarray  # int32, (k + 1,)
+    indices: np.ndarray  # int32
+    data: np.ndarray  # float
+    rhs: np.ndarray  # float, (k,)
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    @classmethod
+    def of(cls, rows: Iterable[Row]) -> RowBlock:
+        """The rows ``(coefficients dict, rhs)``, in order."""
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        rhs: list[float] = []
+        for coefs, b in rows:
+            indices.extend(coefs)
+            data.extend(coefs.values())
+            indptr.append(len(indices))
+            rhs.append(b)
+        return cls(np.asarray(indptr, dtype=np.int32), np.asarray(indices, dtype=np.int32),
+                   np.asarray(data, dtype=float), np.asarray(rhs, dtype=float))
+
+    def append(self, other: RowBlock) -> RowBlock:
+        """These rows, then ``other``'s."""
+        return RowBlock(np.concatenate((self.indptr, other.indptr[1:] + self.indptr[-1])),
+                        np.concatenate((self.indices, other.indices)),
+                        np.concatenate((self.data, other.data)),
+                        np.concatenate((self.rhs, other.rhs)))
+
+    def select(self, keep: np.ndarray) -> RowBlock:
+        """The rows where the boolean mask ``keep`` is true, in order."""
+        lengths = np.diff(self.indptr)
+        entries = np.repeat(keep, lengths)
+        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int32)
+        np.cumsum(lengths[keep], out=indptr[1:])
+        return RowBlock(indptr, self.indices[entries], self.data[entries], self.rhs[keep])
 
 
-def _rhs(rows: list[Row]) -> np.ndarray:
-    return np.fromiter((rhs for _, rhs in rows), dtype=float, count=len(rows))
+_NO_ROWS = RowBlock.of(())
 
 
 class _BaseBackend:
@@ -163,7 +198,7 @@ class _BaseBackend:
         self.lo = np.zeros(0)
         self.hi = np.zeros(0)
         self.deadline = math.inf
-        self._rows: list[Row] = []
+        self._rows = _NO_ROWS
 
     def load(self, costs, lower, upper) -> None:
         self.c = np.asarray(list(costs), dtype=float)
@@ -173,7 +208,7 @@ class _BaseBackend:
             raise ValueError("costs/lower/upper length mismatch")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
-        self._rows = []
+        self._rows = _NO_ROWS
 
     def set_deadline(self, deadline: float) -> None:
         """``time.monotonic()`` value at which a solve stops with TIME_LIMIT."""
@@ -189,23 +224,21 @@ class _BaseBackend:
         return float(self.lo[var]), float(self.hi[var])
 
     def add_rows(self, rows) -> list[int]:
-        n = len(self.c)
-        checked = []
-        for coefs, rhs in rows:
-            for j in coefs:
-                if not (0 <= j < n):
-                    raise ValueError(f"row references unknown variable {j}")
-            checked.append((dict(coefs), float(rhs)))
+        block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
+        bad = block.indices[(block.indices < 0) | (block.indices >= len(self.c))]
+        if bad.size:
+            raise ValueError(f"row references unknown variable {bad[0]}")
         start = len(self._rows)
-        self._rows.extend(checked)
+        self._rows = self._rows.append(block)
         return list(range(start, len(self._rows)))
 
     def remove_rows(self, positions) -> None:
         gone = sorted(set(positions))
         if gone and (gone[0] < 0 or gone[-1] >= len(self._rows)):
             raise IndexError(f"row positions {gone} out of range for {len(self._rows)} rows")
-        for k in reversed(gone):
-            del self._rows[k]
+        keep = np.ones(len(self._rows), dtype=bool)
+        keep[gone] = False
+        self._rows = self._rows.select(keep)
 
     def row_count(self) -> int:
         return len(self._rows)
@@ -230,11 +263,11 @@ class SimplexBackend(_BaseBackend):
         self._highs.changeColBounds(var, lo, hi)
 
     def add_rows(self, rows) -> list[int]:
-        positions = super().add_rows(rows)
+        block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
+        positions = super().add_rows(block)
         if positions:
-            indptr, indices, data, b = _csr(self._rows[positions[0]:])
-            self._highs.addRows(len(b), np.full(len(b), -np.inf), b,
-                                len(indices), indptr[:-1], indices, data)
+            self._highs.addRows(len(block), np.full(len(block), -np.inf), block.rhs,
+                                len(block.indices), block.indptr[:-1], block.indices, block.data)
         return positions
 
     def remove_rows(self, positions) -> None:
@@ -263,7 +296,7 @@ class SimplexBackend(_BaseBackend):
         sol = highs.getSolution()
         return LpResult(OPTIMAL, float(highs.getObjectiveValue()),
                         np.asarray(sol.col_value, dtype=float),
-                        _rhs(self._rows) - np.asarray(sol.row_value, dtype=float))
+                        self._rows.rhs - np.asarray(sol.row_value, dtype=float))
 
 
 class ScipyBackend(_BaseBackend):
@@ -277,10 +310,11 @@ class ScipyBackend(_BaseBackend):
         if left <= 0:
             return LpResult(TIME_LIMIT)
         kwargs = {}
-        if self._rows:
-            indptr, indices, data, b = _csr(self._rows)
-            kwargs = {"A_ub": csr_array((data, indices, indptr), shape=(len(b), len(self.c))),
-                      "b_ub": b}
+        rows = self._rows
+        if len(rows):
+            kwargs = {"A_ub": csr_array((rows.data, rows.indices, rows.indptr),
+                                        shape=(len(rows), len(self.c))),
+                      "b_ub": rows.rhs}
         if math.isfinite(left):
             kwargs["options"] = {"time_limit": left}
         res = linprog(self.c, bounds=list(zip(self.lo, self.hi)), method="highs", **kwargs)

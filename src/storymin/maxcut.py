@@ -28,6 +28,17 @@ at a 0/1 vector the failing triangles (none iff the vector is a cut), at a
 fractional one what ``separate_odd_cycles`` returns whenever a triangle is
 violated.
 
+The LP starts with half of them, ``sign_triangles``: the two rows per pair
+edge that its weight's sign lets bind (the linearization of a binary
+product, Padberg, "The boolean quadric polytope", 1989).  A negative edge
+gets y_e <= y_u0 + y_v0 and y_e + y_u0 + y_v0 <= 2, a positive one
+y_u0 - y_e - y_v0 <= 0 and y_v0 - y_e - y_u0 <= 0, and a weight-0 edge
+none.  This costs the first LP nothing of the full triangle bound: a
+pair-edge variable appears only in its own two rows, so an optimum sets a
+negative y_e to min(y_u0 + y_v0, 2 - y_u0 - y_v0) and a positive one to
+|y_u0 - y_v0|, and some optimum sets a weight-0 one to |y_u0 - y_v0|; such
+a point meets all four rows of every triangle.
+
 Only when no triangle is violated does ``separate_odd_cycles`` search
 general cycles.  In the doubled graph (node v split into an even copy 2v and
 an odd copy 2v+1; edge e gives same-side arcs of length y_e and
@@ -73,6 +84,7 @@ from itertools import chain
 
 import numpy as np
 
+from .lp import RowBlock
 from .mlcm import Solution
 from .ordering import ReducedModel, _read_only, solution_of_classes
 
@@ -82,6 +94,7 @@ __all__ = [
     "TransitivityCut",
     "build_maxcut",
     "cut_consistency",
+    "sign_triangles",
     "separate_odd_cycles",
     "separate_transitivity",
     "cut_to_solution",
@@ -102,6 +115,10 @@ MAX_CUTS = 500
 # the four odd sets of a reference triangle (pair edge, root edge of u, root
 # edge of v), as positions in that cycle; scored in this order below
 _TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
+# their rows: coefficients on (pair edge, root edge of u, root edge of v), rhs
+_TRIANGLE_COEFS = np.array([[1.0 if i in odd else -1.0 for i in range(3)]
+                            for odd in _TRIANGLE_ODD_SETS])
+_TRIANGLE_RHS = np.array([len(odd) - 1.0 for odd in _TRIANGLE_ODD_SETS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +216,31 @@ def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
         odd = frozenset(cycle[i] for i in _TRIANGLE_ODD_SETS[kind])
         out.append(OddCycleInequality(cycle, odd))
     return out
+
+
+def sign_triangles(graph: MaxCutGraph) -> tuple[list[tuple], RowBlock]:
+    """The LP's root rows (module docstring): the two reference-triangle
+    rows that the sign of its weight lets bind, per pair edge of nonzero
+    weight, in edge order; their keys (those of ``OddCycleInequality.key``)
+    and the rows, built in one pass."""
+    r = graph.n_root_edges
+    w = graph.weights[r:]
+    pair = np.flatnonzero(w)
+    neg = w[pair] < 0
+    # per edge its cycle (pair edge, root edge of u, root edge of v)
+    cycle = np.column_stack((pair + r, graph.ends[r + pair] - 1))
+    kinds = np.where(neg[:, None], (0, 3), (1, 2)).ravel()
+    edges = np.repeat(cycle, 2, axis=0).ravel().astype(np.int32)
+    rows = RowBlock(np.arange(0, edges.size + 1, 3, dtype=np.int32), edges,
+                    _TRIANGLE_COEFS[kinds].ravel(), _TRIANGLE_RHS[kinds])
+    # the first odd set is one edge (the pair edge if negative, else the root
+    # edge of u); the second is the whole cycle or the root edge of v
+    keys: list[tuple] = []
+    first = np.where(neg, cycle[:, 0], cycle[:, 1]).tolist()
+    for c, f, v0, n in zip(map(tuple, np.sort(cycle, axis=1).tolist()), first,
+                           cycle[:, 2].tolist(), neg.tolist()):
+        keys += (("oddcycle", c, (f,)), ("oddcycle", c, c if n else (v0,)))
+    return keys, rows
 
 
 def _best_odd_set(cycle: list[int], y) -> tuple[frozenset[int], float]:

@@ -6,8 +6,11 @@ per-layer variable indexing; at most 8 sweeps, each recounting only the
 gaps next to a layer it reordered, and stopping early once the alternating
 sweeps repeat a layout) -> build the quadratic ordering model -> identify
 variables -> reduce to a weighted cut problem -> branch and cut on the LP
-relaxation (box bounds only at the root; odd-cycle and transitivity
-inequalities separated on demand).
+relaxation.  The LP starts with the box bounds and, before its first solve,
+the two reference-triangle rows that can bind for each pair edge of nonzero
+weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
+inequalities are separated on demand.  The root rows are kept, counted
+(``n_oddc``) and dropped when slack like every separated cut.
 
 Separation order at each LP point.  An integral point goes to
 ``cut_consistency``, which returns the reference triangles (a pair edge and
@@ -23,7 +26,7 @@ branches.
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
 extension).  Cuts and branching fixes reach it as row and bound changes.
-The LP is created only when the heuristic's count is above the root bound
+The LP is created only when the heuristic's count is above the box bound
 (every negative-weight edge cut, no other); otherwise the heuristic layout
 is returned as optimal at once.  The deadline is handed to the LP and to
 odd-cycle separation too, so a long LP or separation round stops at the time
@@ -46,6 +49,7 @@ import heapq
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -67,6 +71,7 @@ from .maxcut import (
     cut_to_solution,
     separate_odd_cycles,
     separate_transitivity,
+    sign_triangles,
 )
 from .mlcm import (
     MlcmInstance,
@@ -280,8 +285,8 @@ class _Search:
         self.heap: list[_Node] = []
         self.seq = 0
         self.timed_out = False
-        # the LP's cuts by key, in row order, and their consecutive-slack counts
-        self.row_cuts: dict = {}
+        # the keys of the LP's rows, in row order, and their consecutive-slack counts
+        self.row_keys: dict = {}
         self.slack_rounds = np.zeros(0, dtype=np.int64)
         self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
@@ -304,17 +309,20 @@ class _Search:
     # -- cut handling -----------------------------------------------------
 
     def _add_cuts(self, cuts, kind: str) -> int:
-        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.row_cuts}
-        if not fresh:
-            return 0
-        self.backend.add_rows([cut.lp_row() for cut in fresh.values()])
-        self.row_cuts.update(fresh)
-        self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(fresh), np.int64)])
-        if kind == "oddc":
-            self.stats.n_oddc += len(fresh)
-        else:
-            self.stats.n_trans += len(fresh)
+        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.row_keys}
+        if fresh:
+            self.add_rows(list(fresh), [cut.lp_row() for cut in fresh.values()], kind)
         return len(fresh)
+
+    def add_rows(self, keys: list, rows, kind: str) -> None:
+        """Add rows whose keys are not in the LP yet; ``kind`` is "oddc" or "trans"."""
+        self.backend.add_rows(rows)
+        self.row_keys.update(dict.fromkeys(keys))
+        self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(keys), np.int64)])
+        if kind == "oddc":
+            self.stats.n_oddc += len(keys)
+        else:
+            self.stats.n_trans += len(keys)
 
     def _manage_slack(self, slacks: np.ndarray) -> None:
         self.slack_rounds = np.where(slacks > _SLACK_DROP, self.slack_rounds + 1, 0)
@@ -322,7 +330,7 @@ class _Search:
         if keep.all():
             return
         self.backend.remove_rows(np.flatnonzero(~keep).tolist())
-        self.row_cuts = {k: cut for (k, cut), kept in zip(self.row_cuts.items(), keep) if kept}
+        self.row_keys = dict.fromkeys(compress(self.row_keys, keep.tolist()))
         self.slack_rounds = self.slack_rounds[keep]
 
     # -- node processing --------------------------------------------------
@@ -472,6 +480,8 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     lp.set_deadline(deadline)
 
     search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)
+    # the first LP holds the reference-triangle bound (maxcut docstring)
+    search.add_rows(*sign_triangles(graph), "oddc")
     search.push(root, ())
     search.run()
 

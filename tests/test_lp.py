@@ -21,6 +21,7 @@ from storymin.lp import (
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
+    RowBlock,
     ScipyBackend,
     SimplexBackend,
 )
@@ -109,6 +110,11 @@ def test_bad_variable_in_row():
     be = make(SimplexBackend, [0.0], [0], [1])
     with pytest.raises(ValueError):
         be.add_rows([({3: 1.0}, 1.0)])
+    block = RowBlock(np.array([0, 1], dtype=np.int32), np.array([-1], dtype=np.int32),
+                     np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        be.add_rows(block)
+    assert be.row_count() == 0
 
 
 def test_bounds_update():

@@ -28,7 +28,13 @@ from storymin import (
     separate_odd_cycles,
     separate_transitivity,
 )
-from storymin.maxcut import TOLERANCE, TransitivityCut, _best_odd_set, _extract_simple_odd_cycle
+from storymin.maxcut import (
+    TOLERANCE,
+    TransitivityCut,
+    _best_odd_set,
+    _extract_simple_odd_cycle,
+    sign_triangles,
+)
 from storymin.mlcm import Solution
 
 from conftest import cut_graph, random_general_instance, random_story_doc, random_storyline_instance
@@ -473,6 +479,61 @@ def test_no_cuts_at_consistent_integral_points():
         sol = next(all_solutions(inst))
         y = cut_vector(graph, classes(reduced.model, sol))
         assert separate_odd_cycles(graph, y) == []
+
+
+def row_values(rows, y) -> np.ndarray:
+    """lhs - rhs of every row of a ``RowBlock`` at y (> 0: violated)."""
+    lhs = np.add.reduceat(rows.data * np.asarray(y, dtype=float)[rows.indices], rows.indptr[:-1])
+    return lhs - rows.rhs
+
+
+def test_sign_triangles_are_the_binding_reference_triangles():
+    """Two rows per pair edge of nonzero weight, in edge order, each the row
+    and key of its ``OddCycleInequality``: a negative edge keeps the odd
+    sets {e} and {e, u0, v0}, a positive one {u0} and {v0}."""
+    rng = random.Random(72)
+    seen_signs = set()
+    for _ in range(20):
+        graph = build_maxcut(reduced_of(random_general_instance(rng)))
+        r = graph.n_root_edges
+        keys, rows = sign_triangles(graph)
+        assert len(keys) == len(rows) == 2 * np.count_nonzero(graph.weights[r:])
+        assert rows.indptr.tolist() == list(range(0, 3 * len(rows) + 1, 3))
+        expected = []
+        for e in range(r, graph.n_edges):
+            w = int(graph.weights[e])
+            if w == 0:
+                continue
+            seen_signs.add(w > 0)
+            u0, v0 = (graph.ends[e] - 1).tolist()
+            odd_sets = ({e}, {e, u0, v0}) if w < 0 else ({u0}, {v0})
+            expected += [OddCycleInequality((e, u0, v0), frozenset(odd)) for odd in odd_sets]
+        assert keys == [ineq.key() for ineq in expected]
+        for k, ineq in enumerate(expected):
+            span = slice(rows.indptr[k], rows.indptr[k + 1])
+            coefs = dict(zip(rows.indices[span].tolist(), rows.data[span].tolist()))
+            assert (coefs, float(rows.rhs[k])) == ineq.lp_row()
+    assert seen_signs == {False, True}
+
+
+def test_sign_triangles_hold_at_every_layout_cut():
+    """The root rows are valid: every tree-consistent layout's cut vector
+    meets all of them."""
+    rng = random.Random(73)
+    layouts = 0
+    for k in range(16):
+        if k % 2:
+            inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 4))
+        else:
+            inst = random_storyline_instance(rng, p_range=(2, 3), n_range=(3, 4))
+        reduced = reduced_of(inst)
+        graph = build_maxcut(reduced)
+        _, rows = sign_triangles(graph)
+        for sol in all_solutions(inst):
+            y = cut_vector(graph, classes(reduced.model, sol))
+            assert (row_values(rows, y) <= 0).all()
+            layouts += 1
+    assert layouts >= 2000
 
 
 def test_odd_cycle_lp_row_matches_violation():

@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from storymin import (
@@ -28,7 +29,7 @@ from storymin import (
     validate_instance,
 )
 from storymin import build_model, identify_variables, lp, maxcut, solver
-from storymin.maxcut import build_maxcut
+from storymin.maxcut import OddCycleInequality, build_maxcut
 from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
 from conftest import (
@@ -326,19 +327,67 @@ def test_medium_instance_returns_near_its_time_limit():
 
 
 def test_medium_instance_proven_with_few_lps():
-    # every witness at an integral point and triangles before Dijkstra;
-    # adding one witness at a time took 189 LPs here
+    # the root rows give the first LP the reference-triangle bound; with
+    # box bounds alone at the root it took 36 LPs, and adding one witness
+    # at a time 189
     doc = random_story_doc(random.Random(1), 12, 30, 12)
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     runs = [branch_and_cut(inst, SolveConfig()) for _ in range(2)]
     for res in runs:
         assert res.status == OPTIMAL_STATUS
         assert res.crossings == res.lower_bound == 6
-        assert res.stats.n_LPs <= 60
+        assert res.stats.n_LPs <= 15
     assert runs[0].stats.n_LPs == runs[1].stats.n_LPs
 
 
+def record_graphs(monkeypatch) -> list:
+    """Every cut graph that branch_and_cut builds, in order."""
+    graphs = []
+
+    def recorded_build_maxcut(reduced):
+        graphs.append(build_maxcut(reduced))
+        return graphs[-1]
+
+    monkeypatch.setattr(solver, "build_maxcut", recorded_build_maxcut)
+    return graphs
+
+
+@pytest.mark.parametrize("seed, n_chars, n_scenes, tmax",
+                         [(1, 12, 30, 12), (2, 16, 40, 16), (6, 14, 36, 14)])
+def test_first_lp_holds_the_full_triangle_bound(monkeypatch, seed, n_chars, n_scenes, tmax):
+    """Two root rows per weighted pair edge give the first LP the bound of
+    all four reference-triangle rows of every pair edge, above the box bound."""
+    objectives = []
+
+    class RecordingBackend(SimplexBackend):
+        def solve(self):
+            res = super().solve()
+            objectives.append(res.objective)
+            return res
+
+    graphs = record_graphs(monkeypatch)
+    doc = random_story_doc(random.Random(seed), n_chars, n_scenes, tmax)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    res = branch_and_cut(inst, backend=RecordingBackend)
+    assert res.status == OPTIMAL_STATUS
+    (graph,) = graphs
+    r, m = graph.n_root_edges, graph.n_edges
+    full = SimplexBackend()
+    full.load(graph.weights.tolist(), [0.0] * m, [0.0] + [1.0] * (m - 1))
+    rows = []
+    for e in range(r, m):
+        u0, v0 = (graph.ends[e] - 1).tolist()
+        rows += [OddCycleInequality((e, u0, v0), frozenset(odd)).lp_row()
+                 for odd in ({e}, {u0}, {v0}, {e, u0, v0})]
+    full.add_rows(rows)
+    bound = full.solve().objective
+    assert objectives[0] == pytest.approx(bound, abs=1e-6)
+    assert bound >= np.minimum(graph.weights, 0).sum() + 0.5 - 1e-6
+
+
 def test_every_cut_round_holds_at_most_max_cuts(monkeypatch):
+    """The root rows arrive in one call, two per pair edge of nonzero
+    weight; every later call holds at most ``MAX_CUTS`` rows."""
     added = []
 
     class CountingBackend(SimplexBackend):
@@ -347,12 +396,15 @@ def test_every_cut_round_holds_at_most_max_cuts(monkeypatch):
             return super().add_rows(rows)
 
     monkeypatch.setattr(maxcut, "MAX_CUTS", 3)
+    graphs = record_graphs(monkeypatch)
     doc = random_story_doc(random.Random(1), 12, 30, 12)
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     res = branch_and_cut(inst, backend=CountingBackend)
     assert res.status == OPTIMAL_STATUS
     assert res.crossings == res.lower_bound == 6
-    assert added and max(added) <= 3
+    (graph,) = graphs
+    assert added[0] == 2 * np.count_nonzero(graph.weights[graph.n_root_edges:]) > 0
+    assert len(added) > 1 and max(added[1:]) <= 3
 
 
 def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
@@ -381,6 +433,9 @@ def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
             return super().solve()
 
     monkeypatch.setattr(solver, "_Search", RecordedSearch)
+    # the root rows close this instance in about ten LPs; three rounds of
+    # slack let rows leave before it closes
+    monkeypatch.setattr(solver, "_SLACK_ROUNDS", 3)
     doc = random_story_doc(random.Random(2), 16, 40, 16)
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     res = branch_and_cut(inst, backend=CheckedBackend)
