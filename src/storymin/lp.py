@@ -4,25 +4,22 @@ Both backends hold a problem of the form
 
     minimize c.x   subject to   A x <= b,   l <= x <= u
 
-with incrementally added/removed rows (cutting planes) and adjustable bounds
-(branching).  Rows are addressed by position, in the order they were added:
-``add_rows`` returns the new positions, and ``remove_rows`` deletes by
-position and closes the gaps, so the rows after a deleted one move up.
-``add_rows`` takes a :class:`RowBlock` (CSR arrays, for many rows built in
-bulk) or any iterable of ``(coefficients dict, rhs)`` rows, and the backend
-keeps its rows as one ``RowBlock``.  ``solve`` reports status, objective,
-primal point and the row slacks as one array in row order.  A solve that
-reaches the deadline given to ``set_deadline`` stops and reports
+with incrementally added rows (cutting planes) and adjustable bounds
+(branching).  Rows are only ever added, never removed: ``add_rows`` returns
+the positions of the new rows, in the order they were added, and
+``row_count`` the number held.  ``add_rows`` takes a :class:`RowBlock` (CSR
+arrays, for many rows built in bulk) or any iterable of
+``(coefficients dict, rhs)`` rows, and the backend keeps its rows as one
+``RowBlock``.  ``solve`` reports status, objective and primal point.  A
+solve that reaches the deadline given to ``set_deadline`` stops and reports
 ``TIME_LIMIT``.
 
 :class:`SimplexBackend` builds one HiGHS model (dual simplex, presolve off)
-on ``load`` and sends it each change as it is made: ``set_bounds``,
-``add_rows`` and ``remove_rows`` update the model at once.  Every solve
-restarts from the previous basis, so a round of cuts or a branching fix
-costs a few pivots instead of a cold solve.  HiGHS addresses its rows the
-same way, so the k-th stored row is always the k-th HiGHS row.  The backend
-also keeps the rows, costs and bounds it was given (``_BaseBackend``), for
-the slacks and ``get_bounds``.
+on ``load`` and sends it each change as it is made: ``set_bounds`` and
+``add_rows`` update the model at once.  Every solve restarts from the
+previous basis, so a round of cuts or a branching fix costs a few pivots
+instead of a cold solve.  The backend also keeps the rows, costs and bounds
+it was given (``_BaseBackend``), for ``row_count`` and ``get_bounds``.
 
 The model comes from the HiGHS binding that SciPy ships as the private
 extension ``scipy.optimize._highspy._core``.  Importing it the normal way
@@ -83,7 +80,6 @@ class LpResult:
     status: str
     objective: float = float("nan")
     x: np.ndarray | None = None
-    slacks: np.ndarray | None = None
 
 
 class RelaxationBackend(Protocol):
@@ -98,8 +94,6 @@ class RelaxationBackend(Protocol):
     def get_bounds(self, var: int) -> tuple[float, float]: ...
 
     def add_rows(self, rows: RowBlock | Iterable[Row]) -> list[int]: ...
-
-    def remove_rows(self, positions: Iterable[int]) -> None: ...
 
     def row_count(self) -> int: ...
 
@@ -180,14 +174,6 @@ class RowBlock:
                         np.concatenate((self.data, other.data)),
                         np.concatenate((self.rhs, other.rhs)))
 
-    def select(self, keep: np.ndarray) -> RowBlock:
-        """The rows where the boolean mask ``keep`` is true, in order."""
-        lengths = np.diff(self.indptr)
-        entries = np.repeat(keep, lengths)
-        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int32)
-        np.cumsum(lengths[keep], out=indptr[1:])
-        return RowBlock(indptr, self.indices[entries], self.data[entries], self.rhs[keep])
-
 
 _NO_ROWS = RowBlock.of(())
 
@@ -232,14 +218,6 @@ class _BaseBackend:
         self._rows = self._rows.append(block)
         return list(range(start, len(self._rows)))
 
-    def remove_rows(self, positions) -> None:
-        gone = sorted(set(positions))
-        if gone and (gone[0] < 0 or gone[-1] >= len(self._rows)):
-            raise IndexError(f"row positions {gone} out of range for {len(self._rows)} rows")
-        keep = np.ones(len(self._rows), dtype=bool)
-        keep[gone] = False
-        self._rows = self._rows.select(keep)
-
     def row_count(self) -> int:
         return len(self._rows)
 
@@ -270,12 +248,6 @@ class SimplexBackend(_BaseBackend):
                                 len(block.indices), block.indptr[:-1], block.indices, block.data)
         return positions
 
-    def remove_rows(self, positions) -> None:
-        gone = sorted(set(positions))
-        super().remove_rows(gone)
-        if gone:
-            self._highs.deleteRows(len(gone), np.asarray(gone, dtype=np.int32))
-
     def solve(self) -> LpResult:
         highs = self._highs
         left = self.deadline - time.monotonic()
@@ -293,10 +265,8 @@ class SimplexBackend(_BaseBackend):
         }.get(highs.getModelStatus(), NUMERICAL)
         if status != OPTIMAL:
             return LpResult(status)
-        sol = highs.getSolution()
         return LpResult(OPTIMAL, float(highs.getObjectiveValue()),
-                        np.asarray(sol.col_value, dtype=float),
-                        self._rows.rhs - np.asarray(sol.row_value, dtype=float))
+                        np.asarray(highs.getSolution().col_value, dtype=float))
 
 
 class ScipyBackend(_BaseBackend):
@@ -326,5 +296,4 @@ class ScipyBackend(_BaseBackend):
             return LpResult(UNBOUNDED)
         if res.status != 0 or res.x is None:
             return LpResult(NUMERICAL)
-        return LpResult(OPTIMAL, float(res.fun), np.asarray(res.x, dtype=float),
-                        np.asarray(res.slack, dtype=float))
+        return LpResult(OPTIMAL, float(res.fun), np.asarray(res.x, dtype=float))

@@ -23,10 +23,9 @@ edges.  So every pair edge (u, v) closes a *reference triangle* with the root
 edges of u and v, and a 0/1 vector is a cut iff y_uv == y_u0 xor y_v0 on every
 pair edge.  The four odd-set inequalities of a triangle are exactly the
 linearization of that xor.  ``cut_consistency`` scores them for every pair
-edge in one numpy pass and returns the violated ones, most violated first:
-at a 0/1 vector the failing triangles (none iff the vector is a cut), at a
-fractional one what ``separate_odd_cycles`` returns whenever a triangle is
-violated.
+edge in one numpy pass and returns the violated ones, most violated first;
+the solver calls it at 0/1 vectors only, where it returns the failing
+triangles (none iff the vector is a cut).
 
 The LP starts with half of them, ``sign_triangles``: the two rows per pair
 edge that its weight's sign lets bind (the linearization of a binary
@@ -39,11 +38,13 @@ negative y_e to min(y_u0 + y_v0, 2 - y_u0 - y_v0) and a positive one to
 |y_u0 - y_v0|, and some optimum sets a weight-0 one to |y_u0 - y_v0|; such
 a point meets all four rows of every triangle.
 
-Only when no triangle is violated does ``separate_odd_cycles`` search
-general cycles.  In the doubled graph (node v split into an even copy 2v and
-an odd copy 2v+1; edge e gives same-side arcs of length y_e and
-side-switching arcs of length 1 - y_e) a violated inequality is a walk
-2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs of length 0, so the
+At a fractional point ``separate_odd_cycles`` searches general cycles
+only: the root rows leave a violated triangle at almost no fractional point
+of the benchmark corpora, and the search is complete, so it returns a
+violated inequality whenever a triangle is violated.  In the doubled graph
+(node v split into an even copy 2v and an odd copy 2v+1; edge e gives
+same-side arcs of length y_e and side-switching arcs of length 1 - y_e) a
+violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs of length 0, so the
 search contracts them first, in one connected-components pass:
 
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
@@ -70,8 +71,8 @@ SciPy is imported only where the general-cycle search runs:
 (``csr_matrix``, ``dijkstra``) import ``scipy.sparse`` on their first call
 (about 0.25 s and 27 MB of a fresh process on a 2-vCPU machine).  Importing
 this module, building the graph, the triangle pass, transitivity and the
-decoders load numpy only, so a process whose every LP point is cut off by a
-triangle never loads it.
+decoders load numpy only, so a process whose every LP solve is integral or
+prunes its node never loads it.
 """
 
 from __future__ import annotations
@@ -291,8 +292,7 @@ def _extract_simple_odd_cycle(nodes: list[int], steps: list[tuple[int, bool]]) -
 def separate_odd_cycles(graph: MaxCutGraph, y, deadline: float = math.inf) -> list[OddCycleInequality]:
     """Find violated odd-cycle inequalities at fractional y.
 
-    Violated reference triangles are returned when there are any.  Otherwise
-    the doubled graph is contracted along its zero-length arcs (the edges at
+    The doubled graph is contracted along its zero-length arcs (the edges at
     0 or 1): the odd cycles inside a component that joins both copies of a
     node are found by breadth-first search, and each fractional edge with an
     end outside such components closes one candidate cycle through a
@@ -308,10 +308,6 @@ def separate_odd_cycles(graph: MaxCutGraph, y, deadline: float = math.inf) -> li
     if m == 0 or n < 3:
         return []
     yv = np.clip(np.asarray(y, dtype=float)[:m], 0.0, 1.0)
-    triangles = cut_consistency(graph, yv)
-    if triangles:
-        return triangles
-
     forest = _IntegralForest(graph, yv)
     found: dict[tuple, tuple[float, OddCycleInequality]] = {}
     ylist = yv.tolist()

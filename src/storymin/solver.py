@@ -9,8 +9,8 @@ variables -> reduce to a weighted cut problem -> branch and cut on the LP
 relaxation.  The LP starts with the box bounds and, before its first solve,
 the two reference-triangle rows that can bind for each pair edge of nonzero
 weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
-inequalities are separated on demand.  The root rows are kept, counted
-(``n_oddc``) and dropped when slack like every separated cut.
+inequalities are separated on demand.  The root rows are counted
+(``n_oddc``) like every separated cut.
 
 Separation order at each LP point.  An integral point goes to
 ``cut_consistency``, which returns the reference triangles (a pair edge and
@@ -18,10 +18,9 @@ its two root edges) the point fails; they enter the LP at once, up to
 ``MAX_CUTS`` per round (``maxcut.MAX_CUTS`` caps every separator's list).
 At an integral cut, violated transitivity rows are added if there are any;
 otherwise the point is decoded, recounted and offered as incumbent.  At a
-fractional point: ``separate_odd_cycles`` (violated reference triangles if
-there are any, only otherwise the odd cycles of the graph that the edges at
-0 or 1 contract to), then transitivity; if nothing is violated, the node
-branches.
+fractional point: ``separate_odd_cycles`` (the odd cycles of the graph
+that the edges at 0 or 1 contract to), then transitivity; if nothing is
+violated, the node branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
@@ -36,11 +35,9 @@ between LPs.
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
-index).  The cuts in the LP are kept as one dict by key, in row order, beside
-one array of consecutive-slack counts; an inequality whose slack stays above
-0.1 for 10 consecutive LP solves leaves the LP and is forgotten, and
-separation finds it again if it is violated again.  Everything is
-deterministic.
+index).  Every row stays in the LP until the search ends; the search keeps
+the set of their keys, so a cut found again is not added twice.  Everything
+is deterministic.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ import heapq
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -103,8 +99,6 @@ FEASIBLE_STATUS = "feasible"
 TIMEOUT_STATUS = "timeout"
 INFEASIBLE_INPUT_STATUS = "infeasible-input"
 
-_SLACK_DROP = 0.1
-_SLACK_ROUNDS = 10
 _FORCE_BRANCH_ROUNDS = 200
 
 
@@ -285,9 +279,7 @@ class _Search:
         self.heap: list[_Node] = []
         self.seq = 0
         self.timed_out = False
-        # the keys of the LP's rows, in row order, and their consecutive-slack counts
-        self.row_keys: dict = {}
-        self.slack_rounds = np.zeros(0, dtype=np.int64)
+        self.row_keys: set = set()  # the keys of the LP's rows
         self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
     def push(self, bound: float, fixes: tuple[tuple[int, int], ...]) -> None:
@@ -317,21 +309,11 @@ class _Search:
     def add_rows(self, keys: list, rows, kind: str) -> None:
         """Add rows whose keys are not in the LP yet; ``kind`` is "oddc" or "trans"."""
         self.backend.add_rows(rows)
-        self.row_keys.update(dict.fromkeys(keys))
-        self.slack_rounds = np.concatenate([self.slack_rounds, np.zeros(len(keys), np.int64)])
+        self.row_keys.update(keys)
         if kind == "oddc":
             self.stats.n_oddc += len(keys)
         else:
             self.stats.n_trans += len(keys)
-
-    def _manage_slack(self, slacks: np.ndarray) -> None:
-        self.slack_rounds = np.where(slacks > _SLACK_DROP, self.slack_rounds + 1, 0)
-        keep = self.slack_rounds < _SLACK_ROUNDS
-        if keep.all():
-            return
-        self.backend.remove_rows(np.flatnonzero(~keep).tolist())
-        self.row_keys = dict.fromkeys(compress(self.row_keys, keep.tolist()))
-        self.slack_rounds = self.slack_rounds[keep]
 
     # -- node processing --------------------------------------------------
 
@@ -368,7 +350,6 @@ class _Search:
             node.bound = max(node.bound, total)
             if _int_bound(total) >= self.incumbent_count:
                 return
-            self._manage_slack(res.slacks)
             y = np.asarray(res.x, dtype=float)
             frac = np.minimum(y, 1.0 - y)
             rounds += 1

@@ -407,8 +407,8 @@ def test_every_cut_round_holds_at_most_max_cuts(monkeypatch):
     assert len(added) > 1 and max(added[1:]) <= 3
 
 
-def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
-    """A dropped cut is forgotten: only separation, which counts it, adds it back."""
+def test_lp_only_grows(monkeypatch):
+    """Every row stays: at each solve the LP holds every row counted so far."""
     searches = []
 
     class RecordedSearch(solver._Search):
@@ -417,34 +417,23 @@ def test_lp_holds_the_cuts_added_less_the_cuts_dropped(monkeypatch):
             searches.append(self)
 
     class CheckedBackend(SimplexBackend):
-        def __init__(self):
-            super().__init__()
-            self.removed = self.solves = 0
-
-        def remove_rows(self, positions):
-            positions = list(positions)
-            super().remove_rows(positions)
-            self.removed += len(positions)
+        solves = 0
 
         def solve(self):
             stats = searches[-1].stats
-            assert self.row_count() == stats.n_oddc + stats.n_trans - self.removed
+            assert self.row_count() == stats.n_oddc + stats.n_trans
             self.solves += 1
             return super().solve()
 
     monkeypatch.setattr(solver, "_Search", RecordedSearch)
-    # the root rows close this instance in about ten LPs; three rounds of
-    # slack let rows leave before it closes
-    monkeypatch.setattr(solver, "_SLACK_ROUNDS", 3)
     doc = random_story_doc(random.Random(2), 16, 40, 16)
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     res = branch_and_cut(inst, backend=CheckedBackend)
     assert res.status == OPTIMAL_STATUS
     assert res.crossings == res.lower_bound == 38
     (search,) = searches
-    backend = search.backend
-    assert backend.removed > 0  # slack rows did leave the LP
-    assert backend.solves == res.stats.n_LPs
+    assert search.backend.solves == res.stats.n_LPs > 1
+    assert len(search.row_keys) == search.backend.row_count()
 
 
 def test_large_instance_returns_near_its_time_limit():
