@@ -3,10 +3,13 @@
 Pipeline: validate -> merge equivalent consecutive layers -> run the
 barycenter heuristic (its solution provides both the incumbent and the
 per-layer variable indexing; at most 8 sweeps, each recounting only the
-gaps next to a layer it reordered, and stopping early once the alternating
-sweeps repeat a layout) -> build the quadratic ordering model -> identify
-variables -> reduce to a weighted cut problem -> branch and cut on the LP
-relaxation.  The LP starts with the box bounds and, before its first solve,
+gaps next to a layer it reordered, and stopping early once a layout has no
+crossing or the alternating sweeps repeat a layout) -> build the quadratic
+ordering model -> identify variables -> reduce to a weighted cut problem ->
+branch and cut on the LP relaxation.  A heuristic layout without crossings
+meets the trivial bound 0: it is returned as optimal right after the model
+is built, without identifying variables, building the cut graph or an LP.
+The LP starts with the box bounds and, before its first solve,
 the two reference-triangle rows that can bind for each pair edge of nonzero
 weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
 inequalities are separated on demand.  The root rows are counted
@@ -157,17 +160,25 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
 
     The best layout over all sweeps is returned (the first of equal counts).
     Crossings are kept per gap, and after a sweep only the gaps next to a
-    layer whose order changed are recounted.  A sweep depends only on the
-    layout it starts from and on its direction, and the direction
-    alternates: once a sweep ends on the layout of two sweeps before, every
-    later layout repeats one already counted, so the sweeps stop there
-    without changing the result.
+    layer whose order changed are recounted.  No later layout can beat a
+    count of 0, so the sweeps stop at the first layout without crossings:
+    the canonical one before any sweep, or the one a sweep ends on.  A sweep
+    depends only on the layout it starts from and on its direction, and the
+    direction alternates: once a sweep ends on the layout of two sweeps
+    before, every later layout repeats one already counted, so the sweeps
+    stop there too.  Neither stop changes the result.
     """
     p = instance.p
     trees = instance.trees
     orders = [list(t.canonical_leaf_order()) for t in trees]
     if p <= 1 or sweeps <= 0:
         return Solution(tuple(tuple(o) for o in orders))
+
+    pos = [_positions(o) for o in orders]
+    gap_counts = [_gap_crossings(e, pos[r], pos[r + 1]) for r, e in enumerate(instance.edges)]
+    best, best_count = list(orders), sum(gap_counts)
+    if best_count == 0:
+        return Solution(tuple(tuple(o) for o in best))
 
     up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
     down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
@@ -177,7 +188,6 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
             up_adj[r + 1][v].append(u)
     # each layer's internal nodes, children before parents
     bottom_up = [[v for v in reversed(t._topo_order) if v >= t.n_leaves] for t in trees]
-    pos = [_positions(o) for o in orders]
 
     def reorder(r: int, ref_pos: list[int], adj: list[list[int]]) -> list[int]:
         """Layer r's new order against the reference layer's positions."""
@@ -208,8 +218,6 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
             count[v], first[v], seq[v] = m, f, out
         return seq[tree.root]
 
-    gap_counts = [_gap_crossings(e, pos[r], pos[r + 1]) for r, e in enumerate(instance.edges)]
-    best, best_count = list(orders), sum(gap_counts)
     # the layouts after the last two sweeps; orders[r] is replaced, never mutated
     before, last = None, list(orders)
     for k in range(sweeps):
@@ -228,7 +236,7 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
         total = sum(gap_counts)
         if total < best_count:
             best, best_count = list(orders), total
-        if orders == before:
+        if best_count == 0 or orders == before:
             break
         before, last = last, list(orders)
     return Solution(tuple(tuple(o) for o in best))
@@ -441,6 +449,10 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         return finish(TIMEOUT_STATUS, heur, incumbent_count, 0)
 
     model = build_model(work, order=heur)
+    if incumbent_count == 0:
+        # no layout has fewer crossings: optimal without the cut problem
+        stats.n_var = model.n_classes
+        return finish(OPTIMAL_STATUS, heur, 0, 0)
     reduced = identify_variables(model)
     graph = build_maxcut(reduced)
     stats.n_var = reduced.n_classes
@@ -448,7 +460,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     # the box relaxation's bound: every negative edge cut, no positive one
     root = float(graph.offset + np.minimum(graph.weights, 0).sum())
     if _int_bound(root) >= incumbent_count:
-        # the heuristic meets it (always so without edges): no LP is needed
+        # the heuristic meets it: no LP is needed
         return finish(OPTIMAL_STATUS, heur, incumbent_count, incumbent_count)
 
     if backend is None:

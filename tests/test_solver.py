@@ -177,6 +177,19 @@ def test_heuristic_matches_reference_on_storyline_instances():
         inst, _ = build_instance(parse_story(json.dumps(doc)))
         assert_same_as_reference(inst)
         assert_same_as_reference(merge_layers(inst)[0])
+    # small-oracle's shape: many layouts have no crossing before or after a
+    # sweep, so both zero-count stops are compared with the reference
+    at_canonical = after_sweep = 0
+    for _ in range(30):
+        doc = random_story_doc(rng, rng.randint(4, 7), rng.randint(4, 10), tmax=5)
+        work = merge_layers(build_instance(parse_story(json.dumps(doc)))[0])[0]
+        assert_same_as_reference(work)
+        if count_crossings(work, barycenter_heuristic(work)) == 0:
+            if count_crossings(work, barycenter_heuristic(work, 0)) == 0:
+                at_canonical += 1
+            else:
+                after_sweep += 1
+    assert at_canonical >= 3 and after_sweep >= 3, (at_canonical, after_sweep)
 
 
 def test_solve_heuristic_result(bundle_story_text):
@@ -538,11 +551,19 @@ def test_edge_0_is_pinned_at_every_solve():
     assert len(pins) == res.stats.n_LPs
 
 
-def test_no_lp_when_the_heuristic_meets_the_root_bound():
+def test_no_lp_when_the_heuristic_meets_the_root_bound(monkeypatch):
     """A start layout at the box relaxation's bound is optimal before any LP is made."""
 
     def no_backend():
         raise AssertionError("an LP backend was constructed")
+
+    identified = []
+
+    def recorded_identify_variables(model):
+        identified.append(model)
+        return identify_variables(model)
+
+    monkeypatch.setattr(solver, "identify_variables", recorded_identify_variables)
 
     doc = {"characters": ["a", "b", "c", "d"], "scenes": [
         {"id": "s1", "members": ["a", "b"], "begin": 0, "end": 1},
@@ -553,12 +574,50 @@ def test_no_lp_when_the_heuristic_meets_the_root_bound():
     leaf = LayerTree(1, (1, -1), ("root",))
     edgeless = MlcmInstance((1, 1), (((0, 0),),), (leaf, leaf))
     for inst, crossings in ((story, 1), (edgeless, 0)):
+        identified.clear()
         res = branch_and_cut(inst, backend=no_backend)
         assert res.status == OPTIMAL_STATUS
         assert res.crossings == res.lower_bound == crossings
         assert res.stats.n_LPs == res.stats.n_sub == 0
+        # only a layout with crossings needs the cut graph for its box bound
+        assert len(identified) == (crossings > 0)
     assert build_maxcut(identify_variables(build_model(story))).n_edges > 0
     assert build_maxcut(identify_variables(build_model(edgeless))).n_edges == 0
+
+
+def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
+    """A heuristic layout without crossings is optimal right after the model
+    is built: no variables are identified, no cut graph or LP is made."""
+
+    def refuse(*args):
+        raise AssertionError("the cut problem was set up")
+
+    monkeypatch.setattr(solver, "identify_variables", refuse)
+    monkeypatch.setattr(solver, "build_maxcut", refuse)
+    rng = random.Random(96)
+    at_canonical = after_sweep = 0
+    for _ in range(100):
+        doc = random_story_doc(rng, rng.randint(4, 7), rng.randint(4, 10), tmax=5)
+        inst, _ = build_instance(parse_story(json.dumps(doc)))
+        work = merge_layers(inst)[0]
+        if count_crossings(work, barycenter_heuristic(work)):
+            continue
+        n_classes = identify_variables(build_model(work)).n_classes
+        if not n_classes:
+            continue
+        if count_crossings(work, barycenter_heuristic(work, 0)) == 0:
+            at_canonical += 1
+        else:
+            after_sweep += 1
+        res = branch_and_cut(inst, backend=refuse)
+        assert res.status == OPTIMAL_STATUS
+        assert res.crossings == res.lower_bound == 0
+        assert count_crossings(inst, res.solution) == 0
+        assert_valid(inst, res.solution)
+        st = res.stats
+        assert st.n_LPs == st.n_sub == st.n_oddc == st.n_trans == 0
+        assert st.n_var == n_classes
+    assert at_canonical >= 3 and after_sweep >= 3, (at_canonical, after_sweep)
 
 
 def test_default_falls_back_to_linprog_without_highs(monkeypatch):
