@@ -44,8 +44,9 @@ of the benchmark corpora, and the search is complete, so it returns a
 violated inequality whenever a triangle is violated.  In the doubled graph
 (node v split into an even copy 2v and an odd copy 2v+1; edge e gives
 same-side arcs of length y_e and side-switching arcs of length 1 - y_e) a
-violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs of length 0, so the
-search contracts them first, in one connected-components pass:
+violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1
+give arcs of length 0, so the search contracts them first, into the
+connected components of those arcs:
 
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
   at 0 or 1 already close an odd cycle through v, violated by a full unit.
@@ -57,22 +58,21 @@ search contracts them first, in one connected-components pass:
   component (a conflicted one joins both sides), arcs only from the
   fractional edges.  Each fractional edge with an end outside the
   conflicted components closes one candidate cycle, the edge plus the
-  shortest contracted path back, by Dijkstra from that end's component.
+  shortest contracted path back from that end's component.
   The path is expanded through a breadth-first forest of each component.
+
+The components and the shortest paths are numpy passes over arc arrays,
+so separation loads nothing beyond numpy.  ``_components`` finds the
+components by min-label hooking with pointer jumping and numbers them by
+their smallest node.  ``_shortest_paths`` finds the paths shorter than 1 by
+label-correcting rounds from many sources at once: each round relaxes only
+the arcs out of the nodes whose distance fell in the round before.
 
 Every closed walk is reduced to a simple odd cycle, given its most violated
 odd set and re-checked exactly.  Sources are taken in chunks, so that no
-step holds more than ``_BLOCK`` distances.  Transitivity of the underlying
-ordering is separated by complete enumeration over the stored class
-triples.
-
-SciPy is imported only where the general-cycle search runs:
-``_IntegralForest`` (``connected_components``) and ``_contracted_walks``
-(``csr_matrix``, ``dijkstra``) import ``scipy.sparse`` on their first call
-(about 0.25 s and 27 MB of a fresh process on a 2-vCPU machine).  Importing
-this module, building the graph, the triangle pass, transitivity and the
-decoders load numpy only, so a process whose every LP solve is integral or
-prunes its node never loads it.
+step holds more than ``_BLOCK`` distances or candidate arcs.  Transitivity
+of the underlying ordering is separated by complete enumeration over the
+stored class triples.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ __all__ = [
 ]
 
 # searches from many sources at once keep (sources x nodes) arrays: distances,
-# predecessors, visited marks; sources are taken in chunks so that each array
-# holds at most this many entries
+# predecessors, visited marks, and a shortest-path round up to (sources x arcs)
+# candidates; sources are taken in chunks so that each array holds at most
+# this many entries
 _BLOCK = 1 << 19
 
 # a row or point is violated, and a value is 0/1, beyond this much; the
@@ -325,6 +326,41 @@ def separate_odd_cycles(graph: MaxCutGraph, y, deadline: float = math.inf) -> li
     return [ineq for _, (_, ineq) in order[:MAX_CUTS]]
 
 
+def _out_arcs(indptr: np.ndarray, degree: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The out-degree of each node of x and the positions of their arcs in a
+    CSR graph, node by node."""
+    deg = degree[x]
+    return deg, np.repeat(indptr[x] - np.cumsum(deg) + deg, deg) + np.arange(int(deg.sum()))
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the edges a[i]-b[i] over nodes 0..n-1: their
+    number and each node's component, numbered in order of their smallest
+    nodes (as SciPy's ``connected_components`` numbers them).
+
+    Min-label hooking with pointer jumping.  Every node points at a node of
+    its component no larger than itself, and after each round at a root, a
+    node that points at itself.  A round points the larger root of each edge
+    whose ends have two roots at the smaller one, then jumps until every node
+    points at a root again.  Once no edge joins two roots, each component
+    has one root, and it is the component's smallest node.
+    """
+    parent = np.arange(n)
+    while True:
+        pa, pb = parent[a], parent[b]
+        if np.array_equal(pa, pb):
+            break
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = parent == np.arange(n)
+    return int(root.sum()), (np.cumsum(root) - 1)[parent]
+
+
 class _IntegralForest:
     """The doubled graph's zero-length arcs: components, labels and BFS over them.
 
@@ -337,9 +373,6 @@ class _IntegralForest:
     """
 
     def __init__(self, graph: MaxCutGraph, yv: np.ndarray):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
         n2 = 2 * graph.n_nodes
         ends = graph.ends
         self.graph = graph
@@ -360,8 +393,8 @@ class _IntegralForest:
         np.cumsum(self.degree, out=self.indptr[1:])
         # many searches share flat arrays, search r's node x at r * width + x
         self.width = 1 << max(n2 - 1, 1).bit_length()
-        arcs = csr_matrix((np.ones(tail.size), self.head, self.indptr), shape=(n2, n2))
-        self.n_labels, self.label = connected_components(arcs, directed=True, connection="weak")
+        self.n_labels, self.label = _components(n2, np.concatenate((a, a ^ 1)),
+                                                np.concatenate((b, b ^ 1)))
         self.conflicted = np.flatnonzero(self.label[0::2] == self.label[1::2])
 
     def level(self, frontier: np.ndarray, seen: np.ndarray, via: np.ndarray) -> np.ndarray:
@@ -372,8 +405,7 @@ class _IntegralForest:
         once each, and records in ``via`` the arc it is reached by.
         """
         x = frontier & (self.width - 1)
-        deg = self.degree[x]
-        at = np.repeat(self.indptr[x] - np.cumsum(deg) + deg, deg) + np.arange(int(deg.sum()))
+        deg, at = _out_arcs(self.indptr, self.degree, x)
         flat = np.repeat(frontier - x, deg) + self.head[at]
         fresh = ~seen[flat]
         flat, at = flat[fresh], at[fresh]
@@ -431,6 +463,49 @@ def _source_chunks(n_sources: int, width: int):
     step = max(1, _BLOCK // max(width, 1))
     for start in range(0, n_sources, step):
         yield slice(start, min(n_sources, start + step))
+
+
+def _shortest_paths(indptr: np.ndarray, head: np.ndarray, length: np.ndarray,
+                    sources: np.ndarray, deadline: float):
+    """Paths shorter than 1 from each source of a CSR graph with lengths >= 0.
+
+    Label-correcting rounds over all sources of a ``_source_chunks`` chunk at
+    once, search r's node x at r * n + x: a round relaxes only the arcs out
+    of the nodes whose distance fell in the round before, and a node takes
+    its shortest candidate below its distance.  Distances start at 1, so
+    only paths shorter than 1 are kept.  The chunk's width is the larger of
+    the node and the arc count, which bounds both the distances and a
+    round's candidates.
+
+    Yields (part, dist, via) per chunk ``sources[part]``: dist[r, x] is the
+    shortest distance from source r to x where it is below 1, else 1;
+    via[r, x] is the arc into x on such a path, -1 at the source and where
+    dist is 1.  Once ``time.monotonic()`` passes ``deadline`` between rounds,
+    yields the chunk's distances found so far and stops.
+    """
+    n = indptr.size - 1
+    degree = np.diff(indptr)
+    for part in _source_chunks(sources.size, max(n, head.size)):
+        size = (part.stop - part.start) * n
+        dist = np.ones(size)
+        via = np.full(size, -1, dtype=np.int64)
+        frontier = np.arange(0, size, n) + sources[part]
+        dist[frontier] = 0.0
+        while frontier.size and time.monotonic() <= deadline:
+            x = frontier % n
+            deg, at = _out_arcs(indptr, degree, x)
+            flat = np.repeat(frontier - x, deg) + head[at]
+            cand = np.repeat(dist[frontier], deg) + length[at]
+            better = cand < dist[flat]
+            flat, at, cand = flat[better], at[better], cand[better]
+            np.minimum.at(dist, flat, cand)
+            won = cand == dist[flat]
+            flat, at = flat[won], at[won]
+            via[flat] = at  # one arc wins per node; keep only its entry
+            frontier = flat[via[flat] == at]
+        yield part, dist.reshape(-1, n), via.reshape(-1, n)
+        if frontier.size:  # stopped at the deadline
+            return
 
 
 def _conflict_walks(forest: _IntegralForest, deadline: float):
@@ -522,9 +597,6 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
     components is left out: the cycles of ``_conflict_walks`` through those
     ends are violated by a full unit already.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     label, n_labels, yv = forest.label, forest.n_labels, forest.yv
     conflicted = np.zeros(forest.n2 // 2, dtype=bool)
     conflicted[forest.conflicted] = True
@@ -562,17 +634,15 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
     first[1:] = key[1:] != key[:-1]
     pick, key = order[first], key[first]
     indptr = np.searchsorted(key, np.arange(n_labels + 1) * n_labels)
-    contracted = csr_matrix((length[pick], label[z[pick]], indptr), shape=(n_labels, n_labels))
     arc_x, arc_z, arc_edge = x[pick].tolist(), z[pick].tolist(), edge[pick].tolist()
+    arc_from = (key // n_labels).tolist()
 
     home = label[s]
     sources = np.unique(home)
     closed: set[tuple] = set()
-    for part in _source_chunks(sources.size, n_labels):
-        if time.monotonic() > deadline:
-            return
+    searches = _shortest_paths(indptr, label[z[pick]], length[pick], sources, deadline)
+    for part, dist, via in searches:
         chunk = sources[part]
-        dist, pred = dijkstra(contracted, indices=chunk, return_predecessors=True, limit=1.0)
         mine = np.flatnonzero((home >= chunk[0]) & (home <= chunk[-1]))
         row = np.searchsorted(chunk, home[mine])
         same = yf[mine] + dist[row, label[t_same[mine]]]
@@ -583,11 +653,10 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
             r, j = int(row[i]), int(mine[i])
             # contracted arcs of the path label(s) -> label(t), last first
             path = []
-            cur = int(label[t[i]])
-            while cur != home[j]:
-                prev = int(pred[r, cur])
-                path.append(int(np.searchsorted(key, prev * n_labels + cur)))
-                cur = prev
+            a = int(via[r, label[t[i]]])
+            while a >= 0:
+                path.append(a)
+                a = int(via[r, arc_from[a]])
             signature = tuple(sorted([int(frac[j])] + [arc_edge[a] for a in path]))
             if signature in closed:
                 continue

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from storymin import (
+    branch_and_cut,
     brute_force_optimum,
     build_instance,
     merge_layers,
@@ -285,24 +286,34 @@ def test_import_loads_no_scipy_sparse_or_optimize():
               "assert not loaded, loaded")
 
 
-def test_scipy_sparse_loads_only_for_the_general_cycle_search():
-    """The layout path never loads scipy.sparse; a solve that reaches Dijkstra does."""
+def test_no_solve_loads_scipy_sparse():
+    """Neither the layout path nor an exact solve whose odd-cycle separation
+    expands contracted walks loads scipy.sparse."""
     layout = json.dumps(random_story_doc(random.Random(1), 16, 400, 120))
-    exact = json.dumps(random_story_doc(random.Random(55), 6, 10, 5))
+    small = json.dumps(random_story_doc(random.Random(55), 6, 10, 5))
+    # stories small enough to check by brute force expand no contracted walk
+    walked = json.dumps(random_story_doc(random.Random(2), 12, 30, 12))
     code = (
-        "import sys; from storymin import *; "
-        "layout, exact = sys.stdin.read().split('\\n'); "
+        "import sys; from storymin import *; from storymin import maxcut; "
+        "layout, small, walked = sys.stdin.read().split('\\n'); "
         "inst, _ = build_instance(parse_story(layout)); "
         "assert inst.p >= 100, inst.p; "
         "render_svg(inst, solve_heuristic(inst).solution); "
         "build_maxcut(identify_variables(build_model(merge_layers(inst)[0]))); "
         "assert 'scipy.sparse' not in sys.modules; "
-        "result = branch_and_cut(build_instance(parse_story(exact))[0]); "
-        "assert 'scipy.sparse.csgraph' in sys.modules; "
-        "print(result.status, result.crossings)"
+        "walks = []; real = maxcut._contracted_walks; "
+        "maxcut._contracted_walks = lambda *a: (walks.append(w) or w for w in real(*a)); "
+        "results = [branch_and_cut(build_instance(parse_story(doc))[0]) "
+        "           for doc in (small, walked)]; "
+        "assert walks; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); "
+        "assert not loaded, loaded; "
+        "print(*(f'{r.status} {r.crossings}' for r in results))"
     )
-    merged, _ = merge_layers(build_instance(parse_story(exact))[0])
-    assert run_fresh(code, layout + "\n" + exact).split() == ["optimal", str(brute_force_optimum(merged)[0])]
+    merged, _ = merge_layers(build_instance(parse_story(small))[0])
+    here = branch_and_cut(build_instance(parse_story(walked))[0])
+    assert run_fresh(code, "\n".join((layout, small, walked))).split() == [
+        "optimal", str(brute_force_optimum(merged)[0]), "optimal", str(here.crossings)]
 
 
 def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:

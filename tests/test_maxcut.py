@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, count, islice, product
 
 import numpy as np
 import pytest
 
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from storymin import maxcut, solver
 from storymin import (
@@ -461,6 +462,119 @@ def test_contracted_search_matches_the_whole_graph_search(monkeypatch):
         conflicts += parity_conflict(graph, y)
     # both kinds of round: with and without an all-integral odd cycle
     assert len(rounds) >= 20 and 0 < conflicts < len(rounds)
+
+
+def test_components_number_nodes_as_scipy_does():
+    """Component for component and label for label, SciPy's weak components."""
+    rng = np.random.default_rng(83)
+    isolated = 0
+    for trial in range(80):
+        n = int(rng.integers(1, 80))
+        if trial % 4 == 0:  # one path through the nodes in random order
+            order = rng.permutation(n)
+            a, b = order[:-1], order[1:]
+        else:  # empty at trial 1
+            m = 0 if trial == 1 else int(rng.integers(0, 2 * n))
+            a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+        arcs = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+        n_labels, label = connected_components(arcs, directed=True, connection="weak")
+        got_n, got = maxcut._components(n, a, b)
+        assert got_n == n_labels and got.tolist() == label.tolist()
+        isolated += n - np.unique(np.concatenate((a, b))).size
+    assert isolated > 0
+
+
+def random_csr_graph(rng, n: int):
+    """Arcs without repeats or loops; lengths 0, just under 1, or uniform."""
+    size = min(n * n, int(rng.integers(n, 4 * n)))
+    tail, head = np.divmod(rng.choice(n * n, size=size, replace=False), n)
+    keep = tail != head
+    tail, head = tail[keep], head[keep]
+    length = rng.choice([0.0, 1.0 - 1e-9, 0.999999, 0.5]
+                        + rng.uniform(0.0, 0.4, 6).tolist(), size=tail.size)
+    order = np.lexsort((head, tail))
+    indptr = np.searchsorted(tail[order], np.arange(n + 1))
+    return indptr, tail[order], head[order], length[order]
+
+
+def test_shortest_paths_match_dijkstra(monkeypatch):
+    """Per chunk of sources, the distances below 1 are SciPy's, and each
+    arc chain back from a node is a path from its source of that length."""
+    rng = np.random.default_rng(84)
+    chunks = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        indptr, tail, head, length = random_csr_graph(rng, n)
+        sources = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        # three sources per chunk
+        monkeypatch.setattr(maxcut, "_BLOCK", 3 * max(n, head.size))
+        graph = csr_matrix((length, head, indptr), shape=(n, n))
+        parts = []
+        for part, dist, via in maxcut._shortest_paths(indptr, head, length, sources, math.inf):
+            parts.append(part)
+            ref = dijkstra(graph, indices=sources[part], limit=1.0)
+            below = ref < 1.0
+            assert np.allclose(dist[below], ref[below], rtol=0.0, atol=1e-12)
+            assert (dist[~below] == 1.0).all() and (via[~below] == -1).all()
+            for r, x in zip(*np.nonzero(below)):
+                total, cur, hops = 0.0, x, 0
+                while via[r, cur] >= 0:
+                    a = via[r, cur]
+                    assert head[a] == cur and hops < n
+                    total += length[a]
+                    cur, hops = tail[a], hops + 1
+                assert cur == sources[part][r]
+                assert total == pytest.approx(dist[r, x], abs=1e-12)
+        assert [i for p in parts for i in range(p.start, p.stop)] == list(range(sources.size))
+        chunks += len(parts)
+    assert chunks > 30
+
+
+def test_shortest_paths_stop_between_rounds_at_the_deadline(monkeypatch):
+    """Past the deadline the search yields what it has and takes no further chunk."""
+    ticks = count()
+    monkeypatch.setattr(maxcut.time, "monotonic", lambda: next(ticks))
+    # a path 0 -> 1 -> ... -> 9 of arcs of length 0.05, one source per chunk
+    n = 10
+    indptr = np.minimum(np.arange(n + 1), n - 1)
+    head = np.arange(1, n)
+    monkeypatch.setattr(maxcut, "_BLOCK", n)
+    out = list(maxcut._shortest_paths(indptr, head, np.full(n - 1, 0.05), np.array([0, 1]), 3.5))
+    # the clock reads 0 to 3 before the four rounds, then 4
+    assert len(out) == 1 and out[0][0] == slice(0, 1)
+    assert out[0][1][0].tolist() == pytest.approx([0.05 * k for k in range(5)] + [1.0] * 5)
+
+
+def test_separation_returns_a_list_when_the_deadline_falls_in_the_search(monkeypatch):
+    rounds = []
+    real = solver.separate_odd_cycles
+
+    def record(graph, y, **kwargs):
+        rounds.append((graph, np.array(y, dtype=float)))
+        return real(graph, y, **kwargs)
+
+    monkeypatch.setattr(solver, "separate_odd_cycles", record)
+    doc = random_story_doc(random.Random(7), 12, 30, 12)
+    branch_and_cut(build_instance(parse_story(json.dumps(doc)))[0])
+    # a round with cuts from contracted walks alone, so that no clock read
+    # comes before the search's
+    graph, y = next((g, y) for g, y in rounds
+                    if not parity_conflict(g, y) and separate_odd_cycles(g, y))
+    reached = []
+    search = maxcut._shortest_paths
+
+    def paths(*args):
+        for part, dist, via in search(*args):
+            reached.append(int((dist < 1.0).sum()))
+            yield part, dist, via
+
+    monkeypatch.setattr(maxcut, "_shortest_paths", paths)
+    separate_odd_cycles(graph, y)
+    ticks = count()
+    monkeypatch.setattr(maxcut.time, "monotonic", lambda: next(ticks))
+    # the clock passes the deadline at the search's third round
+    assert isinstance(separate_odd_cycles(graph, y, deadline=1.5), list)
+    assert len(reached) == 2 and reached[1] < reached[0]
 
 
 def test_no_cuts_at_consistent_integral_points():
