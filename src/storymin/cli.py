@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import time
 
 from . import __version__
 from .lp import ScipyBackend
@@ -209,7 +210,8 @@ def _emit_result(result: OptResult, instance: MlcmInstance, args) -> int:
         lines = [f"# status={result.status}", f"# lower_bound={result.lower_bound}",
                  f"# time={result.stats.time:.3f}s"]
         if result.solution is not None:
-            body = format_solution(instance, result.solution)
+            # the names ``convert`` writes: a name with a space would not read back
+            body = format_solution(_sanitize_instance(instance), result.solution)
             text = "\n".join(lines) + "\n" + body
         else:
             text = "\n".join(lines) + (f"\n# {result.message}" if result.message else "") + "\n"
@@ -295,8 +297,10 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args)
+    t0 = time.monotonic()
     best, solution = brute_force_optimum(instance, budget=args.budget)
-    result = OptResult(OPTIMAL_STATUS, solution, best, best, SolveStats())
+    stats = SolveStats(time=time.monotonic() - t0)
+    result = OptResult(OPTIMAL_STATUS, solution, best, best, stats)
     return _emit_result(result, instance, args)
 
 
@@ -304,7 +308,7 @@ def _cmd_render(args) -> int:
     instance = _load_instance(args)
     timed_out = False
     if args.solution:
-        solution = parse_solution(_read(args.solution), instance)
+        solution = parse_solution(_read(args.solution), _sanitize_instance(instance))
     else:
         result = branch_and_cut(instance, SolveConfig(time_limit=_default_time_limit(args)))
         if result.solution is None:

@@ -22,10 +22,7 @@ is y_(0,c+1), and the tree path between two class nodes is their two root
 edges.  So every pair edge (u, v) closes a *reference triangle* with the root
 edges of u and v, and a 0/1 vector is a cut iff y_uv == y_u0 xor y_v0 on every
 pair edge.  The four odd-set inequalities of a triangle are exactly the
-linearization of that xor.  ``cut_consistency`` scores them for every pair
-edge in one numpy pass and returns the violated ones, most violated first;
-the solver calls it at 0/1 vectors only, where it returns the failing
-triangles (none iff the vector is a cut).
+linearization of that xor.
 
 The LP starts with half of them, ``sign_triangles``: the two rows per pair
 edge that its weight's sign lets bind (the linearization of a binary
@@ -38,15 +35,17 @@ negative y_e to min(y_u0 + y_v0, 2 - y_u0 - y_v0) and a positive one to
 |y_u0 - y_v0|, and some optimum sets a weight-0 one to |y_u0 - y_v0|; such
 a point meets all four rows of every triangle.
 
-At a fractional point ``separate_odd_cycles`` searches general cycles
-only: the root rows leave a violated triangle at almost no fractional point
-of the benchmark corpora, and the search is complete, so it returns a
-violated inequality whenever a triangle is violated.  In the doubled graph
-(node v split into an even copy 2v and an odd copy 2v+1; edge e gives
-same-side arcs of length y_e and side-switching arcs of length 1 - y_e) a
-violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1
-give arcs of length 0, so the search contracts them first, into the
-connected components of those arcs:
+``separate_odd_cycles`` searches general cycles only: the root rows leave
+a violated triangle at almost no fractional point of the benchmark corpora,
+and the search is complete, so it returns a violated inequality whenever a
+triangle is violated.  It is also the cut test: ``cut_consistency``, the
+same search with no deadline, is what the solver runs at 0/1 vectors, and
+its list is empty iff the vector is a cut.  In the doubled graph (node v
+split into an even copy 2v and an odd copy 2v+1; edge e gives same-side
+arcs of length y_e and side-switching arcs of length 1 - y_e) a violated
+inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs
+of length 0, so the search contracts them first, into the connected
+components of those arcs:
 
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
   at 0 or 1 already close an odd cycle through v, violated by a full unit.
@@ -115,7 +114,7 @@ TOLERANCE = 1e-6
 MAX_CUTS = 500
 
 # the four odd sets of a reference triangle (pair edge, root edge of u, root
-# edge of v), as positions in that cycle; scored in this order below
+# edge of v), as positions in that cycle; ``sign_triangles`` picks two by index
 _TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
 # their rows: coefficients on (pair edge, root edge of u, root edge of v), rhs
 _TRIANGLE_COEFS = np.array([[1.0 if i in odd else -1.0 for i in range(3)]
@@ -197,27 +196,10 @@ class TransitivityCut:
 
 
 def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
-    """Violated reference-triangle inequalities at y clipped to [0, 1], at
-    most ``MAX_CUTS``, most violated first (ties by edge).
-
-    At a 0/1 vector a failing pair edge (y_uv != y_u0 xor y_v0) closes a
-    triangle with an odd number of y=1 edges, violated by a full unit, so
-    the list is empty iff y is a cut.
-    """
-    r = graph.n_root_edges
-    yv = np.clip(np.asarray(y, dtype=float)[:graph.n_edges], 0.0, 1.0)
-    roots = graph.ends[r:] - 1  # node v's root edge is v - 1
-    a, b, c = yv[r:], yv[roots[:, 0]], yv[roots[:, 1]]
-    viol = np.column_stack((a - b - c, b - a - c, c - a - b, a + b + c - 2.0)).ravel()
-    hits = np.flatnonzero(viol > TOLERANCE)
-    hits = hits[np.argsort(-viol[hits], kind="stable")][:MAX_CUTS]
-    out = []
-    for k in hits.tolist():
-        p, kind = divmod(k, 4)
-        cycle = (r + p, int(roots[p, 0]), int(roots[p, 1]))
-        odd = frozenset(cycle[i] for i in _TRIANGLE_ODD_SETS[kind])
-        out.append(OddCycleInequality(cycle, odd))
-    return out
+    """Violated odd-cycle inequalities at a 0/1 vector y: ``separate_odd_cycles``
+    with no deadline.  The search is complete, so the list is empty iff y is
+    a cut."""
+    return separate_odd_cycles(graph, y)
 
 
 def sign_triangles(graph: MaxCutGraph) -> tuple[list[tuple], RowBlock]:
@@ -291,7 +273,7 @@ def _extract_simple_odd_cycle(nodes: list[int], steps: list[tuple[int, bool]]) -
 
 
 def separate_odd_cycles(graph: MaxCutGraph, y, deadline: float = math.inf) -> list[OddCycleInequality]:
-    """Find violated odd-cycle inequalities at fractional y.
+    """Find violated odd-cycle inequalities at y clipped to [0, 1].
 
     The doubled graph is contracted along its zero-length arcs (the edges at
     0 or 1): the odd cycles inside a component that joins both copies of a

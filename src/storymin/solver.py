@@ -15,15 +15,14 @@ weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
 inequalities are separated on demand.  The root rows are counted
 (``n_oddc``) like every separated cut.
 
-Separation order at each LP point.  An integral point goes to
-``cut_consistency``, which returns the reference triangles (a pair edge and
-its two root edges) the point fails; they enter the LP at once, up to
-``MAX_CUTS`` per round (``maxcut.MAX_CUTS`` caps every separator's list).
-At an integral cut, violated transitivity rows are added if there are any;
-otherwise the point is decoded, recounted and offered as incumbent.  At a
-fractional point: ``separate_odd_cycles`` (the odd cycles of the graph
-that the edges at 0 or 1 contract to), then transitivity; if nothing is
-violated, the node branches.
+Separation order at each LP point, one loop for every point: odd cycles,
+then transitivity if no odd cycle is new, each up to ``MAX_CUTS`` rows
+(``maxcut.MAX_CUTS``).  A 0/1 point is rounded and tested by
+``cut_consistency``, the general odd-cycle search with no deadline (empty
+iff the point is a cut); a fractional point goes to
+``separate_odd_cycles`` with the deadline (the odd cycles of the graph that
+the edges at 0 or 1 contract to).  When nothing is added, a 0/1 point is
+decoded, recounted and offered as incumbent, and a fractional one branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
 model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
@@ -359,53 +358,43 @@ class _Search:
             if _int_bound(total) >= self.incumbent_count:
                 return
             y = np.asarray(res.x, dtype=float)
-            frac = np.minimum(y, 1.0 - y)
             rounds += 1
 
-            if float(frac.max()) <= TOLERANCE:
-                if self._handle_integral(y, total):
+            integral = float(np.minimum(y, 1.0 - y).max()) <= TOLERANCE
+            if integral:
+                y = np.round(y)
+                cuts = cut_consistency(self.graph, y)
+            else:
+                cuts = separate_odd_cycles(self.graph, y, deadline=self.deadline)
+                if time.monotonic() > self.deadline:
+                    # the search may have stopped short: neither branch nor prune
+                    self._time_out(node)
                     return
-                continue
-
-            cuts = separate_odd_cycles(self.graph, y, deadline=self.deadline)
-            if time.monotonic() > self.deadline:
-                # the search may have stopped short: neither branch nor prune
-                self._time_out(node)
-                return
+            trans = []
             added = self._add_cuts(cuts, "oddc")
             if not added:
-                added = self._add_cuts(separate_transitivity(self.reduced, y), "trans")
-            if not added or rounds > _FORCE_BRANCH_ROUNDS:
+                trans = separate_transitivity(self.reduced, y)
+                added = self._add_cuts(trans, "trans")
+            if added and (integral or rounds <= _FORCE_BRANCH_ROUNDS):
+                continue
+            if not integral:
                 self._branch(node, y, total)
                 return
+            if cuts or trans:
+                raise SolverError("no progress at an integral point")
+            # a transitive cut: decode, recount and offer it as incumbent
+            solution = cut_to_solution(self.reduced, y)
+            value = count_crossings(self.work, solution)
+            if value != round(total):
+                raise SolverError(f"objective mismatch: LP says {total}, recount says {value}")
+            if value < self.incumbent_count:
+                self.incumbent_count, self.incumbent = value, solution
+            return
 
     def _time_out(self, node: _Node) -> None:
         self.timed_out = True
         # node is still open: repost it so the bound stays honest
         self.push(node.bound, node.fixes)
-
-    def _handle_integral(self, y: np.ndarray, total: float) -> bool:
-        """True if the node is finished (incumbent accepted or pruned)."""
-        yr = np.round(y)
-        witnesses = cut_consistency(self.graph, yr)
-        if witnesses:
-            if not self._add_cuts(witnesses, "oddc"):
-                raise SolverError("no progress at an inconsistent integral point")
-            return False
-        trans = separate_transitivity(self.reduced, yr)
-        if trans:
-            if not self._add_cuts(trans, "trans"):
-                raise SolverError("no progress at a non-transitive integral point")
-            return False
-        solution = cut_to_solution(self.reduced, yr)
-        value = count_crossings(self.work, solution)
-        if value != round(total):
-            raise SolverError(
-                f"objective mismatch: LP says {total}, recount says {value}")
-        if value < self.incumbent_count:
-            self.incumbent_count = value
-            self.incumbent = solution
-        return True
 
     def _branch(self, node: _Node, y: np.ndarray, total: float) -> None:
         frac = np.minimum(y, 1.0 - y)
@@ -438,7 +427,9 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     heur = barycenter_heuristic(work)
     incumbent_count = count_crossings(work, heur)
 
-    def finish(status: str, incumbent: Solution, count: int, lower: int) -> OptResult:
+    def finish(incumbent: Solution, count: int, lower: int) -> OptResult:
+        # a bound that meets the incumbent proves it, whenever the search stopped
+        status = OPTIMAL_STATUS if lower >= count else TIMEOUT_STATUS
         sol = expand_solution(mm, incumbent)
         if count_crossings(instance, sol) != count:
             raise SolverError("merge expansion changed the crossing count")
@@ -446,13 +437,13 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         return OptResult(status, sol, count, lower, stats)
 
     if time.monotonic() > deadline:
-        return finish(TIMEOUT_STATUS, heur, incumbent_count, 0)
+        return finish(heur, incumbent_count, 0)
 
     model = build_model(work, order=heur)
     if incumbent_count == 0:
         # no layout has fewer crossings: optimal without the cut problem
         stats.n_var = model.n_classes
-        return finish(OPTIMAL_STATUS, heur, 0, 0)
+        return finish(heur, 0, 0)
     reduced = identify_variables(model)
     graph = build_maxcut(reduced)
     stats.n_var = reduced.n_classes
@@ -461,7 +452,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     root = float(graph.offset + np.minimum(graph.weights, 0).sum())
     if _int_bound(root) >= incumbent_count:
         # the heuristic meets it: no LP is needed
-        return finish(OPTIMAL_STATUS, heur, incumbent_count, incumbent_count)
+        return finish(heur, incumbent_count, incumbent_count)
 
     if backend is None:
         backend = SimplexBackend if highs_available() else ScipyBackend
@@ -478,8 +469,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     search.push(root, ())
     search.run()
 
-    count = search.incumbent_count
+    count = lower = search.incumbent_count
     if search.timed_out and search.heap:
         lower = max(min(_int_bound(search.heap[0].bound), count), 0)
-        return finish(TIMEOUT_STATUS, search.incumbent, count, lower)
-    return finish(OPTIMAL_STATUS, search.incumbent, count, count)
+    return finish(search.incumbent, count, lower)

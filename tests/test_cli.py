@@ -189,6 +189,19 @@ def test_solve_timeout_exit_code(tmp_path, capsys, monkeypatch):
     assert "# status=timeout" in out
 
 
+def test_zero_crossing_story_is_optimal_at_any_time_limit(tmp_path, capsys):
+    # the layout meets the bound 0, so it is proven even when the time
+    # limit passes before the model is built
+    story = str(write_story(tmp_path, FIG_STORY))
+    code, out = run(capsys, "solve", story, "--time-limit", "0.000001")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert {"# status=optimal", "# lower_bound=0", "crossings=0"} <= set(lines)
+    code, _ = run(capsys, "render", story, "--time-limit", "0.000001",
+                  "--out", str(tmp_path / "out.svg"))
+    assert code == EXIT_OK
+
+
 def test_lp_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
     class FailingBackend(SimplexBackend):
         def solve(self):
@@ -217,6 +230,12 @@ def test_oracle_command(tmp_path, capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, schema("result.schema.json"))
     assert doc["crossings"] == 1
+
+
+def test_oracle_reports_its_time(tmp_path, capsys):
+    code, out = run(capsys, "oracle", str(write_story(tmp_path)), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["stats"]["time"] > 0
 
 
 def test_oracle_budget_exit(tmp_path, capsys):
@@ -254,6 +273,27 @@ def test_render_with_solution_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["crossings"] == 1
     assert doc["svg"].startswith("<svg")
+
+
+def test_text_solution_round_trips_any_character_name(tmp_path, capsys):
+    """Text solutions name characters as ``convert`` does, so that
+    ``render --solution`` reads back names with spaces or that collide once
+    made safe; JSON output keeps the story's own names."""
+    for names in (("x y", "b", "c", "d"), ("x_y.1", "x y", "x_y", "d")):
+        rename = dict(zip(BUNDLE_STORY["characters"], names))
+        doc = {"characters": list(names),
+               "scenes": [dict(s, members=[rename[m] for m in s["members"]])
+                          for s in BUNDLE_STORY["scenes"]]}
+        story = write_story(tmp_path, doc)
+        sol_file = tmp_path / "sol.txt"
+        assert main(["solve", str(story), "--out", str(sol_file)]) == EXIT_OK
+        assert "crossings=1" in sol_file.read_text().splitlines()
+        code, out = run(capsys, "render", str(story), "--solution", str(sol_file),
+                        "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["crossings"] == 1
+        code, out = run(capsys, "solve", str(story), "--format", "json")
+        assert {name for layer in json.loads(out)["solution"] for name in layer} == set(names)
 
 
 def test_stats_command(tmp_path, capsys):

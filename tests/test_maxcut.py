@@ -118,7 +118,9 @@ def test_cut_vectors_enumerate_assignments():
             assert value == objective(terms, sides)
 
 
-def test_inconsistent_cut_has_witness():
+def test_flipped_pair_edge_closes_its_reference_triangle():
+    """A cut with one pair edge flipped fails only on cycles through that
+    edge; the general search finds its reference triangle among them."""
     rng = random.Random(65)
     tried = 0
     for _ in range(40):
@@ -131,13 +133,11 @@ def test_inconsistent_cut_has_witness():
         y = base.copy()
         flip = rng.randrange(reduced.n_classes, graph.n_edges)
         y[flip] = 1.0 - y[flip]
-        witnesses = cut_consistency(graph, y)
-        # exactly one triangle fails: the flipped pair edge and its two root
-        # edges, violated by a full unit at integral y
-        assert len(witnesses) == 1
+        rows = cut_consistency(graph, y)
+        assert rows
+        assert all(flip in row.cycle and violation(row, y) == 1.0 for row in rows)
         u, v = graph.ends[flip].tolist()
-        assert sorted(witnesses[0].cycle) == sorted((flip, u - 1, v - 1))
-        assert violation(witnesses[0], y) >= 1.0
+        assert sorted((flip, u - 1, v - 1)) in [sorted(row.cycle) for row in rows]
         tried += 1
     assert tried >= 10
 
@@ -275,19 +275,45 @@ def test_separation_leads_with_the_most_violated_cycle():
     assert with_triangles >= 20
 
 
-def test_cut_consistency_flags_every_failing_pair_edge():
+def is_closed_cycle(graph: MaxCutGraph, cycle) -> bool:
+    """True if the edges are distinct and form one simple cycle of the graph."""
+    ends = graph.ends[list(cycle)].tolist()
+    nodes = {v for e in ends for v in e}
+    if len(set(cycle)) != len(cycle) or len(nodes) != len(cycle):
+        return False
+    if any(sum(v in e for e in ends) != 2 for v in nodes):
+        return False
+    reached, todo = set(), [ends[0][0]]
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo += [a + b - v for a, b in ends if v in (a, b)]
+    return reached == nodes
+
+
+def test_cut_consistency_is_empty_iff_every_pair_edge_agrees():
+    """At a 0/1 vector the list is empty iff y_uv == y_u0 xor y_v0 on every
+    pair edge, and each row is an odd cycle violated by exactly 1."""
     rng = random.Random(73)
-    for _ in range(40):
+    cuts = non_cuts = 0
+    for _ in range(60):
         n = rng.randint(3, 9)
         graph = random_cut_graph(rng, n, rng.randint(1, 2 * n))
         y = np.array([float(rng.random() < 0.5) for _ in range(graph.n_edges)])
         ends = graph.ends.tolist()
-        failing = {e for e in range(graph.n_root_edges, graph.n_edges)
-                   if y[e] != float(int(y[ends[e][0] - 1]) ^ int(y[ends[e][1] - 1]))}
-        witnesses = cut_consistency(graph, y)
-        assert {w.cycle[0] for w in witnesses} == failing
-        assert all(violation(w, y) == 1.0 for w in witnesses)
-        assert len({w.key() for w in witnesses}) == len(witnesses)
+        failing = [e for e in range(graph.n_root_edges, graph.n_edges)
+                   if y[e] != float(int(y[ends[e][0] - 1]) ^ int(y[ends[e][1] - 1]))]
+        rows = cut_consistency(graph, y)
+        assert bool(rows) == bool(failing)
+        cuts += not failing
+        non_cuts += bool(failing)
+        for row in rows:
+            assert is_closed_cycle(graph, row.cycle)
+            assert row.odd_set <= set(row.cycle) and len(row.odd_set) % 2 == 1
+            assert violation(row, y) == 1.0
+        assert len({row.key() for row in rows}) == len(rows)
+    assert cuts >= 5 and non_cuts >= 5
 
 
 def test_all_integral_odd_cycle_is_found():

@@ -301,6 +301,24 @@ def test_timeout_bound_is_safe():
     assert checked >= 5
 
 
+def test_status_is_optimal_iff_the_bound_meets_the_count(fig_story_text):
+    """Whenever the search stops, a bound that meets the incumbent proves
+    it: a layout without crossings is optimal even when the time limit
+    passes before the model is built."""
+    inst, _ = build_instance(parse_story(fig_story_text))
+    res = branch_and_cut(inst, SolveConfig(time_limit=1e-9))
+    assert (res.status, res.crossings, res.lower_bound) == (OPTIMAL_STATUS, 0, 0)
+    assert res.stats.n_var == 0  # stopped before the model
+    rng = random.Random(101)
+    statuses = set()
+    for _ in range(20):
+        inst = random_storyline_instance(rng, p_range=(3, 4), n_range=(4, 6))
+        res = branch_and_cut(inst, SolveConfig(time_limit=1e-4))
+        assert (res.status == OPTIMAL_STATUS) == (res.lower_bound >= res.crossings)
+        statuses.add(res.status)
+    assert statuses == {OPTIMAL_STATUS, TIMEOUT_STATUS}
+
+
 def test_lp_time_limit_ends_the_search_like_the_deadline():
     """An LP stopped by its time limit reposts the node; the bound stays honest."""
 
