@@ -50,9 +50,12 @@ components of those arcs:
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
   at 0 or 1 already close an odd cycle through v, violated by a full unit.
   A breadth-first search from each conflicted node over those edges alone
-  finds the fewest-edge ones.  A violated cycle need not contain a
-  fractional edge (root edges at 0.5 with pair edges 12, 23, 13 at 1.0
-  violate the cycle 1-2-3 by a full unit, and no triangle is violated).
+  finds the fewest-edge ones.  At a 0/1 point the searches start only at
+  the ends of the pair edges that fail y_uv == y_u0 xor y_v0: every odd
+  cycle holds one, while one such edge makes every node conflicted.  A
+  violated cycle need not contain a fractional edge (root edges at 0.5
+  with pair edges 12, 23, 13 at 1.0 violate the cycle 1-2-3 by a full
+  unit, and no triangle is violated).
 * Everything else runs on the contracted doubled graph: one node per
   component (a conflicted one joins both sides), arcs only from the
   fractional edges.  Each fractional edge with an end outside the
@@ -63,9 +66,12 @@ components of those arcs:
 The components and the shortest paths are numpy passes over arc arrays,
 so separation loads nothing beyond numpy.  ``_components`` finds the
 components by min-label hooking with pointer jumping and numbers them by
-their smallest node.  ``_shortest_paths`` finds the paths shorter than 1 by
-label-correcting rounds from many sources at once: each round relaxes only
-the arcs out of the nodes whose distance fell in the round before.
+their smallest node.  The adjacency lists of the zero-length arcs, which
+the breadth-first searches and the forest walk, are sorted on first use:
+at a cut (no conflicted node, no fractional edge) nothing reads them.
+``_shortest_paths`` finds the paths shorter than 1 by label-correcting
+rounds from many sources at once: each round relaxes only the arcs out of
+the nodes whose distance fell in the round before.
 
 Every closed walk is reduced to a simple odd cycle, given its most violated
 odd set and re-checked exactly.  Sources are taken in chunks, so that no
@@ -350,8 +356,9 @@ class _IntegralForest:
     y <= tol joins the copies on the same side (2u-2v, 2u+1-2v+1), an edge at
     y >= 1-tol the copies on opposite sides.  Node v is conflicted when 2v
     and 2v+1 share a component: an odd all-integral cycle runs through it.
-    The arcs are kept as adjacency lists (``indptr``, ``head``) sorted by
-    their tail ``owner``, each with its ``arc_edge``.
+    The components are found at once; the adjacency lists that the
+    searches walk are built on first use (``adjacency``), so a point with no
+    conflicted node and no fractional edge, a cut, never sorts the arcs.
     """
 
     def __init__(self, graph: MaxCutGraph, yv: np.ndarray):
@@ -363,21 +370,29 @@ class _IntegralForest:
         low, high = yv <= TOLERANCE, yv >= 1.0 - TOLERANCE
         self.frac = np.flatnonzero(~(low | high))
         integral = np.flatnonzero(low | high)
+        # integral edge i joins a[i] with b[i], and a[i]^1 with b[i]^1
         a = 2 * ends[integral, 0]
         b = 2 * ends[integral, 1] + high[integral]
-        tail = np.concatenate((a, a ^ 1, b, b ^ 1))
-        order = np.argsort(tail, kind="stable")
-        self.owner = tail[order]
-        self.head = np.concatenate((b, b ^ 1, a, a ^ 1))[order]
-        self.arc_edge = np.tile(integral, 4)[order]
-        self.degree = np.bincount(tail, minlength=n2)
-        self.indptr = np.zeros(n2 + 1, dtype=np.int64)
-        np.cumsum(self.degree, out=self.indptr[1:])
+        self.integral, self.a, self.b = integral, a, b
         # many searches share flat arrays, search r's node x at r * width + x
         self.width = 1 << max(n2 - 1, 1).bit_length()
         self.n_labels, self.label = _components(n2, np.concatenate((a, a ^ 1)),
                                                 np.concatenate((b, b ^ 1)))
         self.conflicted = np.flatnonzero(self.label[0::2] == self.label[1::2])
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs as adjacency lists sorted by their tail: (indptr, degree,
+        head, owner, arc_edge), with ``owner`` the tail and ``arc_edge`` the
+        edge of each arc."""
+        a, b = self.a, self.b
+        tail = np.concatenate((a, a ^ 1, b, b ^ 1))
+        order = np.argsort(tail, kind="stable")
+        degree = np.bincount(tail, minlength=self.n2)
+        indptr = np.zeros(self.n2 + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        return (indptr, degree, np.concatenate((b, b ^ 1, a, a ^ 1))[order], tail[order],
+                np.tile(self.integral, 4)[order])
 
     def level(self, frontier: np.ndarray, seen: np.ndarray, via: np.ndarray) -> np.ndarray:
         """One BFS level for many searches at once.
@@ -386,9 +401,10 @@ class _IntegralForest:
         flat index of every unseen neighbour of the frontier (flat indices),
         once each, and records in ``via`` the arc it is reached by.
         """
+        indptr, degree, head = self.adjacency[:3]
         x = frontier & (self.width - 1)
-        deg, at = _out_arcs(self.indptr, self.degree, x)
-        flat = np.repeat(frontier - x, deg) + self.head[at]
+        deg, at = _out_arcs(indptr, degree, x)
+        flat = np.repeat(frontier - x, deg) + head[at]
         fresh = ~seen[flat]
         flat, at = flat[fresh], at[fresh]
         via[flat] = at  # one arc wins per node; keep only its entry
@@ -410,10 +426,11 @@ class _IntegralForest:
             seen[frontier] = True
             depth[frontier] = d
         has = via >= 0
+        owner, arc_edge = self.adjacency[3:]
         parent = np.full(n2, -1, dtype=np.int64)
         fedge = np.full(n2, -1, dtype=np.int64)
-        parent[has] = self.owner[via[has]]
-        fedge[has] = self.arc_edge[via[has]]
+        parent[has] = owner[via[has]]
+        fedge[has] = arc_edge[via[has]]
         return parent.tolist(), depth.tolist(), fedge.tolist()
 
     def path(self, p: int, q: int, nodes: list[int], edges: list[int]) -> None:
@@ -490,6 +507,22 @@ def _shortest_paths(indptr: np.ndarray, head: np.ndarray, length: np.ndarray,
             return
 
 
+def _failing_ends(forest: _IntegralForest) -> np.ndarray:
+    """At a 0/1 point, the ends of the pair edges with y_uv != y_u0 xor y_v0.
+
+    Root edges never fail this test, and the failing edges of a cycle have
+    the cycle's parity (the xor of y_u0 and y_v0 around a cycle is even), so
+    every odd cycle holds a failing edge.  A failing edge closes an odd
+    triangle with its two root edges, so its ends are conflicted.
+    """
+    graph = forest.graph
+    r = graph.n_root_edges
+    y = forest.yv > 0.5
+    pair = graph.ends[r:]
+    fail = y[r:] != (y[pair[:, 0] - 1] ^ y[pair[:, 1] - 1])
+    return np.unique(pair[fail])
+
+
 def _conflict_walks(forest: _IntegralForest, deadline: float):
     """Min-hop odd closed walks over zero-length arcs, from each conflicted node.
 
@@ -501,13 +534,20 @@ def _conflict_walks(forest: _IntegralForest, deadline: float):
     level earlier makes the walk one arc shorter, so those x win).  Walks
     whose edges used an odd number of times agree (so stems aside) are
     yielded once.
+
+    At a 0/1 point the searches start only at the ends of the failing pair
+    edges (``_failing_ends``): every odd cycle holds one, so the search
+    stays complete, while one flipped edge makes every node conflicted.
     """
     width = forest.width
     m = forest.graph.n_edges
-    for part in _source_chunks(forest.conflicted.size, width):
+    sources = forest.conflicted
+    if sources.size and not forest.frac.size:
+        sources = _failing_ends(forest)
+    for part in _source_chunks(sources.size, width):
         if time.monotonic() > deadline:
             return
-        start = 2 * forest.conflicted[part]
+        start = 2 * sources[part]
         n_src = start.size
         seen = np.zeros(n_src * width, dtype=bool)
         frontier = np.arange(n_src) * width + start
@@ -534,15 +574,16 @@ def _conflict_walks(forest: _IntegralForest, deadline: float):
         cur = np.concatenate((meet, meet ^ 1))
         base = cur & -width
         home = base + start[base // width]
+        owner, arc_edge = forest.adjacency[3:]
         path, path_edges = [cur], []
         while True:
             live = cur != home
             if not live.any():
                 break
             at = np.where(live, via[cur], 0)
-            cur = np.where(live, base + forest.owner[at], cur)
+            cur = np.where(live, base + owner[at], cur)
             path.append(cur)
-            path_edges.append(np.where(live, forest.arc_edge[at], -1))
+            path_edges.append(np.where(live, arc_edge[at], -1))
         path = np.stack(path, axis=1) - base[:, None]
         path_edges = np.array(path_edges, dtype=np.int64).reshape(-1, cur.size).T
         k = meet.size

@@ -17,7 +17,7 @@ of layer 0 and node 3 of layer 1 are unrelated).
 from __future__ import annotations
 
 import re
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,8 +242,9 @@ def _inversions(values: list[int]) -> int:
     inv = 0
     seen: list[int] = []
     for k, v in enumerate(values):
-        inv += k - bisect_right(seen, v)  # earlier values strictly greater
-        insort(seen, v)
+        i = bisect_right(seen, v)
+        inv += k - i  # earlier values strictly greater
+        seen.insert(i, v)
     return inv
 
 

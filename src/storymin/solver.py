@@ -2,9 +2,11 @@
 
 Pipeline: validate -> merge equivalent consecutive layers -> run the
 barycenter heuristic (its solution provides both the incumbent and the
-per-layer variable indexing; at most 8 sweeps, each recounting only the
-gaps next to a layer it reordered, and stopping early once a layout has no
-crossing or the alternating sweeps repeat a layout) -> build the quadratic
+per-layer variable indexing; at most 8 sweeps over a plan of each layer's
+internal nodes read once per call, each sweep recounting only the gaps next
+to a layer it reordered by walking the upper layer in order, and stopping
+early once a layout has no crossing or the alternating sweeps repeat a
+layout) -> build the quadratic
 ordering model -> identify variables -> reduce to a weighted cut problem ->
 branch and cut on the LP relaxation.  A heuristic layout without crossings
 meets the trivial bound 0: it is returned as optimal right after the model
@@ -74,7 +76,7 @@ from .maxcut import (
 from .mlcm import (
     MlcmInstance,
     Solution,
-    _gap_crossings,
+    _inversions,
     _positions,
     count_crossings,
     validate_instance,
@@ -155,17 +157,22 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     subtree's leaf barycenters, and each internal node's children are sorted
     by barycenter (ties by current position).  Reading the tree off in DFS
     order keeps every bundle contiguous.  One bottom-up pass over the
-    layer's internal nodes does this, children before parents.
+    layer's internal nodes does this, children before parents, from a plan
+    read once per call: each internal node with its children and its leaf
+    count.  A node's barycenter sum adds its children's in sorted order, so
+    the float keys round the same way at every call.
 
     The best layout over all sweeps is returned (the first of equal counts).
     Crossings are kept per gap, and after a sweep only the gaps next to a
-    layer whose order changed are recounted.  No later layout can beat a
-    count of 0, so the sweeps stop at the first layout without crossings:
-    the canonical one before any sweep, or the one a sweep ends on.  A sweep
-    depends only on the layout it starts from and on its direction, and the
-    direction alternates: once a sweep ends on the layout of two sweeps
-    before, every later layout repeats one already counted, so the sweeps
-    stop there too.  Neither stop changes the result.
+    layer whose order changed are recounted: the lower ends of the gap's
+    edges, read with the upper layer in order, and their inversions
+    counted.  No later layout can beat a count of 0, so the sweeps stop at
+    the first layout without crossings: the canonical one before any
+    sweep, or the one a sweep ends on.  A sweep depends only on the layout
+    it starts from and on its direction, and the direction alternates: once
+    a sweep ends on the layout of two sweeps before, every later layout
+    repeats one already counted, so the sweeps stop there too.  Neither stop
+    changes the result.
     """
     p = instance.p
     trees = instance.trees
@@ -173,49 +180,75 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     if p <= 1 or sweeps <= 0:
         return Solution(tuple(tuple(o) for o in orders))
 
+    down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
+    for r, gap_edges in enumerate(instance.edges):
+        down = down_adj[r]
+        for u, v in gap_edges:
+            down[u].append(v)
+    # the gaps where no upper node has two edges (all of a storyline's), so
+    # no node's lower ends need sorting
+    simple = [len(dict(e)) == len(e) for e in instance.edges]
     pos = [_positions(o) for o in orders]
-    gap_counts = [_gap_crossings(e, pos[r], pos[r + 1]) for r, e in enumerate(instance.edges)]
+
+    def recount(g: int) -> int:
+        """Crossings of gap g: inversions of the lower ends, upper layer in order."""
+        lower, down = pos[g + 1], down_adj[g]
+        if simple[g]:
+            ends = [lower[v] for u in orders[g] for v in down[u]]
+        else:  # edges that share their upper end never cross
+            ends = [x for u in orders[g] for x in sorted([lower[v] for v in down[u]])]
+        return _inversions(ends)
+
+    # a layout without crossings returns before the plan below is built
+    gap_counts = [recount(g) for g in range(p - 1)]
     best, best_count = list(orders), sum(gap_counts)
     if best_count == 0:
         return Solution(tuple(tuple(o) for o in best))
 
     up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
-    down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
     for r, gap_edges in enumerate(instance.edges):
+        up = up_adj[r + 1]
         for u, v in gap_edges:
-            down_adj[r][u].append(v)
-            up_adj[r + 1][v].append(u)
-    # each layer's internal nodes, children before parents
-    bottom_up = [[v for v in reversed(t._topo_order) if v >= t.n_leaves] for t in trees]
+            up[v].append(u)
 
-    def reorder(r: int, ref_pos: list[int], adj: list[list[int]]) -> list[int]:
+    # the sweep plan, read once: each layer's internal nodes, children before
+    # parents, with their children, their leaf count and whether all the
+    # children are leaves
+    plan = []
+    for t in trees:
+        n, topo, parent, children = t.n_leaves, t._topo_order, t.parent, t.children
+        size = [1] * n + [0] * (t.n_nodes - n)
+        for v in topo[:0:-1]:
+            size[parent[v]] += size[v]
+        plan.append([(v, children[v], size[v], max(children[v]) < n)
+                     for v in topo[::-1] if v >= n])
+    singles = [[v] for v in range(max(instance.layer_sizes))]  # a leaf's own order
+
+    def reorder(r: int, ref: list[int], adj: list[list[int]]) -> list[int]:
         """Layer r's new order against the reference layer's positions."""
-        tree = trees[r]
-        n, extra = tree.n_leaves, tree.n_nodes - tree.n_leaves
         cur = pos[r]
-        children = tree.children
-        # per node: barycenter sum, leaf count, first current position, new leaf order
-        bsum = [sum([ref_pos[u] for u in nbrs]) / len(nbrs) if nbrs else float(cur[v])
-                for v, nbrs in enumerate(adj)] + [0.0] * extra
-        count = [1] * (n + extra)
-        first = cur + [0] * extra
-        seq: list[list[int]] = [[]] * (n + extra)
-        for v in bottom_up[r]:
-            kids = sorted([(bsum[c] / count[c], first[c], c) for c in children[v]])
-            m, f, out = 0, n, []
-            for _, fc, c in kids:
-                m += count[c]
-                if fc < f:
-                    f = fc
-                if c < n:
-                    out.append(c)
-                else:
-                    out += seq[c]
+        # per leaf: the mean position of its neighbours, or its own position
+        # when it has none; a float either way, so every key sum adds floats
+        # alone (since Python 3.12 sum() adds an int among floats without
+        # compensation, so mixing them could round differently)
+        bsum = [sum([ref[u] for u in a]) / len(a) if a else float(c) for a, c in zip(adj, cur)]
+        # sort key per node: barycenter, then the current position of one of
+        # its leaves; sibling blocks are disjoint and contiguous, so this
+        # orders ties as the first leaves' positions do
+        key = list(zip(bsum, cur))
+        extra = [None] * (trees[r].n_nodes - len(cur))
+        bsum += extra
+        key += extra
+        seq = singles[:len(cur)] + extra  # per node, its leaves in the new order
+        by_key, bsum_of = key.__getitem__, bsum.__getitem__
+        for v, kids, m, flat in plan[r]:
+            kids = sorted(kids, key=by_key)
             # builtin sum() in key order: another order or summation could round
             # the parent's key differently and change the layout
-            bsum[v] = sum([bsum[c] for _, _, c in kids])
-            count[v], first[v], seq[v] = m, f, out
-        return seq[tree.root]
+            b = bsum[v] = sum(map(bsum_of, kids))
+            key[v] = (b / m, key[kids[0]][1])
+            seq[v] = kids if flat else [x for c in kids for x in seq[c]]
+        return seq[v]
 
     # the layouts after the last two sweeps; orders[r] is replaced, never mutated
     before, last = None, list(orders)
@@ -229,9 +262,10 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
             new = reorder(r, pos[ref], adj)
             if new != orders[r]:
                 orders[r], pos[r] = new, _positions(new)
-                stale.update(g for g in (r - 1, r) if 0 <= g < p - 1)
+                stale.update((r - 1, r))
+        stale.difference_update((-1, p - 1))  # no gap above layer 0 or below layer p-1
         for g in stale:
-            gap_counts[g] = _gap_crossings(instance.edges[g], pos[g], pos[g + 1])
+            gap_counts[g] = recount(g)
         total = sum(gap_counts)
         if total < best_count:
             best, best_count = list(orders), total

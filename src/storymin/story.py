@@ -68,31 +68,36 @@ class Lifespan:
     end: Fraction
 
 
-def _parse_time(value, location: str) -> Fraction:
-    """Accept int, [num, den], or decimal string.  Reject floats."""
+def _parse_time(value, scene: int, key: str) -> Fraction:
+    """Accept int, [num, den], or decimal string.  Reject floats.
+
+    An error is located at ``$.scenes[scene].key``, formatted only then.
+    """
     if isinstance(value, bool):
-        raise StoryFormatError("bad-time", "time must be rational, got bool", location)
+        raise StoryFormatError("bad-time", "time must be rational, got bool", f"$.scenes[{scene}].{key}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         raise StoryFormatError(
             "bad-time",
             "float times are not accepted; use an int, [num, den], or a decimal string",
-            location,
+            f"$.scenes[{scene}].{key}",
         )
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise StoryFormatError("bad-time", f"unparsable time string {value!r}: {exc}", location) from None
+            raise StoryFormatError("bad-time", f"unparsable time string {value!r}: {exc}",
+                                   f"$.scenes[{scene}].{key}") from None
     if isinstance(value, list):
         if len(value) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise StoryFormatError("bad-time", "rational time must be [numerator, denominator]", location)
+            raise StoryFormatError("bad-time", "rational time must be [numerator, denominator]",
+                                   f"$.scenes[{scene}].{key}")
         num, den = value
         if den == 0:
-            raise StoryFormatError("bad-time", "zero denominator", location)
+            raise StoryFormatError("bad-time", "zero denominator", f"$.scenes[{scene}].{key}")
         return Fraction(num, den)
-    raise StoryFormatError("bad-time", f"unsupported time value {value!r}", location)
+    raise StoryFormatError("bad-time", f"unsupported time value {value!r}", f"$.scenes[{scene}].{key}")
 
 
 def parse_story(text: str) -> Story:
@@ -137,36 +142,38 @@ def parse_story(text: str) -> Story:
 
     scenes: list[Scene] = []
     scene_ids: set[str] = set()
+    # locations are formatted only for the error raised
     for idx, sraw in enumerate(scenes_raw):
-        loc = f"$.scenes[{idx}]"
         if not isinstance(sraw, dict):
-            raise StoryFormatError("bad-shape", "scene must be an object", loc)
+            raise StoryFormatError("bad-shape", "scene must be an object", f"$.scenes[{idx}]")
         missing = {"id", "members", "begin", "end"} - set(sraw)
         if missing:
-            raise StoryFormatError("bad-shape", f"scene missing keys: {sorted(missing)}", loc)
+            raise StoryFormatError("bad-shape", f"scene missing keys: {sorted(missing)}", f"$.scenes[{idx}]")
         sid = sraw["id"]
         if not isinstance(sid, str) or not sid:
-            raise StoryFormatError("bad-shape", "scene id must be a non-empty string", loc + ".id")
+            raise StoryFormatError("bad-shape", "scene id must be a non-empty string", f"$.scenes[{idx}].id")
         if sid in scene_ids:
-            raise StoryFormatError("duplicate-scene", f"scene id {sid!r} declared twice", loc + ".id")
+            raise StoryFormatError("duplicate-scene", f"scene id {sid!r} declared twice", f"$.scenes[{idx}].id")
         scene_ids.add(sid)
         members_raw = sraw["members"]
         if not isinstance(members_raw, list) or not members_raw:
-            raise StoryFormatError("empty-members", "scene members must be a non-empty list", loc + ".members")
+            raise StoryFormatError("empty-members", "scene members must be a non-empty list",
+                                   f"$.scenes[{idx}].members")
         members: set[str] = set()
         for midx, m in enumerate(members_raw):
-            mloc = f"{loc}.members[{midx}]"
             if not isinstance(m, str):
-                raise StoryFormatError("bad-shape", "member must be a string", mloc)
+                raise StoryFormatError("bad-shape", "member must be a string", f"$.scenes[{idx}].members[{midx}]")
             if m not in seen:
-                raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character", mloc)
+                raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character",
+                                       f"$.scenes[{idx}].members[{midx}]")
             if m in members:
-                raise StoryFormatError("duplicate-member", f"member {m!r} listed twice", mloc)
+                raise StoryFormatError("duplicate-member", f"member {m!r} listed twice",
+                                       f"$.scenes[{idx}].members[{midx}]")
             members.add(m)
-        begin = _parse_time(sraw["begin"], loc + ".begin")
-        end = _parse_time(sraw["end"], loc + ".end")
+        begin = _parse_time(sraw["begin"], idx, "begin")
+        end = _parse_time(sraw["end"], idx, "end")
         if begin > end:
-            raise StoryFormatError("inverted-interval", f"begin {begin} > end {end}", loc)
+            raise StoryFormatError("inverted-interval", f"begin {begin} > end {end}", f"$.scenes[{idx}]")
         scenes.append(Scene(sid, frozenset(members), begin, end))
 
     return Story(tuple(chars_raw), tuple(scenes))

@@ -316,6 +316,64 @@ def test_cut_consistency_is_empty_iff_every_pair_edge_agrees():
     assert cuts >= 5 and non_cuts >= 5
 
 
+def side_cut(graph: MaxCutGraph, sides: list[int]) -> np.ndarray:
+    """The cut vector of a side per node (node 0 on side 0)."""
+    return np.array([float(sides[u] ^ sides[v]) for u, v in graph.ends.tolist()])
+
+
+def test_forest_sorts_no_arcs_at_a_cut():
+    """At a 0/1 cut nothing is conflicted and no edge is fractional: the
+    searches read no adjacency list, so none is built."""
+    rng = random.Random(74)
+    for _ in range(20):
+        n = rng.randint(3, 9)
+        graph = random_cut_graph(rng, n, rng.randint(1, 2 * n))
+        y = side_cut(graph, [0] + [rng.randint(0, 1) for _ in range(n - 1)])
+        forest = maxcut._IntegralForest(graph, y)
+        assert forest.conflicted.size == 0 and forest.frac.size == 0
+        assert not list(maxcut._conflict_walks(forest, math.inf))
+        assert not list(maxcut._contracted_walks(forest, math.inf))
+        assert not {"adjacency", "indptr", "degree", "head", "owner", "arc_edge"} & set(vars(forest))
+        # one flipped pair edge: the search walks the arcs, so they are built
+        flip = rng.randrange(graph.n_root_edges, graph.n_edges)
+        y[flip] = 1.0 - y[flip]
+        forest = maxcut._IntegralForest(graph, y)
+        assert list(maxcut._conflict_walks(forest, math.inf))
+        assert "adjacency" in vars(forest)
+
+
+def test_flipped_pair_edge_is_found_from_its_ends_alone(monkeypatch):
+    """One flipped pair edge makes every node conflicted (the root star joins
+    them all), yet the search starts at that edge's two ends only, and each
+    cycle it finds runs through the edge and is violated by a full unit."""
+    starts = []
+    level = maxcut._IntegralForest.level
+
+    def spy(forest, frontier, seen, via):
+        if not starts:
+            starts.append(sorted((frontier & (forest.width - 1)).tolist()))
+        return level(forest, frontier, seen, via)
+
+    monkeypatch.setattr(maxcut._IntegralForest, "level", spy)
+    rng = random.Random(75)
+    for _ in range(30):
+        n = rng.randint(4, 12)
+        graph = random_cut_graph(rng, n, rng.randint(2, 2 * n))
+        y = side_cut(graph, [0] + [rng.randint(0, 1) for _ in range(n - 1)])
+        flip = rng.randrange(graph.n_root_edges, graph.n_edges)
+        y[flip] = 1.0 - y[flip]
+        assert maxcut._IntegralForest(graph, y).conflicted.size == n
+        starts.clear()
+        rows = cut_consistency(graph, y)
+        u, v = graph.ends[flip].tolist()
+        assert starts == [[2 * u, 2 * v]]
+        assert rows
+        for row in rows:
+            assert flip in row.cycle and is_closed_cycle(graph, row.cycle)
+            assert violation(row, y) == 1.0
+        assert sorted((flip, u - 1, v - 1)) in [sorted(row.cycle) for row in rows]
+
+
 def test_all_integral_odd_cycle_is_found():
     # root edges at 0.5 and a triangle of pair edges at 1.0: no reference
     # triangle is violated, but the cycle 12-23-13 is, by a full unit

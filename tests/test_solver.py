@@ -192,6 +192,61 @@ def test_heuristic_matches_reference_on_storyline_instances():
     assert at_canonical >= 3 and after_sweep >= 3, (at_canonical, after_sweep)
 
 
+def test_heuristic_matches_reference_at_the_benchmark_widths():
+    """Stories with 7 and with 16 characters, the benchmark's casts, as built
+    and as merged."""
+    rng = random.Random(95)
+    for n_chars in (7, 7, 7, 16, 16):
+        doc = random_story_doc(rng, n_chars, 3 * n_chars, tmax=2 * n_chars)
+        inst, _ = build_instance(parse_story(json.dumps(doc)))
+        assert max(inst.layer_sizes) >= n_chars - 2
+        assert_same_as_reference(inst)
+        assert_same_as_reference(merge_layers(inst)[0])
+
+
+def tied_instance(rng: random.Random, p: int) -> MlcmInstance:
+    """Every lower node takes one of a few neighbour sets over the upper
+    layer's first three nodes: leaves without neighbours, leaves with the
+    same neighbours (equal barycenters) and means such as 1/3 and 2/3 whose
+    sums meet other keys."""
+    menu = ((), (), (0,), (1,), (2,), (0, 2), (0, 1, 2), (0, 1), (1, 2))
+    sizes = tuple(rng.randint(3, 9) for _ in range(p))
+    trees = tuple(path_tree(rng, n) if rng.random() < 0.2 else random_general_tree(rng, n)
+                  for n in sizes)
+    edges = []
+    for r in range(p - 1):
+        gap = {(u, v) for v in range(sizes[r + 1]) for u in rng.choice(menu)}
+        edges.append(tuple(sorted(gap)))
+    return MlcmInstance(sizes, tuple(edges), trees)
+
+
+def test_heuristic_matches_reference_with_ties():
+    rng = random.Random(96)
+    isolated = shared = 0
+    for _ in range(60):
+        inst = tied_instance(rng, rng.randint(2, 6))
+        assert validate_instance(inst).ok
+        assert_same_as_reference(inst)
+        for r, gap in enumerate(inst.edges):
+            nbrs = [tuple(u for u, w in gap if w == v) for v in range(inst.layer_sizes[r + 1])]
+            isolated += nbrs.count(())
+            shared += len([a for a in nbrs if a]) - len(set(a for a in nbrs if a))
+    assert isolated >= 50 and shared >= 50, (isolated, shared)
+
+
+def test_heuristic_sums_a_subtree_in_key_order():
+    """Node x's leaves have barycenters 4/3, 3/2 and 19/6 against the upper
+    layer.  Added left to right in key order they make 6.0, a mean of 2.0
+    that ties with leaf 0's barycenter and goes to the current order; added
+    in the other order they make 5.999999999999999 on Pythons whose sum()
+    adds left to right (before 3.12), and x would move above leaf 0."""
+    upper = LayerTree.from_nested(("root", list(range(7))), 7)
+    lower = LayerTree.from_nested(("root", [0, ("x", [1, 2, 3])]), 4)
+    neighbours = {0: (2,), 1: (0, 1, 3), 2: (0, 3), 3: (0, 1, 3, 4, 5, 6)}
+    edges = tuple(sorted((u, v) for v, us in neighbours.items() for u in us))
+    assert_same_as_reference(MlcmInstance((7, 4), (edges,), (upper, lower)))
+
+
 def test_solve_heuristic_result(bundle_story_text):
     inst, _ = build_instance(parse_story(bundle_story_text))
     res = solve_heuristic(inst)

@@ -76,6 +76,34 @@ def test_parse_error_codes(mutate, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("begin", True, "bad-time: time must be rational, got bool (at $.scenes[1].begin)"),
+    ("begin", 1.5, "bad-time: float times are not accepted; use an int, [num, den], "
+                   "or a decimal string (at $.scenes[1].begin)"),
+    ("end", "x", "bad-time: unparsable time string 'x': Invalid literal for Fraction: 'x' "
+                 "(at $.scenes[1].end)"),
+    ("end", [1], "bad-time: rational time must be [numerator, denominator] (at $.scenes[1].end)"),
+    ("begin", [1, 0], "bad-time: zero denominator (at $.scenes[1].begin)"),
+    ("end", None, "bad-time: unsupported time value None (at $.scenes[1].end)"),
+    ("members", [1], "bad-shape: member must be a string (at $.scenes[1].members[0])"),
+    ("members", ["a", "z"], "unknown-member: member 'z' is not a declared character "
+                            "(at $.scenes[1].members[1])"),
+    ("members", ["b", "a", "b"], "duplicate-member: member 'b' listed twice (at $.scenes[1].members[2])"),
+    ("members", [], "empty-members: scene members must be a non-empty list (at $.scenes[1].members)"),
+    ("id", "s1", "duplicate-scene: scene id 's1' declared twice (at $.scenes[1].id)"),
+    ("id", "", "bad-shape: scene id must be a non-empty string (at $.scenes[1].id)"),
+    ("begin", 5, "inverted-interval: begin 5 > end 3 (at $.scenes[1])"),
+])
+def test_scene_errors_keep_their_messages_and_locations(key, value, error):
+    doc = {"characters": ["a", "b"],
+           "scenes": [{"id": "s1", "members": ["a", "b"], "begin": 0, "end": 1},
+                      {"id": "s2", "members": ["a", "b"], "begin": 2, "end": 3}]}
+    doc["scenes"][1][key] = value
+    with pytest.raises(StoryFormatError) as exc:
+        parse_story(json.dumps(doc))
+    assert str(exc.value) == error
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(StoryFormatError) as exc:
         parse_story('{"characters": [}')
