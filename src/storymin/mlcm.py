@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .validation import FormatError, ValidationReport
 
@@ -47,6 +46,26 @@ class InstanceFormatError(FormatError):
     """Malformed instance or solution text."""
 
 
+class _cached:
+    """A value computed at its first read and kept in the instance's
+    ``__dict__``: ``functools.cached_property`` without the lock it takes
+    before Python 3.12, which cost as much as building a small tree's
+    tables."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class LayerTree:
     """Rooted tree over one layer.
@@ -65,22 +84,22 @@ class LayerTree:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    @cached_property
+    @_cached
     def root(self) -> int:
-        roots = [v for v, p in enumerate(self.parent) if p == -1]
-        if len(roots) != 1:
-            raise ValueError(f"tree must have exactly one root, found {len(roots)}")
-        return roots[0]
+        n_roots = self.parent.count(-1)
+        if n_roots != 1:
+            raise ValueError(f"tree must have exactly one root, found {n_roots}")
+        return self.parent.index(-1)
 
-    @cached_property
+    @_cached
     def children(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for v, p in enumerate(self.parent):
             if p >= 0:
                 kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
+        return tuple(map(tuple, kids))
 
-    @cached_property
+    @_cached
     def depth(self) -> tuple[int, ...]:
         d = [0] * self.n_nodes
         for v in self._topo_order:
@@ -89,16 +108,43 @@ class LayerTree:
                 d[v] = d[p] + 1
         return tuple(d)
 
-    @cached_property
+    @_cached
     def _topo_order(self) -> tuple[int, ...]:
-        """Root first, children after parents (iterative DFS)."""
-        order: list[int] = []
-        stack = [self.root]
+        """Root first, children after parents (iterative DFS, children as
+        stored).  The stack holds one iterator over each open node's
+        children, so a node without children costs no push or pop."""
+        children = self.children
+        order = [self.root]
+        stack = [iter(children[self.root])]
         while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
+            for v in stack[-1]:
+                order.append(v)
+                if children[v]:
+                    stack.append(iter(children[v]))
+                    break
+            else:
+                stack.pop()
         return tuple(order)
+
+    @_cached
+    def leaf_sets(self) -> frozenset[int]:
+        """The family of the internal nodes' leaf sets, each an int with bit
+        x set for leaf x.
+
+        A set, not a list per node: a chain of one-child nodes gives every
+        node on it the same leaf set, and the family holds it once.  Trees
+        over the same leaves with equal families admit the same orders.
+        """
+        return self.leaf_sets_renamed(range(self.n_leaves))
+
+    def leaf_sets_renamed(self, rename) -> frozenset[int]:
+        """``leaf_sets`` with every leaf x renamed ``rename[x]``, a
+        permutation of the leaves: the image of the family under it."""
+        n, parent = self.n_leaves, self.parent
+        below = [1 << y for y in rename] + [0] * (self.n_nodes - n)
+        for v in self._topo_order[:0:-1]:  # children before parents
+            below[parent[v]] |= below[v]
+        return frozenset(below[n:])
 
     def is_leaf(self, v: int) -> bool:
         return v < self.n_leaves
@@ -257,9 +303,14 @@ def _positions(order: tuple[int, ...] | list[int]) -> list[int]:
 
 
 def _gap_crossings(gap_edges, pos_u: list[int], pos_v: list[int]) -> int:
-    """Crossings of one gap, given both layers' positions (see ``_positions``)."""
-    pairs = sorted([(pos_u[u], pos_v[v]) for u, v in gap_edges])
-    return _inversions([b for _, b in pairs])
+    """Crossings of one gap, given both layers' positions (see ``_positions``).
+
+    The edges are sorted by one int key per edge, ``pos_u * n_v + pos_v``,
+    which orders them as the pairs (pos_u, pos_v) do.
+    """
+    n_v = len(pos_v)
+    keys = sorted([pos_u[u] * n_v + pos_v[v] for u, v in gap_edges])
+    return _inversions([k % n_v for k in keys])
 
 
 def count_crossings(instance: MlcmInstance, solution: Solution) -> int:
@@ -296,12 +347,13 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
         if tree.n_leaves != n:
             report.add("tree-leaf-mismatch", f"layer has {n} nodes but tree has {tree.n_leaves} leaves", loc)
             continue
-        m = tree.n_nodes
-        stray = next((v for v, p in enumerate(tree.parent) if not -1 <= p < m), None)
-        if stray is not None:
-            report.add("not-a-tree", f"node {stray} has parent {tree.parent[stray]}, not in -1..{m - 1}", loc)
+        parent, m = tree.parent, tree.n_nodes
+        # the scans that name a fault run only once a fault is known
+        if parent and not (min(parent) >= -1 and max(parent) < m):
+            stray = next(v for v, p in enumerate(parent) if not -1 <= p < m)
+            report.add("not-a-tree", f"node {stray} has parent {parent[stray]}, not in -1..{m - 1}", loc)
             continue
-        n_roots = tree.parent.count(-1)
+        n_roots = parent.count(-1)
         if n_roots != 1:
             report.add("not-a-tree", f"{n_roots} roots", loc)
             continue
@@ -316,17 +368,23 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
             continue
         if n > 0 and tree.is_leaf(tree.root):
             report.add("leaf-root", "root must be internal", loc)
-        for v in range(n, m):
-            if not tree.children[v]:
-                report.add("childless-internal", f"internal node {v} has no children", loc)
+        if not all(tree.children[n:]):
+            for v in range(n, m):
+                if not tree.children[v]:
+                    report.add("childless-internal", f"internal node {v} has no children", loc)
         if instance.labels is not None and len(instance.labels[r]) != n:
             report.add("label-mismatch", f"layer {r + 1} has {n} nodes but {len(instance.labels[r])} labels", loc)
 
     for r, gap_edges in enumerate(instance.edges):
-        loc = f"edges {r + 1}"
         if r + 1 >= instance.p:
             break
         nu, nv = instance.layer_sizes[r], instance.layer_sizes[r + 1]
+        if gap_edges:
+            us, vs = zip(*gap_edges)
+            if (min(us) >= 0 and max(us) < nu and min(vs) >= 0 and max(vs) < nv
+                    and len(set(gap_edges)) == len(gap_edges)):
+                continue
+        loc = f"edges {r + 1}"
         seen_e = set()
         for u, v in gap_edges:
             if not (0 <= u < nu and 0 <= v < nv):

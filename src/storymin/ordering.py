@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .mlcm import LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
+from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
 
 __all__ = [
     "TransitivityTriple",
@@ -202,24 +202,30 @@ def _crossing_terms(model: OrderingModel) -> np.ndarray:
     contributes 1 to the term of its upper and its lower pair: an xor if the
     two pairs are in the same index order, else an xnor.  All gaps at once.
     """
-    sizes, base = model.instance.layer_sizes, model.table_base
-    rank = [_positions(o) for o in model.orders]
-    # per edge e: the table rows of its upper and lower end, their index
-    # positions, its number of later edges in the gap, and e + 1 - (the
-    # number of pairs before its first)
-    cols: list[int] = []
-    e = n_pairs = 0
-    for r, gap_edges in enumerate(model.instance.edges):
-        upper, lower, m = rank[r], rank[r + 1], len(gap_edges)
-        for k, (u, v) in enumerate(gap_edges):
-            i, j, later = upper[u], lower[v], m - 1 - k
-            cols += (base[r] + i * sizes[r], base[r + 1] + j * sizes[r + 1], i, j, later, e + 1 - n_pairs)
-            e += 1
-            n_pairs += later
-    row_u, row_v, pu, pv, later, shift = np.array(cols, dtype=np.int64).reshape(-1, 6).T.copy()
+    instance = model.instance
+    sizes = np.array(instance.layer_sizes, dtype=np.int64)
+    # the index position of every node, all layers' nodes in one array from
+    # each layer's offset ``start``
+    start = np.cumsum(sizes) - sizes
+    node_start = start.repeat(sizes)
+    slot = np.arange(len(node_start)) - node_start
+    rank = np.empty_like(slot)
+    rank[np.fromiter(chain.from_iterable(model.orders), np.int64, len(slot)) + node_start] = slot
+    # per edge e (all gaps' edges in one array), in columns for its upper
+    # and its lower end: the layer, the end's index position and its table
+    # row; then e's number of later edges in its gap, and e + 1 - (the number
+    # of pairs before its first)
+    m = np.array([len(gap_edges) for gap_edges in instance.edges], dtype=np.int64)
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(instance.edges)), np.int64, 2 * m.sum())
+    layer = np.arange(len(m)).repeat(m)[:, None] + (0, 1)
+    (pu, pv) = pos = rank[ends.reshape(-1, 2) + start[layer]].T
+    row_u, row_v = (np.array(model.table_base)[layer].T + pos * sizes[layer].T)
+    e = np.arange(len(layer))
+    later = np.cumsum(m).repeat(m) - 1 - e
+    shift = e + 1 - (np.cumsum(later) - later)
 
     # every pair a < b of edges of one gap
-    a = np.arange(len(later)).repeat(later)
+    a = e.repeat(later)
     b = np.arange(len(a)) + shift[a]
     pu_b, pv_b = pu[b], pv[b]
     order = (pu[a] - pu_b) * (pv[a] - pv_b)  # > 0: same index order, 0: a shared end

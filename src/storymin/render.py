@@ -80,13 +80,12 @@ def render_svg(instance: MlcmInstance, solution: Solution,
     slots = assign_slots(instance, solution)
     crossings = count_crossings(instance, solution)
 
-    def x(r: int) -> float:
-        return MARGIN + r * opt.width
-
-    def y(slot: int) -> float:
-        return MARGIN + slot * opt.row_height
-
     max_slot = max((s for layer in slots for s in layer), default=0)
+    # every layer's x and every slot's y, as numbers and as drawn
+    xs = [MARGIN + r * opt.width for r in range(instance.p)]
+    ys = [MARGIN + s * opt.row_height for s in range(max_slot + 1)]
+    x_text = [f"{v:.1f}" for v in xs]
+    y_text = [f"{v:.1f}" for v in ys]
     width = 2 * MARGIN + max(instance.p - 1, 0) * opt.width
     height = 2 * MARGIN + max_slot * opt.row_height + 2 * FONT_SIZE
 
@@ -99,19 +98,18 @@ def render_svg(instance: MlcmInstance, solution: Solution,
     lines = _char_points(instance, solution, slots)
     for idx, (name, pts) in enumerate(lines):
         color = PALETTE[idx % len(PALETTE)]
-        coords = [(x(r), y(s)) for r, s in pts]
-        if opt.smooth and len(coords) > 1:
-            d = [f"M {coords[0][0]:.1f} {coords[0][1]:.1f}"]
-            for (x0, y0), (x1, y1) in zip(coords, coords[1:]):
-                mid = (x0 + x1) / 2.0
-                d.append(f"C {mid:.1f} {y0:.1f} {mid:.1f} {y1:.1f} {x1:.1f} {y1:.1f}")
+        if opt.smooth and len(pts) > 1:
+            d = [f"M {x_text[pts[0][0]]} {y_text[pts[0][1]]}"]
+            for (r0, s0), (r1, s1) in zip(pts, pts[1:]):
+                mid = (xs[r0] + xs[r1]) / 2.0
+                d.append(f"C {mid:.1f} {y_text[s0]} {mid:.1f} {y_text[s1]} {x_text[r1]} {y_text[s1]}")
             parts.append(f'<path d="{" ".join(d)}" fill="none" stroke="{color}" '
                          f'stroke-width="{STROKE_WIDTH}"/>')
         else:
-            points = " ".join(f"{px:.1f},{py:.1f}" for px, py in coords)
+            points = " ".join([f"{x_text[r]},{y_text[s]}" for r, s in pts])
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                          f'stroke-width="{STROKE_WIDTH}"/>')
-        lx, ly = coords[0]
+        lx, ly = xs[pts[0][0]], ys[pts[0][1]]
         safe = _escape(name)
         parts.append(f'<text x="{lx - 6:.1f}" y="{ly + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="{FONT_SIZE}" '

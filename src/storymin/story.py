@@ -20,6 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from .validation import FormatError, ValidationReport
 
@@ -100,6 +101,25 @@ def _parse_time(value, scene: int, key: str) -> Fraction:
     raise StoryFormatError("bad-time", f"unsupported time value {value!r}", f"$.scenes[{scene}].{key}")
 
 
+_SCENE_KEYS = frozenset({"id", "members", "begin", "end"})
+
+
+def _member_error(members_raw: list, declared: set[str], scene: int) -> NoReturn:
+    """Raise the error of the first member of scene ``scene`` that is not a
+    string, not a declared character, or listed twice."""
+    members: set[str] = set()
+    for midx, m in enumerate(members_raw):
+        if not isinstance(m, str):
+            raise StoryFormatError("bad-shape", "member must be a string", f"$.scenes[{scene}].members[{midx}]")
+        if m not in declared:
+            raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character",
+                                   f"$.scenes[{scene}].members[{midx}]")
+        if m in members:
+            raise StoryFormatError("duplicate-member", f"member {m!r} listed twice",
+                                   f"$.scenes[{scene}].members[{midx}]")
+        members.add(m)
+
+
 def parse_story(text: str) -> Story:
     """Parse story JSON.
 
@@ -142,13 +162,16 @@ def parse_story(text: str) -> Story:
 
     scenes: list[Scene] = []
     scene_ids: set[str] = set()
+    # one Fraction per distinct integer time; ``type(v) is int`` lets a bool
+    # through to _parse_time, which rejects it
+    int_times: dict[int, Fraction] = {}
     # locations are formatted only for the error raised
     for idx, sraw in enumerate(scenes_raw):
         if not isinstance(sraw, dict):
             raise StoryFormatError("bad-shape", "scene must be an object", f"$.scenes[{idx}]")
-        missing = {"id", "members", "begin", "end"} - set(sraw)
-        if missing:
-            raise StoryFormatError("bad-shape", f"scene missing keys: {sorted(missing)}", f"$.scenes[{idx}]")
+        if not sraw.keys() >= _SCENE_KEYS:
+            missing = sorted(_SCENE_KEYS - sraw.keys())
+            raise StoryFormatError("bad-shape", f"scene missing keys: {missing}", f"$.scenes[{idx}]")
         sid = sraw["id"]
         if not isinstance(sid, str) or not sid:
             raise StoryFormatError("bad-shape", "scene id must be a non-empty string", f"$.scenes[{idx}].id")
@@ -159,22 +182,31 @@ def parse_story(text: str) -> Story:
         if not isinstance(members_raw, list) or not members_raw:
             raise StoryFormatError("empty-members", "scene members must be a non-empty list",
                                    f"$.scenes[{idx}].members")
-        members: set[str] = set()
-        for midx, m in enumerate(members_raw):
-            if not isinstance(m, str):
-                raise StoryFormatError("bad-shape", "member must be a string", f"$.scenes[{idx}].members[{midx}]")
-            if m not in seen:
-                raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character",
-                                       f"$.scenes[{idx}].members[{midx}]")
-            if m in members:
-                raise StoryFormatError("duplicate-member", f"member {m!r} listed twice",
-                                       f"$.scenes[{idx}].members[{midx}]")
-            members.add(m)
-        begin = _parse_time(sraw["begin"], idx, "begin")
-        end = _parse_time(sraw["end"], idx, "end")
-        if begin > end:
+        # declared characters are strings, so a set of the list's size inside
+        # the cast holds only distinct strings; otherwise _member_error names
+        # the first faulty member (an unhashable one goes there too)
+        try:
+            members = frozenset(members_raw)
+        except TypeError:
+            members = frozenset()
+        if len(members) != len(members_raw) or not members <= seen:
+            _member_error(members_raw, seen, idx)
+        b_raw, e_raw = sraw["begin"], sraw["end"]
+        if type(b_raw) is int and type(e_raw) is int:
+            begin = int_times.get(b_raw)
+            if begin is None:
+                begin = int_times[b_raw] = Fraction(b_raw)
+            end = int_times.get(e_raw)
+            if end is None:
+                end = int_times[e_raw] = Fraction(e_raw)
+            inverted = b_raw > e_raw
+        else:
+            begin = _parse_time(b_raw, idx, "begin")
+            end = _parse_time(e_raw, idx, "end")
+            inverted = begin > end
+        if inverted:
             raise StoryFormatError("inverted-interval", f"begin {begin} > end {end}", f"$.scenes[{idx}]")
-        scenes.append(Scene(sid, frozenset(members), begin, end))
+        scenes.append(Scene(sid, members, begin, end))
 
     return Story(tuple(chars_raw), tuple(scenes))
 
@@ -207,19 +239,27 @@ def _time_ranks(scenes) -> tuple[list[Fraction], list[int], list[int]]:
 
     A Fraction is stored in lowest terms, so equal times have equal
     (numerator, denominator) pairs, which hash as ints do; only the distinct
-    times are compared as Fractions, once, to sort them.  (Scaling every time
-    by the lcm of the denominators would give integer keys as well, but keys
-    whose size grows with the number of distinct denominators.)
+    times are compared as Fractions, once, to sort them.  When every time is
+    an integer, the numerators alone are the keys and sort as ints.  (Scaling
+    every time by the lcm of the denominators would give integer keys as
+    well, but keys whose size grows with the number of distinct denominators.)
     """
-    first: dict[tuple[int, int], Fraction] = {}
-    for s in scenes:
-        first.setdefault((s.begin.numerator, s.begin.denominator), s.begin)
-        first.setdefault((s.end.numerator, s.end.denominator), s.end)
-    order = sorted(first, key=first.__getitem__)
+    begins = [s.begin for s in scenes]
+    ends = [s.end for s in scenes]
+    integral = all(t.denominator == 1 for t in begins) and all(t.denominator == 1 for t in ends)
+    if integral:
+        begin_keys = [t.numerator for t in begins]
+        end_keys = [t.numerator for t in ends]
+    else:
+        begin_keys = [(t.numerator, t.denominator) for t in begins]
+        end_keys = [(t.numerator, t.denominator) for t in ends]
+    first = dict(zip(end_keys, ends))
+    first.update(zip(begin_keys, begins))
+    order = sorted(first) if integral else sorted(first, key=first.__getitem__)
     rank = {key: r for r, key in enumerate(order)}
     return ([first[key] for key in order],
-            [rank[s.begin.numerator, s.begin.denominator] for s in scenes],
-            [rank[s.end.numerator, s.end.denominator] for s in scenes])
+            [rank[key] for key in begin_keys],
+            [rank[key] for key in end_keys])
 
 
 def _span_ranks(scenes, begin: list[int], end: list[int]) -> dict[str, list[int]]:
@@ -266,18 +306,19 @@ def _validate(story: Story, ranks: tuple[list[Fraction], list[int], list[int]]) 
     scenes = story.scenes
     _, begin, end = ranks
     ids_seen: set[str] = set()
+    # a location is formatted only for a violation it is added with
     for idx, s in enumerate(scenes):
-        loc = f"scenes[{idx}]"
         if s.id in ids_seen:
-            report.add("duplicate-scene", f"scene id {s.id!r} declared twice", loc)
+            report.add("duplicate-scene", f"scene id {s.id!r} declared twice", f"scenes[{idx}]")
         ids_seen.add(s.id)
         if not s.members:
-            report.add("empty-members", f"scene {s.id!r} has no members", loc)
-        for m in sorted(s.members):
-            if m not in declared:
-                report.add("unknown-member", f"scene {s.id!r} member {m!r} is not declared", loc)
+            report.add("empty-members", f"scene {s.id!r} has no members", f"scenes[{idx}]")
+        if not s.members <= declared:
+            for m in sorted(s.members):
+                if m not in declared:
+                    report.add("unknown-member", f"scene {s.id!r} member {m!r} is not declared", f"scenes[{idx}]")
         if begin[idx] > end[idx]:
-            report.add("inverted-interval", f"scene {s.id!r} has begin {s.begin} > end {s.end}", loc)
+            report.add("inverted-interval", f"scene {s.id!r} has begin {s.begin} > end {s.end}", f"scenes[{idx}]")
 
     # Closed intervals a, b overlap iff a.begin <= b.end and b.begin <= a.end
     # (touching endpoints overlap).  Visiting scenes by begin, an earlier-begun
@@ -303,12 +344,11 @@ def _validate(story: Story, ranks: tuple[list[Fraction], list[int], list[int]]) 
             f"scenes[{i}]/scenes[{j}]",
         )
 
-    in_some_scene = set()
-    for s in story.scenes:
-        in_some_scene |= s.members
-    for c in story.characters:
-        if c not in in_some_scene:
-            report.add("character-without-scenes", f"character {c!r} appears in no scene", "characters")
+    in_some_scene = set().union(*[s.members for s in scenes])
+    if not declared <= in_some_scene:
+        for c in story.characters:
+            if c not in in_some_scene:
+                report.add("character-without-scenes", f"character {c!r} appears in no scene", "characters")
 
     return report
 

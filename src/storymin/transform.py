@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mlcm import ROOT_LABEL, LayerTree, MlcmInstance, Solution, _positions, leaf_ranges
+from .mlcm import ROOT_LABEL, LayerTree, MlcmInstance, Solution, _positions
 from .story import Scene, Story, _span_ranks, _time_ranks, _validate
 from .validation import ValidationReport
 
@@ -77,37 +77,30 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
         for r in range(b, e + 1):
             active[r].append(s)
     alive = [tuple(chars) for chars in alive_lists]
+    active_ids = [tuple([s.id for s in scenes]) for scenes in active]
 
-    node_of = [{c: i for i, c in enumerate(chars)} for chars in alive]
+    node_of = [dict(zip(chars, range(len(chars)))) for chars in alive]
 
+    # The scenes active at one time overlap, so their member sets are
+    # disjoint, and every member is alive then: a single active scene
+    # gathers the whole layer iff it has n members.
     trees: list[LayerTree] = []
     for r, chars in enumerate(alive):
-        char_id = node_of[r]
-        n = len(chars)
-        groups = [(s.id, sorted(char_id[c] for c in s.members)) for s in active[r]]
-        covered = {v for _, vs in groups for v in vs}
-        free = [v for v in range(n) if v not in covered]
-        if len(groups) == 1 and not free:
-            sid, vs = groups[0]
-            parent = [n] * n + [-1]
-            trees.append(LayerTree(n, tuple(parent), (sid,)))
-        else:
-            # scene nodes n..n+k-1, synthetic root last
-            k = len(groups)
-            root = n + k
-            parent = [0] * n + [root] * k + [-1]
-            labels = [sid for sid, _ in groups] + [ROOT_LABEL]
-            for gi, (_, vs) in enumerate(groups):
-                for v in vs:
-                    parent[v] = n + gi
-            for v in free:
-                parent[v] = root
-            trees.append(LayerTree(n, tuple(parent), tuple(labels)))
+        n, scenes = len(chars), active[r]
+        if len(scenes) == 1 and len(scenes[0].members) == n:
+            trees.append(LayerTree(n, (n,) * n + (-1,), active_ids[r]))
+            continue
+        # scene nodes n..n+k-1, synthetic root last and the parent of every
+        # character in no active scene
+        char_id, k = node_of[r], len(scenes)
+        parent = [n + k] * (n + k) + [-1]
+        for gi, s in enumerate(scenes, n):
+            for c in s.members:
+                parent[char_id[c]] = gi
+        trees.append(LayerTree(n, tuple(parent), active_ids[r] + (ROOT_LABEL,)))
 
-    edges: list[tuple[tuple[int, int], ...]] = []
-    for r in range(len(times) - 1):
-        down = node_of[r + 1]
-        edges.append(tuple((u, down[c]) for u, c in enumerate(alive[r]) if c in down))
+    edges = [tuple([(u, v) for u, v in enumerate(map(node_of[r + 1].get, alive[r])) if v is not None])
+             for r in range(len(times) - 1)]
 
     instance = MlcmInstance(
         layer_sizes=tuple(len(a) for a in alive),
@@ -115,8 +108,7 @@ def build_instance(story: Story) -> tuple[MlcmInstance, TransformTrace]:
         trees=tuple(trees),
         labels=tuple(alive),
     )
-    active_ids = tuple(tuple(s.id for s in scenes) for scenes in active)
-    trace = TransformTrace(tuple(times), tuple(alive), active_ids)
+    trace = TransformTrace(tuple(times), tuple(alive), tuple(active_ids))
     return instance, trace
 
 
@@ -136,42 +128,24 @@ class MergeMap:
 
 def _matching_bijection(instance: MlcmInstance, r: int) -> list[int] | None:
     """If gap r's edges are a perfect matching, return phi with phi[u] = v."""
-    nu, nv = instance.layer_sizes[r], instance.layer_sizes[r + 1]
-    if nu != nv or len(instance.edges[r]) != nu or nu == 0:
+    n, edges = instance.layer_sizes[r], instance.edges[r]
+    if n != instance.layer_sizes[r + 1] or len(edges) != n or n == 0:
         return None
-    phi = [-1] * nu
-    hit_v = [False] * nv
-    for u, v in instance.edges[r]:
-        if phi[u] != -1 or hit_v[v]:
-            return None
-        phi[u] = v
-        hit_v[v] = True
-    return phi
-
-
-def _bundles(tree: LayerTree, order: tuple[int, ...] | list[int]) -> set[tuple[int, int]] | None:
-    """(first, last) index in ``order`` of every internal node's leaves, or
-    None if some node's leaves are not contiguous there."""
-    ranges = leaf_ranges(tree, order)
-    if ranges is None:
+    # n edges in range: a matching iff no upper and no lower end repeats
+    ends = dict(edges)
+    if len(ends) != n or len(set(ends.values())) != n:
         return None
-    first, last = ranges
-    return set(zip(first[tree.n_leaves:], last[tree.n_leaves:]))
+    return [ends[u] for u in range(n)]
 
 
 def _mergeable(instance: MlcmInstance, r: int) -> list[int] | None:
     """Bijection for merging layers r and r+1, or None.
 
-    Requires a perfect matching whose induced leaf relabeling carries layer
-    r's bundling structure exactly onto layer r+1's.  Laid out in layer r's
-    canonical order and its image under the matching, every bundle is an
-    index range, so the structures agree iff the ranges do.
+    Requires a perfect matching that carries layer r's family of leaf sets
+    exactly onto layer r+1's.
     """
     phi = _matching_bijection(instance, r)
-    if phi is None:
-        return None
-    order = instance.trees[r].canonical_leaf_order()
-    if _bundles(instance.trees[r + 1], [phi[x] for x in order]) != _bundles(instance.trees[r], order):
+    if phi is None or instance.trees[r].leaf_sets_renamed(phi) != instance.trees[r + 1].leaf_sets:
         return None
     return phi
 

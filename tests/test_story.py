@@ -93,6 +93,11 @@ def test_parse_error_codes(mutate, code):
     ("id", "s1", "duplicate-scene: scene id 's1' declared twice (at $.scenes[1].id)"),
     ("id", "", "bad-shape: scene id must be a non-empty string (at $.scenes[1].id)"),
     ("begin", 5, "inverted-interval: begin 5 > end 3 (at $.scenes[1])"),
+    # a bool after an int begin is no int time
+    ("end", True, "bad-time: time must be rational, got bool (at $.scenes[1].end)"),
+    ("end", "3/2", "inverted-interval: begin 2 > end 3/2 (at $.scenes[1])"),
+    # unhashable: the member set cannot be built, and the walk names the member
+    ("members", ["a", ["b"]], "bad-shape: member must be a string (at $.scenes[1].members[1])"),
 ])
 def test_scene_errors_keep_their_messages_and_locations(key, value, error):
     doc = {"characters": ["a", "b"],
@@ -321,6 +326,15 @@ def test_time_ranks_order_times_exactly():
     rng = random.Random(408)
     for _ in range(200):
         scenes = tuple(Scene(f"s{k}", frozenset({"a"}), rng.choice(pool), rng.choice(pool))
+                       for k in range(rng.randint(1, 12)))
+        times, begin, end = _time_ranks(scenes)
+        assert times == sorted({t for s in scenes for t in (s.begin, s.end)})
+        assert [times[r] for r in begin] == [s.begin for s in scenes]
+        assert [times[r] for r in end] == [s.end for s in scenes]
+    # every time an integer: ranked by sorting the integers themselves
+    ints = [Fraction(v) for v in (-big, -3, -1, 0, 0, 2, 2, 7, big, big, big + 1)]
+    for _ in range(200):
+        scenes = tuple(Scene(f"s{k}", frozenset({"a"}), rng.choice(ints), rng.choice(ints))
                        for k in range(rng.randint(1, 12)))
         times, begin, end = _time_ranks(scenes)
         assert times == sorted({t for s in scenes for t in (s.begin, s.end)})

@@ -243,6 +243,22 @@ def test_merge_matches_leaf_set_family_reference(monkeypatch):
     assert merged_gaps >= 100 and kept_perfect >= 300
 
 
+def test_leaf_set_family_matches_the_naive_leaf_sets():
+    rng = random.Random(34)
+    shared = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        tree = with_unary_chains(random_general_tree(rng, n), rng)
+        sets = naive_leaf_sets(tree)[n:]
+        assert tree.leaf_sets == {sum(1 << x for x in s) for s in sets}
+        phi = list(range(n))
+        rng.shuffle(phi)
+        assert tree.leaf_sets_renamed(phi) == {sum(1 << phi[x] for x in s) for s in sets}
+        shared += len({frozenset(s) for s in sets}) < len(sets)
+    # the family is a set: nodes on one-child chains share their leaf set
+    assert shared >= 50
+
+
 def test_expand_solution_round_trip():
     rng = random.Random(21)
     done = 0
