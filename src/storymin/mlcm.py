@@ -165,9 +165,14 @@ class LayerTree:
         if not self.internal_labels:
             return ()
         internal = range(self.n_leaves, self.n_nodes)
-        if len(internal) > 1 and self.label_of(self.root) == ROOT_LABEL:
+        if self.has_synthetic_root():
             return tuple(v for v in internal if v != self.root)
         return tuple(internal)
+
+    def has_synthetic_root(self) -> bool:
+        """True iff the root is labelled ``ROOT_LABEL`` above other internal
+        nodes: the one labelled internal node that is no scene."""
+        return self.n_nodes - self.n_leaves > 1 and self.label_of(self.root) == ROOT_LABEL
 
     def canonical_leaf_order(self) -> tuple[int, ...]:
         """Leaves in DFS order with children taken as stored (tree-consistent)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mlcm import MlcmInstance, Solution, count_crossings, lca
+from .mlcm import LayerTree, MlcmInstance, Solution, count_crossings
 
 __all__ = ["RenderOptions", "assign_slots", "render_svg", "PALETTE"]
 
@@ -36,18 +36,39 @@ class RenderOptions:
     smooth: bool = False
 
 
+def _bundle_ids(tree: LayerTree) -> list[int]:
+    """Per leaf, an id that two leaves share iff their lowest common ancestor
+    is a scene node (``scene_nodes``), so iff they sit in one bundle.
+
+    Every labelled internal node but a synthetic root is a scene node: below
+    such a root two leaves share a bundle iff they descend from the same
+    child of the root, and otherwise any two leaves do.
+    """
+    n = tree.n_leaves
+    if not tree.internal_labels:
+        return list(range(n))  # no scene: every leaf a bundle of its own
+    if not tree.has_synthetic_root():
+        return [0] * n  # the root is a scene: one bundle
+    root, parent = tree.root, tree.parent
+    # per leaf, its ancestor one level up at a time, until the root's child
+    top = list(range(n))
+    while True:
+        up = [v if parent[v] == root else parent[v] for v in top]
+        if up == top:
+            return top
+        top = up
+
+
 def assign_slots(instance: MlcmInstance, solution: Solution) -> list[list[int]]:
     """Slot per node (indexed by node id) for every layer."""
     out: list[list[int]] = []
     for r, order in enumerate(solution.orders):
-        tree = instance.trees[r]
-        scene = set(tree.scene_nodes())
+        bundle = _bundle_ids(instance.trees[r])
         slots = [0] * instance.layer_sizes[r]
         slot = 0
-        for k, node in enumerate(order):
-            if k > 0:
-                slot += 1 if lca(tree, order[k - 1], node) in scene else 2
-            slots[node] = slot
+        for a, b in zip(order, order[1:]):
+            slot += 1 if bundle[a] == bundle[b] else 2
+            slots[b] = slot
         out.append(slots)
     return out
 

@@ -3,7 +3,9 @@
 Pipeline: validate -> merge equivalent consecutive layers -> run the
 barycenter heuristic (its solution provides both the incumbent and the
 per-layer variable indexing; at most 8 sweeps over a plan of each layer's
-internal nodes read once per call, each sweep recounting only the gaps next
+internal nodes with two or more children read once per call, whose children
+stay in the current layout's order so that a stable sort on the float
+barycenters alone settles ties, each sweep recounting only the gaps next
 to a layer it reordered by walking the upper layer in order, and stopping
 early once a layout has no crossing or the alternating sweeps repeat a
 layout) -> build the quadratic
@@ -159,8 +161,22 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     order keeps every bundle contiguous.  One bottom-up pass over the
     layer's internal nodes does this, children before parents, from a plan
     read once per call: each internal node with its children and its leaf
-    count.  A node's barycenter sum adds its children's in sorted order, so
-    the float keys round the same way at every call.
+    count.  The plan keeps every node's children in the current layout's
+    order, sorting them in place, and sibling blocks are contiguous, so a
+    stable sort on the barycenter alone settles ties by current position.
+    A one-child node has its child's barycenter and sum (``0 + x == x``):
+    the plan skips it and lists the child, or the node that stands for it,
+    in the parent's children.
+
+    A node's barycenter sum adds its children's in sorted order with builtin
+    ``sum()``, so the float keys round the same way at every call.  A leaf
+    with neighbours takes their mean, one without keeps its position, as a
+    float either way: since Python 3.12 ``sum()`` adds floats with
+    compensation but an int among them without, so mixing the two could
+    round differently.  When no leaf of a layer has two neighbours in the
+    sweep's direction (every gap of a storyline), its keys are ints read by
+    index, the neighbour's position or the leaf's own, and every sum of them
+    is exact: the same order as the floats give.
 
     The best layout over all sweeps is returned (the first of equal counts).
     Crossings are kept per gap, and after a sweep only the gaps next to a
@@ -211,55 +227,76 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
         for u, v in gap_edges:
             up[v].append(u)
 
-    # the sweep plan, read once: each layer's internal nodes, children before
-    # parents, with their children, their leaf count and whether all the
-    # children are leaves
+    # the sweep plan, read once: per layer, its internal nodes with two or
+    # more children, children before parents, each with its children in the
+    # current layout's order, its leaf count and whether all the children
+    # are leaves; and the node that stands for the root.  A one-child node
+    # stands for nothing of its own: its parent lists its child's stand-in
     plan = []
     for t in trees:
-        n, topo, parent, children = t.n_leaves, t._topo_order, t.parent, t.children
-        size = [1] * n + [0] * (t.n_nodes - n)
-        for v in topo[:0:-1]:
-            size[parent[v]] += size[v]
-        plan.append([(v, children[v], size[v], max(children[v]) < n)
-                     for v in topo[::-1] if v >= n])
+        n, children = t.n_leaves, t.children
+        rep = list(range(t.n_nodes))  # per node, the node that stands for it
+        size = [1] * t.n_nodes  # leaf counts, read at stand-ins only
+        size_of = size.__getitem__
+        nodes = []
+        for v in t._topo_order[::-1]:
+            if v >= n:
+                kids = [rep[c] for c in children[v]]
+                if len(kids) == 1:
+                    rep[v] = kids[0]
+                else:
+                    m = size[v] = sum(map(size_of, kids))
+                    nodes.append((v, kids, m, max(kids) < n))
+        plan.append((nodes, rep[t.root]))
     singles = [[v] for v in range(max(instance.layer_sizes))]  # a leaf's own order
 
-    def reorder(r: int, ref: list[int], adj: list[list[int]]) -> list[int]:
+    def one_neighbour(adj: list[list[int]], n_ref: int) -> list[int] | None:
+        """Per node its one neighbour, or ``n_ref`` plus its own index when it
+        has none; None when some node has two neighbours."""
+        if max(map(len, adj), default=0) > 1:
+            return None
+        return [a[0] if a else n_ref + x for x, a in enumerate(adj)]
+
+    sizes = instance.layer_sizes
+    left_to_right = [(r, r - 1, up_adj[r], one_neighbour(up_adj[r], sizes[r - 1]))
+                     for r in range(1, p)]
+    right_to_left = [(r, r + 1, down_adj[r], one_neighbour(down_adj[r], sizes[r + 1]))
+                     for r in range(p - 2, -1, -1)]
+
+    def reorder(r: int, ref: list[int], adj: list[list[int]], single: list[int] | None) -> list[int]:
         """Layer r's new order against the reference layer's positions."""
         cur = pos[r]
-        # per leaf: the mean position of its neighbours, or its own position
-        # when it has none; a float either way, so every key sum adds floats
-        # alone (since Python 3.12 sum() adds an int among floats without
-        # compensation, so mixing them could round differently)
-        bsum = [sum([ref[u] for u in a]) / len(a) if a else float(c) for a, c in zip(adj, cur)]
-        # sort key per node: barycenter, then the current position of one of
-        # its leaves; sibling blocks are disjoint and contiguous, so this
-        # orders ties as the first leaves' positions do
-        key = list(zip(bsum, cur))
+        if single is None:
+            # per leaf: the mean position of its neighbours, or its own
+            # position when it has none; a float either way (docstring)
+            bsum = [sum([ref[u] for u in a]) / len(a) if a else float(c) for a, c in zip(adj, cur)]
+        else:
+            # no leaf has two neighbours: its neighbour's position, or its
+            # own, read by index; ints alone, so every sum is exact
+            bsum = list(map((ref + cur).__getitem__, single))
+        nodes, root = plan[r]
         extra = [None] * (trees[r].n_nodes - len(cur))
+        key = bsum + extra  # per node its barycenter: a leaf's is its sum
         bsum += extra
-        key += extra
         seq = singles[:len(cur)] + extra  # per node, its leaves in the new order
         by_key, bsum_of = key.__getitem__, bsum.__getitem__
-        for v, kids, m, flat in plan[r]:
-            kids = sorted(kids, key=by_key)
+        for v, kids, m, flat in nodes:
+            # in place and stable: equal keys keep the current order, and
+            # the list holds the new one for the next call
+            kids.sort(key=by_key)
             # builtin sum() in key order: another order or summation could round
             # the parent's key differently and change the layout
             b = bsum[v] = sum(map(bsum_of, kids))
-            key[v] = (b / m, key[kids[0]][1])
+            key[v] = b / m
             seq[v] = kids if flat else [x for c in kids for x in seq[c]]
-        return seq[v]
+        return list(seq[root])  # a copy: a flat root's list is sorted again later
 
     # the layouts after the last two sweeps; orders[r] is replaced, never mutated
     before, last = None, list(orders)
     for k in range(sweeps):
-        if k % 2 == 0:
-            steps = [(r, r - 1, up_adj[r]) for r in range(1, p)]
-        else:
-            steps = [(r, r + 1, down_adj[r]) for r in range(p - 2, -1, -1)]
         stale: set[int] = set()
-        for r, ref, adj in steps:
-            new = reorder(r, pos[ref], adj)
+        for r, ref, adj, single in right_to_left if k % 2 else left_to_right:
+            new = reorder(r, pos[ref], adj, single)
             if new != orders[r]:
                 orders[r], pos[r] = new, _positions(new)
                 stale.update((r - 1, r))

@@ -225,6 +225,17 @@ def random_general_tree(rng: random.Random, n_leaves: int) -> LayerTree:
     return LayerTree(n_leaves, tuple(parent), tuple(labels))
 
 
+def with_unary_chains(tree: LayerTree, rng: random.Random) -> LayerTree:
+    """Insert chains of 1-2 one-child nodes above one node in five."""
+    parent, labels = list(tree.parent), list(tree.internal_labels)
+    for v in range(tree.n_nodes):
+        for _ in range(rng.choice((0,) * 8 + (1, 2))):
+            parent.append(parent[v])
+            parent[v] = len(parent) - 1
+            labels.append(f"u{len(parent) - 1}")
+    return LayerTree(tree.n_leaves, tuple(parent), tuple(labels))
+
+
 def random_general_instance(rng: random.Random, p_range=(2, 4), n_range=(2, 6),
                             parallel_free: bool = True) -> MlcmInstance:
     """Random instance with arbitrary trees and arbitrary (deduped) edges."""

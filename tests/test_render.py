@@ -8,17 +8,25 @@ import pytest
 
 from storymin import (
     PALETTE,
+    LayerTree,
+    MlcmInstance,
     RenderOptions,
     Solution,
     assign_slots,
     barycenter_heuristic,
     build_instance,
     count_crossings,
+    lca,
     parse_story,
     render_svg,
 )
 
-from conftest import random_storyline_instance, random_story_doc
+from conftest import (
+    random_general_tree,
+    random_storyline_instance,
+    random_story_doc,
+    with_unary_chains,
+)
 
 
 def test_slot_spacing_rule(bundle_story_text):
@@ -53,6 +61,71 @@ def test_slots_strictly_increase():
             ordered = [layer_slots[v] for v in sol.orders[r]]
             assert all(b - a in (1, 2) for a, b in zip(ordered, ordered[1:]))
             assert ordered[0] == 0
+
+
+def reference_assign_slots(instance, solution):
+    """The slot rule by its definition: the lowest common ancestor of each
+    adjacent pair, found by a parent walk, tested against the scene nodes."""
+    out = []
+    for r, order in enumerate(solution.orders):
+        tree = instance.trees[r]
+        scene = set(tree.scene_nodes())
+        slots = [0] * instance.layer_sizes[r]
+        slot = 0
+        for k, node in enumerate(order):
+            if k > 0:
+                slot += 1 if lca(tree, order[k - 1], node) in scene else 2
+            slots[node] = slot
+        out.append(slots)
+    return out
+
+
+def random_consistent_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
+    """A tree-consistent order: the leaves in DFS order, children shuffled."""
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        if tree.is_leaf(v):
+            order.append(v)
+        else:
+            kids = list(tree.children[v])
+            rng.shuffle(kids)
+            stack += kids
+    return tuple(order)
+
+
+def random_labelled_tree(rng: random.Random) -> LayerTree:
+    """Unlabelled, labelled, under a root labelled ``root`` (a synthetic
+    root, or a scene named root when only leaves are below it), some with
+    one-child chains."""
+    n = rng.randint(2, 9)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LayerTree.from_nested(("root", list(range(n))), n)
+    tree = random_general_tree(rng, n)
+    if rng.random() < 0.4:
+        tree = with_unary_chains(tree, rng)
+    labels = list(tree.internal_labels)
+    if kind == 1:
+        labels = []
+    elif kind == 2:
+        labels[tree.root - n] = "root"
+    return LayerTree(n, tree.parent, tuple(labels))
+
+
+def test_assign_slots_matches_the_lca_rule():
+    rng = random.Random(114)
+    unlabelled = synthetic = root_scene = 0
+    for _ in range(80):
+        trees = tuple(random_labelled_tree(rng) for _ in range(rng.randint(1, 5)))
+        inst = MlcmInstance(tuple(t.n_leaves for t in trees), ((),) * (len(trees) - 1), trees)
+        sol = Solution(tuple(random_consistent_order(t, rng) for t in trees))
+        assert assign_slots(inst, sol) == reference_assign_slots(inst, sol)
+        for t in trees:
+            unlabelled += not t.internal_labels
+            synthetic += t.has_synthetic_root()
+            root_scene += t.label_of(t.root) == "root" and t.root in t.scene_nodes()
+    assert min(unlabelled, synthetic, root_scene) >= 30, (unlabelled, synthetic, root_scene)
 
 
 def test_svg_structure(fig_story_text):

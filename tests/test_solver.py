@@ -38,6 +38,7 @@ from conftest import (
     random_general_tree,
     random_story_doc,
     random_storyline_instance,
+    with_unary_chains,
 )
 
 
@@ -232,6 +233,40 @@ def test_heuristic_matches_reference_with_ties():
             isolated += nbrs.count(())
             shared += len([a for a in nbrs if a]) - len(set(a for a in nbrs if a))
     assert isolated >= 50 and shared >= 50, (isolated, shared)
+
+
+def with_chains(inst: MlcmInstance, rng: random.Random) -> MlcmInstance:
+    return MlcmInstance(inst.layer_sizes, inst.edges,
+                        tuple(with_unary_chains(t, rng) for t in inst.trees), inst.labels)
+
+
+def test_heuristic_matches_reference_with_one_child_chains():
+    """The sweeps skip one-child nodes; the reference places every node.
+    Chains sit above the root, above leaves and between internal nodes, in
+    general, tied and storyline instances, as built and as merged."""
+    rng = random.Random(97)
+    instances = []
+    for _ in range(40):
+        instances.append(with_chains(sparse_general_instance(rng, rng.randint(2, 6)), rng))
+        instances.append(with_chains(tied_instance(rng, rng.randint(2, 5)), rng))
+    for _ in range(10):
+        doc = random_story_doc(rng, rng.randint(4, 9), rng.randint(4, 12), tmax=10)
+        inst = with_chains(build_instance(parse_story(json.dumps(doc)))[0], rng)
+        instances += [inst, merge_layers(inst)[0]]
+    above_root = above_leaf = between = 0
+    for inst in instances:
+        assert validate_instance(inst).ok
+        assert_same_as_reference(inst)
+        for t in inst.trees:
+            for v in range(t.n_leaves, t.n_nodes):
+                if len(t.children[v]) == 1:
+                    if v == t.root:
+                        above_root += 1
+                    elif t.children[v][0] < t.n_leaves:
+                        above_leaf += 1
+                    else:
+                        between += 1
+    assert above_root >= 50 and min(above_leaf, between) >= 200, (above_root, above_leaf, between)
 
 
 def test_heuristic_sums_a_subtree_in_key_order():

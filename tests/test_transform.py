@@ -25,7 +25,13 @@ from storymin import (
 )
 from storymin import transform
 
-from conftest import naive_crossings, naive_leaf_sets, random_general_tree, random_story_doc
+from conftest import (
+    naive_crossings,
+    naive_leaf_sets,
+    random_general_tree,
+    random_story_doc,
+    with_unary_chains,
+)
 
 
 def test_layers_from_time_points(fig_story_text):
@@ -188,17 +194,6 @@ def relabeled(tree: LayerTree, phi: list[int]) -> LayerTree:
     for x in range(n):
         parent[phi[x]] = tree.parent[x]
     return LayerTree(n, tuple(parent), tree.internal_labels)
-
-
-def with_unary_chains(tree: LayerTree, rng: random.Random) -> LayerTree:
-    """Insert chains of 1-2 one-child nodes above one node in five."""
-    parent, labels = list(tree.parent), list(tree.internal_labels)
-    for v in range(tree.n_nodes):
-        for _ in range(rng.choice((0,) * 8 + (1, 2))):
-            parent.append(parent[v])
-            parent[v] = len(parent) - 1
-            labels.append(f"u{len(parent) - 1}")
-    return LayerTree(tree.n_leaves, tuple(parent), tuple(labels))
 
 
 def random_merge_chain(rng: random.Random) -> MlcmInstance:
