@@ -9,17 +9,17 @@ with incrementally added rows (cutting planes) and adjustable bounds
 the positions of the new rows, in the order they were added, and
 ``row_count`` the number held.  ``add_rows`` takes a :class:`RowBlock` (CSR
 arrays, for many rows built in bulk) or any iterable of
-``(coefficients dict, rhs)`` rows, and the backend keeps its rows as one
-``RowBlock``.  ``solve`` reports status, objective and primal point.  A
-solve that reaches the deadline given to ``set_deadline`` stops and reports
-``TIME_LIMIT``.
+``(coefficients dict, rhs)`` rows.  ``solve`` reports status, objective and
+primal point.  A solve that reaches the deadline given to ``set_deadline``
+stops and reports ``TIME_LIMIT``.
 
 :class:`SimplexBackend` builds one HiGHS model (dual simplex, presolve off)
 on ``load`` and sends it each change as it is made: ``set_bounds`` and
 ``add_rows`` update the model at once.  Every solve restarts from the
 previous basis, so a round of cuts or a branching fix costs a few pivots
-instead of a cold solve.  The backend also keeps the rows, costs and bounds
-it was given (``_BaseBackend``), for ``row_count`` and ``get_bounds``.
+instead of a cold solve.  The rows live in the HiGHS model alone; the
+backend keeps the costs and bounds it was given (``_BaseBackend``), for
+``get_bounds``, and the number of rows, for ``row_count``.
 
 The model comes from the HiGHS binding that SciPy ships as the private
 extension ``scipy.optimize._highspy._core``.  Importing it the normal way
@@ -30,8 +30,8 @@ first ``load`` and registered under its own name, where a later
 backend for an instance whose start heuristic already meets the root
 bound, so such instances never load it.  A SciPy without the extension
 makes :func:`highs_available` false, and branch-and-cut then uses
-:class:`ScipyBackend`, which calls ``scipy.optimize.linprog`` cold on a
-sparse matrix at every solve.
+:class:`ScipyBackend`, which keeps its rows as one ``RowBlock`` and calls
+``scipy.optimize.linprog`` cold on them as a sparse matrix at every solve.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class _BaseBackend:
         self.lo = np.zeros(0)
         self.hi = np.zeros(0)
         self.deadline = math.inf
-        self._rows = _NO_ROWS
+        self._n_rows = 0
 
     def load(self, costs, lower, upper) -> None:
         self.c = np.asarray(list(costs), dtype=float)
@@ -194,7 +194,7 @@ class _BaseBackend:
             raise ValueError("costs/lower/upper length mismatch")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
-        self._rows = _NO_ROWS
+        self._n_rows = 0
 
     def set_deadline(self, deadline: float) -> None:
         """``time.monotonic()`` value at which a solve stops with TIME_LIMIT."""
@@ -214,12 +214,14 @@ class _BaseBackend:
         bad = block.indices[(block.indices < 0) | (block.indices >= len(self.c))]
         if bad.size:
             raise ValueError(f"row references unknown variable {bad[0]}")
-        start = len(self._rows)
-        self._rows = self._rows.append(block)
-        return list(range(start, len(self._rows)))
+        start = self._n_rows
+        if len(block):  # each subclass hands the rows to its solver
+            self._add_block(block)
+            self._n_rows += len(block)
+        return list(range(start, self._n_rows))
 
     def row_count(self) -> int:
-        return len(self._rows)
+        return self._n_rows
 
 
 class SimplexBackend(_BaseBackend):
@@ -240,13 +242,9 @@ class SimplexBackend(_BaseBackend):
         super().set_bounds(var, lo, hi)
         self._highs.changeColBounds(var, lo, hi)
 
-    def add_rows(self, rows) -> list[int]:
-        block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
-        positions = super().add_rows(block)
-        if positions:
-            self._highs.addRows(len(block), np.full(len(block), -np.inf), block.rhs,
-                                len(block.indices), block.indptr[:-1], block.indices, block.data)
-        return positions
+    def _add_block(self, block: RowBlock) -> None:
+        self._highs.addRows(len(block), np.full(len(block), -np.inf), block.rhs,
+                            len(block.indices), block.indptr[:-1], block.indices, block.data)
 
     def solve(self) -> LpResult:
         highs = self._highs
@@ -271,6 +269,15 @@ class SimplexBackend(_BaseBackend):
 
 class ScipyBackend(_BaseBackend):
     """scipy.optimize.linprog (HiGHS), solved cold at every call."""
+
+    _rows = _NO_ROWS  # every row added since ``load``, passed to linprog
+
+    def load(self, costs, lower, upper) -> None:
+        super().load(costs, lower, upper)
+        self._rows = _NO_ROWS
+
+    def _add_block(self, block: RowBlock) -> None:
+        self._rows = self._rows.append(block)
 
     def solve(self) -> LpResult:
         from scipy.optimize import linprog

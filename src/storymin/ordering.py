@@ -17,8 +17,8 @@ layers' ``n x n`` class-id tables.  The walk also keeps one class triple
 (AB, BC, AC) per three children A < B < C of a tree node, read off the table
 at their first leaves; every other position triple has two variables in one
 class or the classes of a kept one.  Only this class model is built: the
-paper's position-level variables are numbered (``var_id``, for the witness
-of :class:`NotTransitive`) but their terms and equalities never are.
+paper's position-level variables are only counted (``n_vars``), and their
+terms and equalities never built.
 
 ``identify_variables`` reads the class terms off the tables: every pair of
 edges of every gap, enumerated for all gaps at once, joins the class of its
@@ -37,14 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
 
 __all__ = [
-    "TransitivityTriple",
     "OrderingModel",
     "ReducedModel",
     "NotTransitive",
@@ -55,23 +53,13 @@ __all__ = [
 ]
 
 
-class TransitivityTriple(NamedTuple):
-    """``0 <= x_hi + x_ij - x_hj <= 1`` for positions h < i < j of one layer
-    (the witness of :class:`NotTransitive`)."""
-
-    layer: int
-    var_hi: int
-    var_ij: int
-    var_hj: int
-
-
 class NotTransitive(ValueError):
-    """Assignment violates a transitivity triple; carries one witness."""
+    """Assignment is not transitive on ``layer``, the first layer whose win
+    counts are not 0..n-1."""
 
-    def __init__(self, triple: TransitivityTriple):
-        self.triple = triple
-        super().__init__(f"assignment is not transitive at layer {triple.layer}: "
-                         f"vars ({triple.var_hi}, {triple.var_ij}, {triple.var_hj})")
+    def __init__(self, layer: int):
+        self.layer = layer
+        super().__init__(f"assignment is not transitive at layer {layer}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -83,21 +71,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class OrderingModel:
     instance: MlcmInstance
     orders: tuple[tuple[int, ...], ...]  # index ordering per layer (node ids)
-    n_vars: int
-    layer_offsets: tuple[int, ...]
+    n_vars: int  # the paper's position-level variables, sum of C(n_r, 2)
     n_classes: int
     # class of index pair (i, j) of layer r at table_base[r] + i * n_r + j, for
     # i > j too; -1 for i == j
     table_base: tuple[int, ...]
     class_table: np.ndarray
     triples: np.ndarray  # (k, 3) class ids (AB, BC, AC), one row per three sibling subtrees
-
-    def var_id(self, r: int, i: int, j: int) -> int:
-        """Variable for positions i < j on layer r."""
-        n = self.instance.layer_sizes[r]
-        if not (0 <= i < j < n):
-            raise ValueError(f"bad position pair ({i}, {j}) on layer {r}")
-        return self.layer_offsets[r] + i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 @dataclass(frozen=True)
@@ -150,12 +130,12 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     classes: list[tuple[int, int, int, int, int, int, int]] = []
     trios: list[tuple[int, int]] = []
     heads: list[int] = []
-    offsets, table_base = [0], [0]
+    table_base = [0]
     for r, tree in enumerate(instance.trees):
         ranges = leaf_ranges(tree, order.orders[r])
         if ranges is None:
             raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
-        n, base, offset = instance.layer_sizes[r], table_base[-1], offsets[-1]
+        n, base = instance.layer_sizes[r], table_base[-1]
         for blocks in _sibling_blocks(tree, *ranges):
             for a, (fa, la) in enumerate(blocks):
                 for fb, lb in blocks[a + 1:]:
@@ -164,7 +144,6 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
                 trios.append((len(heads) // 2, len(blocks)))
                 for h, _ in blocks:
                     heads += (base + h * n, h)
-        offsets.append(offset + n * (n - 1) // 2)
         table_base.append(base + n * n)
 
     # classes are numbered by their first member, which the table entry orders
@@ -186,8 +165,7 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     return OrderingModel(
         instance=instance,
         orders=tuple(tuple(o) for o in order.orders),
-        n_vars=offsets[-1],
-        layer_offsets=tuple(offsets[:-1]),
+        n_vars=sum(n * (n - 1) // 2 for n in instance.layer_sizes),
         n_classes=len(classes),
         table_base=tuple(table_base),
         class_table=class_table,
@@ -236,28 +214,11 @@ def _crossing_terms(model: OrderingModel) -> np.ndarray:
     return _read_only(np.array(np.divmod(pair, n) + (xor, weight)).T.copy())
 
 
-def _intransitive_witness(model: OrderingModel, r: int, pair: list[bool], wins: list[int]) -> TransitivityTriple:
-    """A violated triple of layer r, whose win counts are not 0..n-1."""
-    n = len(wins)
-    base = model.table_base[r]
-
-    def above(i: int, j: int) -> bool:
-        return bool(pair[base + i * n + j]) if i < j else not pair[base + i * n + j]
-
-    # unless the layer is transitive, some v above u has wins[v] <= wins[u];
-    # u is then above a w that is above v, which closes the 3-cycle v, u, w
-    u, v = next((u, v) for u in range(n) for v in range(n)
-                if v != u and wins[v] <= wins[u] and above(v, u))
-    w = next(w for w in range(n) if w not in (u, v) and above(u, w) and above(w, v))
-    h, i, j = sorted((u, v, w))
-    return TransitivityTriple(r, model.var_id(r, h, i), model.var_id(r, i, j), model.var_id(r, h, j))
-
-
 def solution_of_classes(reduced: ReducedModel, z) -> Solution:
     """Class assignment -> per-layer permutations, read off the class tables.
 
     Requires every layer to be transitive, i.e. its win counts to be exactly
-    0..n-1 (raises :class:`NotTransitive` with a witness triple).
+    0..n-1 (raises :class:`NotTransitive` naming the first layer that is not).
     """
     model = reduced.model
     # the 0 appended is read by the diagonal's -1
@@ -273,7 +234,7 @@ def solution_of_classes(reduced: ReducedModel, z) -> Solution:
                 else:
                     wins[j] += 1
         if sorted(wins) != list(range(n)):
-            raise NotTransitive(_intransitive_witness(model, r, pair, wins))
+            raise NotTransitive(r)
         by_height = sorted(range(n), key=lambda i: -wins[i])
         orders.append(tuple(model.orders[r][i] for i in by_height))
     return Solution(tuple(orders))

@@ -2,15 +2,14 @@
 
 Pipeline: validate -> merge equivalent consecutive layers -> run the
 barycenter heuristic (its solution provides both the incumbent and the
-per-layer variable indexing; at most 8 sweeps over a plan of each layer's
-internal nodes with two or more children read once per call, whose children
-stay in the current layout's order so that a stable sort on the float
-barycenters alone settles ties, each sweep recounting only the gaps next
-to a layer it reordered by walking the upper layer in order, and stopping
-early once a layout has no crossing or the alternating sweeps repeat a
-layout) -> build the quadratic
-ordering model -> identify variables -> reduce to a weighted cut problem ->
-branch and cut on the LP relaxation.  A heuristic layout without crossings
+per-layer variable indexing, and its count the incumbent's; at most 8 sweeps
+over a plan of each layer's internal nodes with two or more children read
+once per call, whose children stay in the current layout's order so that a
+stable sort on the float barycenters alone settles ties, each sweep
+recounting only the gaps next to a layer it reordered, and stopping early
+once a layout has no crossing or the alternating sweeps repeat a layout) ->
+build the quadratic ordering model -> identify variables -> reduce to a
+weighted cut problem -> branch and cut on the LP relaxation.  A heuristic layout without crossings
 meets the trivial bound 0: it is returned as optimal right after the model
 is built, without identifying variables, building the cut graph or an LP.
 The LP starts with the box bounds and, before its first solve,
@@ -78,7 +77,7 @@ from .maxcut import (
 from .mlcm import (
     MlcmInstance,
     Solution,
-    _inversions,
+    _gap_crossings,
     _positions,
     count_crossings,
     validate_instance,
@@ -149,8 +148,8 @@ class OptResult:
 # ---------------------------------------------------------------------------
 
 
-def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
-    """Tree-aware barycenter sweeps; always returns a tree-consistent solution.
+def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solution, int]:
+    """Tree-aware barycenter sweeps: a tree-consistent solution and its crossings.
 
     A sweep walks the layers left-to-right (odd sweeps right-to-left) and
     reorders each layer against its already-placed neighbor: leaves take the
@@ -178,53 +177,35 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
     index, the neighbour's position or the leaf's own, and every sum of them
     is exact: the same order as the floats give.
 
-    The best layout over all sweeps is returned (the first of equal counts).
-    Crossings are kept per gap, and after a sweep only the gaps next to a
-    layer whose order changed are recounted: the lower ends of the gap's
-    edges, read with the upper layer in order, and their inversions
-    counted.  No later layout can beat a count of 0, so the sweeps stop at
-    the first layout without crossings: the canonical one before any
-    sweep, or the one a sweep ends on.  A sweep depends only on the layout
-    it starts from and on its direction, and the direction alternates: once
-    a sweep ends on the layout of two sweeps before, every later layout
-    repeats one already counted, so the sweeps stop there too.  Neither stop
-    changes the result.
+    The best layout over all sweeps is returned (the first of equal counts),
+    with its count.  Crossings are kept per gap, and after a sweep only the
+    gaps next to a layer whose order changed are recounted, each by
+    ``mlcm._gap_crossings``, the per-gap count of ``count_crossings``.  No
+    later layout can beat a count of 0, so the sweeps stop at the first
+    layout without crossings: the canonical one before any sweep, or the one
+    a sweep ends on.  A sweep depends only on the layout it starts from and
+    on its direction, and the direction alternates: once a sweep ends on the
+    layout of two sweeps before, every later layout repeats one already
+    counted, so the sweeps stop there too.  Neither stop changes the result.
     """
-    p = instance.p
     trees = instance.trees
+    edges = instance.edges
     orders = [list(t.canonical_leaf_order()) for t in trees]
-    if p <= 1 or sweeps <= 0:
-        return Solution(tuple(tuple(o) for o in orders))
+    pos = [_positions(o) for o in orders]
+    gap_counts = [_gap_crossings(e, pos[g], pos[g + 1]) for g, e in enumerate(edges)]
+    best, best_count = list(orders), sum(gap_counts)
+    # a layout without crossings (every one of p <= 1 layers) returns before
+    # the plan below is built
+    if best_count == 0 or sweeps <= 0:
+        return Solution(tuple(tuple(o) for o in best)), best_count
 
+    p = instance.p
     down_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
-    for r, gap_edges in enumerate(instance.edges):
-        down = down_adj[r]
+    up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
+    for r, gap_edges in enumerate(edges):
+        down, up = down_adj[r], up_adj[r + 1]
         for u, v in gap_edges:
             down[u].append(v)
-    # the gaps where no upper node has two edges (all of a storyline's), so
-    # no node's lower ends need sorting
-    simple = [len(dict(e)) == len(e) for e in instance.edges]
-    pos = [_positions(o) for o in orders]
-
-    def recount(g: int) -> int:
-        """Crossings of gap g: inversions of the lower ends, upper layer in order."""
-        lower, down = pos[g + 1], down_adj[g]
-        if simple[g]:
-            ends = [lower[v] for u in orders[g] for v in down[u]]
-        else:  # edges that share their upper end never cross
-            ends = [x for u in orders[g] for x in sorted([lower[v] for v in down[u]])]
-        return _inversions(ends)
-
-    # a layout without crossings returns before the plan below is built
-    gap_counts = [recount(g) for g in range(p - 1)]
-    best, best_count = list(orders), sum(gap_counts)
-    if best_count == 0:
-        return Solution(tuple(tuple(o) for o in best))
-
-    up_adj: list[list[list[int]]] = [[[] for _ in range(n)] for n in instance.layer_sizes]
-    for r, gap_edges in enumerate(instance.edges):
-        up = up_adj[r + 1]
-        for u, v in gap_edges:
             up[v].append(u)
 
     # the sweep plan, read once: per layer, its internal nodes with two or
@@ -302,14 +283,14 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
                 stale.update((r - 1, r))
         stale.difference_update((-1, p - 1))  # no gap above layer 0 or below layer p-1
         for g in stale:
-            gap_counts[g] = recount(g)
+            gap_counts[g] = _gap_crossings(edges[g], pos[g], pos[g + 1])
         total = sum(gap_counts)
         if total < best_count:
             best, best_count = list(orders), total
         if best_count == 0 or orders == before:
             break
         before, last = last, list(orders)
-    return Solution(tuple(tuple(o) for o in best))
+    return Solution(tuple(tuple(o) for o in best)), best_count
 
 
 def solve_heuristic(instance: MlcmInstance) -> OptResult:
@@ -319,9 +300,10 @@ def solve_heuristic(instance: MlcmInstance) -> OptResult:
     if not report.ok:
         return OptResult(INFEASIBLE_INPUT_STATUS, None, None, 0, SolveStats(), report.summary())
     work, mm = merge_layers(instance)
-    sol = expand_solution(mm, barycenter_heuristic(work))
+    heur, count = barycenter_heuristic(work)
+    sol = expand_solution(mm, heur)  # merging keeps counts
     stats = SolveStats(time=time.monotonic() - t0)
-    return OptResult(FEASIBLE_STATUS, sol, count_crossings(instance, sol), 0, stats)
+    return OptResult(FEASIBLE_STATUS, sol, count, 0, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +477,7 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
 
     work, mm = merge_layers(instance)
 
-    heur = barycenter_heuristic(work)
-    incumbent_count = count_crossings(work, heur)
+    heur, incumbent_count = barycenter_heuristic(work)
 
     def finish(incumbent: Solution, count: int, lower: int) -> OptResult:
         # a bound that meets the incumbent proves it, whenever the search stopped

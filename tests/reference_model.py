@@ -17,7 +17,7 @@ import numpy as np
 
 from storymin import MlcmInstance, Solution
 from storymin.mlcm import is_tree_consistent, lca
-from storymin.ordering import TransitivityTriple, canonical_orders
+from storymin.ordering import canonical_orders
 
 XOR = "xor"
 XNOR = "xnor"
@@ -30,6 +30,15 @@ class CrossingTerm(NamedTuple):
     var_b: int
     parity: str
     weight: int
+
+
+class TransitivityTriple(NamedTuple):
+    """``0 <= x_hi + x_ij - x_hj <= 1`` for positions h < i < j of one layer."""
+
+    layer: int
+    var_hi: int
+    var_ij: int
+    var_hj: int
 
 
 class TreeEquality(NamedTuple):
@@ -47,9 +56,6 @@ class ReferenceModel:
     instance: MlcmInstance
     orders: tuple[tuple[int, ...], ...]
     n_vars: int
-    layer_offsets: tuple[int, ...]
-    var_layer: tuple[int, ...]
-    var_pos: tuple[tuple[int, int], ...]
     terms: tuple[CrossingTerm, ...]
     triples: tuple[TransitivityTriple, ...]
     equalities: tuple[TreeEquality, ...]
@@ -75,14 +81,6 @@ def reference_build_model(instance: MlcmInstance, order: Solution | None = None)
     for n in sizes:
         offsets.append(total)
         total += n * (n - 1) // 2
-
-    var_layer: list[int] = []
-    var_pos: list[tuple[int, int]] = []
-    for r, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(i + 1, n):
-                var_layer.append(r)
-                var_pos.append((i, j))
 
     def vid(r: int, i: int, j: int) -> int:
         n = sizes[r]
@@ -140,9 +138,6 @@ def reference_build_model(instance: MlcmInstance, order: Solution | None = None)
         instance=instance,
         orders=tuple(tuple(o) for o in order.orders),
         n_vars=total,
-        layer_offsets=tuple(offsets),
-        var_layer=tuple(var_layer),
-        var_pos=tuple(var_pos),
         terms=terms,
         triples=tuple(triples),
         equalities=tuple(TreeEquality(a, b) for a, b in sorted(equalities)),

@@ -304,7 +304,7 @@ def test_criterion_6_heuristic_feasibility(corpus):
     total = 0
     for group in corpus.values():
         for inst in group:
-            sol = barycenter_heuristic(inst)
+            sol, _ = barycenter_heuristic(inst)
             for r, order in enumerate(sol.orders):
                 assert sorted(order) == list(range(inst.layer_sizes[r]))
                 assert is_tree_consistent(inst.trees[r], order)
@@ -388,7 +388,7 @@ def test_criterion_8_renderer_geometry(corpus):
         if rendered >= 50:
             break
         if rng.random() < 0.5 or oracle_work(inst) > 2_000_000:
-            sol = barycenter_heuristic(inst, sweeps=rng.randint(1, 6))
+            sol, _ = barycenter_heuristic(inst, sweeps=rng.randint(1, 6))
         else:
             _, sol = brute_force_optimum(inst)
         svg = render_svg(inst, sol)

@@ -56,7 +56,7 @@ def test_slots_strictly_increase():
     rng = random.Random(111)
     for _ in range(20):
         inst = random_storyline_instance(rng)
-        sol = barycenter_heuristic(inst, sweeps=2)
+        sol, _ = barycenter_heuristic(inst, sweeps=2)
         for r, layer_slots in enumerate(assign_slots(inst, sol)):
             ordered = [layer_slots[v] for v in sol.orders[r]]
             assert all(b - a in (1, 2) for a, b in zip(ordered, ordered[1:]))
@@ -130,7 +130,7 @@ def test_assign_slots_matches_the_lca_rule():
 
 def test_svg_structure(fig_story_text):
     inst, _ = build_instance(parse_story(fig_story_text))
-    sol = barycenter_heuristic(inst)
+    sol, _ = barycenter_heuristic(inst)
     svg = render_svg(inst, sol)
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
@@ -145,13 +145,13 @@ def test_svg_structure(fig_story_text):
 
 def test_svg_deterministic(fig_story_text):
     inst, _ = build_instance(parse_story(fig_story_text))
-    sol = barycenter_heuristic(inst)
+    sol, _ = barycenter_heuristic(inst)
     assert render_svg(inst, sol) == render_svg(inst, sol)
 
 
 def test_svg_smooth_mode(fig_story_text):
     inst, _ = build_instance(parse_story(fig_story_text))
-    sol = barycenter_heuristic(inst)
+    sol, _ = barycenter_heuristic(inst)
     svg = render_svg(inst, sol, RenderOptions(smooth=True))
     assert "<path d=" in svg
     assert "<polyline" not in svg
@@ -162,7 +162,7 @@ def test_svg_escapes_names():
     doc = {"characters": ["a<b", 'q"t'],
            "scenes": [{"id": "s&1", "members": ["a<b", 'q"t'], "begin": 0, "end": 1}]}
     inst, _ = build_instance(parse_story(json.dumps(doc)))
-    svg = render_svg(inst, barycenter_heuristic(inst))
+    svg = render_svg(inst, barycenter_heuristic(inst)[0])
     assert "a&lt;b" in svg
     assert "q&quot;t" in svg
     assert "<b" not in svg.replace("<b", "", 0) or "a<b" not in svg
@@ -172,7 +172,7 @@ def test_unlabeled_instance_renders_edge_segments():
     rng = random.Random(112)
     inst = random_storyline_instance(rng)
     assert inst.labels is None
-    sol = barycenter_heuristic(inst)
+    sol, _ = barycenter_heuristic(inst)
     svg = render_svg(inst, sol)
     assert svg.count("<polyline") == inst.n_edges
 
@@ -230,7 +230,7 @@ def test_drawn_intersections_match_count():
         if not doc["scenes"]:
             continue
         inst, _ = build_instance(parse_story(json.dumps(doc)))
-        sol = barycenter_heuristic(inst, sweeps=rng.randint(1, 4))
+        sol, _ = barycenter_heuristic(inst, sweeps=rng.randint(1, 4))
         svg = render_svg(inst, sol)
         reported = count_crossings(inst, sol)
         assert count_drawn_intersections(svg) == reported

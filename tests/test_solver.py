@@ -57,7 +57,7 @@ def test_heuristic_tree_consistent_everywhere():
     rng = random.Random(91)
     for _ in range(60):
         inst = random_general_instance(rng, p_range=(2, 5), n_range=(2, 8))
-        sol = barycenter_heuristic(inst)
+        sol, _ = barycenter_heuristic(inst)
         assert_valid(inst, sol)
 
 
@@ -70,18 +70,18 @@ def test_heuristic_deterministic():
 
 def test_heuristic_finds_zero_crossing_layouts(fig_story_text):
     inst, _ = build_instance(parse_story(fig_story_text))
-    sol = barycenter_heuristic(inst)
-    assert count_crossings(inst, sol) == 0
+    sol, count = barycenter_heuristic(inst)
+    assert count == count_crossings(inst, sol) == 0
 
 
-def reference_barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> Solution:
+def reference_barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solution, int]:
     """The heuristic as it was before the per-gap recount and the 2-cycle stop:
     a recursive placement per layer, dict positions, every sweep run and
     every layout counted in full.  The count is the naive O(E^2) one, so the
     reference shares no counting code with the heuristic under test."""
     p = instance.p
     if p == 0:
-        return Solution(())
+        return Solution(()), 0
     orders = [list(t.canonical_leaf_order()) for t in instance.trees]
 
     up_adj = [[[] for _ in range(n)] for n in instance.layer_sizes]
@@ -122,7 +122,7 @@ def reference_barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> S
         c = naive_crossings(instance, cand)
         if c < best_count:
             best, best_count = cand, c
-    return best
+    return best, best_count
 
 
 def path_tree(rng: random.Random, n: int) -> LayerTree:
@@ -157,27 +157,43 @@ def sparse_general_instance(rng: random.Random, p: int) -> MlcmInstance:
 
 
 def assert_same_as_reference(inst: MlcmInstance) -> None:
+    """The same layout and count as the reference, and the count is the
+    layout's ``count_crossings``."""
     for sweeps in range(10):
-        assert barycenter_heuristic(inst, sweeps) == reference_barycenter_heuristic(inst, sweeps), sweeps
+        sol, count = barycenter_heuristic(inst, sweeps)
+        assert (sol, count) == reference_barycenter_heuristic(inst, sweeps), sweeps
+        assert count == count_crossings(inst, sol), sweeps
 
 
 def test_heuristic_matches_reference_on_general_instances():
+    """Including instances of 0 and 1 layers, and gaps where a node has two
+    edges, whose ends the count must sort."""
     rng = random.Random(93)
+    two_edges = 0
     for i in range(90):
         inst = sparse_general_instance(rng, i % 3 if i < 12 else rng.randint(2, 7))
         assert validate_instance(inst).ok
         assert_same_as_reference(inst)
+        two_edges += sum(len(dict(gap)) < len(gap) for gap in inst.edges)
+    assert two_edges >= 100, two_edges
 
 
 def test_heuristic_matches_reference_on_storyline_instances():
     rng = random.Random(94)
     for _ in range(30):
         assert_same_as_reference(random_storyline_instance(rng, p_range=(2, 6), n_range=(3, 9)))
+    merged = 0
     for _ in range(20):
         doc = random_story_doc(rng, rng.randint(4, 10), rng.randint(4, 14), tmax=12)
         inst, _ = build_instance(parse_story(json.dumps(doc)))
+        work = merge_layers(inst)[0]
         assert_same_as_reference(inst)
-        assert_same_as_reference(merge_layers(inst)[0])
+        assert_same_as_reference(work)
+        # the merged instance's count is reported for the expanded layout
+        res = solve_heuristic(inst)
+        assert res.crossings == count_crossings(inst, res.solution)
+        merged += work.p < inst.p
+    assert merged >= 15, merged
     # small-oracle's shape: many layouts have no crossing before or after a
     # sweep, so both zero-count stops are compared with the reference
     at_canonical = after_sweep = 0
@@ -185,8 +201,8 @@ def test_heuristic_matches_reference_on_storyline_instances():
         doc = random_story_doc(rng, rng.randint(4, 7), rng.randint(4, 10), tmax=5)
         work = merge_layers(build_instance(parse_story(json.dumps(doc)))[0])[0]
         assert_same_as_reference(work)
-        if count_crossings(work, barycenter_heuristic(work)) == 0:
-            if count_crossings(work, barycenter_heuristic(work, 0)) == 0:
+        if barycenter_heuristic(work)[1] == 0:
+            if barycenter_heuristic(work, 0)[1] == 0:
                 at_canonical += 1
             else:
                 after_sweep += 1
@@ -708,12 +724,12 @@ def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
         doc = random_story_doc(rng, rng.randint(4, 7), rng.randint(4, 10), tmax=5)
         inst, _ = build_instance(parse_story(json.dumps(doc)))
         work = merge_layers(inst)[0]
-        if count_crossings(work, barycenter_heuristic(work)):
+        if barycenter_heuristic(work)[1]:
             continue
         n_classes = identify_variables(build_model(work)).n_classes
         if not n_classes:
             continue
-        if count_crossings(work, barycenter_heuristic(work, 0)) == 0:
+        if barycenter_heuristic(work, 0)[1] == 0:
             at_canonical += 1
         else:
             after_sweep += 1

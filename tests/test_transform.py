@@ -267,7 +267,7 @@ def test_expand_solution_round_trip():
             continue
         # random tree-consistent solution on the merged instance
         from storymin import barycenter_heuristic
-        msol = barycenter_heuristic(merged, sweeps=rng.randint(1, 3))
+        msol, _ = barycenter_heuristic(merged, sweeps=rng.randint(1, 3))
         full = expand_solution(mm, msol)
         assert len(full.orders) == inst.p
         for r, order in enumerate(full.orders):
