@@ -24,6 +24,7 @@ import time
 from . import __version__
 from .lp import ScipyBackend
 from .mlcm import (
+    ID_CHARS,
     MlcmInstance,
     count_crossings,
     format_instance,
@@ -54,7 +55,7 @@ EXIT_TIMEOUT = 2
 EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
-_SAFE_ID = re.compile(r"[^A-Za-z0-9_.]")
+_SAFE_ID = re.compile(f"[^{ID_CHARS}]")
 
 
 class _Parser(argparse.ArgumentParser):

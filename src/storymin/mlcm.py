@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 ROOT_LABEL = "root"
-_ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
+# the characters of a node id in the text format
+ID_CHARS = "A-Za-z0-9_."
+_ID_RE = re.compile(f"[{ID_CHARS}]+\\Z")
 
 
 class InstanceFormatError(FormatError):
@@ -343,8 +345,10 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
     if len(instance.trees) != instance.p:
         report.add("bad-shape", f"expected {instance.p} trees, got {len(instance.trees)}")
         return report
-    if instance.labels is not None and len(instance.labels) != instance.p:
+    labels = instance.labels
+    if labels is not None and len(labels) != instance.p:
         report.add("bad-shape", "labels present but not one group per layer")
+        labels = None  # no per-layer label test without one group per layer
 
     for r, tree in enumerate(instance.trees):
         n = instance.layer_sizes[r]
@@ -377,8 +381,8 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
             for v in range(n, m):
                 if not tree.children[v]:
                     report.add("childless-internal", f"internal node {v} has no children", loc)
-        if instance.labels is not None and len(instance.labels[r]) != n:
-            report.add("label-mismatch", f"layer {r + 1} has {n} nodes but {len(instance.labels[r])} labels", loc)
+        if labels is not None and len(labels[r]) != n:
+            report.add("label-mismatch", f"layer {r + 1} has {n} nodes but {len(labels[r])} labels", loc)
 
     for r, gap_edges in enumerate(instance.edges):
         if r + 1 >= instance.p:
@@ -417,8 +421,17 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
 
 def _check_id(name: str, location: str) -> str:
     if not _ID_RE.match(name):
-        raise InstanceFormatError("bad-id", f"id {name!r} must match [A-Za-z0-9_.]+", location)
+        raise InstanceFormatError("bad-id", f"id {name!r} must match [{ID_CHARS}]+", location)
     return name
+
+
+def _check_numbered(kind: str, idx: int, last: int, seen: dict, no: int) -> None:
+    """Refuse a ``<kind> <idx>:`` line (line ``no``) whose number is outside
+    ``1..last`` or already in ``seen``."""
+    if not 1 <= idx <= last:
+        raise InstanceFormatError("bad-shape", f"{kind} {idx} out of range 1..{last}", f"line {no}")
+    if idx in seen:
+        raise InstanceFormatError("bad-shape", f"duplicate {kind} {idx}", f"line {no}")
 
 
 def _parse_tree_text(text: str, names: list[str], location: str) -> LayerTree:
@@ -492,35 +505,23 @@ def parse_instance(text: str) -> MlcmInstance:
     layer_names: dict[int, list[str]] = {}
     tree_texts: dict[int, tuple[str, int]] = {}
     edge_texts: dict[int, tuple[str, int]] = {}
+    by_kind = {"layer": layer_names, "tree": tree_texts, "edges": edge_texts}
     for no, ln in lines[1:]:
         m = re.match(r"(layer|tree|edges)\s+(\d+)\s*:\s*(.*)\Z", ln)
         if not m:
             raise InstanceFormatError("bad-shape", f"unrecognized line {ln!r}", f"line {no}")
         kind, idx_s, rest = m.groups()
         idx = int(idx_s)
+        _check_numbered(kind, idx, p - 1 if kind == "edges" else p, by_kind[kind], no)
         if kind == "layer":
-            if not (1 <= idx <= p):
-                raise InstanceFormatError("bad-shape", f"layer {idx} out of range 1..{p}", f"line {no}")
-            if idx in layer_names:
-                raise InstanceFormatError("bad-shape", f"duplicate layer {idx}", f"line {no}")
             names = rest.split()
             if len(set(names)) != len(names):
                 raise InstanceFormatError("duplicate-node", f"layer {idx} repeats a node id", f"line {no}")
             for nm in names:
                 _check_id(nm, f"line {no}")
             layer_names[idx] = names
-        elif kind == "tree":
-            if not (1 <= idx <= p):
-                raise InstanceFormatError("bad-shape", f"tree {idx} out of range 1..{p}", f"line {no}")
-            if idx in tree_texts:
-                raise InstanceFormatError("bad-shape", f"duplicate tree {idx}", f"line {no}")
-            tree_texts[idx] = (rest, no)
         else:
-            if not (1 <= idx <= p - 1):
-                raise InstanceFormatError("bad-shape", f"edges {idx} out of range 1..{p - 1}", f"line {no}")
-            if idx in edge_texts:
-                raise InstanceFormatError("bad-shape", f"duplicate edges {idx}", f"line {no}")
-            edge_texts[idx] = (rest, no)
+            by_kind[kind][idx] = (rest, no)
 
     for r in range(1, p + 1):
         if r not in layer_names:
@@ -625,10 +626,7 @@ def parse_solution(text: str, instance: MlcmInstance) -> Solution:
         if not m:
             raise InstanceFormatError("bad-shape", f"unrecognized line {ln!r}", f"line {no}")
         idx = int(m.group(1))
-        if not (1 <= idx <= instance.p):
-            raise InstanceFormatError("bad-shape", f"layer {idx} out of range", f"line {no}")
-        if idx in orders:
-            raise InstanceFormatError("bad-shape", f"duplicate layer {idx}", f"line {no}")
+        _check_numbered("layer", idx, instance.p, orders, no)
         names = m.group(2).split()
         r = idx - 1
         lookup = {instance.label(r, v): v for v in range(instance.layer_sizes[r])}

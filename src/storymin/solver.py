@@ -104,9 +104,6 @@ FEASIBLE_STATUS = "feasible"
 TIMEOUT_STATUS = "timeout"
 INFEASIBLE_INPUT_STATUS = "infeasible-input"
 
-_FORCE_BRANCH_ROUNDS = 200
-
-
 class SolverError(RuntimeError):
     """Internal solver failure (numerical breakdown or broken invariant)."""
 
@@ -388,7 +385,6 @@ class _Search:
 
     def process(self, node: _Node) -> None:
         self._apply_fixes(node.fixes)
-        rounds = 0
         counted = False
         while True:
             if time.monotonic() > self.deadline:
@@ -411,8 +407,6 @@ class _Search:
             if _int_bound(total) >= self.incumbent_count:
                 return
             y = np.asarray(res.x, dtype=float)
-            rounds += 1
-
             integral = float(np.minimum(y, 1.0 - y).max()) <= TOLERANCE
             if integral:
                 y = np.round(y)
@@ -428,7 +422,7 @@ class _Search:
             if not added:
                 trans = separate_transitivity(self.reduced, y)
                 added = self._add_cuts(trans, "trans")
-            if added and (integral or rounds <= _FORCE_BRANCH_ROUNDS):
+            if added:
                 continue
             if not integral:
                 self._branch(node, y, total)

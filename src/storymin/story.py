@@ -120,6 +120,13 @@ def _member_error(members_raw: list, declared: set[str], scene: int) -> NoReturn
         members.add(m)
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StoryFormatError("syntax", exc.msg, f"line {exc.lineno} column {exc.colno}") from None
+
+
 def parse_story(text: str) -> Story:
     """Parse story JSON.
 
@@ -133,11 +140,11 @@ def parse_story(text: str) -> Story:
     duplicate character or scene ids, unknown member ids, empty member lists,
     malformed times, and inverted intervals.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoryFormatError("syntax", exc.msg, f"line {exc.lineno} column {exc.colno}") from None
+    return _story_of(_load_json(text))
 
+
+def _story_of(raw) -> Story:
+    """The story of a loaded JSON document, with every check of ``parse_story``."""
     if not isinstance(raw, dict):
         raise StoryFormatError("bad-shape", "top level must be a JSON object", "$")
     for key in ("characters", "scenes"):
@@ -357,62 +364,42 @@ def parse_scene_sequence(text: str) -> Story:
     """Book mode: scenes are an ordered sequence; position replaces time.
 
     Accepts the regular story JSON (begin/end are then ignored) or a reduced
-    form where scenes carry only ``members`` (ids default to ``s<k>``) and
-    the character list is inferred in first-appearance order.  Scene k gets
+    form where scenes carry only ``members`` and the character list, when not
+    declared, is inferred in first-appearance order.  Scene k (from 0) gets
     the degenerate interval [k, k], so the construction yields exactly one
     layer per scene and a character is alive from its first to its last
-    appearance.
+    appearance.  A scene without an ``id`` gets ``s<k+1>``, or if some scene
+    states that id, the first of ``s<k+1>.1``, ``s<k+1>.2``, ... that no scene
+    states.
+
+    The scenes so timed are read as a story document by ``parse_story``'s
+    checks, with the same error codes and locations; only the shape checked
+    here (a ``scenes`` list of objects with ``members``) is book mode's own.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoryFormatError("syntax", exc.msg, f"line {exc.lineno} column {exc.colno}") from None
-    if not isinstance(raw, dict) or "scenes" not in raw or not isinstance(raw["scenes"], list):
+    raw = _load_json(text)
+    if not isinstance(raw, dict) or not isinstance(raw.get("scenes"), list):
         raise StoryFormatError("bad-shape", "book input needs a 'scenes' list", "$")
-
-    declared = raw.get("characters")
-    declared_set: set[str] | None = None
-    if declared is not None:
-        if not isinstance(declared, list) or not all(isinstance(c, str) and c for c in declared):
-            raise StoryFormatError("bad-shape", "'characters' must be a list of non-empty strings", "$.characters")
-        declared_set = set(declared)
-        if len(declared_set) != len(declared):
-            raise StoryFormatError("duplicate-character", "character list contains duplicates", "$.characters")
-
-    # first-appearance order, with a set beside it for O(1) membership
-    inferred: list[str] = []
-    inferred_set: set[str] = set()
-    scenes: list[Scene] = []
-    seen_ids: set[str] = set()
-    for k, sraw in enumerate(raw["scenes"]):
-        loc = f"$.scenes[{k}]"
+    scenes_raw = raw["scenes"]
+    stated = {s["id"] for s in scenes_raw if isinstance(s, dict) and isinstance(s.get("id"), str)}
+    scenes = []
+    for k, sraw in enumerate(scenes_raw):
         if not isinstance(sraw, dict) or "members" not in sraw:
-            raise StoryFormatError("bad-shape", "scene must be an object with 'members'", loc)
-        members_raw = sraw["members"]
-        if not isinstance(members_raw, list) or not members_raw:
-            raise StoryFormatError("empty-members", "scene members must be a non-empty list", loc)
-        members: set[str] = set()
-        for m in members_raw:
-            if not isinstance(m, str) or not m:
-                raise StoryFormatError("bad-shape", "member must be a non-empty string", loc)
-            if declared_set is not None and m not in declared_set:
-                raise StoryFormatError("unknown-member", f"member {m!r} is not a declared character", loc)
-            if m in members:
-                raise StoryFormatError("duplicate-member", f"member {m!r} listed twice", loc)
-            members.add(m)
-            if m not in inferred_set:
-                inferred_set.add(m)
-                inferred.append(m)
-        sid = sraw.get("id", f"s{k + 1}")
-        if not isinstance(sid, str) or not sid:
-            raise StoryFormatError("bad-shape", "scene id must be a non-empty string", loc)
-        if sid in seen_ids:
-            raise StoryFormatError("duplicate-scene", f"scene id {sid!r} declared twice", loc)
-        seen_ids.add(sid)
-        scenes.append(Scene(sid, frozenset(members), Fraction(k), Fraction(k)))
-
-    characters = tuple(declared) if declared is not None else tuple(inferred)
-    return Story(characters, tuple(scenes))
+            raise StoryFormatError("bad-shape", "scene must be an object with 'members'", f"$.scenes[{k}]")
+        if "id" in sraw:
+            sid = sraw["id"]
+        else:
+            sid = base = f"s{k + 1}"
+            j = 0
+            while sid in stated:
+                j += 1
+                sid = f"{base}.{j}"
+        scenes.append({"id": sid, "members": sraw["members"], "begin": k, "end": k})
+    cast = raw.get("characters")
+    if cast is None:
+        # first-appearance order; dict keys keep it
+        cast = list(dict.fromkeys(m for s in scenes if isinstance(s["members"], list)
+                                  for m in s["members"] if isinstance(m, str) and m))
+    return _story_of({"characters": cast, "scenes": scenes})
 
 
 class CharacterHasNoScenes(ValueError):

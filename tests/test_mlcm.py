@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from storymin import (
+    INFEASIBLE_INPUT_STATUS,
     InstanceFormatError,
     LayerTree,
     MlcmInstance,
@@ -17,6 +18,8 @@ from storymin import (
     lca,
     parse_instance,
     parse_solution,
+    branch_and_cut,
+    solve_heuristic,
     validate_instance,
 )
 
@@ -180,12 +183,24 @@ def bad_instance_cases():
     yield MlcmInstance((2, 2), (((0, 5),),), (t2, t2)), "edge-out-of-range"
     yield MlcmInstance((2, 2), (((0, 0), (0, 0)),), (t2, t2)), "parallel-edge"
     yield MlcmInstance((2,), (), (t2,), (("a",),)), "label-mismatch"
+    # one label group for two layers: reported once, no per-layer label test
+    yield MlcmInstance((2, 2), ((),), (t2, t2), (("a", "b"),)), "bad-shape"
 
 
 @pytest.mark.parametrize("inst, code", list(bad_instance_cases()))
 def test_validate_instance_codes(inst, code):
     report = validate_instance(inst)
     assert any(v.code == code for v in report.violations), report.summary()
+
+
+def test_short_labels_are_infeasible_input():
+    t2 = flat_tree(2)
+    inst = MlcmInstance((2, 2), ((),), (t2, t2), (("a", "b"),))
+    (violation,) = validate_instance(inst).violations
+    assert violation.code == "bad-shape"
+    for res in (branch_and_cut(inst), solve_heuristic(inst)):
+        assert res.status == INFEASIBLE_INPUT_STATUS
+        assert "bad-shape" in res.message
 
 
 @pytest.mark.parametrize("parent", [(2, 5, -1), (2, -7, -1), (2, -2, -1)])
@@ -290,6 +305,21 @@ def test_parse_instance_errors(mangle):
         parse_instance(mangle(SAMPLE_INSTANCE))
 
 
+@pytest.mark.parametrize("extra, error", [
+    ("layer 3: q", "bad-shape: layer 3 out of range 1..2 (at line 8)"),
+    ("layer 0: q", "bad-shape: layer 0 out of range 1..2 (at line 8)"),
+    ("layer 2: x y", "bad-shape: duplicate layer 2 (at line 8)"),
+    ("tree 3: (r q)", "bad-shape: tree 3 out of range 1..2 (at line 8)"),
+    ("tree 1: (r a b c)", "bad-shape: duplicate tree 1 (at line 8)"),
+    ("edges 2: a-x", "bad-shape: edges 2 out of range 1..1 (at line 8)"),
+    ("edges 1: a-x", "bad-shape: duplicate edges 1 (at line 8)"),
+])
+def test_numbered_line_errors_keep_their_messages(extra, error):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(SAMPLE_INSTANCE + extra + "\n")
+    assert str(exc.value) == error
+
+
 def test_solution_text_round_trip():
     inst = parse_instance(SAMPLE_INSTANCE)
     sol = Solution(((2, 0, 1), (1, 0)))
@@ -305,6 +335,18 @@ def test_solution_text_verifies_count():
     wrong = text.replace(f"crossings={count_crossings(inst, sol)}", "crossings=99")
     with pytest.raises(InstanceFormatError):
         parse_solution(wrong, inst)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("layer 3: x y", "bad-shape: layer 3 out of range 1..2 (at line 4)"),
+    ("layer 2: y x", "bad-shape: duplicate layer 2 (at line 4)"),
+])
+def test_solution_numbered_line_errors(extra, error):
+    inst = parse_instance(SAMPLE_INSTANCE)
+    text = "layer 1: a b c\nlayer 2: x y\n\n" + extra + "\n"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_solution(text, inst)
+    assert str(exc.value) == error
 
 
 def test_solution_text_comments_skipped():

@@ -22,7 +22,7 @@ from storymin import (
 )
 from storymin.story import _time_ranks
 
-from conftest import FIG_STORY
+from conftest import FIG_STORY, random_story_doc
 
 
 def test_parse_basic(fig_story_text):
@@ -218,6 +218,63 @@ def test_scene_sequence_declared_characters():
     with pytest.raises(StoryFormatError) as exc:
         parse_scene_sequence(json.dumps({"scenes": [{"members": ["x", "y", "x"]}]}))
     assert exc.value.code == "duplicate-member"
+
+
+def test_scene_sequence_is_the_story_at_scene_positions():
+    rng = random.Random(27)
+    for _ in range(300):
+        doc = random_story_doc(rng, rng.randint(2, 7), rng.randint(0, 8))
+        timed = json.loads(json.dumps(doc))
+        for k, scene in enumerate(timed["scenes"]):
+            scene["begin"] = scene["end"] = k
+        assert parse_scene_sequence(json.dumps(doc)) == parse_story(json.dumps(timed))
+        # the reduced form: default ids, the cast in first-appearance order
+        bare = {"scenes": [{"members": scene["members"]} for scene in doc["scenes"]]}
+        for k, scene in enumerate(timed["scenes"]):
+            scene["id"] = f"s{k + 1}"
+        timed["characters"] = list(dict.fromkeys(m for scene in doc["scenes"] for m in scene["members"]))
+        assert parse_scene_sequence(json.dumps(bare)) == parse_story(json.dumps(timed))
+
+
+def test_scene_sequence_default_ids_skip_stated_ids():
+    doc = {"scenes": [{"id": "s2", "members": ["a", "b"]}, {"members": ["a"]}]}
+    assert [s.id for s in parse_scene_sequence(json.dumps(doc)).scenes] == ["s2", "s2.1"]
+    doc = {"scenes": [{"members": ["a"]}, {"id": "s1.1", "members": ["a"]}, {"id": "s1", "members": ["a"]}]}
+    assert [s.id for s in parse_scene_sequence(json.dumps(doc)).scenes] == ["s1.2", "s1.1", "s1"]
+    doc = {"scenes": [{"id": "x", "members": ["a"]}, {"members": ["a"]}, {"id": "x", "members": ["a"]}]}
+    with pytest.raises(StoryFormatError) as exc:
+        parse_scene_sequence(json.dumps(doc))
+    assert str(exc.value) == "duplicate-scene: scene id 'x' declared twice (at $.scenes[2].id)"
+
+
+@pytest.mark.parametrize("doc, error", [
+    ([], "bad-shape: book input needs a 'scenes' list (at $)"),
+    ({"scenes": {}}, "bad-shape: book input needs a 'scenes' list (at $)"),
+    ({"characters": ["a"]}, "bad-shape: book input needs a 'scenes' list (at $)"),
+    ({"scenes": [{"id": "s"}]}, "bad-shape: scene must be an object with 'members' (at $.scenes[0])"),
+    ({"scenes": ["a"]}, "bad-shape: scene must be an object with 'members' (at $.scenes[0])"),
+    ({"scenes": [{"members": []}]},
+     "empty-members: scene members must be a non-empty list (at $.scenes[0].members)"),
+    ({"scenes": [{"members": ["a", 1]}]}, "bad-shape: member must be a string (at $.scenes[0].members[1])"),
+    ({"scenes": [{"members": ["a", ""]}]},
+     "unknown-member: member '' is not a declared character (at $.scenes[0].members[1])"),
+    ({"characters": ["a"], "scenes": [{"members": ["a", "b"]}]},
+     "unknown-member: member 'b' is not a declared character (at $.scenes[0].members[1])"),
+    ({"scenes": [{"members": ["a", "b", "a"]}]},
+     "duplicate-member: member 'a' listed twice (at $.scenes[0].members[2])"),
+    ({"scenes": [{"id": "x", "members": ["a"]}, {"id": "x", "members": ["b"]}]},
+     "duplicate-scene: scene id 'x' declared twice (at $.scenes[1].id)"),
+    ({"scenes": [{"id": 5, "members": ["a"]}]},
+     "bad-shape: scene id must be a non-empty string (at $.scenes[0].id)"),
+    ({"characters": ["a", ""], "scenes": [{"members": ["a"]}]},
+     "bad-shape: 'characters' must be a list of non-empty strings (at $.characters)"),
+    ({"characters": ["a", "b", "a"], "scenes": [{"members": ["a"]}]},
+     "duplicate-character: character 'a' declared twice (at $.characters[2])"),
+])
+def test_scene_sequence_errors(doc, error):
+    with pytest.raises(StoryFormatError) as exc:
+        parse_scene_sequence(json.dumps(doc))
+    assert str(exc.value) == error
 
 
 def _pairwise_report(story: Story) -> list[Violation]:
