@@ -43,7 +43,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -85,7 +85,8 @@ class LpResult:
 class RelaxationBackend(Protocol):
     """What the branch-and-cut loop needs from an LP solver."""
 
-    def load(self, costs: Iterable[float], lower: Iterable[float], upper: Iterable[float]) -> None: ...
+    def load(self, costs: np.ndarray | Sequence[float], lower: np.ndarray | Sequence[float],
+             upper: np.ndarray | Sequence[float]) -> None: ...
 
     def set_deadline(self, deadline: float) -> None: ...
 
@@ -187,9 +188,10 @@ class _BaseBackend:
         self._n_rows = 0
 
     def load(self, costs, lower, upper) -> None:
-        self.c = np.asarray(list(costs), dtype=float)
-        self.lo = np.asarray(list(lower), dtype=float)
-        self.hi = np.asarray(list(upper), dtype=float)
+        # float copies: ``set_bounds`` writes ``lo`` and ``hi`` in place
+        self.c = np.array(costs, dtype=float)
+        self.lo = np.array(lower, dtype=float)
+        self.hi = np.array(upper, dtype=float)
         if not (len(self.c) == len(self.lo) == len(self.hi)):
             raise ValueError("costs/lower/upper length mismatch")
         if np.any(self.lo > self.hi):

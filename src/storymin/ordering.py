@@ -11,14 +11,22 @@ caller's, or a canonical DFS order), so every subtree is an index range.  The
 pair (i, j) then belongs to the *class* (A, B): the children A < B of the two
 leaves' lowest common ancestor that hold i and j.  No admissible order splits
 a subtree, so the members of a class are equal ("A above B"); classes are
-numbered by their first member.  A walk over the sibling subtrees of every
-layer writes each class's rectangle of index pairs into one flat array of the
-layers' ``n x n`` class-id tables.  The walk also keeps one class triple
-(AB, BC, AC) per three children A < B < C of a tree node, read off the table
-at their first leaves; every other position triple has two variables in one
-class or the classes of a kept one.  Only this class model is built: the
-paper's position-level variables are only counted (``n_vars``), and their
-terms and equalities never built.
+numbered by their first member.
+
+``build_model`` itself only checks the ordering (a ValueError for one that
+is not tree-consistent or does not cover every layer), finds the index
+ranges of every tree node's leaf-holding children (its sibling subtrees),
+and counts: the classes (``n_classes``, one per two sibling subtrees), the
+paper's position-level variables (``n_vars``; their terms and equalities
+are never built) and the tables' offsets.  The class tables and triples
+are built together at the first read of either, so a solve that needs only
+the count (a layout without crossings) never builds them.  A walk over the
+sibling subtrees of every layer writes each class's rectangle of index
+pairs into one flat array of the layers' ``n x n`` class-id tables.
+The walk also keeps one class triple (AB, BC, AC) per three children
+A < B < C of a tree node, read off the table at their first leaves; every
+other position triple has two variables in one class or the classes of a
+kept one.
 
 ``identify_variables`` reads the class terms off the tables: every pair of
 edges of every gap, enumerated for all gaps at once, joins the class of its
@@ -40,7 +48,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .mlcm import LayerTree, MlcmInstance, Solution, leaf_ranges
+from .mlcm import LayerTree, MlcmInstance, Solution, _cached, leaf_ranges
 
 __all__ = [
     "OrderingModel",
@@ -72,12 +80,60 @@ class OrderingModel:
     instance: MlcmInstance
     orders: tuple[tuple[int, ...], ...]  # index ordering per layer (node ids)
     n_vars: int  # the paper's position-level variables, sum of C(n_r, 2)
-    n_classes: int
+    n_classes: int  # pairs of sibling subtrees holding leaves
     # class of index pair (i, j) of layer r at table_base[r] + i * n_r + j, for
     # i > j too; -1 for i == j
     table_base: tuple[int, ...]
-    class_table: np.ndarray
-    triples: np.ndarray  # (k, 3) class ids (AB, BC, AC), one row per three sibling subtrees
+    # per layer, ``_sibling_blocks`` of its tree in its index ordering
+    blocks: tuple[list[list[tuple[int, int]]], ...]
+
+    @property
+    def class_table(self) -> np.ndarray:
+        return self._tables[0]
+
+    @property
+    def triples(self) -> np.ndarray:
+        """(k, 3) class ids (AB, BC, AC), one row per three sibling subtrees."""
+        return self._tables[1]
+
+    @_cached
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``class_table`` and ``triples``, built together at the first read
+        of either."""
+        # per class: the table entry of its first member (i, j), its layer's
+        # table base and width, and the index ranges of its two sibling
+        # subtrees.  Per node with three or more leaf-holding children: where
+        # the children's entries start in ``heads`` and their number; per
+        # child, (row(h), h) for its first leaf h, with entry (h, i) at
+        # row(h) + i
+        classes: list[tuple[int, int, int, int, int, int, int]] = []
+        trios: list[tuple[int, int]] = []
+        heads: list[int] = []
+        for layer_blocks, n, base in zip(self.blocks, self.instance.layer_sizes, self.table_base):
+            for blocks in layer_blocks:
+                for a, (fa, la) in enumerate(blocks):
+                    for fb, lb in blocks[a + 1:]:
+                        classes.append((base + fa * n + fb, base, n, fa, la, fb, lb))
+                if len(blocks) > 2:
+                    trios.append((len(heads) // 2, len(blocks)))
+                    for h, _ in blocks:
+                        heads += (base + h * n, h)
+
+        # classes are numbered by their first member, which the table entry orders
+        classes.sort()
+        table = [-1] * self.table_base[-1]
+        for c, (_, base, n, fa, la, fb, lb) in enumerate(classes):
+            for i in range(fa, la + 1):
+                for j in range(fb, lb + 1):
+                    table[base + i * n + j] = table[base + j * n + i] = c
+        class_table = _read_only(np.array(table, dtype=np.int64))
+
+        # the triple of children A < B < C with first leaves h < i < j: the
+        # classes at (row(h) + i, row(i) + j, row(h) + j)
+        picks = np.concatenate([_combinations3(0)] + [_combinations3(k) + s for s, k in trios])
+        row, first = np.array(heads, dtype=np.int64).reshape(-1, 2).T
+        triples = class_table[row[picks[:, :3]] + first[picks[:, 3:]]]
+        return class_table, _read_only(triples)
 
 
 @dataclass(frozen=True)
@@ -115,61 +171,32 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     """Build the quadratic model; ``order`` fixes each layer's index ordering.
 
     The ordering must be tree-consistent per layer (defaults to the canonical
-    DFS order).  Raises ValueError otherwise.
+    DFS order).  Raises ValueError otherwise.  Only the checks and the counts
+    run here; the class tables and triples are built at their first read.
     """
     if order is None:
         order = canonical_orders(instance)
     if len(order.orders) != instance.p:
         raise ValueError("index ordering must cover every layer")
 
-    # per class: the table entry of its first member (i, j), its layer's
-    # table base and width, and the index ranges of its two sibling subtrees.
-    # Per node with three or more leaf-holding children: where the children's
-    # entries start in ``heads`` and their number; per child, (row(h), h) for
-    # its first leaf h, with entry (h, i) at row(h) + i
-    classes: list[tuple[int, int, int, int, int, int, int]] = []
-    trios: list[tuple[int, int]] = []
-    heads: list[int] = []
+    blocks = []
     table_base = [0]
     for r, tree in enumerate(instance.trees):
         ranges = leaf_ranges(tree, order.orders[r])
         if ranges is None:
             raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
-        n, base = instance.layer_sizes[r], table_base[-1]
-        for blocks in _sibling_blocks(tree, *ranges):
-            for a, (fa, la) in enumerate(blocks):
-                for fb, lb in blocks[a + 1:]:
-                    classes.append((base + fa * n + fb, base, n, fa, la, fb, lb))
-            if len(blocks) > 2:
-                trios.append((len(heads) // 2, len(blocks)))
-                for h, _ in blocks:
-                    heads += (base + h * n, h)
-        table_base.append(base + n * n)
-
-    # classes are numbered by their first member, which the table entry orders
-    classes.sort()
-    table = [-1] * table_base[-1]
-    for c, (_, base, n, fa, la, fb, lb) in enumerate(classes):
-        for i in range(fa, la + 1):
-            for j in range(fb, lb + 1):
-                table[base + i * n + j] = table[base + j * n + i] = c
-
-    class_table = _read_only(np.array(table, dtype=np.int64))
-
-    # the triple of children A < B < C with first leaves h < i < j: the
-    # classes at (row(h) + i, row(i) + j, row(h) + j)
-    picks = np.concatenate([_combinations3(0)] + [_combinations3(k) + s for s, k in trios])
-    row, first = np.array(heads, dtype=np.int64).reshape(-1, 2).T
-    triples = class_table[row[picks[:, :3]] + first[picks[:, 3:]]]
+        blocks.append(_sibling_blocks(tree, *ranges))
+        n = instance.layer_sizes[r]
+        table_base.append(table_base[-1] + n * n)
 
     return OrderingModel(
         instance=instance,
         orders=tuple(tuple(o) for o in order.orders),
         n_vars=sum(n * (n - 1) // 2 for n in instance.layer_sizes),
-        n_classes=len(classes),
+        # one class per two sibling subtrees
+        n_classes=sum(len(b) * (len(b) - 1) // 2 for layer in blocks for b in layer),
         table_base=tuple(table_base),
-        class_table=class_table,
-        triples=_read_only(triples),
+        blocks=tuple(blocks),
     )
 
 

@@ -10,8 +10,10 @@ recounting only the gaps next to a layer it reordered, and stopping early
 once a layout has no crossing or the alternating sweeps repeat a layout) ->
 build the quadratic ordering model -> identify variables -> reduce to a
 weighted cut problem -> branch and cut on the LP relaxation.  A heuristic layout without crossings
-meets the trivial bound 0: it is returned as optimal right after the model
-is built, without identifying variables, building the cut graph or an LP.
+meets the trivial bound 0: it is returned as optimal right after
+``build_model`` has checked the layout and counted its classes (``n_var``),
+without building the class tables, identifying variables, building the cut
+graph or an LP.
 The LP starts with the box bounds and, before its first solve,
 the two reference-triangle rows that can bind for each pair edge of nonzero
 weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
@@ -505,8 +507,9 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     lp = backend()
     # edge 0 is class 0's root edge: pinning it at 0 fixes the cut symmetry,
     # and branching never picks it
-    m = graph.n_edges
-    lp.load(graph.weights.tolist(), [0.0] * m, [0.0] + [1.0] * (m - 1))
+    upper = np.ones(graph.n_edges)
+    upper[0] = 0.0
+    lp.load(graph.weights, np.zeros(graph.n_edges), upper)
     lp.set_deadline(deadline)
 
     search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import time
 from itertools import islice, product
@@ -14,10 +15,13 @@ from storymin import (
     NotTransitive,
     Solution,
     brute_force_optimum,
+    build_instance,
     build_model,
     count_crossings,
     enumerate_tree_orderings,
     identify_variables,
+    merge_layers,
+    parse_story,
 )
 from storymin.ordering import ReducedModel, solution_of_classes
 from storymin.maxcut import TOLERANCE, build_maxcut, separate_transitivity
@@ -25,7 +29,9 @@ from storymin.solver import barycenter_heuristic
 
 from conftest import (
     random_general_instance,
+    random_story_doc,
     random_storyline_instance,
+    with_unary_chains,
 )
 from reference_model import (
     as_crossing_terms,
@@ -144,10 +150,16 @@ def test_bundle_needs_complement_rule():
 
 
 def test_non_tree_consistent_index_order_rejected():
+    """An order the model cannot index by fails at the ``build_model`` call,
+    not at the first read of the class tables."""
     t = LayerTree.from_nested(("root", [("s", [0, 1]), 2]), 3)
-    inst = MlcmInstance((3,), (), (t,))
-    with pytest.raises(ValueError):
-        build_model(inst, Solution(((0, 2, 1),)))
+    inst = MlcmInstance((3, 3), (((0, 0),),), (t, t))
+    with pytest.raises(ValueError, match="layer 2 is not tree-consistent"):
+        build_model(inst, Solution(((0, 1, 2), (0, 2, 1))))
+    with pytest.raises(ValueError, match="cover every layer"):
+        build_model(inst, Solution(((0, 1, 2),)))
+    with pytest.raises(ValueError, match="permutation"):
+        build_model(inst, Solution(((0, 1, 2), (0, 1))))
 
 
 def test_custom_index_order_same_objectives():
@@ -402,15 +414,63 @@ def test_not_transitive_names_the_first_violated_layer():
     assert rejected > 100
 
 
+def distinct_classes(model) -> int:
+    return len(set(model.class_table.tolist()) - {-1})
+
+
+def test_class_count_equals_the_tables_classes():
+    """``build_model`` counts the classes without building the tables: the
+    count equals the number of distinct ids in them, on general trees, trees
+    with one-child chains, and stories as built and merged, under the
+    canonical and the heuristic order."""
+    rng = random.Random(59)
+    instances = []
+    for _ in range(40):
+        inst = random_general_instance(rng, n_range=(1, 8))
+        chained = tuple(with_unary_chains(t, rng) for t in inst.trees)
+        instances += [inst, MlcmInstance(inst.layer_sizes, inst.edges, chained)]
+    for _ in range(40):
+        doc = random_story_doc(rng, rng.randint(3, 9), rng.randint(2, 12), tmax=10)
+        inst = build_instance(parse_story(json.dumps(doc)))[0]
+        instances += [inst, merge_layers(inst)[0]]
+    counted = 0
+    for inst in instances:
+        for order in (None, barycenter_heuristic(inst)[0]):
+            model = build_model(inst, order)
+            assert model.n_classes == distinct_classes(model)
+            counted += model.n_classes
+    assert counted > 1000
+
+
+def test_a_child_without_leaves_makes_no_class():
+    # the root's children: leaves 0 and 1, and internal node 2 without leaves
+    tree = LayerTree(2, (3, 3, 3, -1), ("dead", "root"))
+    model = build_model(MlcmInstance((2,), (), (tree,)))
+    assert model.n_classes == distinct_classes(model) == 1
+    assert not len(model.triples)
+
+
 def test_triple_arrays_are_read_only():
+    """The class table and the triples are read-only int64 arrays, built
+    together at the first read of either: the same whichever is read first."""
     rng = random.Random(57)
-    inst = random_general_instance(rng, p_range=(2, 2), n_range=(6, 8))
-    model = build_model(inst)
-    reduced = identify_variables(model)
-    assert len(model.triples) == len(reduced.triples) > 0
-    for triples in (model.triples, reduced.triples):
-        assert triples.shape == (len(triples), 3)
-        assert triples.dtype == np.int64
-        assert not triples.flags.writeable
-        with pytest.raises(ValueError):
-            triples[0, 0] = 0
+    n_triples = 0
+    for _ in range(20):
+        inst = random_general_instance(rng, p_range=(2, 3), n_range=(4, 8))
+        table_first, triples_first = build_model(inst), build_model(inst)
+        table = table_first.class_table
+        triples = triples_first.triples
+        assert table_first.triples.tolist() == triples.tolist()
+        assert triples_first.class_table.tolist() == table.tolist()
+        # later reads return the arrays already built
+        assert table_first.class_table is table and triples_first.triples is triples
+        reduced = identify_variables(table_first)
+        assert len(reduced.triples) == len(triples)
+        assert triples.shape == reduced.triples.shape == (len(triples), 3)
+        n_triples += len(triples)
+        for array in (table, triples, reduced.triples):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.reshape(-1)[:1] = 0
+    assert n_triples > 100

@@ -30,6 +30,7 @@ from storymin import (
 )
 from storymin import build_model, identify_variables, lp, maxcut, solver
 from storymin.maxcut import OddCycleInequality, build_maxcut
+from storymin.ordering import OrderingModel
 from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
 
 from conftest import (
@@ -510,7 +511,9 @@ def test_first_lp_holds_the_full_triangle_bound(monkeypatch, seed, n_chars, n_sc
     (graph,) = graphs
     r, m = graph.n_root_edges, graph.n_edges
     full = SimplexBackend()
-    full.load(graph.weights.tolist(), [0.0] * m, [0.0] + [1.0] * (m - 1))
+    upper = np.ones(m)
+    upper[0] = 0.0
+    full.load(graph.weights, np.zeros(m), upper)
     rows = []
     for e in range(r, m):
         u0, v0 = (graph.ends[e] - 1).tolist()
@@ -711,7 +714,8 @@ def test_no_lp_when_the_heuristic_meets_the_root_bound(monkeypatch):
 
 def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
     """A heuristic layout without crossings is optimal right after the model
-    is built: no variables are identified, no cut graph or LP is made."""
+    has counted its classes: no class table is built, no variables are
+    identified, no cut graph or LP is made."""
 
     def refuse(*args):
         raise AssertionError("the cut problem was set up")
@@ -733,7 +737,9 @@ def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
             at_canonical += 1
         else:
             after_sweep += 1
-        res = branch_and_cut(inst, backend=refuse)
+        with monkeypatch.context() as patch:
+            patch.setattr(OrderingModel, "_tables", property(refuse))
+            res = branch_and_cut(inst, backend=refuse)
         assert res.status == OPTIMAL_STATUS
         assert res.crossings == res.lower_bound == 0
         assert count_crossings(inst, res.solution) == 0
