@@ -23,7 +23,6 @@ from .mlcm import (
     format_instance,
     format_solution,
     is_tree_consistent,
-    lca,
     parse_instance,
     parse_solution,
     validate_instance,
@@ -88,7 +87,7 @@ __all__ = [
     # instances
     "MlcmInstance", "LayerTree", "Solution", "InstanceFormatError",
     "parse_instance", "format_instance", "parse_solution", "format_solution",
-    "count_crossings", "validate_instance", "is_tree_consistent", "lca",
+    "count_crossings", "validate_instance", "is_tree_consistent",
     # transform
     "build_instance", "TransformTrace", "InvalidStoryError",
     "merge_layers", "expand_solution",

@@ -114,7 +114,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_common(p)
     p.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
-                   help="cap on dynamic-programming transition work")
+                   help="cap on the DP's transitions, the sum over gaps of both layers' "
+                        "ordering counts multiplied (default 1e9)")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
     p = sub.add_parser("render", help="draw a solved instance as SVG")

@@ -27,7 +27,6 @@ __all__ = [
     "MlcmInstance",
     "Solution",
     "InstanceFormatError",
-    "lca",
     "is_tree_consistent",
     "leaf_ranges",
     "count_crossings",
@@ -100,15 +99,6 @@ class LayerTree:
             if p >= 0:
                 kids[p].append(v)
         return tuple(map(tuple, kids))
-
-    @_cached
-    def depth(self) -> tuple[int, ...]:
-        d = [0] * self.n_nodes
-        for v in self._topo_order:
-            p = self.parent[v]
-            if p >= 0:
-                d[v] = d[p] + 1
-        return tuple(d)
 
     @_cached
     def _topo_order(self) -> tuple[int, ...]:
@@ -249,21 +239,6 @@ class Solution:
     orders: tuple[tuple[int, ...], ...]
 
 
-def lca(tree: LayerTree, a: int, b: int) -> int:
-    """Lowest common ancestor of two nodes (parent-pointer walk)."""
-    da, db = tree.depth[a], tree.depth[b]
-    while da > db:
-        a = tree.parent[a]
-        da -= 1
-    while db > da:
-        b = tree.parent[b]
-        db -= 1
-    while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
-    return a
-
-
 def leaf_ranges(tree: LayerTree, order: tuple[int, ...] | list[int]) -> tuple[list[int], list[int]] | None:
     """First and last index in ``order`` of every node's leaves (``len(order)``
     and -1 for a node without leaves), or None if some node's leaves are not
@@ -402,6 +377,14 @@ def validate_instance(instance: MlcmInstance) -> ValidationReport:
                 report.add("parallel-edge", f"edge {u}-{v} repeated", loc)
             seen_e.add((u, v))
     return report
+
+
+def _check_valid(instance: MlcmInstance) -> None:
+    """Raise :class:`InstanceFormatError` from the instance's first violation."""
+    report = validate_instance(instance)
+    if not report.ok:
+        v = report.violations[0]
+        raise InstanceFormatError(v.code, v.message, v.location)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +550,7 @@ def parse_instance(text: str) -> MlcmInstance:
         trees=tuple(trees),
         labels=tuple(tuple(layer_names[r]) for r in range(1, p + 1)),
     )
-    report = validate_instance(instance)
-    if not report.ok:
-        v = report.violations[0]
-        raise InstanceFormatError(v.code, v.message, v.location)
+    _check_valid(instance)
     return instance
 
 

@@ -1,19 +1,22 @@
-"""Exhaustive reference solver for small instances.
+"""Exhaustive reference solver for instances with small layers.
 
-Enumerates, per layer, every tree-consistent permutation, then runs a
-shortest-path style DP across layers: the crossing count decomposes over
-consecutive-layer gaps, so the optimum over the product space equals the DP
-optimum over per-layer choices.  Used as the ground-truth oracle in tests.
+Each layer's tree-consistent orderings are the rows of one position matrix.
+The crossing count decomposes over consecutive-layer gaps, so a shortest-path
+DP over per-layer rows finds the optimum over the product space.  A gap's
+crossings for every pair of rows are ``(P - S_u S_v^T) / 2``, with one +-1
+sign column per edge pair of distinct ends: a float32 product, exact since
+every entry is +-1 and P is far below 2**24.  The product and the min-plus
+step run tile by tile, so no array exceeds ``_BLOCK`` entries at any budget.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
-from .mlcm import LayerTree, MlcmInstance, Solution
+from .mlcm import LayerTree, MlcmInstance, Solution, _check_valid
 
 __all__ = [
     "OrderingCapExceeded",
@@ -24,7 +27,9 @@ __all__ = [
 ]
 
 LEAF_CAP = 9
-DEFAULT_BUDGET = 10_000_000
+# the smallest power of ten that admits every seven-wide paper-length story
+DEFAULT_BUDGET = 1_000_000_000
+_BLOCK = 1 << 22  # also holds the position matrix of LEAF_CAP leaves, 9! x 9
 
 
 class OrderingCapExceeded(ValueError):
@@ -43,77 +48,85 @@ def count_tree_orderings(tree: LayerTree) -> int:
     return total
 
 
+def _positions(tree: LayerTree) -> np.ndarray:
+    """``(k, n)`` int8 matrix: row t holds each leaf's position in the t-th
+    of the tree's k orderings.
+
+    A leaf's position sums, over the internal nodes above it, the offset
+    that node's child permutation gives the child holding the leaf.  Each
+    node with d > 1 children is one mixed-radix digit: its ``(d!, n)`` table
+    of offsets is added to every row so far.
+    """
+    n = tree.n_leaves
+    if n > LEAF_CAP:
+        raise OrderingCapExceeded(f"{n} leaves exceeds cap {LEAF_CAP}")
+    leaves = [[v] for v in range(n)] + [[] for _ in range(n, tree.n_nodes)]
+    for v in tree._topo_order[:0:-1]:  # children before parents
+        leaves[tree.parent[v]] += leaves[v]
+    pos = np.zeros((1, n), dtype=np.int8)
+    for kids in tree.children[n:]:
+        d = len(kids)
+        if d < 2:
+            continue
+        # rank[t, i]: the place of child i in the t-th permutation
+        rank = np.fromiter(chain.from_iterable(permutations(range(d))), dtype=np.int8,
+                           count=math.factorial(d) * d).reshape(-1, d)
+        sizes = np.array([len(leaves[c]) for c in kids], dtype=np.int8)
+        table = np.zeros((len(rank), n), dtype=np.int8)
+        for i, c in enumerate(kids):  # offset: the leaves of the children placed before
+            table[:, leaves[c]] = (sizes * (rank < rank[:, i:i + 1])).sum(axis=1, dtype=np.int8)[:, None]
+        pos = (pos[:, None, :] + table[None, :, :]).reshape(-1, n)
+    return pos
+
+
 def enumerate_tree_orderings(tree: LayerTree):
-    """Yield every tree-consistent leaf permutation exactly once.
-
-    Recursively interleaves child blocks: each internal node contributes the
-    permutations of its children, and leaves within a child block keep that
-    block's recursive orderings.  Deterministic order (children permuted in
-    stored order).
-    """
-    if tree.n_leaves > LEAF_CAP:
-        raise OrderingCapExceeded(f"{tree.n_leaves} leaves exceeds cap {LEAF_CAP}")
-
-    def orders_of(v: int):
-        if tree.is_leaf(v):
-            yield (v,)
-            return
-        kids = tree.children[v]
-        for perm in permutations(kids):
-            # cartesian product over the permuted children's own orderings
-            def expand(i: int, prefix: tuple[int, ...]):
-                if i == len(perm):
-                    yield prefix
-                    return
-                for sub in orders_of(perm[i]):
-                    yield from expand(i + 1, prefix + sub)
-
-            yield from expand(0, ())
-
-    yield from orders_of(tree.root)
+    """Yield every tree-consistent leaf permutation exactly once, in the
+    row order of :func:`_positions`."""
+    yield from map(tuple, np.argsort(_positions(tree), axis=1).tolist())
 
 
-def _transition_costs(edges, orders_u: list[tuple[int, ...]], orders_v: list[tuple[int, ...]]) -> np.ndarray:
-    """Crossing counts for every (upper ordering, lower ordering) pair.
+def _signs(pos: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float32 +-1 per (row, pair): +1 iff leaf ``a[p]`` comes after ``b[p]``."""
+    return np.where(pos[:, a] > pos[:, b], np.float32(1), np.float32(-1))
 
-    Vectorized over orderings: for each disjoint edge pair, a crossing occurs
-    iff the two upper endpoints and the two lower endpoints compare in
-    opposite orders.
-    """
-    nu = len(orders_u)
-    nv = len(orders_v)
-    costs = np.zeros((nu, nv), dtype=np.int64)
-    if not edges:
-        return costs
-    pos_u = np.empty((nu, len(orders_u[0])), dtype=np.int64)
-    for i, order in enumerate(orders_u):
-        for p, node in enumerate(order):
-            pos_u[i, node] = p
-    pos_v = np.empty((nv, len(orders_v[0])), dtype=np.int64)
-    for i, order in enumerate(orders_v):
-        for p, node in enumerate(order):
-            pos_v[i, node] = p
-    m = len(edges)
-    for a in range(m):
-        ua, va = edges[a]
-        for b in range(a + 1, m):
-            ub, vb = edges[b]
-            if ua == ub or va == vb:
-                continue
-            su = np.sign(pos_u[:, ua] - pos_u[:, ub])  # (nu,)
-            sv = np.sign(pos_v[:, va] - pos_v[:, vb])  # (nv,)
-            costs += (su[:, None] * sv[None, :]) < 0
-    return costs
+
+def _gap_step(cost: np.ndarray, pos_u: np.ndarray, pos_v: np.ndarray, gap_edges):
+    """One min-plus step over a gap: the least total reaching each lower row,
+    and the first upper row that gives it."""
+    pairs = [e + f for i, e in enumerate(gap_edges) for f in gap_edges[i + 1:]
+             if e[0] != f[0] and e[1] != f[1]]
+    ua, va, ub, vb = np.array(pairs, dtype=np.intp).reshape(-1, 4).T
+    n_pairs, ku, kv = len(pairs), len(pos_u), len(pos_v)
+    cols = min(kv, max(1, _BLOCK // max(n_pairs, math.isqrt(_BLOCK))))
+    rows = min(ku, max(1, _BLOCK // max(n_pairs, cols)))
+    best = np.full(kv, np.inf, dtype=np.float32)
+    back = np.zeros(kv, dtype=np.int32)
+    for c0 in range(0, kv, cols):
+        s_v = _signs(pos_v[c0:c0 + cols], va, vb)
+        tile = slice(c0, c0 + len(s_v))
+        for r0 in range(0, ku, rows):
+            total = _signs(pos_u[r0:r0 + rows], ua, ub) @ s_v.T
+            total -= n_pairs
+            total *= -0.5  # crossings
+            total += cost[r0:r0 + rows, None]
+            at = np.argmin(total, axis=0)
+            low = total[at, np.arange(len(at))]
+            better = low < best[tile]
+            best[tile][better] = low[better]
+            back[tile][better] = at[better] + r0
+    return best, back
 
 
 def brute_force_optimum(instance: MlcmInstance, budget: int = DEFAULT_BUDGET) -> tuple[int, Solution]:
     """Exact optimum by DP over per-layer tree-consistent orderings.
 
-    ``budget`` bounds the DP transition work, ``sum over gaps of
+    An invalid instance raises ``InstanceFormatError`` from its first
+    violation.  ``budget`` bounds the DP transition work, ``sum over gaps of
     (orderings of layer r) * (orderings of layer r+1)``; exceeding it raises
     :class:`BudgetExceeded` before any heavy work happens.  Returns the
     optimal crossing count and one witness solution.
     """
+    _check_valid(instance)
     p = instance.p
     if p == 0:
         return 0, Solution(())
@@ -125,22 +138,19 @@ def brute_force_optimum(instance: MlcmInstance, budget: int = DEFAULT_BUDGET) ->
     if work > budget or max(counts) > budget:
         raise BudgetExceeded(f"DP work {work} exceeds budget {budget}")
 
-    layer_orders = [list(enumerate_tree_orderings(t)) for t in instance.trees]
-
-    # forward DP; back[r][j] = argmin index on layer r-1
-    cost = np.zeros(len(layer_orders[0]), dtype=np.int64)
+    pos = [_positions(t) for t in instance.trees]
+    # each step takes off its least total, so the totals stay below a gap's
+    # crossings and float32 holds them exactly
+    base = 0
+    cost = np.zeros(counts[0], dtype=np.float32)
     back: list[np.ndarray] = []
     for r in range(p - 1):
-        trans = _transition_costs(instance.edges[r], layer_orders[r], layer_orders[r + 1])
-        totals = cost[:, None] + trans
-        back.append(np.argmin(totals, axis=0))
-        cost = np.min(totals, axis=0)
-
-    best_j = int(np.argmin(cost))
-    best = int(cost[best_j])
-    picks = [0] * p
-    picks[p - 1] = best_j
-    for r in range(p - 2, -1, -1):
-        picks[r] = int(back[r][picks[r + 1]])
-    solution = Solution(tuple(layer_orders[r][picks[r]] for r in range(p)))
-    return best, solution
+        cost, step = _gap_step(cost, pos[r], pos[r + 1], instance.edges[r])
+        back.append(step)
+        base += int(cost.min())
+        cost -= cost.min()
+    picks = [int(np.argmin(cost))]
+    for step in reversed(back):
+        picks.append(int(step[picks[-1]]))
+    orders = (np.argsort(pos[r][t]).tolist() for r, t in enumerate(reversed(picks)))
+    return base, Solution(tuple(map(tuple, orders)))

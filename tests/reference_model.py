@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from storymin import MlcmInstance, Solution
-from storymin.mlcm import is_tree_consistent, lca
+from storymin import LayerTree, MlcmInstance, Solution
+from storymin.mlcm import is_tree_consistent
 from storymin.ordering import canonical_orders
 
 XOR = "xor"
@@ -44,6 +44,18 @@ class TransitivityTriple(NamedTuple):
 class TreeEquality(NamedTuple):
     var_a: int
     var_b: int
+
+
+def lca(tree: LayerTree, a: int, b: int) -> int:
+    """Lowest common ancestor of two nodes: the first of a's ancestors
+    (a itself included) that is also one of b's."""
+    above_b = {b}
+    while tree.parent[b] >= 0:
+        b = tree.parent[b]
+        above_b.add(b)
+    while a not in above_b:
+        a = tree.parent[a]
+    return a
 
 
 def as_crossing_terms(terms: np.ndarray) -> tuple[CrossingTerm, ...]:

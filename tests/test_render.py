@@ -16,7 +16,6 @@ from storymin import (
     barycenter_heuristic,
     build_instance,
     count_crossings,
-    lca,
     parse_story,
     render_svg,
 )
@@ -27,6 +26,7 @@ from conftest import (
     random_story_doc,
     with_unary_chains,
 )
+from reference_model import lca
 
 
 def test_slot_spacing_rule(bundle_story_text):
