@@ -26,6 +26,7 @@ from .lp import ScipyBackend
 from .mlcm import (
     ID_CHARS,
     MlcmInstance,
+    _check_valid,
     count_crossings,
     format_instance,
     format_solution,
@@ -46,7 +47,7 @@ from .solver import (
     solve_heuristic,
 )
 from .story import StoryFormatError, parse_scene_sequence, parse_story, validate_story
-from .transform import InvalidStoryError, build_instance, merge_layers
+from .transform import InvalidStoryError, build_instance, expand_solution, merge_layers
 from .validation import FormatError
 
 EXIT_OK = 0
@@ -114,8 +115,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     add_common(p)
     p.add_argument("--budget", type=_positive(int), default=DEFAULT_BUDGET,
-                   help="cap on the DP's transitions, the sum over gaps of both layers' "
-                        "ordering counts multiplied (default 1e9)")
+                   help="cap on the DP's transitions, the sum over the merged instance's "
+                        "gaps of both layers' ordering counts multiplied (default 1e9)")
     p.add_argument("--out", help="write the solution text here instead of stdout")
 
     p = sub.add_parser("render", help="draw a solved instance as SVG")
@@ -300,7 +301,10 @@ def _cmd_heuristic(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args)
     t0 = time.monotonic()
-    best, solution = brute_force_optimum(instance, budget=args.budget)
+    _check_valid(instance)  # merging assumes a valid instance
+    work, mm = merge_layers(instance)  # and keeps counts
+    best, witness = brute_force_optimum(work, budget=args.budget)
+    solution = expand_solution(mm, witness)
     stats = SolveStats(time=time.monotonic() - t0)
     result = OptResult(OPTIMAL_STATUS, solution, best, best, stats)
     return _emit_result(result, instance, args)

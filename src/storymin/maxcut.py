@@ -85,13 +85,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .lp import RowBlock
-from .mlcm import Solution
+from .mlcm import Solution, _cached
 from .ordering import ReducedModel, _read_only, solution_of_classes
 
 __all__ = [
@@ -380,7 +379,7 @@ class _IntegralForest:
                                                 np.concatenate((b, b ^ 1)))
         self.conflicted = np.flatnonzero(self.label[0::2] == self.label[1::2])
 
-    @cached_property
+    @_cached
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The arcs as adjacency lists sorted by their tail: (indptr, degree,
         head, owner, arc_edge), with ``owner`` the tail and ``arc_edge`` the
@@ -410,7 +409,7 @@ class _IntegralForest:
         via[flat] = at  # one arc wins per node; keep only its entry
         return flat[via[flat] == at]
 
-    @cached_property
+    @_cached
     def tree(self) -> tuple[list[int], list[int], list[int]]:
         """BFS forest of every component: (parent, depth, edge to the parent)."""
         n2 = self.n2

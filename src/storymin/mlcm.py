@@ -74,7 +74,7 @@ class LayerTree:
     Leaves are node ids ``0..n_leaves-1``; internal nodes get the ids
     ``n_leaves..n_nodes-1``.  ``parent[v]`` is -1 exactly for the root.
     ``internal_labels`` names internal nodes (scene ids; a synthetic root is
-    labeled ``ROOT_LABEL``, see :meth:`scene_nodes`).
+    labeled ``ROOT_LABEL``, see :meth:`has_synthetic_root`).
     """
 
     n_leaves: int
@@ -146,24 +146,12 @@ class LayerTree:
             return None
         return self.internal_labels[v - self.n_leaves]
 
-    def scene_nodes(self) -> tuple[int, ...]:
-        """Labelled internal nodes that stand for a scene: all but a synthetic root.
-
-        The synthetic root is the root labelled ``ROOT_LABEL`` above other
-        internal nodes.  A root so labelled with only leaves below it is a
-        scene named ``root`` that gathers the whole layer, since every layer
-        of a built instance has an active scene.
-        """
-        if not self.internal_labels:
-            return ()
-        internal = range(self.n_leaves, self.n_nodes)
-        if self.has_synthetic_root():
-            return tuple(v for v in internal if v != self.root)
-        return tuple(internal)
-
     def has_synthetic_root(self) -> bool:
         """True iff the root is labelled ``ROOT_LABEL`` above other internal
-        nodes: the one labelled internal node that is no scene."""
+        nodes: the one labelled internal node that is no scene.  A root so
+        labelled with only leaves below it is a scene named ``root`` that
+        gathers the whole layer, since every layer of a built instance has
+        an active scene."""
         return self.n_nodes - self.n_leaves > 1 and self.label_of(self.root) == ROOT_LABEL
 
     def canonical_leaf_order(self) -> tuple[int, ...]:
@@ -566,10 +554,9 @@ def _format_tree(tree: LayerTree, names: list[str]) -> str:
 
 
 def format_instance(instance: MlcmInstance) -> str:
-    """Instance text format; inverse of :func:`parse_instance`."""
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError("refusing to format an invalid instance: " + report.summary())
+    """Instance text format; inverse of :func:`parse_instance`.  An invalid
+    instance raises ``InstanceFormatError`` from its first violation."""
+    _check_valid(instance)
     out = [f"p={instance.p}"]
     names_per_layer: list[list[str]] = []
     for r in range(instance.p):

@@ -48,7 +48,7 @@ def count_tree_orderings(tree: LayerTree) -> int:
     return total
 
 
-def _positions(tree: LayerTree) -> np.ndarray:
+def _position_matrix(tree: LayerTree) -> np.ndarray:
     """``(k, n)`` int8 matrix: row t holds each leaf's position in the t-th
     of the tree's k orderings.
 
@@ -81,8 +81,8 @@ def _positions(tree: LayerTree) -> np.ndarray:
 
 def enumerate_tree_orderings(tree: LayerTree):
     """Yield every tree-consistent leaf permutation exactly once, in the
-    row order of :func:`_positions`."""
-    yield from map(tuple, np.argsort(_positions(tree), axis=1).tolist())
+    row order of :func:`_position_matrix`."""
+    yield from map(tuple, np.argsort(_position_matrix(tree), axis=1).tolist())
 
 
 def _signs(pos: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,7 +138,7 @@ def brute_force_optimum(instance: MlcmInstance, budget: int = DEFAULT_BUDGET) ->
     if work > budget or max(counts) > budget:
         raise BudgetExceeded(f"DP work {work} exceeds budget {budget}")
 
-    pos = [_positions(t) for t in instance.trees]
+    pos = [_position_matrix(t) for t in instance.trees]
     # each step takes off its least total, so the totals stay below a gap's
     # crossings and float32 holds them exactly
     base = 0

@@ -38,7 +38,7 @@ class RenderOptions:
 
 def _bundle_ids(tree: LayerTree) -> list[int]:
     """Per leaf, an id that two leaves share iff their lowest common ancestor
-    is a scene node (``scene_nodes``), so iff they sit in one bundle.
+    is a scene node, so iff they sit in one bundle.
 
     Every labelled internal node but a synthetic root is a scene node: below
     such a root two leaves share a bundle iff they descend from the same

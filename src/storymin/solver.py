@@ -5,7 +5,7 @@ barycenter heuristic (its solution provides both the incumbent and the
 per-layer variable indexing, and its count the incumbent's; at most 8 sweeps
 over a plan of each layer's internal nodes with two or more children read
 once per call, whose children stay in the current layout's order so that a
-stable sort on the float barycenters alone settles ties, each sweep
+stable sort on the barycenters alone settles ties, each sweep
 recounting only the gaps next to a layer it reordered, and stopping early
 once a layout has no crossing or the alternating sweeps repeat a layout) ->
 build the quadratic ordering model -> identify variables -> reduce to a
@@ -167,14 +167,14 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     in the parent's children.
 
     A node's barycenter sum adds its children's in sorted order with builtin
-    ``sum()``, so the float keys round the same way at every call.  A leaf
-    with neighbours takes their mean, one without keeps its position, as a
-    float either way: since Python 3.12 ``sum()`` adds floats with
-    compensation but an int among them without, so mixing the two could
-    round differently.  When no leaf of a layer has two neighbours in the
-    sweep's direction (every gap of a storyline), its keys are ints read by
-    index, the neighbour's position or the leaf's own, and every sum of them
-    is exact: the same order as the floats give.
+    ``sum()``, so the keys round the same way at every call.  Every leaf
+    reads its key by index, its one neighbour's position or, without
+    neighbours, its own: ints, whose sums are exact.  When some leaves of a
+    layer have two or more neighbours in the sweep's direction (never in a
+    storyline), the layer's keys become floats and only those leaves take
+    their mean: since Python 3.12 ``sum()`` adds floats with compensation
+    but an int among them without, so mixing the two could round
+    differently.
 
     The best layout over all sweeps is returned (the first of equal counts),
     with its count.  Crossings are kept per gap, and after a sweep only the
@@ -230,30 +230,26 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
         plan.append((nodes, rep[t.root]))
     singles = [[v] for v in range(max(instance.layer_sizes))]  # a leaf's own order
 
-    def one_neighbour(adj: list[list[int]], n_ref: int) -> list[int] | None:
-        """Per node its one neighbour, or ``n_ref`` plus its own index when it
-        has none; None when some node has two neighbours."""
-        if max(map(len, adj), default=0) > 1:
-            return None
-        return [a[0] if a else n_ref + x for x, a in enumerate(adj)]
+    def keys_of(r: int, ref: int, adj: list[list[int]]) -> tuple:
+        """Layer r against layer ``ref``: per leaf the index of its key in
+        ``ref + cur`` (its first neighbour, or the size of ``ref`` plus its
+        own index), and the leaves with two or more neighbours."""
+        index = [a[0] if a else instance.layer_sizes[ref] + x for x, a in enumerate(adj)]
+        return r, ref, index, [(x, a) for x, a in enumerate(adj) if len(a) > 1]
 
-    sizes = instance.layer_sizes
-    left_to_right = [(r, r - 1, up_adj[r], one_neighbour(up_adj[r], sizes[r - 1]))
-                     for r in range(1, p)]
-    right_to_left = [(r, r + 1, down_adj[r], one_neighbour(down_adj[r], sizes[r + 1]))
-                     for r in range(p - 2, -1, -1)]
+    left_to_right = [keys_of(r, r - 1, up_adj[r]) for r in range(1, p)]
+    right_to_left = [keys_of(r, r + 1, down_adj[r]) for r in range(p - 2, -1, -1)]
 
-    def reorder(r: int, ref: list[int], adj: list[list[int]], single: list[int] | None) -> list[int]:
+    def reorder(r: int, ref: list[int], index: list[int], multi: list) -> list[int]:
         """Layer r's new order against the reference layer's positions."""
         cur = pos[r]
-        if single is None:
-            # per leaf: the mean position of its neighbours, or its own
-            # position when it has none; a float either way (docstring)
-            bsum = [sum([ref[u] for u in a]) / len(a) if a else float(c) for a, c in zip(adj, cur)]
-        else:
-            # no leaf has two neighbours: its neighbour's position, or its
-            # own, read by index; ints alone, so every sum is exact
-            bsum = list(map((ref + cur).__getitem__, single))
+        # per leaf: its one neighbour's position, or its own without one
+        bsum = list(map((ref + cur).__getitem__, index))
+        if multi:
+            # floats throughout (docstring); those leaves take their mean
+            bsum = list(map(float, bsum))
+            for x, a in multi:
+                bsum[x] = sum([ref[u] for u in a]) / len(a)
         nodes, root = plan[r]
         extra = [None] * (trees[r].n_nodes - len(cur))
         key = bsum + extra  # per node its barycenter: a leaf's is its sum
@@ -275,8 +271,8 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     before, last = None, list(orders)
     for k in range(sweeps):
         stale: set[int] = set()
-        for r, ref, adj, single in right_to_left if k % 2 else left_to_right:
-            new = reorder(r, pos[ref], adj, single)
+        for r, ref, index, multi in right_to_left if k % 2 else left_to_right:
+            new = reorder(r, pos[ref], index, multi)
             if new != orders[r]:
                 orders[r], pos[r] = new, _positions(new)
                 stale.update((r - 1, r))

@@ -244,25 +244,20 @@ def _time_ranks(scenes) -> tuple[list[Fraction], list[int], list[int]]:
     """The distinct scene times in increasing order, and every scene's begin
     and end as its index there: exact integer keys for the same comparisons.
 
-    A Fraction is stored in lowest terms, so equal times have equal
-    (numerator, denominator) pairs, which hash as ints do; only the distinct
-    times are compared as Fractions, once, to sort them.  When every time is
-    an integer, the numerators alone are the keys and sort as ints.  (Scaling
-    every time by the lcm of the denominators would give integer keys as
-    well, but keys whose size grows with the number of distinct denominators.)
+    An integer time is keyed by its numerator, any other by the Fraction
+    itself, stored in lowest terms: equal times get equal keys, and ints and
+    Fractions compare exactly, so only the distinct keys are sorted, once.
+    (Scaling every time by the lcm of the denominators would give integer
+    keys as well, but keys whose size grows with the number of distinct
+    denominators.)
     """
     begins = [s.begin for s in scenes]
     ends = [s.end for s in scenes]
-    integral = all(t.denominator == 1 for t in begins) and all(t.denominator == 1 for t in ends)
-    if integral:
-        begin_keys = [t.numerator for t in begins]
-        end_keys = [t.numerator for t in ends]
-    else:
-        begin_keys = [(t.numerator, t.denominator) for t in begins]
-        end_keys = [(t.numerator, t.denominator) for t in ends]
+    begin_keys = [t.numerator if t.denominator == 1 else t for t in begins]
+    end_keys = [t.numerator if t.denominator == 1 else t for t in ends]
     first = dict(zip(end_keys, ends))
     first.update(zip(begin_keys, begins))
-    order = sorted(first) if integral else sorted(first, key=first.__getitem__)
+    order = sorted(first)
     rank = {key: r for r, key in enumerate(order)}
     return ([first[key] for key in order],
             [rank[key] for key in begin_keys],

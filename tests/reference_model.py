@@ -6,6 +6,8 @@ transitivity triple and tree equality (by the LCA rules), and
 ``reference_identify_variables`` reduces them by union-find.  The package
 builds only the class model; the tests compare it with this reduction and
 check the objective, encoding and cut criteria against these helpers.
+``lca`` and ``scene_nodes`` are the tree rules that the package's bundle
+ids and leaf sets replace, kept as references for them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def lca(tree: LayerTree, a: int, b: int) -> int:
     while a not in above_b:
         a = tree.parent[a]
     return a
+
+
+def scene_nodes(tree: LayerTree) -> tuple[int, ...]:
+    """Labelled internal nodes that stand for a scene: all but a synthetic
+    root (``LayerTree.has_synthetic_root``)."""
+    if not tree.internal_labels:
+        return ()
+    internal = range(tree.n_leaves, tree.n_nodes)
+    if tree.has_synthetic_root():
+        return tuple(v for v in internal if v != tree.root)
+    return tuple(internal)
 
 
 def as_crossing_terms(terms: np.ndarray) -> tuple[CrossingTerm, ...]:

@@ -16,6 +16,8 @@ from storymin import (
     branch_and_cut,
     build_instance,
     count_crossings,
+    is_tree_consistent,
+    merge_layers,
     parse_instance,
     parse_solution,
     parse_story,
@@ -236,6 +238,27 @@ def test_oracle_reports_its_time(tmp_path, capsys):
     code, out = run(capsys, "oracle", str(write_story(tmp_path)), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["stats"]["time"] > 0
+
+
+def test_oracle_solves_the_merged_instance(tmp_path, capsys):
+    """The oracle runs on the merged instance, as ``solve`` does, and its
+    witness is expanded back to every layer of the story."""
+    rng = random.Random(8)
+    while True:
+        doc = random_story_doc(rng, 5, 7, tmax=6)
+        instance, _ = build_instance(parse_story(json.dumps(doc)))
+        if merge_layers(instance)[0].p < instance.p and branch_and_cut(instance).crossings:
+            break
+    path = str(write_story(tmp_path, doc))
+    lines = {}
+    for command in ("solve", "oracle"):
+        code, out = run(capsys, command, path)
+        assert code == EXIT_OK
+        lines[command] = [ln for ln in out.splitlines()
+                          if ln.startswith(("# lower_bound=", "crossings="))]
+        solution = parse_solution(out, instance)  # checks crossings= against a recount
+        assert all(is_tree_consistent(t, o) for t, o in zip(instance.trees, solution.orders))
+    assert lines["oracle"] == lines["solve"] and len(lines["solve"]) == 2
 
 
 def test_oracle_budget_exit(tmp_path, capsys):

@@ -29,7 +29,7 @@ from conftest import (
     random_general_tree,
     random_storyline_instance,
 )
-from reference_model import lca
+from reference_model import lca, scene_nodes
 
 
 def comb_tree() -> LayerTree:
@@ -46,7 +46,7 @@ def test_from_nested_structure():
     assert t.label_of(6) == "s1"
     assert t.label_of(5) == "root"
     assert t.label_of(0) is None
-    assert t.scene_nodes() == (6, 7)
+    assert scene_nodes(t) == (6, 7)
 
 
 def test_canonical_leaf_order_is_consistent():
@@ -267,7 +267,7 @@ def test_parse_instance_text():
     assert inst.layer_sizes == (3, 2)
     assert inst.labels == (("a", "b", "c"), ("x", "y"))
     assert inst.edges[0] == ((0, 0), (1, 1), (2, 1))
-    assert inst.trees[0].scene_nodes() == (4,)
+    assert scene_nodes(inst.trees[0]) == (4,)
     assert inst.trees[0].label_of(4) == "s1"
     assert inst.trees[0].root == 3
     # single scene covering the whole layer: no synthetic root
@@ -281,6 +281,16 @@ def test_instance_text_round_trip():
     again = parse_instance(text)
     assert again == inst
     assert format_instance(again) == text
+
+
+def test_format_instance_refuses_an_invalid_instance():
+    inst = parse_instance(SAMPLE_INSTANCE)
+    bad = MlcmInstance(inst.layer_sizes, (((0, 0), (0, 5), (3, 1)),), inst.trees, inst.labels)
+    first = validate_instance(bad).violations[0]
+    with pytest.raises(InstanceFormatError) as err:
+        format_instance(bad)
+    assert (err.value.code, err.value.location) == ("edge-out-of-range", "edges 1")
+    assert first.message in str(err.value) and first.message.endswith("0-5 out of range")
 
 
 def test_instance_text_line_order_is_free():

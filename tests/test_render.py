@@ -26,7 +26,7 @@ from conftest import (
     random_story_doc,
     with_unary_chains,
 )
-from reference_model import lca
+from reference_model import lca, scene_nodes
 
 
 def test_slot_spacing_rule(bundle_story_text):
@@ -69,7 +69,7 @@ def reference_assign_slots(instance, solution):
     out = []
     for r, order in enumerate(solution.orders):
         tree = instance.trees[r]
-        scene = set(tree.scene_nodes())
+        scene = set(scene_nodes(tree))
         slots = [0] * instance.layer_sizes[r]
         slot = 0
         for k, node in enumerate(order):
@@ -124,7 +124,7 @@ def test_assign_slots_matches_the_lca_rule():
         for t in trees:
             unlabelled += not t.internal_labels
             synthetic += t.has_synthetic_root()
-            root_scene += t.label_of(t.root) == "root" and t.root in t.scene_nodes()
+            root_scene += t.label_of(t.root) == "root" and t.root in scene_nodes(t)
     assert min(unlabelled, synthetic, root_scene) >= 30, (unlabelled, synthetic, root_scene)
 
 

@@ -239,8 +239,11 @@ def tied_instance(rng: random.Random, p: int) -> MlcmInstance:
 
 
 def test_heuristic_matches_reference_with_ties():
+    """Also layers where leaves with two or more neighbours sit beside
+    leaves with one or none: their keys are floats, and only the former
+    take a mean."""
     rng = random.Random(96)
-    isolated = shared = 0
+    isolated = shared = mixed = 0
     for _ in range(60):
         inst = tied_instance(rng, rng.randint(2, 6))
         assert validate_instance(inst).ok
@@ -249,7 +252,10 @@ def test_heuristic_matches_reference_with_ties():
             nbrs = [tuple(u for u, w in gap if w == v) for v in range(inst.layer_sizes[r + 1])]
             isolated += nbrs.count(())
             shared += len([a for a in nbrs if a]) - len(set(a for a in nbrs if a))
-    assert isolated >= 50 and shared >= 50, (isolated, shared)
+            below = [len([w for u, w in gap if u == x]) for x in range(inst.layer_sizes[r])]
+            for degrees in (list(map(len, nbrs)), below):  # both sweep directions
+                mixed += max(degrees) > 1 and min(degrees) <= 1
+    assert isolated >= 50 and shared >= 50 and mixed >= 50, (isolated, shared, mixed)
 
 
 def with_chains(inst: MlcmInstance, rng: random.Random) -> MlcmInstance:

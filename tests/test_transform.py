@@ -32,6 +32,7 @@ from conftest import (
     random_story_doc,
     with_unary_chains,
 )
+from reference_model import scene_nodes
 
 
 def test_layers_from_time_points(fig_story_text):
@@ -59,7 +60,7 @@ def test_active_scene_nodes(fig_story_text):
     # t=3: s2 ([2,4]) and s3 ([3,5]) are active
     assert trace.active_scenes[3] == ("s2", "s3")
     t = inst.trees[3]
-    labels = {t.label_of(v) for v in t.scene_nodes()}
+    labels = {t.label_of(v) for v in scene_nodes(t)}
     assert labels == {"s2", "s3"}
     assert t.label_of(t.root) == "root"
 
@@ -71,7 +72,7 @@ def test_single_covering_scene_becomes_root():
     for t in inst.trees:
         assert t.n_nodes == 3  # a, b, and the scene node -- no extra root
         assert t.label_of(t.root) == "only"
-        assert t.scene_nodes() == (t.root,)
+        assert scene_nodes(t) == (t.root,)
 
 
 def test_a_scene_named_root_beside_the_synthetic_root():
@@ -81,8 +82,8 @@ def test_a_scene_named_root_beside_the_synthetic_root():
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     for t in inst.trees:
         assert t.label_of(t.root) == "root"
-        assert t.root not in t.scene_nodes()
-        assert sorted(t.label_of(v) for v in t.scene_nodes()) == ["root", "x"]
+        assert t.root not in scene_nodes(t)
+        assert sorted(t.label_of(v) for v in scene_nodes(t)) == ["root", "x"]
 
 
 def test_path_edges_follow_characters(fig_story_text):
@@ -163,9 +164,9 @@ def test_merge_requires_equal_families():
     merged, mm = merge_layers(inst)
     reps = [mm.layer_of[r] for r in range(inst.p)]
     s1_layers = [r for r in range(inst.p) if "s1" in
-                 {inst.trees[r].label_of(v) for v in inst.trees[r].scene_nodes()}]
+                 {inst.trees[r].label_of(v) for v in scene_nodes(inst.trees[r])}]
     s2_layers = [r for r in range(inst.p) if "s2" in
-                 {inst.trees[r].label_of(v) for v in inst.trees[r].scene_nodes()}]
+                 {inst.trees[r].label_of(v) for v in scene_nodes(inst.trees[r])}]
     assert s1_layers and s2_layers
     assert {reps[r] for r in s1_layers}.isdisjoint({reps[r] for r in s2_layers})
 
