@@ -14,19 +14,26 @@ a subtree, so the members of a class are equal ("A above B"); classes are
 numbered by their first member.
 
 ``build_model`` itself only checks the ordering (a ValueError for one that
-is not tree-consistent or does not cover every layer), finds the index
-ranges of every tree node's leaf-holding children (its sibling subtrees),
-and counts: the classes (``n_classes``, one per two sibling subtrees), the
-paper's position-level variables (``n_vars``; their terms and equalities
-are never built) and the tables' offsets.  The class tables and triples
-are built together at the first read of either, so a solve that needs only
-the count (a layout without crossings) never builds them.  A walk over the
-sibling subtrees of every layer writes each class's rectangle of index
-pairs into one flat array of the layers' ``n x n`` class-id tables.
-The walk also keeps one class triple (AB, BC, AC) per three children
-A < B < C of a tree node, read off the table at their first leaves; every
-other position triple has two variables in one class or the classes of a
-kept one.
+is not tree-consistent or does not cover every layer), records the index
+ranges of every tree node's leaf-holding children (its sibling subtrees)
+flat, and counts: the classes (``n_classes``, one per two sibling
+subtrees), the paper's position-level variables (``n_vars``; their terms
+and equalities are never built) and the tables' offsets.  The rest is
+built at its first read, each array once, in whole-array passes:
+
+- ``class_table``, one flat array of the layers' ``n x n`` class-id tables.
+  Every two sibling subtrees of a node make a class; one sort of their
+  first members numbers them, and two scatters write each class's
+  rectangle of index pairs and its mirror.
+- ``triples``, one class triple (AB, BC, AC) per three sibling subtrees
+  A < B < C of a node, read off the table at their first leaves; every
+  other position triple has two variables in one class or the classes of
+  a kept one.  The rows are sorted when built, and the reduced model reads
+  this one array: only transitivity separation and ``storymin stats``
+  read it, so a solve without a transitivity round never builds it.
+
+A solve that needs only the count (a layout without crossings) builds
+neither.
 
 ``identify_variables`` reads the class terms off the tables: every pair of
 edges of every gap, enumerated for all gaps at once, joins the class of its
@@ -36,15 +43,15 @@ class to itself.
 
 Terms are read-only ``(k, 4)`` int64 arrays of sorted rows ``(a, b, xor,
 weight)``: ``weight * (x_a XOR x_b)`` if ``xor`` is 1, ``weight * (x_a XNOR
-x_b)`` if 0.  Both triple lists are read-only ``(k, 3)`` int64 arrays of
-class ids.
+x_b)`` if 0.  The triples are a read-only ``(k, 3)`` int64 array of class
+ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -84,56 +91,67 @@ class OrderingModel:
     # class of index pair (i, j) of layer r at table_base[r] + i * n_r + j, for
     # i > j too; -1 for i == j
     table_base: tuple[int, ...]
-    # per layer, ``_sibling_blocks`` of its tree in its index ordering
-    blocks: tuple[list[list[tuple[int, int]]], ...]
+    # the sibling subtrees of every tree node that has two or more, flat in
+    # layer and node order and in index order within a node: each one's first
+    # and last leaf index (two entries each), each such node's number of them,
+    # and each layer's number of such nodes
+    blocks: list[int]
+    kids: list[int]
+    nodes: list[int]
 
-    @property
-    def class_table(self) -> np.ndarray:
-        return self._tables[0]
-
-    @property
-    def triples(self) -> np.ndarray:
-        """(k, 3) class ids (AB, BC, AC), one row per three sibling subtrees."""
-        return self._tables[1]
+    def _block_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per sibling subtree: its first and last leaf index, and its layer's
+        table base and width; per node, its number of them."""
+        first, last = np.array(self.blocks, dtype=np.int64).reshape(-1, 2).T
+        kids = np.array(self.kids, dtype=np.int64)
+        layer = np.arange(len(self.nodes)).repeat(self.nodes).repeat(kids)
+        return (first, last, np.array(self.table_base, dtype=np.int64)[layer],
+                np.array(self.instance.layer_sizes, dtype=np.int64)[layer], kids)
 
     @_cached
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``class_table`` and ``triples``, built together at the first read
-        of either."""
-        # per class: the table entry of its first member (i, j), its layer's
-        # table base and width, and the index ranges of its two sibling
-        # subtrees.  Per node with three or more leaf-holding children: where
-        # the children's entries start in ``heads`` and their number; per
-        # child, (row(h), h) for its first leaf h, with entry (h, i) at
-        # row(h) + i
-        classes: list[tuple[int, int, int, int, int, int, int]] = []
-        trios: list[tuple[int, int]] = []
-        heads: list[int] = []
-        for layer_blocks, n, base in zip(self.blocks, self.instance.layer_sizes, self.table_base):
-            for blocks in layer_blocks:
-                for a, (fa, la) in enumerate(blocks):
-                    for fb, lb in blocks[a + 1:]:
-                        classes.append((base + fa * n + fb, base, n, fa, la, fb, lb))
-                if len(blocks) > 2:
-                    trios.append((len(heads) // 2, len(blocks)))
-                    for h, _ in blocks:
-                        heads += (base + h * n, h)
+    def class_table(self) -> np.ndarray:
+        """Every layer's ``n x n`` class ids, one flat array."""
+        first, last, base, n, kids = self._block_arrays()
+        # every two sibling subtrees a < b of one node: a pairs with the
+        # ``later`` subtrees after it in its node
+        s = np.arange(len(first))
+        later = np.cumsum(kids).repeat(kids) - 1 - s
+        a = s.repeat(later)
+        b = np.arange(len(a)) + (s + 1 - (np.cumsum(later) - later))[a]
+        # classes are numbered by their first member (first[a], first[b])
+        by_id = np.argsort(base[a] + first[a] * n[a] + first[b])
+        a, b = a[by_id], b[by_id]
+        # each class's rectangle of pairs (i, j), i in subtree a and j in b
+        height = last[b] - first[b] + 1
+        size = (last[a] - first[a] + 1) * height
+        c = np.arange(len(a)).repeat(size)
+        i, j = np.divmod(np.arange(len(c)) - (np.cumsum(size) - size)[c], height[c])
+        i += first[a][c]
+        j += first[b][c]
+        row, width = base[a][c], n[a][c]
+        table = np.full(self.table_base[-1], -1, dtype=np.int64)
+        table[row + i * width + j] = c
+        table[row + j * width + i] = c
+        return _read_only(table)
 
-        # classes are numbered by their first member, which the table entry orders
-        classes.sort()
-        table = [-1] * self.table_base[-1]
-        for c, (_, base, n, fa, la, fb, lb) in enumerate(classes):
-            for i in range(fa, la + 1):
-                for j in range(fb, lb + 1):
-                    table[base + i * n + j] = table[base + j * n + i] = c
-        class_table = _read_only(np.array(table, dtype=np.int64))
-
-        # the triple of children A < B < C with first leaves h < i < j: the
-        # classes at (row(h) + i, row(i) + j, row(h) + j)
-        picks = np.concatenate([_combinations3(0)] + [_combinations3(k) + s for s, k in trios])
-        row, first = np.array(heads, dtype=np.int64).reshape(-1, 2).T
-        triples = class_table[row[picks[:, :3]] + first[picks[:, 3:]]]
-        return class_table, _read_only(triples)
+    @_cached
+    def triples(self) -> np.ndarray:
+        """(k, 3) class ids (AB, BC, AC), one row per three sibling subtrees
+        A < B < C, sorted.  Read off the table at the subtrees' first leaves
+        h < i < j: (h, i), (i, j) and (h, j)."""
+        first, _, base, n, kids = self._block_arrays()
+        start = np.cumsum(kids) - kids
+        # the subtrees h < i < j of every node, one broadcast per child count
+        picks = [np.empty((0, 3), dtype=np.int64)]
+        for k in sorted(set(self.kids) - {2}):
+            picks.append((start[kids == k][:, None, None] + _three_of(k)).reshape(-1, 3))
+        h, i, j = np.concatenate(picks).T
+        row = base + first * n
+        table = self.class_table
+        ab, bc = table[row[h] + first[i]], table[row[i] + first[j]]
+        # AB and BC name A, B and C, so their pair orders the rows as a lexsort would
+        by_key = np.argsort(ab * self.n_classes + bc)
+        return _read_only(np.stack([ab, bc, table[row[h] + first[j]]], axis=1)[by_key])
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,18 @@ class ReducedModel:
     model: OrderingModel
     n_classes: int
     terms: np.ndarray  # (k, 4) rows (class_a, class_b, xor, weight), class_a < class_b, sorted
-    triples: np.ndarray  # (k, 3) class ids (a, b, c): 0 <= x_a + x_b - x_c <= 1, rows sorted
+
+    @property
+    def triples(self) -> np.ndarray:
+        """The model's triples (a, b, c): 0 <= x_a + x_b - x_c <= 1, rows sorted."""
+        return self.model.triples
+
+
+@lru_cache(maxsize=None)
+def _three_of(k: int) -> np.ndarray:
+    """Rows (h, i, j) for every h < i < j < k, in order."""
+    r = np.arange(k)
+    return _read_only(np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r)))
 
 
 def canonical_orders(instance: MlcmInstance) -> Solution:
@@ -149,22 +178,23 @@ def canonical_orders(instance: MlcmInstance) -> Solution:
     return Solution(tuple(t.canonical_leaf_order() for t in instance.trees))
 
 
-def _sibling_blocks(tree: LayerTree, first: list[int], last: list[int]) -> list[list[tuple[int, int]]]:
-    """Index ranges ``(first, last)`` of the children of every tree node with at
-    least two leaf-holding children, in index order."""
-    kids: dict[int, list[tuple[int, int]]] = {}
+def _sibling_blocks(tree: LayerTree, first: list[int], last: list[int], blocks: list[int],
+                    kids: list[int]) -> int:
+    """Append the index ranges of the leaf-holding children of every tree node
+    with at least two, in index order, to ``blocks`` (first, last per child)
+    and their number to ``kids``; return the number of such nodes."""
+    children: dict[int, list[tuple[int, int]]] = {}
     for v, p in enumerate(tree.parent):
         if p >= 0 and last[v] >= 0:
-            kids.setdefault(p, []).append((first[v], last[v]))
-    return [sorted(blocks) for blocks in kids.values() if len(blocks) > 1]
-
-
-@lru_cache(maxsize=None)
-def _combinations3(k: int) -> np.ndarray:
-    """Rows (h, i, h, i, j, j) for every h < i < j < k: the first leaves whose
-    table rows, and those whose columns, make up a triple's three entries."""
-    rows = [(h, i, h, i, j, j) for h, i, j in combinations(range(k), 3)]
-    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
+            children.setdefault(p, []).append((first[v], last[v]))
+    nodes = 0
+    for ranges in children.values():
+        if len(ranges) > 1:
+            ranges.sort()
+            blocks.extend(chain.from_iterable(ranges))
+            kids.append(len(ranges))
+            nodes += 1
+    return nodes
 
 
 def build_model(instance: MlcmInstance, order: Solution | None = None) -> OrderingModel:
@@ -179,13 +209,15 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     if len(order.orders) != instance.p:
         raise ValueError("index ordering must cover every layer")
 
-    blocks = []
+    blocks: list[int] = []
+    kids: list[int] = []
+    nodes = []
     table_base = [0]
     for r, tree in enumerate(instance.trees):
         ranges = leaf_ranges(tree, order.orders[r])
         if ranges is None:
             raise ValueError(f"index ordering for layer {r + 1} is not tree-consistent")
-        blocks.append(_sibling_blocks(tree, *ranges))
+        nodes.append(_sibling_blocks(tree, *ranges, blocks, kids))
         n = instance.layer_sizes[r]
         table_base.append(table_base[-1] + n * n)
 
@@ -194,9 +226,11 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
         orders=tuple(tuple(o) for o in order.orders),
         n_vars=sum(n * (n - 1) // 2 for n in instance.layer_sizes),
         # one class per two sibling subtrees
-        n_classes=sum(len(b) * (len(b) - 1) // 2 for layer in blocks for b in layer),
+        n_classes=sum(k * (k - 1) // 2 for k in kids),
         table_base=tuple(table_base),
-        blocks=tuple(blocks),
+        blocks=blocks,
+        kids=kids,
+        nodes=nodes,
     )
 
 
@@ -268,14 +302,6 @@ def solution_of_classes(reduced: ReducedModel, z) -> Solution:
 
 
 def identify_variables(model: OrderingModel) -> ReducedModel:
-    """Rewrite the model over its classes: the terms from the class tables,
-    and the class triples sorted.  In a triple (AB, BC, AC), ``AB < BC``
-    holds without a swap: AB's first member pairs the first leaves of A and
-    B, BC's those of B and C."""
-    rows = model.triples
-    return ReducedModel(
-        model=model,
-        n_classes=model.n_classes,
-        terms=_crossing_terms(model),
-        triples=_read_only(rows[np.lexsort(rows.T[::-1])]),
-    )
+    """Rewrite the model over its classes: the terms from the class tables.
+    Its triples are the model's, built at their first read."""
+    return ReducedModel(model=model, n_classes=model.n_classes, terms=_crossing_terms(model))

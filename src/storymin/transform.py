@@ -156,6 +156,11 @@ def merge_layers(instance: MlcmInstance) -> tuple[MlcmInstance, MergeMap]:
     The first layer of each run is kept as representative.  Idempotent:
     merging a merged instance changes nothing (a merged gap is never a
     perfect-matching tree isomorphism again only because runs were maximal).
+
+    The instance must be valid: it is not checked here.  ``branch_and_cut``
+    and ``solve_heuristic`` run ``validate_instance`` before they merge; a
+    direct caller must too, since an invalid instance can come back as a
+    different valid one (an edge ``(-1, 0)`` reads as ``(n - 1, 0)``).
     """
     p = instance.p
     if p == 0:

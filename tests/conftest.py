@@ -250,6 +250,40 @@ def random_general_instance(rng: random.Random, p_range=(2, 4), n_range=(2, 6),
     return MlcmInstance(sizes, tuple(edges), trees)
 
 
+def random_fan_tree(rng: random.Random, n_leaves: int) -> LayerTree:
+    """Tree whose internal nodes have 2 to 8 leaf-holding children, a
+    childless internal node beside them one time in ten, and one-child
+    chains one time in two."""
+    count = iter(range(10 ** 6))
+
+    def grow(leaves: list[int]):
+        if len(leaves) == 1:
+            return leaves[0]
+        k = rng.randint(2, min(8, len(leaves)))
+        cuts = [0, *sorted(rng.sample(range(1, len(leaves)), k - 1)), len(leaves)]
+        kids = [grow(leaves[a:b]) for a, b in zip(cuts, cuts[1:])]
+        if rng.random() < 0.1:
+            kids.insert(rng.randrange(k + 1), (f"d{next(count)}", []))
+        return (f"f{next(count)}", kids)
+
+    leaves = list(range(n_leaves))
+    rng.shuffle(leaves)
+    spec = grow(leaves)
+    tree = LayerTree.from_nested(spec if n_leaves > 1 else ("root", [spec]), n_leaves)
+    return with_unary_chains(tree, rng) if rng.random() < 0.5 else tree
+
+
+def random_fan_instance(rng: random.Random, p_range=(1, 3), n_range=(1, 16)) -> MlcmInstance:
+    """``random_general_instance`` over ``random_fan_tree`` trees."""
+    p = rng.randint(*p_range)
+    sizes = tuple(rng.randint(*n_range) for _ in range(p))
+    edges = []
+    for r in range(p - 1):
+        m = rng.randint(1, sizes[r] * sizes[r + 1] // 2 + 1)
+        edges.append(tuple(sorted({(rng.randrange(sizes[r]), rng.randrange(sizes[r + 1])) for _ in range(m)})))
+    return MlcmInstance(sizes, tuple(edges), tuple(random_fan_tree(rng, n) for n in sizes))
+
+
 def random_story_doc(rng: random.Random, n_chars: int, n_scenes: int, tmax: int = 8) -> dict:
     """Random story JSON document with non-conflicting scene memberships."""
     chars = [f"c{i}" for i in range(n_chars)]

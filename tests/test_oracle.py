@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from storymin import (
+    INFEASIBLE_INPUT_STATUS,
     BudgetExceeded,
     InstanceFormatError,
     LayerTree,
@@ -24,8 +25,9 @@ from storymin import (
     is_tree_consistent,
     merge_layers,
     parse_story,
+    solve_heuristic,
 )
-from storymin import oracle
+from storymin import oracle, solver
 from storymin.cli import EXIT_INVALID, main
 
 from conftest import (
@@ -120,6 +122,21 @@ def test_invalid_instance_is_refused(instance, code, monkeypatch, capsys):
     monkeypatch.setattr("storymin.cli._load_instance", lambda args: instance)
     assert main(["oracle", "unused.txt"]) == EXIT_INVALID
     assert code in capsys.readouterr().err
+
+
+def test_solvers_refuse_an_invalid_instance_before_merging(monkeypatch):
+    """``merge_layers`` does not check its instance (an edge ``(-1, 0)``
+    would index from the end), so both solvers validate before they merge."""
+    inst = MlcmInstance((2, 2), (((-1, 0),),), (flat(2), flat(2)))
+
+    def refuse(*args):
+        raise AssertionError("an invalid instance was merged")
+
+    monkeypatch.setattr(solver, "merge_layers", refuse)
+    for solve in (branch_and_cut, solve_heuristic):
+        res = solve(inst)
+        assert res.status == INFEASIBLE_INPUT_STATUS and res.solution is None
+        assert "edge-out-of-range" in res.message
 
 
 def test_wide_layer_refused_before_any_work():

@@ -14,6 +14,7 @@ from storymin import (
     MlcmInstance,
     NotTransitive,
     Solution,
+    branch_and_cut,
     brute_force_optimum,
     build_instance,
     build_model,
@@ -25,9 +26,11 @@ from storymin import (
 )
 from storymin.ordering import ReducedModel, solution_of_classes
 from storymin.maxcut import TOLERANCE, build_maxcut, separate_transitivity
+from storymin import solver
 from storymin.solver import barycenter_heuristic
 
 from conftest import (
+    random_fan_instance,
     random_general_instance,
     random_story_doc,
     random_storyline_instance,
@@ -298,12 +301,24 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
 
 def reduced_fields(reduced: ReducedModel) -> tuple:
     """The fields of ``reference_identify_variables``, read off the package's
-    class tables; the class model's triples are its unsorted ``triples``
-    sorted."""
+    class tables; the class triples are the model's, sorted when built."""
     of = class_of(reduced.model)
     members = tuple(tuple(v for v, c in enumerate(of) if c == k) for k in range(reduced.n_classes))
-    assert sorted(reduced.model.triples.tolist()) == reduced.triples.tolist()
     return (reduced.n_classes, tuple(of), members, as_crossing_terms(reduced.terms), reduced.triples.tolist())
+
+
+def reference_table(inst: MlcmInstance, of) -> list[int]:
+    """Every layer's ``n x n`` class ids from the reference's class of each
+    position variable (i, j), i < j: symmetric, -1 on the diagonal."""
+    table = []
+    var = iter(of)
+    for n in inst.layer_sizes:
+        rows = [[-1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = next(var)
+        table += [c for row in rows for c in row]
+    return table
 
 
 def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
@@ -312,6 +327,7 @@ def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> Reduced
     *fields, offset = reference_identify_variables(reference)
     # every term joins a class of layer r to one of layer r + 1: none is constant
     assert offset == 0
+    assert reduced.model.class_table.tolist() == reference_table(inst, fields[1])
     assert reduced_fields(reduced) == tuple(fields)
     graph = build_maxcut(reduced)
     n_nodes, edges, weights, ref_offset = reference_build_maxcut(reduced.n_classes, fields[3], offset)
@@ -320,17 +336,51 @@ def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> Reduced
     return reduced
 
 
-@pytest.mark.parametrize("shape", ["general", "storyline"])
+def leaf_holding_children(tree: LayerTree) -> list[int]:
+    """The number of leaf-holding children of every node with two or more."""
+    holds = set()  # the leaves and their ancestors
+    for v in range(tree.n_leaves):
+        while v >= 0 and v not in holds:
+            holds.add(v)
+            v = tree.parent[v]
+    counts = [sum(c in holds for c in kids) for kids in tree.children]
+    return [k for k in counts if k > 1]
+
+
+def fan_shapes(inst: MlcmInstance) -> set:
+    """The tree shapes of an instance that the array build treats apart."""
+    shapes = {"p = 1"} if inst.p == 1 else set()
+    for tree in inst.trees:
+        kids = [len(c) for c in tree.children[tree.n_leaves:]]
+        shapes |= {"one-child chain"} if 1 in kids else set()
+        shapes |= {"childless node"} if 0 in kids else set()
+        wide = set(leaf_holding_children(tree)) - {2}
+        shapes |= {f"{k} children" for k in wide} | ({"no triple"} if not wide else set())
+        shapes |= {"several child counts"} if len(wide) > 1 else set()
+    return shapes
+
+
+@pytest.mark.parametrize("shape", ["general", "storyline", "fan"])
 def test_reduction_equals_reference_under_canonical_and_random_orders(shape):
-    rng = random.Random(53 if shape == "general" else 54)
-    make = random_general_instance if shape == "general" else random_storyline_instance
+    rng = random.Random({"general": 53, "storyline": 54, "fan": 60}[shape])
+    make = {"general": random_general_instance, "storyline": random_storyline_instance,
+            "fan": random_fan_instance}[shape]
+    n_range = (1, 16) if shape == "fan" else (2, 10)
     triples = 0
+    shapes = set()
     for _ in range(120):
-        inst = make(rng, p_range=(1, 3), n_range=(2, 10))
-        for order in (None, Solution(tuple(random_tree_order(t, rng) for t in inst.trees)),
-                      barycenter_heuristic(inst)[0]):
+        inst = make(rng, p_range=(1, 3), n_range=n_range)
+        inst_shapes = fan_shapes(inst)
+        shapes |= inst_shapes
+        orders = [None, Solution(tuple(random_tree_order(t, rng) for t in inst.trees))]
+        if "childless node" not in inst_shapes:  # the heuristic takes valid trees only
+            orders.append(barycenter_heuristic(inst)[0])
+        for order in orders:
             triples += len(assert_same_reduction(inst, order).triples)
     assert triples > 100
+    if shape == "fan":
+        assert shapes >= {"p = 1", "one-child chain", "childless node", "no triple", "several child counts",
+                          *(f"{k} children" for k in range(3, 9))}, shapes
 
 
 def test_reduction_equals_reference_at_paper_shape():
@@ -450,27 +500,46 @@ def test_a_child_without_leaves_makes_no_class():
     assert not len(model.triples)
 
 
-def test_triple_arrays_are_read_only():
-    """The class table and the triples are read-only int64 arrays, built
-    together at the first read of either: the same whichever is read first."""
+def test_triple_arrays_are_read_only(monkeypatch):
+    """The class table and the triples are read-only int64 arrays, each built
+    at its own first read: reading the table, or the chain up to the cut
+    graph, builds no triples, and a solve without crossings builds neither.
+    The reduced model's triples are the model's, not a copy."""
     rng = random.Random(57)
     n_triples = 0
     for _ in range(20):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(4, 8))
-        table_first, triples_first = build_model(inst), build_model(inst)
-        table = table_first.class_table
-        triples = triples_first.triples
-        assert table_first.triples.tolist() == triples.tolist()
-        assert triples_first.class_table.tolist() == table.tolist()
-        # later reads return the arrays already built
-        assert table_first.class_table is table and triples_first.triples is triples
-        reduced = identify_variables(table_first)
-        assert len(reduced.triples) == len(triples)
-        assert triples.shape == reduced.triples.shape == (len(triples), 3)
+        model = build_model(inst)
+        table = model.class_table
+        assert "triples" not in model.__dict__
+        # later reads return the array already built
+        assert model.class_table is table
+        reduced = identify_variables(model)
+        build_maxcut(reduced)
+        assert "triples" not in model.__dict__
+        triples = reduced.triples
+        assert triples is model.triples is reduced.triples
+        assert triples.shape == (len(triples), 3)
         n_triples += len(triples)
-        for array in (table, triples, reduced.triples):
+        for array in (table, triples):
             assert array.dtype == np.int64
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.reshape(-1)[:1] = 0
     assert n_triples > 100
+
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build_model(*args, **kwargs))
+        return built[-1]
+
+    # two layers of two leaves, one edge: 0 crossings, one class per layer
+    flat = LayerTree(2, (2, 2, -1), ("root",))
+    inst = MlcmInstance((2, 2), (((0, 1),),), (flat, flat))
+    monkeypatch.setattr(solver, "build_model", recorded)
+    res = branch_and_cut(inst)
+    assert res.status == "optimal" and res.crossings == 0
+    (model,) = built
+    assert model.n_classes == 2
+    assert "class_table" not in model.__dict__ and "triples" not in model.__dict__

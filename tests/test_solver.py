@@ -720,8 +720,8 @@ def test_no_lp_when_the_heuristic_meets_the_root_bound(monkeypatch):
 
 def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
     """A heuristic layout without crossings is optimal right after the model
-    has counted its classes: no class table is built, no variables are
-    identified, no cut graph or LP is made."""
+    has counted its classes: no class table or triple is built, no variables
+    are identified, no cut graph or LP is made."""
 
     def refuse(*args):
         raise AssertionError("the cut problem was set up")
@@ -744,7 +744,8 @@ def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
         else:
             after_sweep += 1
         with monkeypatch.context() as patch:
-            patch.setattr(OrderingModel, "_tables", property(refuse))
+            patch.setattr(OrderingModel, "class_table", property(refuse))
+            patch.setattr(OrderingModel, "triples", property(refuse))
             res = branch_and_cut(inst, backend=refuse)
         assert res.status == OPTIMAL_STATUS
         assert res.crossings == res.lower_bound == 0
