@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "OPTIMAL",
@@ -176,9 +176,6 @@ class RowBlock:
                         np.concatenate((self.rhs, other.rhs)))
 
 
-_NO_ROWS = RowBlock.of(())
-
-
 class _BaseBackend:
     def __init__(self) -> None:
         self.c = np.zeros(0)
@@ -272,11 +269,9 @@ class SimplexBackend(_BaseBackend):
 class ScipyBackend(_BaseBackend):
     """scipy.optimize.linprog (HiGHS), solved cold at every call."""
 
-    _rows = _NO_ROWS  # every row added since ``load``, passed to linprog
-
     def load(self, costs, lower, upper) -> None:
         super().load(costs, lower, upper)
-        self._rows = _NO_ROWS
+        self._rows = RowBlock.of(())  # every row added since this load, passed to linprog
 
     def _add_block(self, block: RowBlock) -> None:
         self._rows = self._rows.append(block)

@@ -87,8 +87,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
+from ._lazy import np
 from .lp import RowBlock
 from .mlcm import Solution, _cached
 from .ordering import ReducedModel, _read_only, solution_of_classes
@@ -122,9 +121,8 @@ MAX_CUTS = 500
 # edge of v), as positions in that cycle; ``sign_triangles`` picks two by index
 _TRIANGLE_ODD_SETS = ((0,), (1,), (2,), (0, 1, 2))
 # their rows: coefficients on (pair edge, root edge of u, root edge of v), rhs
-_TRIANGLE_COEFS = np.array([[1.0 if i in odd else -1.0 for i in range(3)]
-                            for odd in _TRIANGLE_ODD_SETS])
-_TRIANGLE_RHS = np.array([len(odd) - 1.0 for odd in _TRIANGLE_ODD_SETS])
+_TRIANGLE_COEFS = [[1.0 if i in odd else -1.0 for i in range(3)] for odd in _TRIANGLE_ODD_SETS]
+_TRIANGLE_RHS = [len(odd) - 1.0 for odd in _TRIANGLE_ODD_SETS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +219,7 @@ def sign_triangles(graph: MaxCutGraph) -> tuple[list[tuple], RowBlock]:
     kinds = np.where(neg[:, None], (0, 3), (1, 2)).ravel()
     edges = np.repeat(cycle, 2, axis=0).ravel().astype(np.int32)
     rows = RowBlock(np.arange(0, edges.size + 1, 3, dtype=np.int32), edges,
-                    _TRIANGLE_COEFS[kinds].ravel(), _TRIANGLE_RHS[kinds])
+                    np.array(_TRIANGLE_COEFS)[kinds].ravel(), np.array(_TRIANGLE_RHS)[kinds])
     # the first odd set is one edge (the pair edge if negative, else the root
     # edge of u); the second is the whole cycle or the root edge of v
     keys: list[tuple] = []

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from itertools import chain, permutations
 
-import numpy as np
-
+from ._lazy import np
 from .mlcm import LayerTree, MlcmInstance, Solution, _check_valid
 
 __all__ = [

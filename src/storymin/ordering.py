@@ -53,8 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-import numpy as np
-
+from ._lazy import np
 from .mlcm import LayerTree, MlcmInstance, Solution, _cached, leaf_ranges
 
 __all__ = [

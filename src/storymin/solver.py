@@ -54,8 +54,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .lp import (
     INFEASIBLE,
     NUMERICAL,
@@ -77,6 +76,7 @@ from .maxcut import (
     sign_triangles,
 )
 from .mlcm import (
+    InstanceFormatError,
     MlcmInstance,
     Solution,
     _gap_crossings,
@@ -186,6 +186,12 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     on its direction, and the direction alternates: once a sweep ends on the
     layout of two sweeps before, every later layout repeats one already
     counted, so the sweeps stop there too.  Neither stop changes the result.
+
+    Like ``merge_layers``, this takes a valid instance and does not check it
+    (``branch_and_cut`` and ``solve_heuristic`` validate first).  The one
+    fault it names is an internal node without children, met while the plan
+    is read: it raises ``InstanceFormatError`` with the code, message and
+    location that ``validate_instance`` reports for it.
     """
     trees = instance.trees
     edges = instance.edges
@@ -213,7 +219,7 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     # are leaves; and the node that stands for the root.  A one-child node
     # stands for nothing of its own: its parent lists its child's stand-in
     plan = []
-    for t in trees:
+    for r, t in enumerate(trees):
         n, children = t.n_leaves, t.children
         rep = list(range(t.n_nodes))  # per node, the node that stands for it
         size = [1] * t.n_nodes  # leaf counts, read at stand-ins only
@@ -224,6 +230,9 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
                 kids = [rep[c] for c in children[v]]
                 if len(kids) == 1:
                     rep[v] = kids[0]
+                elif not kids:
+                    raise InstanceFormatError("childless-internal", f"internal node {v} has no children",
+                                              f"tree {r + 1}")
                 else:
                     m = size[v] = sum(map(size_of, kids))
                     nodes.append((v, kids, m, max(kids) < n))

@@ -281,24 +281,32 @@ def test_highs_extension_loads_without_scipy_optimize():
 
 
 def test_import_loads_no_scipy_sparse_or_optimize():
+    """Nor numpy: no module-level statement of the package reads a numpy
+    attribute."""
     run_fresh("import sys, storymin, storymin.cli; "
-              "loaded = {'scipy.sparse', 'scipy.optimize'} & set(sys.modules); "
+              "loaded = {'numpy', 'scipy.sparse', 'scipy.optimize'} & set(sys.modules); "
               "assert not loaded, loaded")
 
 
 def test_no_solve_loads_scipy_sparse():
-    """Neither the layout path nor an exact solve whose odd-cycle separation
+    """The layout path and a solve that the start heuristic closes load no
+    numpy, and neither they nor an exact solve whose odd-cycle separation
     expands contracted walks loads scipy.sparse."""
     layout = json.dumps(random_story_doc(random.Random(1), 16, 400, 120))
+    zero = json.dumps(random_story_doc(random.Random(1), 6, 10, 5))  # 0 crossings
     small = json.dumps(random_story_doc(random.Random(55), 6, 10, 5))
     # stories small enough to check by brute force expand no contracted walk
     walked = json.dumps(random_story_doc(random.Random(2), 12, 30, 12))
     code = (
         "import sys; from storymin import *; from storymin import maxcut; "
-        "layout, small, walked = sys.stdin.read().split('\\n'); "
+        "layout, zero, small, walked = sys.stdin.read().split('\\n'); "
         "inst, _ = build_instance(parse_story(layout)); "
         "assert inst.p >= 100, inst.p; "
+        "assert validate_instance(inst).ok; "
         "render_svg(inst, solve_heuristic(inst).solution); "
+        "closed = branch_and_cut(build_instance(parse_story(zero))[0]); "
+        "assert (closed.status, closed.crossings) == ('optimal', 0), closed; "
+        "assert 'numpy' not in sys.modules; "
         "build_maxcut(identify_variables(build_model(merge_layers(inst)[0]))); "
         "assert 'scipy.sparse' not in sys.modules; "
         "walks = []; real = maxcut._contracted_walks; "
@@ -312,8 +320,28 @@ def test_no_solve_loads_scipy_sparse():
     )
     merged, _ = merge_layers(build_instance(parse_story(small))[0])
     here = branch_and_cut(build_instance(parse_story(walked))[0])
-    assert run_fresh(code, "\n".join((layout, small, walked))).split() == [
+    assert run_fresh(code, "\n".join((layout, zero, small, walked))).split() == [
         "optimal", str(brute_force_optimum(merged)[0]), "optimal", str(here.crossings)]
+
+
+def test_threads_that_race_for_numpy_both_solve():
+    """Two threads make the process's first numeric call at once: each waits
+    for the one import of numpy and solves its story through LPs."""
+    docs = [json.dumps(random_story_doc(random.Random(seed), *shape))
+            for seed, shape in ((55, (6, 10, 5)), (2, (12, 30, 12)))]
+    code = (
+        "import sys, threading; from storymin import *\n"
+        "instances = [build_instance(parse_story(doc))[0] for doc in sys.stdin.read().split('\\n')]\n"
+        "assert 'numpy' not in sys.modules\n"
+        "start = threading.Barrier(2); results = [None, None]\n"
+        "def solve(i): start.wait(); results[i] = branch_and_cut(instances[i])\n"
+        "threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]\n"
+        "[t.start() for t in threads]; [t.join() for t in threads]\n"
+        "print(*(f'{r.status} {r.crossings} {r.stats.n_LPs > 0}' for r in results))"
+    )
+    here = [branch_and_cut(build_instance(parse_story(doc))[0]) for doc in docs]
+    assert run_fresh(code, "\n".join(docs)).split() == [
+        word for r in here for word in ("optimal", str(r.crossings), "True")]
 
 
 def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:

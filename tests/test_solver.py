@@ -12,6 +12,7 @@ from storymin import (
     INFEASIBLE_INPUT_STATUS,
     OPTIMAL_STATUS,
     TIMEOUT_STATUS,
+    InstanceFormatError,
     LayerTree,
     MlcmInstance,
     Solution,
@@ -303,6 +304,18 @@ def test_heuristic_sums_a_subtree_in_key_order():
     neighbours = {0: (2,), 1: (0, 1, 3), 2: (0, 3), 3: (0, 1, 3, 4, 5, 6)}
     edges = tuple(sorted((u, v) for v, us in neighbours.items() for u in us))
     assert_same_as_reference(MlcmInstance((7, 4), (edges,), (upper, lower)))
+
+
+def test_heuristic_names_a_childless_internal_node():
+    """Internal node 3 of layer 1 has no children.  The heuristic does not
+    validate, but the plan meets the node and raises what the validator
+    reports for it."""
+    inst = MlcmInstance((2, 2), (((0, 1), (1, 0)),), (LayerTree(2, (2, 2, -1, 2)), LayerTree(2, (2, 2, -1))))
+    [fault] = validate_instance(inst).violations
+    with pytest.raises(InstanceFormatError) as raised:
+        barycenter_heuristic(inst)
+    assert (raised.value.code, raised.value.location) == (fault.code, fault.location)
+    assert str(raised.value) == f"{fault.code}: {fault.message} (at {fault.location})"
 
 
 def test_solve_heuristic_result(bundle_story_text):
