@@ -336,8 +336,7 @@ def _cmd_render(args) -> int:
 def _cmd_stats(args) -> int:
     instance = _load_instance(args)
     merged, _ = merge_layers(instance)
-    model = build_model(merged)
-    reduced = identify_variables(model)
+    model = identify_variables(build_model(merged))
     doc = {
         "p": instance.p,
         "n_nodes": instance.n_nodes,
@@ -346,9 +345,9 @@ def _cmd_stats(args) -> int:
         "n_nodes_merged": merged.n_nodes,
         "n_edges_merged": merged.n_edges,
         "n_var_raw": model.n_vars,
-        "n_var": reduced.n_classes,
-        "n_terms": len(reduced.terms),
-        "n_triples": len(reduced.triples),
+        "n_var": model.n_classes,
+        "n_terms": len(model.terms),
+        "n_triples": len(model.triples),
     }
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", None)

@@ -92,11 +92,7 @@ class RelaxationBackend(Protocol):
 
     def set_bounds(self, var: int, lo: float, hi: float) -> None: ...
 
-    def get_bounds(self, var: int) -> tuple[float, float]: ...
-
     def add_rows(self, rows: RowBlock | Iterable[Row]) -> list[int]: ...
-
-    def row_count(self) -> int: ...
 
     def solve(self) -> LpResult: ...
 

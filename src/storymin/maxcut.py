@@ -1,4 +1,4 @@
-"""Reduction of the reduced ordering model to an edge-weighted cut problem.
+"""Reduction of the class-level ordering model to an edge-weighted cut problem.
 
 One graph node per variable class plus a reference node 0.  Every class c
 gets a *root edge* (0, c+1) of weight 0 -- its cut value carries the class's
@@ -90,7 +90,7 @@ from itertools import chain
 from ._lazy import np
 from .lp import RowBlock
 from .mlcm import Solution, _cached
-from .ordering import ReducedModel, _read_only, solution_of_classes
+from .ordering import OrderingModel, _read_only, solution_of_classes
 
 __all__ = [
     "MaxCutGraph",
@@ -146,10 +146,10 @@ class MaxCutGraph:
         return self.n_nodes - 1
 
 
-def build_maxcut(reduced: ReducedModel) -> MaxCutGraph:
+def build_maxcut(model: OrderingModel) -> MaxCutGraph:
     """Build the cut graph; keeps pair edges even when their net weight is 0."""
-    n_classes = reduced.n_classes
-    terms = reduced.terms
+    n_classes = model.n_classes
+    terms = model.terms
     a, b, xor, w = terms.T
     # the rows are sorted, so the xnor and the xor row of a class pair are adjacent
     pair = a * n_classes + b
@@ -205,29 +205,19 @@ def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
     return separate_odd_cycles(graph, y)
 
 
-def sign_triangles(graph: MaxCutGraph) -> tuple[list[tuple], RowBlock]:
+def sign_triangles(graph: MaxCutGraph) -> RowBlock:
     """The LP's root rows (module docstring): the two reference-triangle
     rows that the sign of its weight lets bind, per pair edge of nonzero
-    weight, in edge order; their keys (those of ``OddCycleInequality.key``)
-    and the rows, built in one pass."""
+    weight, in edge order."""
     r = graph.n_root_edges
     w = graph.weights[r:]
     pair = np.flatnonzero(w)
-    neg = w[pair] < 0
     # per edge its cycle (pair edge, root edge of u, root edge of v)
     cycle = np.column_stack((pair + r, graph.ends[r + pair] - 1))
-    kinds = np.where(neg[:, None], (0, 3), (1, 2)).ravel()
+    kinds = np.where((w[pair] < 0)[:, None], (0, 3), (1, 2)).ravel()
     edges = np.repeat(cycle, 2, axis=0).ravel().astype(np.int32)
-    rows = RowBlock(np.arange(0, edges.size + 1, 3, dtype=np.int32), edges,
+    return RowBlock(np.arange(0, edges.size + 1, 3, dtype=np.int32), edges,
                     np.array(_TRIANGLE_COEFS)[kinds].ravel(), np.array(_TRIANGLE_RHS)[kinds])
-    # the first odd set is one edge (the pair edge if negative, else the root
-    # edge of u); the second is the whole cycle or the root edge of v
-    keys: list[tuple] = []
-    first = np.where(neg, cycle[:, 0], cycle[:, 1]).tolist()
-    for c, f, v0, n in zip(map(tuple, np.sort(cycle, axis=1).tolist()), first,
-                           cycle[:, 2].tolist(), neg.tolist()):
-        keys += (("oddcycle", c, (f,)), ("oddcycle", c, c if n else (v0,)))
-    return keys, rows
 
 
 def _best_odd_set(cycle: list[int], y) -> tuple[frozenset[int], float]:
@@ -692,23 +682,23 @@ def _contracted_walks(forest: _IntegralForest, deadline: float):
             yield nodes, edges
 
 
-def separate_transitivity(reduced: ReducedModel, y) -> list[TransitivityCut]:
+def separate_transitivity(model: OrderingModel, y) -> list[TransitivityCut]:
     """Violated class triples, read off the root-edge values of y: every
     violated "upper" row in triple order, then every violated "lower" one,
     the first ``MAX_CUTS`` of them."""
-    z = np.asarray(y, dtype=float)[:reduced.n_classes]
-    t = reduced.triples
+    z = np.asarray(y, dtype=float)[:model.n_classes]
+    t = model.triples
     val = z[t[:, 0]] + z[t[:, 1]] - z[t[:, 2]]
     cuts = ([TransitivityCut(a, b, c, "upper") for a, b, c in t[val > 1.0 + TOLERANCE].tolist()]
             + [TransitivityCut(a, b, c, "lower") for a, b, c in t[val < -TOLERANCE].tolist()])
     return cuts[:MAX_CUTS]
 
 
-def cut_to_solution(reduced: ReducedModel, y) -> Solution:
+def cut_to_solution(model: OrderingModel, y) -> Solution:
     """Decode a (near-)integral consistent cut vector into a solution."""
-    z = np.asarray(y, dtype=float)[:reduced.n_classes]
+    z = np.asarray(y, dtype=float)[:model.n_classes]
     r = np.round(z)
     bad = np.flatnonzero((np.abs(z - r) > TOLERANCE) | ((r != 0) & (r != 1)))
     if len(bad):
         raise ValueError(f"root edge of class {bad[0]} is not integral: {z[bad[0]]}")
-    return solution_of_classes(reduced, r)
+    return solution_of_classes(model, r)

@@ -28,18 +28,18 @@ built at its first read, each array once, in whole-array passes:
 - ``triples``, one class triple (AB, BC, AC) per three sibling subtrees
   A < B < C of a node, read off the table at their first leaves; every
   other position triple has two variables in one class or the classes of
-  a kept one.  The rows are sorted when built, and the reduced model reads
-  this one array: only transitivity separation and ``storymin stats``
-  read it, so a solve without a transitivity round never builds it.
+  a kept one.  The rows are sorted when built.  Only transitivity
+  separation and ``storymin stats`` read them, so a solve without a
+  transitivity round never builds them.
+- ``terms``, the crossing terms between classes, read off the table: every
+  pair of edges of every gap, enumerated for all gaps at once, joins the
+  class of its two upper ends to the class of its two lower ends, and equal
+  terms are summed.  A term's two classes lie on consecutive layers, so no
+  term joins a class to itself.  ``identify_variables``, the paper's
+  variable identification, builds them and returns the model.
 
-A solve that needs only the count (a layout without crossings) builds
-neither.
-
-``identify_variables`` reads the class terms off the tables: every pair of
-edges of every gap, enumerated for all gaps at once, joins the class of its
-two upper ends to the class of its two lower ends, and equal terms are
-summed.  A term's two classes lie on consecutive layers, so no term joins a
-class to itself.
+A solve that needs only the count (a layout without crossings) builds none
+of them.
 
 Terms are read-only ``(k, 4)`` int64 arrays of sorted rows ``(a, b, xor,
 weight)``: ``weight * (x_a XOR x_b)`` if ``xor`` is 1, ``weight * (x_a XNOR
@@ -58,7 +58,6 @@ from .mlcm import LayerTree, MlcmInstance, Solution, _cached, leaf_ranges
 
 __all__ = [
     "OrderingModel",
-    "ReducedModel",
     "NotTransitive",
     "build_model",
     "canonical_orders",
@@ -152,17 +151,47 @@ class OrderingModel:
         by_key = np.argsort(ab * self.n_classes + bc)
         return _read_only(np.stack([ab, bc, table[row[h] + first[j]]], axis=1)[by_key])
 
+    @_cached
+    def terms(self) -> np.ndarray:
+        """(k, 4) crossing terms (a, b, xor, weight) between classes, sorted.
 
-@dataclass(frozen=True)
-class ReducedModel:
-    model: OrderingModel
-    n_classes: int
-    terms: np.ndarray  # (k, 4) rows (class_a, class_b, xor, weight), class_a < class_b, sorted
+        Every pair of edges of a gap with distinct upper and distinct lower ends
+        contributes 1 to the term of its upper and its lower pair: an xor if the
+        two pairs are in the same index order, else an xnor.  All gaps at once.
+        """
+        instance = self.instance
+        sizes = np.array(instance.layer_sizes, dtype=np.int64)
+        # the index position of every node, all layers' nodes in one array from
+        # each layer's offset ``start``
+        start = np.cumsum(sizes) - sizes
+        node_start = start.repeat(sizes)
+        slot = np.arange(len(node_start)) - node_start
+        rank = np.empty_like(slot)
+        rank[np.fromiter(chain.from_iterable(self.orders), np.int64, len(slot)) + node_start] = slot
+        # per edge e (all gaps' edges in one array), in columns for its
+        # upper and its lower end: the layer, the end's index position and
+        # its table row; then e's number of later edges in its gap, and
+        # e + 1 - (the number of pairs before its first)
+        m = np.array([len(gap_edges) for gap_edges in instance.edges], dtype=np.int64)
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(instance.edges)), np.int64,
+                           2 * m.sum())
+        layer = np.arange(len(m)).repeat(m)[:, None] + (0, 1)
+        (pu, pv) = pos = rank[ends.reshape(-1, 2) + start[layer]].T
+        row_u, row_v = (np.array(self.table_base)[layer].T + pos * sizes[layer].T)
+        e = np.arange(len(layer))
+        later = np.cumsum(m).repeat(m) - 1 - e
+        shift = e + 1 - (np.cumsum(later) - later)
 
-    @property
-    def triples(self) -> np.ndarray:
-        """The model's triples (a, b, c): 0 <= x_a + x_b - x_c <= 1, rows sorted."""
-        return self.model.triples
+        # every pair a < b of edges of one gap
+        a = e.repeat(later)
+        b = np.arange(len(a)) + shift[a]
+        pu_b, pv_b = pu[b], pv[b]
+        order = (pu[a] - pu_b) * (pv[a] - pv_b)  # > 0: same index order, 0: a shared end
+        table, n = self.class_table, self.n_classes
+        key = (table[row_u[a] + pu_b] * n + table[row_v[a] + pv_b]) * 2 + (order > 0)
+        keys, weight = np.unique(key[order != 0], return_counts=True)
+        pair, xor = np.divmod(keys, 2)
+        return _read_only(np.array(np.divmod(pair, n) + (xor, weight)).T.copy())
 
 
 @lru_cache(maxsize=None)
@@ -233,54 +262,12 @@ def build_model(instance: MlcmInstance, order: Solution | None = None) -> Orderi
     )
 
 
-def _crossing_terms(model: OrderingModel) -> np.ndarray:
-    """Crossing terms between the classes of the index pairs.
-
-    Every pair of edges of a gap with distinct upper and distinct lower ends
-    contributes 1 to the term of its upper and its lower pair: an xor if the
-    two pairs are in the same index order, else an xnor.  All gaps at once.
-    """
-    instance = model.instance
-    sizes = np.array(instance.layer_sizes, dtype=np.int64)
-    # the index position of every node, all layers' nodes in one array from
-    # each layer's offset ``start``
-    start = np.cumsum(sizes) - sizes
-    node_start = start.repeat(sizes)
-    slot = np.arange(len(node_start)) - node_start
-    rank = np.empty_like(slot)
-    rank[np.fromiter(chain.from_iterable(model.orders), np.int64, len(slot)) + node_start] = slot
-    # per edge e (all gaps' edges in one array), in columns for its upper
-    # and its lower end: the layer, the end's index position and its table
-    # row; then e's number of later edges in its gap, and e + 1 - (the number
-    # of pairs before its first)
-    m = np.array([len(gap_edges) for gap_edges in instance.edges], dtype=np.int64)
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(instance.edges)), np.int64, 2 * m.sum())
-    layer = np.arange(len(m)).repeat(m)[:, None] + (0, 1)
-    (pu, pv) = pos = rank[ends.reshape(-1, 2) + start[layer]].T
-    row_u, row_v = (np.array(model.table_base)[layer].T + pos * sizes[layer].T)
-    e = np.arange(len(layer))
-    later = np.cumsum(m).repeat(m) - 1 - e
-    shift = e + 1 - (np.cumsum(later) - later)
-
-    # every pair a < b of edges of one gap
-    a = e.repeat(later)
-    b = np.arange(len(a)) + shift[a]
-    pu_b, pv_b = pu[b], pv[b]
-    order = (pu[a] - pu_b) * (pv[a] - pv_b)  # > 0: same index order, 0: a shared end
-    table, n = model.class_table, model.n_classes
-    key = (table[row_u[a] + pu_b] * n + table[row_v[a] + pv_b]) * 2 + (order > 0)
-    keys, weight = np.unique(key[order != 0], return_counts=True)
-    pair, xor = np.divmod(keys, 2)
-    return _read_only(np.array(np.divmod(pair, n) + (xor, weight)).T.copy())
-
-
-def solution_of_classes(reduced: ReducedModel, z) -> Solution:
+def solution_of_classes(model: OrderingModel, z) -> Solution:
     """Class assignment -> per-layer permutations, read off the class tables.
 
     Requires every layer to be transitive, i.e. its win counts to be exactly
     0..n-1 (raises :class:`NotTransitive` naming the first layer that is not).
     """
-    model = reduced.model
     # the 0 appended is read by the diagonal's -1
     pair = (np.append(np.asarray(z).astype(np.int64), 0)[model.class_table] != 0).tolist()
     orders = []
@@ -300,7 +287,9 @@ def solution_of_classes(reduced: ReducedModel, z) -> Solution:
     return Solution(tuple(orders))
 
 
-def identify_variables(model: OrderingModel) -> ReducedModel:
-    """Rewrite the model over its classes: the terms from the class tables.
-    Its triples are the model's, built at their first read."""
-    return ReducedModel(model=model, n_classes=model.n_classes, terms=_crossing_terms(model))
+def identify_variables(model: OrderingModel) -> OrderingModel:
+    """Identify the variables of each class: build the model's class terms
+    (its ``terms``, a first read) and return the model.  Its triples are
+    built at their own first read."""
+    model.terms
+    return model

@@ -16,9 +16,9 @@ without building the class tables, identifying variables, building the cut
 graph or an LP.
 The LP starts with the box bounds and, before its first solve,
 the two reference-triangle rows that can bind for each pair edge of nonzero
-weight (``maxcut.sign_triangles``); further odd-cycle and transitivity
-inequalities are separated on demand.  The root rows are counted
-(``n_oddc``) like every separated cut.
+weight (``maxcut.sign_triangles``), loaded straight into the LP and counted
+in ``n_oddc``; further odd-cycle and transitivity inequalities are separated
+on demand.
 
 Separation order at each LP point, one loop for every point: odd cycles,
 then transitivity if no odd cycle is new, each up to ``MAX_CUTS`` rows
@@ -43,8 +43,10 @@ Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
 (ties FIFO), branching picks the most fractional edge variable (ties lowest
 index).  Every row stays in the LP until the search ends; the search keeps
-the set of their keys, so a cut found again is not added twice.  Everything
-is deterministic.
+the set of the separated rows' keys, so a cut found again is not added
+twice.  The root rows need no keys: each holds at every LP point within the
+LP's feasibility tolerance, below ``TOLERANCE``, so no separator returns
+one.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .mlcm import (
     count_crossings,
     validate_instance,
 )
-from .ordering import ReducedModel, build_model, identify_variables
+from .ordering import OrderingModel, build_model, identify_variables
 from .transform import expand_solution, merge_layers
 
 __all__ = [
@@ -329,11 +331,11 @@ def _int_bound(value: float) -> int:
 class _Search:
     """One best-bound search over one LP: open nodes, incumbent and cuts."""
 
-    def __init__(self, graph: MaxCutGraph, reduced: ReducedModel, work: MlcmInstance,
+    def __init__(self, graph: MaxCutGraph, model: OrderingModel, work: MlcmInstance,
                  backend: RelaxationBackend, incumbent: Solution | None, incumbent_count: int,
                  deadline: float, stats: SolveStats):
         self.graph = graph
-        self.reduced = reduced
+        self.model = model
         self.work = work
         self.backend = backend
         self.incumbent = incumbent
@@ -343,7 +345,7 @@ class _Search:
         self.heap: list[_Node] = []
         self.seq = 0
         self.timed_out = False
-        self.row_keys: set = set()  # the keys of the LP's rows
+        self.row_keys: set = set()  # the keys of the separated rows in the LP
         self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
 
     def push(self, bound: float, fixes: tuple[tuple[int, int], ...]) -> None:
@@ -365,19 +367,16 @@ class _Search:
     # -- cut handling -----------------------------------------------------
 
     def _add_cuts(self, cuts, kind: str) -> int:
+        """Add the cuts whose keys are not in the LP yet; ``kind`` is "oddc" or "trans"."""
         fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.row_keys}
         if fresh:
-            self.add_rows(list(fresh), [cut.lp_row() for cut in fresh.values()], kind)
+            self.backend.add_rows([cut.lp_row() for cut in fresh.values()])
+            self.row_keys.update(fresh)
+            if kind == "oddc":
+                self.stats.n_oddc += len(fresh)
+            else:
+                self.stats.n_trans += len(fresh)
         return len(fresh)
-
-    def add_rows(self, keys: list, rows, kind: str) -> None:
-        """Add rows whose keys are not in the LP yet; ``kind`` is "oddc" or "trans"."""
-        self.backend.add_rows(rows)
-        self.row_keys.update(keys)
-        if kind == "oddc":
-            self.stats.n_oddc += len(keys)
-        else:
-            self.stats.n_trans += len(keys)
 
     # -- node processing --------------------------------------------------
 
@@ -427,7 +426,7 @@ class _Search:
             trans = []
             added = self._add_cuts(cuts, "oddc")
             if not added:
-                trans = separate_transitivity(self.reduced, y)
+                trans = separate_transitivity(self.model, y)
                 added = self._add_cuts(trans, "trans")
             if added:
                 continue
@@ -437,7 +436,7 @@ class _Search:
             if cuts or trans:
                 raise SolverError("no progress at an integral point")
             # a transitive cut: decode, recount and offer it as incumbent
-            solution = cut_to_solution(self.reduced, y)
+            solution = cut_to_solution(self.model, y)
             value = count_crossings(self.work, solution)
             if value != round(total):
                 raise SolverError(f"objective mismatch: LP says {total}, recount says {value}")
@@ -493,13 +492,11 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
         return finish(heur, incumbent_count, 0)
 
     model = build_model(work, order=heur)
+    stats.n_var = model.n_classes
     if incumbent_count == 0:
         # no layout has fewer crossings: optimal without the cut problem
-        stats.n_var = model.n_classes
         return finish(heur, 0, 0)
-    reduced = identify_variables(model)
-    graph = build_maxcut(reduced)
-    stats.n_var = reduced.n_classes
+    graph = build_maxcut(identify_variables(model))
 
     # the box relaxation's bound: every negative edge cut, no positive one
     root = float(graph.offset + np.minimum(graph.weights, 0).sum())
@@ -517,9 +514,9 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
     lp.load(graph.weights, np.zeros(graph.n_edges), upper)
     lp.set_deadline(deadline)
 
-    search = _Search(graph, reduced, work, lp, heur, incumbent_count, deadline, stats)
     # the first LP holds the reference-triangle bound (maxcut docstring)
-    search.add_rows(*sign_triangles(graph), "oddc")
+    stats.n_oddc = len(lp.add_rows(sign_triangles(graph)))
+    search = _Search(graph, model, work, lp, heur, incumbent_count, deadline, stats)
     search.push(root, ())
     search.run()
 

@@ -149,13 +149,13 @@ def test_criterion_2_objective_consistency():
         inst = random_storyline_instance(rng, p_range=(2, 4), n_range=(3, 7))
         # the paper's position-level model, and the class model it reduces to
         reference = reference_build_model(inst)
-        reduced = identify_variables(build_model(inst))
-        terms = as_crossing_terms(reduced.terms)
+        model = identify_variables(build_model(inst))
+        terms = as_crossing_terms(model.terms)
         for _ in range(8):
             sol = Solution(tuple(random_tree_order(rng, t) for t in inst.trees))
             crossings = count_crossings(inst, sol)
             assert objective(reference.terms, encode(reference, sol)) == crossings
-            assert objective(terms, classes(reduced.model, sol)) == crossings
+            assert objective(terms, classes(model, sol)) == crossings
             pairs += 1
     verdict(2, "objective consistency", f"{pairs} (instance, solution) pairs, position and class model, exact")
 
@@ -175,27 +175,27 @@ def test_criterion_3_maxcut_equivalence():
             inst = random_storyline_instance(rng, p_range=(2, 3), n_range=(3, 5))
         else:
             inst = random_general_instance(rng, p_range=(1, 3), n_range=(2, 5))
-        reduced = identify_variables(build_model(inst))
-        if reduced.n_classes > 12:
+        model = identify_variables(build_model(inst))
+        if model.n_classes > 12:
             continue
-        graph = build_maxcut(reduced)
+        graph = build_maxcut(model)
 
         # route A: admissible orderings of the model
         admissible: dict[tuple[int, ...], int] = {}
         per_layer = [list(enumerate_tree_orderings(t)) for t in inst.trees]
         for combo in product(*per_layer):
             sol = Solution(tuple(combo))
-            z = tuple(classes(reduced.model, sol))
+            z = tuple(classes(model, sol))
             cr = count_crossings(inst, sol)
             assert admissible.setdefault(z, cr) == cr
         # route B: integral consistent cut vectors, filtered by decodability
         from_cuts: dict[tuple[int, ...], int] = {}
-        for z in product((0, 1), repeat=reduced.n_classes):
+        for z in product((0, 1), repeat=model.n_classes):
             y = cut_vector(graph, z)
             assert cut_consistency(graph, y) == [], \
                 "every side assignment must induce a consistent cut"
             try:
-                sol = cut_to_solution(reduced, y)
+                sol = cut_to_solution(model, y)
             except ValueError:
                 continue
             value = cut_value(graph, y)

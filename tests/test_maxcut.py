@@ -48,17 +48,17 @@ def all_solutions(inst):
         yield Solution(tuple(combo))
 
 
-def reduced_of(inst):
+def model_of(inst):
     return identify_variables(build_model(inst))
 
 
 def test_root_edges_come_first():
     rng = random.Random(61)
     for _ in range(15):
-        reduced = reduced_of(random_general_instance(rng))
-        graph = build_maxcut(reduced)
-        assert graph.n_nodes == reduced.n_classes + 1
-        for c in range(reduced.n_classes):
+        model = model_of(random_general_instance(rng))
+        graph = build_maxcut(model)
+        assert graph.n_nodes == model.n_classes + 1
+        for c in range(model.n_classes):
             assert graph.ends[c].tolist() == [0, c + 1]
             assert graph.weights[c] == 0
         # the graph is two read-only int64 arrays
@@ -75,10 +75,10 @@ def test_cut_value_equals_crossings():
     rng = random.Random(62)
     for _ in range(25):
         inst = random_general_instance(rng)
-        reduced = reduced_of(inst)
-        graph = build_maxcut(reduced)
+        model = model_of(inst)
+        graph = build_maxcut(model)
         for sol in islice(all_solutions(inst), 15):
-            y = cut_vector(graph, classes(reduced.model, sol))
+            y = cut_vector(graph, classes(model, sol))
             assert cut_value(graph, y) == count_crossings(inst, sol)
 
 
@@ -86,12 +86,12 @@ def test_cut_round_trip():
     rng = random.Random(63)
     for _ in range(25):
         inst = random_general_instance(rng)
-        reduced = reduced_of(inst)
-        graph = build_maxcut(reduced)
+        model = model_of(inst)
+        graph = build_maxcut(model)
         for sol in islice(all_solutions(inst), 10):
-            y = cut_vector(graph, classes(reduced.model, sol))
+            y = cut_vector(graph, classes(model, sol))
             assert cut_consistency(graph, y) == []
-            assert cut_to_solution(reduced, y) == sol
+            assert cut_to_solution(model, y) == sol
 
 
 def test_cut_vectors_enumerate_assignments():
@@ -103,17 +103,17 @@ def test_cut_vectors_enumerate_assignments():
     rng = random.Random(64)
     for _ in range(12):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(2, 4))
-        reduced = reduced_of(inst)
-        if reduced.n_classes > 10:
+        model = model_of(inst)
+        if model.n_classes > 10:
             continue
-        graph = build_maxcut(reduced)
+        graph = build_maxcut(model)
         seen = {}
-        for sides in product((0, 1), repeat=reduced.n_classes):
+        for sides in product((0, 1), repeat=model.n_classes):
             y = cut_vector(graph, sides)  # node 0 pinned to side 0
             assert cut_consistency(graph, y) == []
             seen[sides] = cut_value(graph, y)
-        assert len(seen) == 2 ** reduced.n_classes
-        terms = as_crossing_terms(reduced.terms)
+        assert len(seen) == 2 ** model.n_classes
+        terms = as_crossing_terms(model.terms)
         for sides, value in seen.items():
             assert value == objective(terms, sides)
 
@@ -125,13 +125,13 @@ def test_flipped_pair_edge_closes_its_reference_triangle():
     tried = 0
     for _ in range(40):
         inst = random_general_instance(rng)
-        reduced = reduced_of(inst)
-        graph = build_maxcut(reduced)
-        if graph.n_edges <= reduced.n_classes:
+        model = model_of(inst)
+        graph = build_maxcut(model)
+        if graph.n_edges <= model.n_classes:
             continue  # tree graphs: every 0/1 vector is a cut
-        base = cut_vector(graph, classes(reduced.model, next(all_solutions(inst))))
+        base = cut_vector(graph, classes(model, next(all_solutions(inst))))
         y = base.copy()
-        flip = rng.randrange(reduced.n_classes, graph.n_edges)
+        flip = rng.randrange(model.n_classes, graph.n_edges)
         y[flip] = 1.0 - y[flip]
         rows = cut_consistency(graph, y)
         assert rows
@@ -665,10 +665,10 @@ def test_no_cuts_at_consistent_integral_points():
     rng = random.Random(69)
     for _ in range(25):
         inst = random_general_instance(rng)
-        reduced = reduced_of(inst)
-        graph = build_maxcut(reduced)
+        model = model_of(inst)
+        graph = build_maxcut(model)
         sol = next(all_solutions(inst))
-        y = cut_vector(graph, classes(reduced.model, sol))
+        y = cut_vector(graph, classes(model, sol))
         assert separate_odd_cycles(graph, y) == []
 
 
@@ -680,15 +680,15 @@ def row_values(rows, y) -> np.ndarray:
 
 def test_sign_triangles_are_the_binding_reference_triangles():
     """Two rows per pair edge of nonzero weight, in edge order, each the row
-    and key of its ``OddCycleInequality``: a negative edge keeps the odd
-    sets {e} and {e, u0, v0}, a positive one {u0} and {v0}."""
+    of its ``OddCycleInequality``: a negative edge keeps the odd sets {e}
+    and {e, u0, v0}, a positive one {u0} and {v0}."""
     rng = random.Random(72)
     seen_signs = set()
     for _ in range(20):
-        graph = build_maxcut(reduced_of(random_general_instance(rng)))
+        graph = build_maxcut(model_of(random_general_instance(rng)))
         r = graph.n_root_edges
-        keys, rows = sign_triangles(graph)
-        assert len(keys) == len(rows) == 2 * np.count_nonzero(graph.weights[r:])
+        rows = sign_triangles(graph)
+        assert len(rows) == 2 * np.count_nonzero(graph.weights[r:])
         assert rows.indptr.tolist() == list(range(0, 3 * len(rows) + 1, 3))
         expected = []
         for e in range(r, graph.n_edges):
@@ -699,7 +699,6 @@ def test_sign_triangles_are_the_binding_reference_triangles():
             u0, v0 = (graph.ends[e] - 1).tolist()
             odd_sets = ({e}, {e, u0, v0}) if w < 0 else ({u0}, {v0})
             expected += [OddCycleInequality((e, u0, v0), frozenset(odd)) for odd in odd_sets]
-        assert keys == [ineq.key() for ineq in expected]
         for k, ineq in enumerate(expected):
             span = slice(rows.indptr[k], rows.indptr[k + 1])
             coefs = dict(zip(rows.indices[span].tolist(), rows.data[span].tolist()))
@@ -717,11 +716,11 @@ def test_sign_triangles_hold_at_every_layout_cut():
             inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 4))
         else:
             inst = random_storyline_instance(rng, p_range=(2, 3), n_range=(3, 4))
-        reduced = reduced_of(inst)
-        graph = build_maxcut(reduced)
-        _, rows = sign_triangles(graph)
+        model = model_of(inst)
+        graph = build_maxcut(model)
+        rows = sign_triangles(graph)
         for sol in all_solutions(inst):
-            y = cut_vector(graph, classes(reduced.model, sol))
+            y = cut_vector(graph, classes(model, sol))
             assert (row_values(rows, y) <= 0).all()
             layouts += 1
     assert layouts >= 2000
@@ -743,27 +742,27 @@ def test_separate_transitivity_cuts():
     hit = False
     for _ in range(50):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
-        reduced = reduced_of(inst)
-        if not len(reduced.triples):
+        model = model_of(inst)
+        if not len(model.triples):
             continue
-        graph = build_maxcut(reduced)
+        graph = build_maxcut(model)
         y = np.array([rng.random() for _ in range(graph.n_edges)])
-        cuts = separate_transitivity(reduced, y)
+        cuts = separate_transitivity(model, y)
         for cut in cuts:
             assert violation(cut, y) > 0
             coefs, rhs = cut.lp_row()
             # rows are written over root-edge indices (= class ids)
-            assert all(e < reduced.n_classes for e in coefs)
+            assert all(e < model.n_classes for e in coefs)
             hit = True
     assert hit
 
 
-def two_step_transitivity(reduced, y, tolerance=1e-6):
+def two_step_transitivity(model, y, tolerance=1e-6):
     """Transitivity separation as it was done over sorted class-triple tuples:
     scan a cached index array, collect ``(triple, sense, violation)``, then
     wrap each hit in a cut."""
-    triples = sorted(map(tuple, reduced.model.triples.tolist()))
-    z = np.asarray(y, dtype=float)[:reduced.n_classes]
+    triples = sorted(map(tuple, model.triples.tolist()))
+    z = np.asarray(y, dtype=float)[:model.n_classes]
     if not triples:
         return []
     za = np.asarray(z, dtype=float)
@@ -785,15 +784,15 @@ def test_separate_transitivity_matches_two_step_separation(shape, monkeypatch):
     make = random_general_instance if shape == "general" else random_storyline_instance
     n_cuts = 0
     for _ in range(60):
-        reduced = reduced_of(make(rng, p_range=(1, 3), n_range=(3, 8)))
-        graph = build_maxcut(reduced)
+        model = model_of(make(rng, p_range=(1, 3), n_range=(3, 8)))
+        graph = build_maxcut(model)
         for _ in range(3):
             y = np.array([rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(graph.n_edges)])
-            cuts = separate_transitivity(reduced, y)
-            assert cuts == two_step_transitivity(reduced, y)
+            cuts = separate_transitivity(model, y)
+            assert cuts == two_step_transitivity(model, y)
             with monkeypatch.context() as patch:
                 patch.setattr(maxcut, "MAX_CUTS", 2)
-                assert separate_transitivity(reduced, y) == cuts[:2]
+                assert separate_transitivity(model, y) == cuts[:2]
             assert all(type(v) is int for cut in cuts for v in (cut.a, cut.b, cut.c))
             n_cuts += len(cuts)
     assert n_cuts > 50

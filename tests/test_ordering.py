@@ -24,7 +24,7 @@ from storymin import (
     merge_layers,
     parse_story,
 )
-from storymin.ordering import ReducedModel, solution_of_classes
+from storymin.ordering import OrderingModel, solution_of_classes
 from storymin.maxcut import TOLERANCE, build_maxcut, separate_transitivity
 from storymin import solver
 from storymin.solver import barycenter_heuristic
@@ -59,9 +59,9 @@ def test_encode_decode_round_trip():
     rng = random.Random(42)
     for _ in range(30):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 5))
-        reduced = identify_variables(build_model(inst))
+        model = identify_variables(build_model(inst))
         for sol in all_solutions(inst):
-            assert solution_of_classes(reduced, classes(reduced.model, sol)) == sol
+            assert solution_of_classes(model, classes(model, sol)) == sol
 
 
 def test_objective_equals_crossings():
@@ -76,11 +76,11 @@ def test_objective_equals_crossings():
 def test_decode_rejects_intransitive():
     flat = LayerTree(3, (3, 3, 3, -1), ("root",))
     inst = MlcmInstance((3,), (), (flat,))
-    reduced = identify_variables(build_model(inst))
+    model = identify_variables(build_model(inst))
     # one class per pair: x01 = 1, x12 = 1, x02 = 0 is a directed 3-cycle
-    assert class_of(reduced.model) == [0, 1, 2]
+    assert class_of(model) == [0, 1, 2]
     with pytest.raises(NotTransitive):
-        solution_of_classes(reduced, [1, 0, 1])
+        solution_of_classes(model, [1, 0, 1])
 
 
 def test_equalities_hold_on_every_admissible_order():
@@ -112,15 +112,15 @@ def test_equalities_and_transitivity_characterize_admissible():
                 kept.add(bits)
         assert kept == admissible
 
-        reduced = identify_variables(build_model(inst))
-        admissible = {tuple(classes(reduced.model, sol)) for sol in all_solutions(inst)}
+        model = identify_variables(build_model(inst))
+        admissible = {tuple(classes(model, sol)) for sol in all_solutions(inst)}
         accepted = set()
         kept = set()  # satisfies the class triples
-        for z in product((0, 1), repeat=reduced.n_classes):
-            if all(z[a] + z[b] - z[c] in (0, 1) for a, b, c in reduced.triples.tolist()):
+        for z in product((0, 1), repeat=model.n_classes):
+            if all(z[a] + z[b] - z[c] in (0, 1) for a, b, c in model.triples.tolist()):
                 kept.add(z)
             try:
-                solution_of_classes(reduced, z)
+                solution_of_classes(model, z)
             except NotTransitive:
                 continue
             accepted.add(z)
@@ -146,10 +146,10 @@ def test_bundle_needs_complement_rule():
             assert x[e.var_a] == x[e.var_b]
     assert reference.equalities
     # the package's classes follow the same rules, and decode every order
-    reduced = identify_variables(build_model(inst))
-    assert reduced.n_classes == 2
+    model = identify_variables(build_model(inst))
+    assert model.n_classes == 2
     for sol in all_solutions(inst):
-        assert solution_of_classes(reduced, classes(reduced.model, sol)) == sol
+        assert solution_of_classes(model, classes(model, sol)) == sol
 
 
 def test_non_tree_consistent_index_order_rejected():
@@ -174,8 +174,8 @@ def test_custom_index_order_same_objectives():
         alt_order = list(all_solutions(inst))[-1]
         alt = identify_variables(build_model(inst, alt_order))
         for sol in all_solutions(inst):
-            a = objective(as_crossing_terms(base.terms), classes(base.model, sol))
-            b = objective(as_crossing_terms(alt.terms), classes(alt.model, sol))
+            a = objective(as_crossing_terms(base.terms), classes(base, sol))
+            b = objective(as_crossing_terms(alt.terms), classes(alt, sol))
             assert a == b == count_crossings(inst, sol)
 
 
@@ -184,8 +184,8 @@ def test_identify_variables_consistency():
     for _ in range(30):
         inst = random_general_instance(rng)
         model = build_model(inst)
-        reduced = identify_variables(model)
-        assert reduced.n_classes == model.n_classes <= model.n_vars
+        assert identify_variables(model) is model
+        assert model.n_classes <= model.n_vars
         # every layer's table: symmetric, -1 exactly on the diagonal, and its
         # classes found in no other layer
         assert len(model.class_table) == model.table_base[-1]
@@ -199,33 +199,31 @@ def test_identify_variables_consistency():
             for c in set(table.reshape(-1).tolist()) - {-1}:
                 assert layer_of.setdefault(c, r) == r
         # every class has a member
-        assert sorted(layer_of) == list(range(reduced.n_classes))
+        assert sorted(layer_of) == list(range(model.n_classes))
 
 
 def test_reduced_objective_matches_full():
     rng = random.Random(48)
     for _ in range(30):
         inst = random_general_instance(rng)
-        model = build_model(inst)
-        reduced = identify_variables(model)
+        model = identify_variables(build_model(inst))
         reference = reference_build_model(inst)
         for sol in islice(all_solutions(inst), 12):
             z = classes(model, sol)
             full = objective(reference.terms, encode(reference, sol))
-            assert objective(as_crossing_terms(reduced.terms), z) == full
+            assert objective(as_crossing_terms(model.terms), z) == full
             assert [z[c] for c in class_of(model)] == encode(reference, sol)
-            assert solution_of_classes(reduced, z) == sol
+            assert solution_of_classes(model, z) == sol
 
 
 def test_identification_shrinks_bundled_layers():
     # two bundles of three: inside-block variables all collapse
     t = LayerTree.from_nested(("root", [("s1", [0, 1, 2]), ("s2", [3, 4, 5])]), 6)
     inst = MlcmInstance((6,), (), (t,))
-    model = build_model(inst)
-    reduced = identify_variables(model)
+    model = identify_variables(build_model(inst))
     assert model.n_vars == 15
     # 3 vars inside each block stay separate; all 9 cross-block vars are one class
-    assert reduced.n_classes == 7
+    assert model.n_classes == 7
 
 
 def test_separate_transitivity_reports_every_violated_triple():
@@ -233,11 +231,11 @@ def test_separate_transitivity_reports_every_violated_triple():
     found_any = False
     for _ in range(40):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
-        reduced = identify_variables(build_model(inst))
-        if not len(reduced.triples):
+        model = identify_variables(build_model(inst))
+        if not len(model.triples):
             continue
-        z = np.array([rng.random() for _ in range(reduced.n_classes)])
-        hits = separate_transitivity(reduced, z)
+        z = np.array([rng.random() for _ in range(model.n_classes)])
+        hits = separate_transitivity(model, z)
         # verify every reported triple and its violation by brute recompute
         for cut in hits:
             val = z[cut.a] + z[cut.b] - z[cut.c]
@@ -249,7 +247,7 @@ def test_separate_transitivity_reports_every_violated_triple():
             found_any = True
         # completeness: no unreported violated triple
         reported = {cut.key() for cut in hits}
-        for a, b, c in reduced.triples.tolist():
+        for a, b, c in model.triples.tolist():
             val = z[a] + z[b] - z[c]
             if val > 1.0 + TOLERANCE:
                 assert ("transitivity", a, b, c, "upper") in reported
@@ -262,19 +260,19 @@ def test_transitivity_satisfied_at_solutions():
     rng = random.Random(50)
     for _ in range(20):
         inst = random_general_instance(rng, p_range=(1, 2), n_range=(3, 5))
-        reduced = identify_variables(build_model(inst))
+        model = identify_variables(build_model(inst))
         for sol in list(all_solutions(inst))[:8]:
-            z = np.array(classes(reduced.model, sol), dtype=float)
-            assert separate_transitivity(reduced, z) == []
+            z = np.array(classes(model, sol), dtype=float)
+            assert separate_transitivity(model, z) == []
 
 
 def test_optimum_over_assignments_matches_oracle():
     rng = random.Random(51)
     for _ in range(20):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(2, 4))
-        reduced = identify_variables(build_model(inst))
-        terms = as_crossing_terms(reduced.terms)
-        best_model = min(objective(terms, classes(reduced.model, s)) for s in all_solutions(inst))
+        model = identify_variables(build_model(inst))
+        terms = as_crossing_terms(model.terms)
+        best_model = min(objective(terms, classes(model, s)) for s in all_solutions(inst))
         oracle_best, _ = brute_force_optimum(inst)
         assert best_model == oracle_best
 
@@ -299,12 +297,12 @@ def random_tree_order(tree: LayerTree, rng: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reduced_fields(reduced: ReducedModel) -> tuple:
+def reduced_fields(model: OrderingModel) -> tuple:
     """The fields of ``reference_identify_variables``, read off the package's
     class tables; the class triples are the model's, sorted when built."""
-    of = class_of(reduced.model)
-    members = tuple(tuple(v for v, c in enumerate(of) if c == k) for k in range(reduced.n_classes))
-    return (reduced.n_classes, tuple(of), members, as_crossing_terms(reduced.terms), reduced.triples.tolist())
+    of = class_of(model)
+    members = tuple(tuple(v for v, c in enumerate(of) if c == k) for k in range(model.n_classes))
+    return (model.n_classes, tuple(of), members, as_crossing_terms(model.terms), model.triples.tolist())
 
 
 def reference_table(inst: MlcmInstance, of) -> list[int]:
@@ -321,19 +319,19 @@ def reference_table(inst: MlcmInstance, of) -> list[int]:
     return table
 
 
-def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> ReducedModel:
-    reduced = identify_variables(build_model(inst, order))
+def assert_same_reduction(inst: MlcmInstance, order: Solution | None) -> OrderingModel:
+    model = identify_variables(build_model(inst, order))
     reference = reference_build_model(inst, order)
     *fields, offset = reference_identify_variables(reference)
     # every term joins a class of layer r to one of layer r + 1: none is constant
     assert offset == 0
-    assert reduced.model.class_table.tolist() == reference_table(inst, fields[1])
-    assert reduced_fields(reduced) == tuple(fields)
-    graph = build_maxcut(reduced)
-    n_nodes, edges, weights, ref_offset = reference_build_maxcut(reduced.n_classes, fields[3], offset)
+    assert model.class_table.tolist() == reference_table(inst, fields[1])
+    assert reduced_fields(model) == tuple(fields)
+    graph = build_maxcut(model)
+    n_nodes, edges, weights, ref_offset = reference_build_maxcut(model.n_classes, fields[3], offset)
     assert (graph.n_nodes, graph.ends.tolist(), graph.weights.tolist(), graph.offset) == \
         (n_nodes, [list(e) for e in edges], list(weights), ref_offset)
-    return reduced
+    return model
 
 
 def leaf_holding_children(tree: LayerTree) -> list[int]:
@@ -426,11 +424,11 @@ def test_wide_layers_build_and_reduce_fast():
     """Two 200-leaf layers of 20 scenes of 10: classes and triples from the trees."""
     inst = wide_instance(20, 10)
     start = time.monotonic()
-    reduced = identify_variables(build_model(inst))
+    model = identify_variables(build_model(inst))
     assert time.monotonic() - start < 2.0
     # per layer: 45 pairs inside each scene, 190 scene pairs; C(10,3) per scene, C(20,3) at the root
-    assert reduced.n_classes == 2 * (20 * 45 + 190)
-    assert len(reduced.triples) == 2 * (20 * 120 + 1140)
+    assert model.n_classes == 2 * (20 * 45 + 190)
+    assert len(model.triples) == 2 * (20 * 120 + 1140)
     # k scenes of k leaves have O(k^4) classes and class triples: 6.25x the
     # leaves is 39x the work, where a loop over every position triple costs 244x
     growth = build_and_reduce_s(wide_instance(20, 20)) / build_and_reduce_s(wide_instance(8, 8))
@@ -445,17 +443,17 @@ def test_not_transitive_names_the_first_violated_layer():
     rejected = 0
     for _ in range(30):
         inst = random_general_instance(rng, p_range=(1, 3), n_range=(3, 7))
-        reduced = identify_variables(build_model(inst))
-        model, of = reduced.model, class_of(reduced.model)
+        model = identify_variables(build_model(inst))
+        of = class_of(model)
         reference = reference_build_model(inst, Solution(model.orders))
         assert reference.n_vars == model.n_vars == len(of)
         for _ in range(20):
-            z = [rng.randint(0, 1) for _ in range(reduced.n_classes)]
+            z = [rng.randint(0, 1) for _ in range(model.n_classes)]
             x = [z[c] for c in of]
             violated = {t.layer for t in reference.triples
                         if x[t.var_hi] + x[t.var_ij] - x[t.var_hj] not in (0, 1)}
             try:
-                solution_of_classes(reduced, z)
+                solution_of_classes(model, z)
             except NotTransitive as exc:
                 assert exc.layer == min(violated)
                 rejected += 1
@@ -501,27 +499,31 @@ def test_a_child_without_leaves_makes_no_class():
 
 
 def test_triple_arrays_are_read_only(monkeypatch):
-    """The class table and the triples are read-only int64 arrays, each built
-    at its own first read: reading the table, or the chain up to the cut
-    graph, builds no triples, and a solve without crossings builds neither.
-    The reduced model's triples are the model's, not a copy."""
+    """The class table, the triples and the terms are read-only int64 arrays,
+    each built at its own first read: reading the table builds neither of
+    the others, ``identify_variables`` builds the terms and returns the same
+    model, the chain up to the cut graph builds no triples, and a solve
+    without crossings builds none of them."""
     rng = random.Random(57)
     n_triples = 0
     for _ in range(20):
         inst = random_general_instance(rng, p_range=(2, 3), n_range=(4, 8))
         model = build_model(inst)
         table = model.class_table
-        assert "triples" not in model.__dict__
+        assert "triples" not in model.__dict__ and "terms" not in model.__dict__
         # later reads return the array already built
         assert model.class_table is table
-        reduced = identify_variables(model)
-        build_maxcut(reduced)
+        assert identify_variables(model) is model
+        terms = model.__dict__["terms"]
+        assert model.terms is terms
+        build_maxcut(model)
         assert "triples" not in model.__dict__
-        triples = reduced.triples
-        assert triples is model.triples is reduced.triples
+        triples = model.triples
+        assert model.triples is triples
         assert triples.shape == (len(triples), 3)
+        assert terms.shape == (len(terms), 4)
         n_triples += len(triples)
-        for array in (table, triples):
+        for array in (table, triples, terms):
             assert array.dtype == np.int64
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -542,4 +544,4 @@ def test_triple_arrays_are_read_only(monkeypatch):
     assert res.status == "optimal" and res.crossings == 0
     (model,) = built
     assert model.n_classes == 2
-    assert "class_table" not in model.__dict__ and "triples" not in model.__dict__
+    assert not {"class_table", "triples", "terms"} & model.__dict__.keys()

@@ -30,9 +30,9 @@ from storymin import (
     validate_instance,
 )
 from storymin import build_model, identify_variables, lp, maxcut, solver
-from storymin.maxcut import OddCycleInequality, build_maxcut
+from storymin.maxcut import OddCycleInequality, build_maxcut, sign_triangles
 from storymin.ordering import OrderingModel
-from storymin.lp import TIME_LIMIT, LpResult, ScipyBackend, SimplexBackend
+from storymin.lp import TIME_LIMIT, LpResult, RowBlock, ScipyBackend, SimplexBackend
 
 from conftest import (
     naive_crossings,
@@ -501,8 +501,8 @@ def record_graphs(monkeypatch) -> list:
     """Every cut graph that branch_and_cut builds, in order."""
     graphs = []
 
-    def recorded_build_maxcut(reduced):
-        graphs.append(build_maxcut(reduced))
+    def recorded_build_maxcut(model):
+        graphs.append(build_maxcut(model))
         return graphs[-1]
 
     monkeypatch.setattr(solver, "build_maxcut", recorded_build_maxcut)
@@ -592,7 +592,46 @@ def test_lp_only_grows(monkeypatch):
     assert res.crossings == res.lower_bound == 38
     (search,) = searches
     assert search.backend.solves == res.stats.n_LPs > 1
-    assert len(search.row_keys) == search.backend.row_count()
+    # the root rows go to the LP without keys; every separated row has one
+    assert len(search.row_keys) == search.backend.row_count() - len(sign_triangles(search.graph))
+
+
+def test_a_root_row_found_again_is_added_once(monkeypatch):
+    """The root rows carry no keys.  A separator that returned one anyway
+    would have it added once more, keyed, and never again: the search still
+    ends at the optimum."""
+    received = []
+
+    class RecordingBackend(SimplexBackend):
+        def add_rows(self, rows):
+            block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
+            for k in range(len(block)):
+                span = slice(block.indptr[k], block.indptr[k + 1])
+                received.append((dict(zip(block.indices[span].tolist(), block.data[span].tolist())),
+                                 float(block.rhs[k])))
+            return super().add_rows(rows)
+
+    def first_root_row(graph):
+        r = graph.n_root_edges
+        e = r + int(np.flatnonzero(graph.weights[r:])[0])
+        u0, v0 = (graph.ends[e] - 1).tolist()
+        return OddCycleInequality((e, u0, v0), frozenset({e} if graph.weights[e] < 0 else {u0}))
+
+    rounds = []
+    separate = solver.separate_odd_cycles
+
+    def separate_with_a_root_row(graph, y, **kwargs):
+        rounds.append(first_root_row(graph))
+        return separate(graph, y, **kwargs) + [rounds[-1]]
+
+    monkeypatch.setattr(solver, "separate_odd_cycles", separate_with_a_root_row)
+    doc = random_story_doc(random.Random(2), 16, 40, 16)
+    inst, _ = build_instance(parse_story(json.dumps(doc)))
+    res = branch_and_cut(inst, backend=RecordingBackend)
+    assert res.status == OPTIMAL_STATUS
+    assert res.crossings == res.lower_bound == 38
+    assert len(rounds) > 1
+    assert received.count(rounds[0].lp_row()) == 2
 
 
 def test_large_instance_returns_near_its_time_limit():
@@ -733,8 +772,8 @@ def test_no_lp_when_the_heuristic_meets_the_root_bound(monkeypatch):
 
 def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
     """A heuristic layout without crossings is optimal right after the model
-    has counted its classes: no class table or triple is built, no variables
-    are identified, no cut graph or LP is made."""
+    has counted its classes: no class table, triple or term is built, no
+    variables are identified, no cut graph or LP is made."""
 
     def refuse(*args):
         raise AssertionError("the cut problem was set up")
@@ -759,6 +798,7 @@ def test_zero_crossing_layout_skips_the_cut_problem(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(OrderingModel, "class_table", property(refuse))
             patch.setattr(OrderingModel, "triples", property(refuse))
+            patch.setattr(OrderingModel, "terms", property(refuse))
             res = branch_and_cut(inst, backend=refuse)
         assert res.status == OPTIMAL_STATUS
         assert res.crossings == res.lower_bound == 0
