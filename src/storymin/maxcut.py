@@ -35,27 +35,28 @@ negative y_e to min(y_u0 + y_v0, 2 - y_u0 - y_v0) and a positive one to
 |y_u0 - y_v0|, and some optimum sets a weight-0 one to |y_u0 - y_v0|; such
 a point meets all four rows of every triangle.
 
-``separate_odd_cycles`` searches general cycles only: the root rows leave
-a violated triangle at almost no fractional point of the benchmark corpora,
-and the search is complete, so it returns a violated inequality whenever a
-triangle is violated.  It is also the cut test: ``cut_consistency``, the
-same search with no deadline, is what the solver runs at 0/1 vectors, and
-its list is empty iff the vector is a cut.  In the doubled graph (node v
-split into an even copy 2v and an odd copy 2v+1; edge e gives same-side
-arcs of length y_e and side-switching arcs of length 1 - y_e) a violated
-inequality is a walk 2v -> 2v+1 shorter than 1.  Edges at 0 or 1 give arcs
-of length 0, so the search contracts them first, into the connected
-components of those arcs:
+``cut_consistency`` tests a 0/1 vector in one numpy pass: the reference
+triangles are the star's fundamental cycles, and every cycle is the sum
+mod 2 of those of its pair edges (Barahona & Mahjoub, "On the cut
+polytope", Math. Prog. 1986), so it returns each odd reference triangle,
+violated by a full unit, and nothing at a cut.
+
+``separate_odd_cycles``, for fractional points, searches general cycles
+only: the root rows leave a violated triangle at almost no fractional
+point of the benchmark corpora, and the search is complete, so it returns
+a violated inequality whenever a triangle is violated.  In the doubled
+graph (node v split into an even copy 2v and an odd copy 2v+1; edge e
+gives same-side arcs of length y_e and side-switching arcs of length
+1 - y_e) a violated inequality is a walk 2v -> 2v+1 shorter than 1.  Edges
+at 0 or 1 give arcs of length 0, so the search contracts them first, into
+the connected components of those arcs:
 
 * Node v is *conflicted* when 2v and 2v+1 fall in one component: the edges
   at 0 or 1 already close an odd cycle through v, violated by a full unit.
   A breadth-first search from each conflicted node over those edges alone
-  finds the fewest-edge ones.  At a 0/1 point the searches start only at
-  the ends of the pair edges that fail y_uv == y_u0 xor y_v0: every odd
-  cycle holds one, while one such edge makes every node conflicted.  A
-  violated cycle need not contain a fractional edge (root edges at 0.5
-  with pair edges 12, 23, 13 at 1.0 violate the cycle 1-2-3 by a full
-  unit, and no triangle is violated).
+  finds the fewest-edge ones.  A violated cycle need not contain a
+  fractional edge (root edges at 0.5 with pair edges 12, 23, 13 at 1.0
+  violate the cycle 1-2-3 by a full unit, and no triangle is violated).
 * Everything else runs on the contracted doubled graph: one node per
   component (a conflicted one joins both sides), arcs only from the
   fractional edges.  Each fractional edge with an end outside the
@@ -68,7 +69,8 @@ so separation loads nothing beyond numpy.  ``_components`` finds the
 components by min-label hooking with pointer jumping and numbers them by
 their smallest node.  The adjacency lists of the zero-length arcs, which
 the breadth-first searches and the forest walk, are sorted on first use:
-at a cut (no conflicted node, no fractional edge) nothing reads them.
+a point with no conflicted node and no contracted walk to expand never
+reads them.
 ``_shortest_paths`` finds the paths shorter than 1 by label-correcting
 rounds from many sources at once: each round relaxes only the arcs out of
 the nodes whose distance fell in the round before.
@@ -199,10 +201,17 @@ class TransitivityCut:
 
 
 def cut_consistency(graph: MaxCutGraph, y) -> list[OddCycleInequality]:
-    """Violated odd-cycle inequalities at a 0/1 vector y: ``separate_odd_cycles``
-    with no deadline.  The search is complete, so the list is empty iff y is
-    a cut."""
-    return separate_odd_cycles(graph, y)
+    """Violated odd-cycle inequalities at a 0/1 vector y, read at 0.5: the
+    reference triangle of every pair edge with y_uv != y_u0 xor y_v0, its
+    edges at 1 as odd set, the first ``MAX_CUTS`` in edge order.  The list is
+    empty iff y is a cut (module docstring)."""
+    r = graph.n_root_edges
+    on = np.asarray(y, dtype=float)[:graph.n_edges] > 0.5
+    roots = graph.ends[r:] - 1
+    fail = np.flatnonzero(on[r:] != (on[roots[:, 0]] ^ on[roots[:, 1]]))[:MAX_CUTS]
+    cycles = np.column_stack((fail + r, roots[fail]))
+    return [OddCycleInequality(tuple(cycle), frozenset(e for e, one in zip(cycle, ones) if one))
+            for cycle, ones in zip(cycles.tolist(), on[cycles].tolist())]
 
 
 def sign_triangles(graph: MaxCutGraph) -> RowBlock:
@@ -345,7 +354,7 @@ class _IntegralForest:
     and 2v+1 share a component: an odd all-integral cycle runs through it.
     The components are found at once; the adjacency lists that the
     searches walk are built on first use (``adjacency``), so a point with no
-    conflicted node and no fractional edge, a cut, never sorts the arcs.
+    conflicted node and no contracted walk to expand never sorts the arcs.
     """
 
     def __init__(self, graph: MaxCutGraph, yv: np.ndarray):
@@ -494,22 +503,6 @@ def _shortest_paths(indptr: np.ndarray, head: np.ndarray, length: np.ndarray,
             return
 
 
-def _failing_ends(forest: _IntegralForest) -> np.ndarray:
-    """At a 0/1 point, the ends of the pair edges with y_uv != y_u0 xor y_v0.
-
-    Root edges never fail this test, and the failing edges of a cycle have
-    the cycle's parity (the xor of y_u0 and y_v0 around a cycle is even), so
-    every odd cycle holds a failing edge.  A failing edge closes an odd
-    triangle with its two root edges, so its ends are conflicted.
-    """
-    graph = forest.graph
-    r = graph.n_root_edges
-    y = forest.yv > 0.5
-    pair = graph.ends[r:]
-    fail = y[r:] != (y[pair[:, 0] - 1] ^ y[pair[:, 1] - 1])
-    return np.unique(pair[fail])
-
-
 def _conflict_walks(forest: _IntegralForest, deadline: float):
     """Min-hop odd closed walks over zero-length arcs, from each conflicted node.
 
@@ -521,16 +514,10 @@ def _conflict_walks(forest: _IntegralForest, deadline: float):
     level earlier makes the walk one arc shorter, so those x win).  Walks
     whose edges used an odd number of times agree (so stems aside) are
     yielded once.
-
-    At a 0/1 point the searches start only at the ends of the failing pair
-    edges (``_failing_ends``): every odd cycle holds one, so the search
-    stays complete, while one flipped edge makes every node conflicted.
     """
     width = forest.width
     m = forest.graph.n_edges
     sources = forest.conflicted
-    if sources.size and not forest.frac.size:
-        sources = _failing_ends(forest)
     for part in _source_chunks(sources.size, width):
         if time.monotonic() > deadline:
             return

@@ -23,10 +23,10 @@ on demand.
 Separation order at each LP point, one loop for every point: odd cycles,
 then transitivity if no odd cycle is new, each up to ``MAX_CUTS`` rows
 (``maxcut.MAX_CUTS``).  A 0/1 point is rounded and tested by
-``cut_consistency``, the general odd-cycle search with no deadline (empty
-iff the point is a cut); a fractional point goes to
-``separate_odd_cycles`` with the deadline (the odd cycles of the graph that
-the edges at 0 or 1 contract to).  When nothing is added, a 0/1 point is
+``cut_consistency``, one pass over the pair edges that returns their odd
+reference triangles (empty iff the point is a cut); a fractional point goes
+to ``separate_odd_cycles`` with the deadline (the odd cycles of the graph
+that the edges at 0 or 1 contract to).  When nothing is added, a 0/1 point is
 decoded, recounted and offered as incumbent, and a fractional one branches.
 
 The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
@@ -148,8 +148,11 @@ class OptResult:
 # barycenter heuristic
 # ---------------------------------------------------------------------------
 
+# the most sweeps ``barycenter_heuristic`` makes
+_SWEEPS = 8
 
-def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solution, int]:
+
+def barycenter_heuristic(instance: MlcmInstance) -> tuple[Solution, int]:
     """Tree-aware barycenter sweeps: a tree-consistent solution and its crossings.
 
     A sweep walks the layers left-to-right (odd sweeps right-to-left) and
@@ -178,16 +181,17 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     but an int among them without, so mixing the two could round
     differently.
 
-    The best layout over all sweeps is returned (the first of equal counts),
-    with its count.  Crossings are kept per gap, and after a sweep only the
-    gaps next to a layer whose order changed are recounted, each by
-    ``mlcm._gap_crossings``, the per-gap count of ``count_crossings``.  No
-    later layout can beat a count of 0, so the sweeps stop at the first
-    layout without crossings: the canonical one before any sweep, or the one
-    a sweep ends on.  A sweep depends only on the layout it starts from and
-    on its direction, and the direction alternates: once a sweep ends on the
-    layout of two sweeps before, every later layout repeats one already
-    counted, so the sweeps stop there too.  Neither stop changes the result.
+    The best layout over at most ``_SWEEPS`` sweeps is returned (the first
+    of equal counts), with its count.  Crossings are kept per gap, and after
+    a sweep only the gaps next to a layer whose order changed are
+    recounted, each by ``mlcm._gap_crossings``, the per-gap count of
+    ``count_crossings``.  No later layout can beat a count of 0, so the
+    sweeps stop at the first layout without crossings: the canonical one
+    before any sweep, or the one a sweep ends on.  A sweep depends only on
+    the layout it starts from and on its direction, and the direction
+    alternates: once a sweep ends on the layout of two sweeps before, every
+    later layout repeats one already counted, so the sweeps stop there too.
+    Neither stop changes the result.
 
     Like ``merge_layers``, this takes a valid instance and does not check it
     (``branch_and_cut`` and ``solve_heuristic`` validate first).  The one
@@ -203,7 +207,7 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
     best, best_count = list(orders), sum(gap_counts)
     # a layout without crossings (every one of p <= 1 layers) returns before
     # the plan below is built
-    if best_count == 0 or sweeps <= 0:
+    if best_count == 0:
         return Solution(tuple(tuple(o) for o in best)), best_count
 
     p = instance.p
@@ -280,7 +284,7 @@ def barycenter_heuristic(instance: MlcmInstance, sweeps: int = 8) -> tuple[Solut
 
     # the layouts after the last two sweeps; orders[r] is replaced, never mutated
     before, last = None, list(orders)
-    for k in range(sweeps):
+    for k in range(_SWEEPS):
         stale: set[int] = set()
         for r, ref, index, multi in right_to_left if k % 2 else left_to_right:
             new = reorder(r, pos[ref], index, multi)

@@ -7,9 +7,11 @@ fast-path results can be checked against a second route.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,15 @@ def fig_story_text() -> str:
 @pytest.fixture
 def bundle_story_text() -> str:
     return json.dumps(BUNDLE_STORY)
+
+
+def bench_story(workload: str, index: int) -> str:
+    """Story ``index`` of a benchmark workload's base corpus, as JSON text."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return json.dumps(corpus.base_stories(workload)[index])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from storymin import (
     separate_odd_cycles,
     SolveConfig,
 )
+from storymin import solver
 from storymin.maxcut import TOLERANCE, build_maxcut, cut_to_solution
 
 from conftest import (
@@ -380,7 +381,7 @@ def svg_intersections(svg: str) -> int:
     return total
 
 
-def test_criterion_8_renderer_geometry(corpus):
+def test_criterion_8_renderer_geometry(corpus, monkeypatch):
     rng = random.Random(20240908)
     rendered = 0
     pool = corpus["stories"] + corpus["storyline"]
@@ -388,7 +389,8 @@ def test_criterion_8_renderer_geometry(corpus):
         if rendered >= 50:
             break
         if rng.random() < 0.5 or oracle_work(inst) > 2_000_000:
-            sol, _ = barycenter_heuristic(inst, sweeps=rng.randint(1, 6))
+            monkeypatch.setattr(solver, "_SWEEPS", rng.randint(1, 6))
+            sol, _ = barycenter_heuristic(inst)
         else:
             _, sol = brute_force_optimum(inst)
         svg = render_svg(inst, sol)

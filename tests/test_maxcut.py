@@ -25,6 +25,7 @@ from storymin import (
     cut_to_solution,
     enumerate_tree_orderings,
     identify_variables,
+    merge_layers,
     parse_story,
     separate_odd_cycles,
     separate_transitivity,
@@ -38,7 +39,8 @@ from storymin.maxcut import (
 )
 from storymin.mlcm import Solution
 
-from conftest import cut_graph, random_general_instance, random_story_doc, random_storyline_instance
+from conftest import (bench_story, cut_graph, random_general_instance, random_story_doc,
+                      random_storyline_instance)
 from reference_model import as_crossing_terms, classes, cut_value, cut_vector, objective, violation
 
 
@@ -120,7 +122,7 @@ def test_cut_vectors_enumerate_assignments():
 
 def test_flipped_pair_edge_closes_its_reference_triangle():
     """A cut with one pair edge flipped fails only on cycles through that
-    edge; the general search finds its reference triangle among them."""
+    edge; the cut test returns its reference triangle alone."""
     rng = random.Random(65)
     tried = 0
     for _ in range(40):
@@ -137,7 +139,7 @@ def test_flipped_pair_edge_closes_its_reference_triangle():
         assert rows
         assert all(flip in row.cycle and violation(row, y) == 1.0 for row in rows)
         u, v = graph.ends[flip].tolist()
-        assert sorted((flip, u - 1, v - 1)) in [sorted(row.cycle) for row in rows]
+        assert [sorted(row.cycle) for row in rows] == [sorted((flip, u - 1, v - 1))]
         tried += 1
     assert tried >= 10
 
@@ -292,9 +294,11 @@ def is_closed_cycle(graph: MaxCutGraph, cycle) -> bool:
     return reached == nodes
 
 
-def test_cut_consistency_is_empty_iff_every_pair_edge_agrees():
-    """At a 0/1 vector the list is empty iff y_uv == y_u0 xor y_v0 on every
-    pair edge, and each row is an odd cycle violated by exactly 1."""
+def test_cut_consistency_is_empty_iff_every_pair_edge_agrees(monkeypatch):
+    """At a 0/1 vector there is one row per pair edge with y_uv != y_u0 xor
+    y_v0, in edge order: its reference triangle, with its edges at 1 as odd
+    set, an odd cycle violated by exactly 1.  The pair edges of these graphs
+    may close triangles of their own; those are never returned."""
     rng = random.Random(73)
     cuts = non_cuts = 0
     for _ in range(60):
@@ -305,15 +309,51 @@ def test_cut_consistency_is_empty_iff_every_pair_edge_agrees():
         failing = [e for e in range(graph.n_root_edges, graph.n_edges)
                    if y[e] != float(int(y[ends[e][0] - 1]) ^ int(y[ends[e][1] - 1]))]
         rows = cut_consistency(graph, y)
-        assert bool(rows) == bool(failing)
+        triangles = [(e, ends[e][0] - 1, ends[e][1] - 1) for e in failing]
+        assert [(sorted(row.cycle), row.odd_set) for row in rows] == [
+            (sorted(t), frozenset(x for x in t if y[x] == 1.0)) for t in triangles]
         cuts += not failing
         non_cuts += bool(failing)
         for row in rows:
             assert is_closed_cycle(graph, row.cycle)
             assert row.odd_set <= set(row.cycle) and len(row.odd_set) % 2 == 1
             assert violation(row, y) == 1.0
-        assert len({row.key() for row in rows}) == len(rows)
+        # the cap keeps the first rows in edge order
+        with monkeypatch.context() as patch:
+            patch.setattr(maxcut, "MAX_CUTS", 2)
+            assert cut_consistency(graph, y) == rows[:2]
     assert cuts >= 5 and non_cuts >= 5
+
+
+def test_cut_consistency_rows_are_among_the_general_search_rows():
+    """On model graphs, at a cut, with one or several flipped pair edges and
+    with flipped root edges: the list is empty iff the general search's is,
+    and each of its rows is among the general search's rows."""
+    rng = random.Random(76)
+    graphs = [build_maxcut(model_of(random_storyline_instance(rng, p_range=(2, 6))))
+              for _ in range(25)]
+    for index in (0, 7, 19):  # paper-short base stories
+        inst, _ = build_instance(parse_story(bench_story("paper-short", index)))
+        graphs.append(build_maxcut(model_of(merge_layers(inst)[0])))
+    seen = set()
+    for graph in graphs:
+        r, m = graph.n_root_edges, graph.n_edges
+        if m == r:
+            continue
+        for kind in ("cut", "one pair edge", "pair edges", "root edges"):
+            flips = {"cut": [], "one pair edge": [rng.randrange(r, m)],
+                     "pair edges": rng.sample(range(r, m), min(m - r, rng.randint(2, 6))),
+                     "root edges": rng.sample(range(r), min(r, rng.randint(1, 3)))}[kind]
+            y = side_cut(graph, [0] + [rng.randint(0, 1) for _ in range(r)])
+            y[flips] = 1.0 - y[flips]
+            rows = cut_consistency(graph, y)
+            general = separate_odd_cycles(graph, y)
+            assert bool(rows) == bool(general), kind
+            assert len(general) < maxcut.MAX_CUTS
+            assert {row.key() for row in rows} <= {row.key() for row in general}, kind
+            seen.add((kind, bool(rows)))
+    assert seen >= {("cut", False), ("one pair edge", True), ("pair edges", True),
+                    ("root edges", True)}
 
 
 def side_cut(graph: MaxCutGraph, sides: list[int]) -> np.ndarray:
@@ -342,36 +382,12 @@ def test_forest_sorts_no_arcs_at_a_cut():
         assert "adjacency" in vars(forest)
 
 
-def test_flipped_pair_edge_is_found_from_its_ends_alone(monkeypatch):
-    """One flipped pair edge makes every node conflicted (the root star joins
-    them all), yet the search starts at that edge's two ends only, and each
-    cycle it finds runs through the edge and is violated by a full unit."""
-    starts = []
-    level = maxcut._IntegralForest.level
-
-    def spy(forest, frontier, seen, via):
-        if not starts:
-            starts.append(sorted((frontier & (forest.width - 1)).tolist()))
-        return level(forest, frontier, seen, via)
-
-    monkeypatch.setattr(maxcut._IntegralForest, "level", spy)
-    rng = random.Random(75)
-    for _ in range(30):
-        n = rng.randint(4, 12)
-        graph = random_cut_graph(rng, n, rng.randint(2, 2 * n))
-        y = side_cut(graph, [0] + [rng.randint(0, 1) for _ in range(n - 1)])
-        flip = rng.randrange(graph.n_root_edges, graph.n_edges)
-        y[flip] = 1.0 - y[flip]
-        assert maxcut._IntegralForest(graph, y).conflicted.size == n
-        starts.clear()
-        rows = cut_consistency(graph, y)
-        u, v = graph.ends[flip].tolist()
-        assert starts == [[2 * u, 2 * v]]
-        assert rows
-        for row in rows:
-            assert flip in row.cycle and is_closed_cycle(graph, row.cycle)
-            assert violation(row, y) == 1.0
-        assert sorted((flip, u - 1, v - 1)) in [sorted(row.cycle) for row in rows]
+def test_split_walk_keeps_the_odd_outer_part():
+    """A repeated node splits a closed walk in two; when the inner part has
+    an even number of side switches, the outer part is the odd one kept."""
+    nodes = [1, 2, 3, 2, 4, 1]
+    steps = [(10, True), (11, False), (11, False), (12, False), (13, False)]
+    assert _extract_simple_odd_cycle(nodes, steps) == [10, 12, 13]
 
 
 def test_all_integral_odd_cycle_is_found():

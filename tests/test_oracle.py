@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import random
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -31,6 +29,7 @@ from storymin import oracle, solver
 from storymin.cli import EXIT_INVALID, main
 
 from conftest import (
+    bench_story,
     naive_crossings,
     naive_layer_orderings,
     naive_optimum,
@@ -170,18 +169,9 @@ def test_memory_is_bounded_by_the_tile():
     assert peak < 8 * oracle._BLOCK < unblocked
 
 
-def paper_layout_story(index: int) -> str:
-    """Story ``index`` of the benchmark's paper-layout corpus, as JSON text."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return json.dumps(corpus.base_stories("paper-layout")[index])
-
-
 @pytest.mark.parametrize("index", [21, 1, 24])
 def test_seven_wide_paper_story_equals_branch_and_cut(index):
-    inst, _ = build_instance(parse_story(paper_layout_story(index)))
+    inst, _ = build_instance(parse_story(bench_story("paper-layout", index)))
     merged, _ = merge_layers(inst)
     best, sol = brute_force_optimum(merged)
     assert count_crossings(merged, sol) == best

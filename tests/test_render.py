@@ -19,6 +19,7 @@ from storymin import (
     parse_story,
     render_svg,
 )
+from storymin import solver
 
 from conftest import (
     random_general_tree,
@@ -52,11 +53,12 @@ def test_a_scene_named_like_the_root_is_a_bundle(scene):
         "48.0,48.0 148.0,48.0", "48.0,72.0 148.0,72.0"]
 
 
-def test_slots_strictly_increase():
+def test_slots_strictly_increase(monkeypatch):
+    monkeypatch.setattr(solver, "_SWEEPS", 2)
     rng = random.Random(111)
     for _ in range(20):
         inst = random_storyline_instance(rng)
-        sol, _ = barycenter_heuristic(inst, sweeps=2)
+        sol, _ = barycenter_heuristic(inst)
         for r, layer_slots in enumerate(assign_slots(inst, sol)):
             ordered = [layer_slots[v] for v in sol.orders[r]]
             assert all(b - a in (1, 2) for a, b in zip(ordered, ordered[1:]))
@@ -222,7 +224,7 @@ def count_drawn_intersections(svg: str) -> int:
     return total
 
 
-def test_drawn_intersections_match_count():
+def test_drawn_intersections_match_count(monkeypatch):
     rng = random.Random(113)
     done = 0
     while done < 25:
@@ -230,7 +232,8 @@ def test_drawn_intersections_match_count():
         if not doc["scenes"]:
             continue
         inst, _ = build_instance(parse_story(json.dumps(doc)))
-        sol, _ = barycenter_heuristic(inst, sweeps=rng.randint(1, 4))
+        monkeypatch.setattr(solver, "_SWEEPS", rng.randint(1, 4))
+        sol, _ = barycenter_heuristic(inst)
         svg = render_svg(inst, sol)
         reported = count_crossings(inst, sol)
         assert count_drawn_intersections(svg) == reported
