@@ -35,6 +35,7 @@ from storymin.ordering import OrderingModel
 from storymin.lp import TIME_LIMIT, LpResult, RowBlock, ScipyBackend, SimplexBackend
 
 from conftest import (
+    bench_story,
     naive_crossings,
     random_general_instance,
     random_general_tree,
@@ -601,6 +602,23 @@ def test_lp_only_grows(monkeypatch):
     assert search.backend.solves == res.stats.n_LPs > 1
     # the root rows go to the LP without keys; every separated row has one
     assert len(search.row_keys) == search.backend.row_count() - len(sign_triangles(search.graph))
+
+
+def test_an_integral_point_that_is_no_cut_gets_its_triangles(monkeypatch):
+    """Seven-wide story 29 of the paper-layout corpus reaches a 0/1 LP point
+    that is not a cut: the cut test's rows enter the LP, and the search goes
+    on to prove the optimum."""
+    failing = []
+
+    def recorded(graph, y):
+        rows = maxcut.cut_consistency(graph, y)
+        failing.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(solver, "cut_consistency", recorded)
+    res = branch_and_cut(build_instance(parse_story(bench_story("paper-layout", 29)))[0])
+    assert res.status == OPTIMAL_STATUS and res.crossings == res.lower_bound == 56
+    assert any(failing), failing
 
 
 def test_a_root_row_found_again_is_added_once(monkeypatch):
