@@ -6,9 +6,9 @@
 The stories are the 30 base stories of the ``paper-layout`` workload
 (``bench/corpus.py``; 50-140 layers), which the benchmark only lays out.
 The seven-wide tier is the 20 whose widest layer holds at most nine nodes
-(about 3 s in all); ``--wide`` adds the ten 16-wide ones (a minute or two).
-Each is solved by ``branch_and_cut`` under its default time limit, on a
-``SimplexBackend`` that records each LP.
+(about 3 s in all, and about 8 s more for the oracle); ``--wide`` adds the
+ten 16-wide ones (a minute or two).  Each is solved by ``branch_and_cut``
+under its default time limit, on a ``SimplexBackend`` that records each LP.
 
 Per story the record holds the status, crossings, ``lower_bound``, the
 start heuristic's count, the ``SolveStats`` counters, the time, and the
@@ -17,8 +17,11 @@ bound's ceiling reaches the optimum.  That part is read off the LP objective
 sequence, which that backend collects, plus the cut graph's offset, rebuilt
 as ``branch_and_cut`` builds it.  In a search that branches, a subproblem's
 LP can reach the optimum before the global bound does; the count then
-starts at that LP.  The record also names the commit and the Python, numpy
-and SciPy versions.  JSON goes to ``--out``, or to standard output.
+starts at that LP.  A seven-wide record also holds ``oracle``, the optimum
+that ``brute_force_optimum`` finds on the merged instance with no LP, and
+the tier's ``oracle_agrees`` counts the stories where it equals the
+crossings.  The output also names the commit and the Python, numpy and SciPy
+versions.  JSON goes to ``--out``, or to standard output.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import scipy  # noqa: E402
 from storymin import (  # noqa: E402
     barycenter_heuristic,
     branch_and_cut,
+    brute_force_optimum,
     build_instance,
     build_maxcut,
     build_model,
@@ -70,7 +74,7 @@ class RecordingBackend(SimplexBackend):
         return res
 
 
-def solve_story(index: int, inst) -> dict:
+def solve_story(index: int, inst, oracle: bool) -> dict:
     # the start heuristic and the offset of the cut graph, as branch_and_cut builds them
     work = merge_layers(inst)[0]
     heur, heuristic = barycenter_heuristic(work)
@@ -81,7 +85,7 @@ def solve_story(index: int, inst) -> dict:
     proof = next((k for k, (obj, _) in enumerate(log)
                   if obj is not None and math.ceil(obj + offset - TOLERANCE) >= res.crossings), None)
     stats = res.stats
-    return {
+    record = {
         "index": index, "status": res.status, "crossings": res.crossings,
         "lower_bound": res.lower_bound, "heuristic": heuristic,
         "n_LPs": stats.n_LPs, "n_sub": stats.n_sub, "n_oddc": stats.n_oddc, "n_trans": stats.n_trans,
@@ -89,6 +93,9 @@ def solve_story(index: int, inst) -> dict:
         "post_proof_LPs": 0 if proof is None else len(log) - proof - 1,
         "post_proof_s": 0.0 if proof is None else round(end - log[proof][1], 4),
     }
+    if oracle:  # a second route, with no LP: the layer DP over every ordering
+        record["oracle"] = brute_force_optimum(work)[0]
+    return record
 
 
 def environment() -> dict:
@@ -116,15 +123,17 @@ def main(argv: list[str] | None = None) -> int:
         inst = build_instance(parse_story(json.dumps(doc)))[0]
         tier = "seven-wide" if max(inst.layer_sizes) <= SEVEN_WIDE else "16-wide"
         if tier == "seven-wide" or args.wide:
-            tiers[tier].append(solve_story(index, inst))
+            tiers[tier].append(solve_story(index, inst, oracle=tier == "seven-wide"))
             print(tier, json.dumps(tiers[tier][-1]), file=sys.stderr, flush=True)
     out = {"environment": environment(), "tiers": {}}
     for tier, stories in tiers.items():
         if stories:
             totals = {key: round(sum(s[key] for s in stories), 4)
                       for key in ("crossings", "n_LPs", "time_s", "post_proof_LPs", "post_proof_s")}
-            out["tiers"][tier] = {"optimal": sum(s["status"] == "optimal" for s in stories),
-                                  "totals": totals, "stories": stories}
+            summary = {"optimal": sum(s["status"] == "optimal" for s in stories), "totals": totals}
+            if "oracle" in stories[0]:
+                summary["oracle_agrees"] = sum(s["oracle"] == s["crossings"] for s in stories)
+            out["tiers"][tier] = {**summary, "stories": stories}
     text = json.dumps(out, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

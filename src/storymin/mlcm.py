@@ -417,9 +417,8 @@ def _parse_tree_text(text: str, names: list[str], location: str) -> LayerTree:
     pos = 0
 
     def parse_node() -> int:
+        # every call is at a token: the tree is not empty, and children stop at the end
         nonlocal pos
-        if pos >= len(tokens):
-            raise InstanceFormatError("bad-tree", "unexpected end of tree", location)
         tok = tokens[pos]
         if tok == "(":
             pos += 1

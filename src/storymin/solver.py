@@ -29,32 +29,37 @@ to ``separate_odd_cycles`` with the deadline (the odd cycles of the graph
 that the edges at 0 or 1 contract to).  When nothing is added, a 0/1 point is
 decoded, recounted and offered as incumbent, and a fractional one branches.
 
-The search keeps one LP from start to end (``lp.SimplexBackend``, a HiGHS
-model re-solved from its last basis; cold ``linprog`` if SciPy lacks the HiGHS
-extension).  Cuts and branching fixes reach it as row and bound changes.
+The search is one function, ``_search``, over one LP from start to end
+(``lp.SimplexBackend``, a HiGHS model re-solved from its last basis; cold
+``linprog`` if SciPy lacks the HiGHS extension).  Cuts and branching fixes
+reach it as row and bound changes: each node undoes the last node's fixes
+and sets its own (``_set_fixes``), then runs its rounds of LP and cuts.
 The LP is created only when the heuristic's count is above the box bound
 (every negative-weight edge cut, no other); otherwise the heuristic layout
-is returned as optimal at once.  The deadline is handed to the LP and to
-odd-cycle separation too, so a long LP or separation round stops at the time
-limit; its node then goes back on the heap as if the deadline had been seen
-between LPs.
+is returned as optimal at once.  The deadline is checked before each LP and
+handed to the LP and to odd-cycle separation too, so a long LP or
+separation round stops at the time limit.  Each of the three stops ends the
+search the same way: the node goes back on the heap with its raised bound,
+and the lower bound is the heap top's, at most the incumbent's count.
 
 Bounding uses that all weights are integral: a node can be pruned as soon as
 ceil(LP bound - eps) reaches the incumbent.  Node selection is best-bound
-(ties FIFO), branching picks the most fractional edge variable (ties lowest
-index).  Every row stays in the LP until the search ends; the search keeps
-the set of the separated rows' keys, so a cut found again is not added
-twice.  The root rows need no keys: each holds at every LP point within the
-LP's feasibility tolerance, below ``TOLERANCE``, so no separator returns
-one.  Everything is deterministic.
+over heap entries ``(bound, number, fixes)``, numbered so that ties stay
+FIFO; branching picks the most fractional edge variable (ties lowest index)
+and gives both children the LP's value.  Every row stays in the LP until the
+search ends; the search keeps the set of the separated rows' keys, so a cut
+found again is not added twice.  The root rows need no keys: each holds at
+every LP point within the LP's feasibility tolerance, below ``TOLERANCE``,
+so no separator returns one.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ._lazy import np
 from .lp import (
@@ -321,145 +326,101 @@ def solve_heuristic(instance: MlcmInstance) -> OptResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(order=True)
-class _Node:
-    bound: float
-    seq: int
-    fixes: tuple[tuple[int, int], ...] = field(compare=False)
-
-
 def _int_bound(value: float) -> int:
     return math.ceil(value - TOLERANCE)
 
 
-class _Search:
-    """One best-bound search over one LP: open nodes, incumbent and cuts."""
+def _set_fixes(lp: RelaxationBackend, old: tuple[tuple[int, int], ...],
+               new: tuple[tuple[int, int], ...]) -> None:
+    """Undo the last node's fixes ``old``, then set this node's ``new``.
 
-    def __init__(self, graph: MaxCutGraph, model: OrderingModel, work: MlcmInstance,
-                 backend: RelaxationBackend, incumbent: Solution | None, incumbent_count: int,
-                 deadline: float, stats: SolveStats):
-        self.graph = graph
-        self.model = model
-        self.work = work
-        self.backend = backend
-        self.incumbent = incumbent
-        self.incumbent_count = incumbent_count
-        self.deadline = deadline
-        self.stats = stats
-        self.heap: list[_Node] = []
-        self.seq = 0
-        self.timed_out = False
-        self.row_keys: set = set()  # the keys of the separated rows in the LP
-        self.fixes: tuple[tuple[int, int], ...] = ()  # applied at the last node
+    Only fixes change bounds, and none is on edge 0: undoing them restores
+    the loaded bounds."""
+    for var, _ in old:
+        lp.set_bounds(var, 0.0, 1.0)
+    for var, val in new:
+        lp.set_bounds(var, float(val), float(val))
 
-    def push(self, bound: float, fixes: tuple[tuple[int, int], ...]) -> None:
-        heapq.heappush(self.heap, _Node(bound, self.seq, fixes))
-        self.seq += 1
 
-    def run(self) -> None:
-        while self.heap:
-            node = heapq.heappop(self.heap)
-            if _int_bound(node.bound) >= self.incumbent_count:
-                # best-bound order: every remaining node is prunable too
-                self.heap.clear()
-                return
-            self.process(node)
-            if self.timed_out or time.monotonic() > self.deadline:
-                self.timed_out = True
-                return
+def _search(graph: MaxCutGraph, model: OrderingModel, work: MlcmInstance, lp: RelaxationBackend,
+            incumbent: Solution, count: int, root: float, deadline: float,
+            stats: SolveStats) -> tuple[Solution, int, int]:
+    """Best-bound branch and cut over one LP, from the root bound ``root``.
 
-    # -- cut handling -----------------------------------------------------
+    Returns the best layout, its count and the proven lower bound.  Heap
+    entries are ``(bound, number, fixes)``; the numbers keep ties FIFO."""
+    numbers = itertools.count()
+    heap = [(root, next(numbers), ())]
+    row_keys: set = set()  # the keys of the separated rows in the LP
 
-    def _add_cuts(self, cuts, kind: str) -> int:
-        """Add the cuts whose keys are not in the LP yet; ``kind`` is "oddc" or "trans"."""
-        fresh = {key: cut for cut in cuts if (key := cut.key()) not in self.row_keys}
+    def add(cuts) -> int:
+        """Add the cuts whose keys are not in the LP yet; how many."""
+        fresh = {key: cut for cut in cuts if (key := cut.key()) not in row_keys}
         if fresh:
-            self.backend.add_rows([cut.lp_row() for cut in fresh.values()])
-            self.row_keys.update(fresh)
-            if kind == "oddc":
-                self.stats.n_oddc += len(fresh)
-            else:
-                self.stats.n_trans += len(fresh)
+            lp.add_rows([cut.lp_row() for cut in fresh.values()])
+            row_keys.update(fresh)
         return len(fresh)
 
-    # -- node processing --------------------------------------------------
-
-    def _apply_fixes(self, fixes: tuple[tuple[int, int], ...]) -> None:
-        # only fixes change bounds, and none is on edge 0: undoing the last
-        # node's restores the loaded bounds
-        for var, _ in self.fixes:
-            self.backend.set_bounds(var, 0.0, 1.0)
-        self.fixes = fixes
-        for var, val in fixes:
-            self.backend.set_bounds(var, float(val), float(val))
-
-    def process(self, node: _Node) -> None:
-        self._apply_fixes(node.fixes)
-        counted = False
+    applied: tuple[tuple[int, int], ...] = ()  # the last node's fixes
+    while heap:
+        bound, _, fixes = heapq.heappop(heap)
+        if _int_bound(bound) >= count:
+            break  # best-bound order: every open node is prunable too
+        _set_fixes(lp, applied, fixes)
+        applied, first = fixes, True  # n_sub counts the node at its first counted LP
         while True:
-            if time.monotonic() > self.deadline:
-                self._time_out(node)
-                return
-            res = self.backend.solve()
-            if res.status == TIME_LIMIT:
-                self._time_out(node)
-                return
-            self.stats.n_LPs += 1
-            if not counted:
-                self.stats.n_sub += 1
-                counted = True
+            res = lp.solve() if time.monotonic() <= deadline else None
+            if res is None or res.status == TIME_LIMIT:
+                # the node is still open: repost it, so the bound stays honest
+                heapq.heappush(heap, (bound, next(numbers), fixes))
+                return incumbent, count, max(min(_int_bound(heap[0][0]), count), 0)
+            stats.n_LPs += 1
+            stats.n_sub += first
+            first = False
             if res.status == INFEASIBLE:
-                return
+                break
             if res.status in (NUMERICAL, UNBOUNDED) or res.x is None:
                 raise SolverError(f"LP backend failed with status {res.status!r}")
-            total = res.objective + self.graph.offset
-            node.bound = max(node.bound, total)
-            if _int_bound(total) >= self.incumbent_count:
-                return
+            total = res.objective + graph.offset
+            bound = max(bound, total)
+            if _int_bound(total) >= count:
+                break
             y = np.asarray(res.x, dtype=float)
-            integral = float(np.minimum(y, 1.0 - y).max()) <= TOLERANCE
+            frac = np.minimum(y, 1.0 - y)
+            integral = float(frac.max()) <= TOLERANCE
             if integral:
                 y = np.round(y)
-                cuts = cut_consistency(self.graph, y)
+                cuts = cut_consistency(graph, y)
             else:
-                cuts = separate_odd_cycles(self.graph, y, deadline=self.deadline)
-                if time.monotonic() > self.deadline:
-                    # the search may have stopped short: neither branch nor prune
-                    self._time_out(node)
-                    return
+                cuts = separate_odd_cycles(graph, y, deadline=deadline)
+                if time.monotonic() > deadline:
+                    continue  # it may have stopped short: the next round reposts the node
+            added = add(cuts)
+            stats.n_oddc += added
             trans = []
-            added = self._add_cuts(cuts, "oddc")
             if not added:
-                trans = separate_transitivity(self.model, y)
-                added = self._add_cuts(trans, "trans")
+                trans = separate_transitivity(model, y)
+                added = add(trans)
+                stats.n_trans += added
             if added:
                 continue
             if not integral:
-                self._branch(node, y, total)
-                return
+                # branch on the most fractional edge, at this LP's value
+                j = int(np.argmax(frac))
+                for val in (0, 1):
+                    heapq.heappush(heap, (total, next(numbers), fixes + ((j, val),)))
+                break
             if cuts or trans:
                 raise SolverError("no progress at an integral point")
             # a transitive cut: decode, recount and offer it as incumbent
-            solution = cut_to_solution(self.model, y)
-            value = count_crossings(self.work, solution)
+            solution = cut_to_solution(model, y)
+            value = count_crossings(work, solution)
             if value != round(total):
                 raise SolverError(f"objective mismatch: LP says {total}, recount says {value}")
-            if value < self.incumbent_count:
-                self.incumbent_count, self.incumbent = value, solution
-            return
-
-    def _time_out(self, node: _Node) -> None:
-        self.timed_out = True
-        # node is still open: repost it so the bound stays honest
-        self.push(node.bound, node.fixes)
-
-    def _branch(self, node: _Node, y: np.ndarray, total: float) -> None:
-        frac = np.minimum(y, 1.0 - y)
-        j = int(np.argmax(frac))
-        if frac[j] <= TOLERANCE:
-            raise SolverError("tried to branch on an integral point")
-        for val in (0, 1):
-            self.push(total, node.fixes + ((j, val),))
+            if value < count:
+                count, incumbent = value, solution
+            break
+    return incumbent, count, count
 
 
 def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
@@ -520,11 +481,4 @@ def branch_and_cut(instance: MlcmInstance, config: SolveConfig | None = None,
 
     # the first LP holds the reference-triangle bound (maxcut docstring)
     stats.n_oddc = len(lp.add_rows(sign_triangles(graph)))
-    search = _Search(graph, model, work, lp, heur, incumbent_count, deadline, stats)
-    search.push(root, ())
-    search.run()
-
-    count = lower = search.incumbent_count
-    if search.timed_out and search.heap:
-        lower = max(min(_int_bound(search.heap[0].bound), count), 0)
-    return finish(search.incumbent, count, lower)
+    return finish(*_search(graph, model, work, lp, heur, incumbent_count, root, deadline, stats))

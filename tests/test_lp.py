@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from storymin import (
+    SolveConfig,
     branch_and_cut,
     brute_force_optimum,
     build_instance,
@@ -344,14 +345,14 @@ def test_threads_that_race_for_numpy_both_solve():
         word for r in here for word in ("optimal", str(r.crossings), "True")]
 
 
-def large_sparse_backend(n: int = 1000, m: int = 2000) -> SimplexBackend:
+def large_sparse_backend(n: int = 1000, m: int = 2000, backend_cls=SimplexBackend):
     """A random LP whose next solve takes a few tenths of a second.
 
     The rows reach the HiGHS model as they are added, so a timed solve is
     all simplex iterations.
     """
     rng = random.Random(7)
-    be = make(SimplexBackend, [rng.uniform(-1, 1) for _ in range(n)], [0.0] * n, [1.0] * n)
+    be = make(backend_cls, [rng.uniform(-1, 1) for _ in range(n)], [0.0] * n, [1.0] * n)
     be.add_rows([({j: rng.choice([-1.0, 1.0]) for j in rng.sample(range(n), 8)},
                   rng.uniform(0.5, 2.0)) for _ in range(m)])
     return be
@@ -365,6 +366,34 @@ def test_deadline_stops_highs_inside_a_solve():
     assert time.monotonic() - start < 0.25
     be.set_deadline(math.inf)
     assert be.solve().status == OPTIMAL
+
+
+def test_deadline_stops_linprog_inside_a_solve(monkeypatch):
+    """The cold route hands the time left to linprog, whose own time limit
+    ends the solve as TIME_LIMIT."""
+    import scipy.optimize
+
+    statuses = []
+    linprog = scipy.optimize.linprog
+
+    def recorded(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
+    be = large_sparse_backend(backend_cls=ScipyBackend)
+    be.set_deadline(time.monotonic() + 0.005)
+    assert be.solve().status == TIME_LIMIT
+    assert statuses == [1]  # linprog ran and hit its limit
+
+
+def test_cold_route_times_out_with_an_honest_bound():
+    doc = random_story_doc(random.Random(1), 20, 60, 20)
+    inst = build_instance(parse_story(json.dumps(doc)))[0]
+    res = branch_and_cut(inst, SolveConfig(time_limit=0.3), backend=ScipyBackend)
+    assert res.status == "timeout"
+    assert res.lower_bound <= 68 <= res.crossings  # 68 is the proven optimum
 
 
 def test_each_solve_gets_the_time_left():

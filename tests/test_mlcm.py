@@ -21,6 +21,7 @@ from storymin import (
     solve_heuristic,
     validate_instance,
 )
+from storymin.cli import EXIT_INVALID, main
 
 from conftest import (
     naive_crossings,
@@ -314,6 +315,38 @@ def test_parse_instance_errors(mangle):
         parse_instance(mangle(SAMPLE_INSTANCE))
 
 
+@pytest.mark.parametrize("old, new, code, error", [
+    ("(s2 x y)", "", "bad-tree", "empty tree (at line 6)"),
+    ("(s2 x y)", "()", "bad-tree", "internal node needs a label (at line 6)"),
+    ("(s2 x y)", "(s2 x x y)", "bad-tree", "node used twice (at line 6)"),
+    ("(s2 x y)", "(s2 x y", "bad-tree", "missing ')' (at line 6)"),
+    ("(s2 x y)", "(s2 x y (s3))", "bad-tree", "internal node 's3' has no children (at line 6)"),
+    ("(s2 x y)", ")", "bad-tree", "unexpected ')' (at line 6)"),
+    ("(s2 x y)", "(s2 x z)", "bad-tree", "unknown leaf 'z' (at line 6)"),
+    ("(s2 x y)", "(s2 x y) x", "bad-tree", "trailing tokens after tree (at line 6)"),
+    ("(s2 x y)", "x", "bad-tree", "root must be an internal node (at line 6)"),
+    (SAMPLE_INSTANCE, "# a comment\n", "bad-shape", "empty instance text"),
+    ("p=2", "p 2", "bad-shape", "first line must be 'p=<count>' (at line 2)"),
+    ("edges 1", "edge 1", "bad-shape", "unrecognized line 'edge 1: a-x, b-y, c-y' (at line 7)"),
+    ("tree 2: (s2 x y)\n", "", "bad-shape", "missing 'tree 2:' line"),
+    ("a-x, b-y", "a-x, , b-y", "bad-shape", "empty edge entry (at line 7)"),
+    ("a-x,", "a-x-y,", "bad-shape", "edge 'a-x-y' must be 'u-v' (at line 7)"),
+    ("a-x,", "a-q,", "unknown-node", "edge endpoint 'q' not in layer 2 (at line 7)"),
+    ("b-y,", "b-y, b-y,", "parallel-edge", "edge 'b-y' repeated (at line 7)"),
+])
+def test_instance_text_errors_name_code_and_line(old, new, code, error, tmp_path, capsys):
+    """Each fault of the instance text gets its code and line, and the CLI
+    exits 1 with it (no traceback)."""
+    text = SAMPLE_INSTANCE.replace(old, new)
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert (exc.value.code, str(exc.value)) == (code, f"{code}: {error}")
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    assert main(["convert", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {code}: {error}\n"
+
+
 @pytest.mark.parametrize("extra, error", [
     ("layer 3: q", "bad-shape: layer 3 out of range 1..2 (at line 8)"),
     ("layer 0: q", "bad-shape: layer 0 out of range 1..2 (at line 8)"),
@@ -356,6 +389,25 @@ def test_solution_numbered_line_errors(extra, error):
     with pytest.raises(InstanceFormatError) as exc:
         parse_solution(text, inst)
     assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("text, code, error", [
+    ("layer 1: a b c\nlayer two: x y\n", "bad-shape", "unrecognized line 'layer two: x y' (at line 2)"),
+    ("layer 1: a b\nlayer 2: x y\n", "bad-permutation",
+     "layer 1 is not a permutation of the layer's nodes (at line 1)"),
+    ("layer 1: a b c\n", "bad-shape", "missing 'layer 2:' line"),
+])
+def test_solution_text_errors_name_code_and_line(text, code, error, tmp_path, capsys):
+    """Each fault of the solution text gets its code and line, and
+    ``render --solution`` exits 1 with it."""
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_solution(text, parse_instance(SAMPLE_INSTANCE))
+    assert (exc.value.code, str(exc.value)) == (code, f"{code}: {error}")
+    (tmp_path / "instance.txt").write_text(SAMPLE_INSTANCE)
+    (tmp_path / "solution.txt").write_text(text)
+    argv = ["render", str(tmp_path / "instance.txt"), "--solution", str(tmp_path / "solution.txt")]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {code}: {error}\n"
 
 
 def test_solution_text_comments_skipped():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
@@ -29,10 +30,10 @@ from storymin import (
     solve_heuristic,
     validate_instance,
 )
-from storymin import build_model, identify_variables, lp, maxcut, solver
+from storymin import build_model, cli, identify_variables, lp, maxcut, solver
 from storymin.maxcut import OddCycleInequality, build_maxcut, sign_triangles
 from storymin.ordering import OrderingModel
-from storymin.lp import TIME_LIMIT, LpResult, RowBlock, ScipyBackend, SimplexBackend
+from storymin.lp import INFEASIBLE, TIME_LIMIT, LpResult, RowBlock, ScipyBackend, SimplexBackend
 
 from conftest import (
     bench_story,
@@ -517,6 +518,12 @@ def record_graphs(monkeypatch) -> list:
     return graphs
 
 
+def medium_story():
+    """The 12-character story whose proven optimum is 6."""
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    return build_instance(parse_story(json.dumps(doc)))[0]
+
+
 @pytest.mark.parametrize("seed, n_chars, n_scenes, tmax",
                          [(1, 12, 30, 12), (2, 16, 40, 16), (6, 14, 36, 14)])
 def test_first_lp_holds_the_full_triangle_bound(monkeypatch, seed, n_chars, n_scenes, tmax):
@@ -574,34 +581,48 @@ def test_every_cut_round_holds_at_most_max_cuts(monkeypatch):
     assert len(added) > 1 and max(added[1:]) <= 3
 
 
-def test_lp_only_grows(monkeypatch):
-    """Every row stays: at each solve the LP holds every row counted so far."""
-    searches = []
+def row_items(rows) -> list[tuple]:
+    """Each row of an ``add_rows`` argument as its sorted coefficient items
+    and its right-hand side."""
+    block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
+    items = []
+    for k in range(len(block)):
+        span = slice(block.indptr[k], block.indptr[k + 1])
+        coefficients = zip(block.indices[span].tolist(), block.data[span].tolist())
+        items.append((tuple(sorted(coefficients)), float(block.rhs[k])))
+    return items
 
-    class RecordedSearch(solver._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
+
+def test_lp_only_grows():
+    """Every row stays: at each solve the LP holds every row it was sent,
+    and no row is sent twice."""
+    sent, counts, backends = [], [], []
 
     class CheckedBackend(SimplexBackend):
-        solves = 0
+        def __init__(self):
+            super().__init__()
+            backends.append(self)
+
+        def add_rows(self, rows):
+            sent.append(row_items(rows))
+            return super().add_rows(rows)
 
         def solve(self):
-            stats = searches[-1].stats
-            assert self.row_count() == stats.n_oddc + stats.n_trans
-            self.solves += 1
+            counts.append(self.row_count())
+            assert counts[-1] == sum(map(len, sent))
             return super().solve()
 
-    monkeypatch.setattr(solver, "_Search", RecordedSearch)
     doc = random_story_doc(random.Random(2), 16, 40, 16)
     inst, _ = build_instance(parse_story(json.dumps(doc)))
     res = branch_and_cut(inst, backend=CheckedBackend)
     assert res.status == OPTIMAL_STATUS
     assert res.crossings == res.lower_bound == 38
-    (search,) = searches
-    assert search.backend.solves == res.stats.n_LPs > 1
-    # the root rows go to the LP without keys; every separated row has one
-    assert len(search.row_keys) == search.backend.row_count() - len(sign_triangles(search.graph))
+    assert len(counts) == res.stats.n_LPs > 1
+    assert counts == sorted(counts)
+    (backend,) = backends
+    assert backend.row_count() == res.stats.n_oddc + res.stats.n_trans
+    rows = [row for batch in sent for row in batch]
+    assert len(set(rows)) == len(rows)
 
 
 def test_an_integral_point_that_is_no_cut_gets_its_triangles(monkeypatch):
@@ -629,11 +650,7 @@ def test_a_root_row_found_again_is_added_once(monkeypatch):
 
     class RecordingBackend(SimplexBackend):
         def add_rows(self, rows):
-            block = rows if isinstance(rows, RowBlock) else RowBlock.of(rows)
-            for k in range(len(block)):
-                span = slice(block.indptr[k], block.indptr[k + 1])
-                received.append((dict(zip(block.indices[span].tolist(), block.data[span].tolist())),
-                                 float(block.rhs[k])))
+            received.extend(row_items(rows))
             return super().add_rows(rows)
 
     def first_root_row(graph):
@@ -656,7 +673,7 @@ def test_a_root_row_found_again_is_added_once(monkeypatch):
     assert res.status == OPTIMAL_STATUS
     assert res.crossings == res.lower_bound == 38
     assert len(rounds) > 1
-    assert received.count(rounds[0].lp_row()) == 2
+    assert received.count(row_items([rounds[0].lp_row()])[0]) == 2
 
 
 def test_large_instance_returns_near_its_time_limit():
@@ -672,15 +689,19 @@ def test_large_instance_returns_near_its_time_limit():
 
 
 def test_node_cut_short_in_separation_is_reposted(monkeypatch):
-    """A separation that stops at the deadline neither branches nor prunes."""
-    searches = []
+    """A separation that stops at the deadline neither branches nor prunes:
+    the root goes back on the heap with the bound of its one LP."""
+    deadlines, objectives, fixes = [], [], []
 
-    class RecordedSearch(solver._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
+    class RecordingBackend(SimplexBackend):
+        def set_bounds(self, var, lo, hi):
+            fixes.append(var)
+            super().set_bounds(var, lo, hi)
 
-    deadlines = []
+        def solve(self):
+            res = super().solve()
+            objectives.append(res.objective)
+            return res
 
     def stopped_separation(graph, y, deadline):
         deadlines.append(deadline)
@@ -688,20 +709,18 @@ def test_node_cut_short_in_separation_is_reposted(monkeypatch):
             time.sleep(0.01)
         return []  # stopped before it found a cut
 
-    monkeypatch.setattr(solver, "_Search", RecordedSearch)
+    graphs = record_graphs(monkeypatch)
     monkeypatch.setattr(solver, "separate_odd_cycles", stopped_separation)
     # with no transitivity cut either, an empty round would branch the node
     monkeypatch.setattr(solver, "separate_transitivity", lambda *args: [])
-    doc = random_story_doc(random.Random(1), 12, 30, 12)
-    inst, _ = build_instance(parse_story(json.dumps(doc)))
-    res = branch_and_cut(inst, SolveConfig(time_limit=0.5))
+    res = branch_and_cut(medium_story(), SolveConfig(time_limit=0.5), backend=RecordingBackend)
     assert len(deadlines) == 1
     assert res.status == TIMEOUT_STATUS
+    assert res.stats.n_sub == res.stats.n_LPs == len(objectives) == 1
+    assert fixes == []  # no child node was started
+    (graph,) = graphs
+    assert res.lower_bound == math.ceil(objectives[0] + graph.offset - maxcut.TOLERANCE)
     assert res.lower_bound <= 6 <= res.crossings
-    # the root went back on the heap, unbranched
-    (search,) = searches
-    assert [node.fixes for node in search.heap] == [()]
-    assert search.stats.n_sub == 1
 
 
 def test_node_bounds_match_a_full_reset():
@@ -723,19 +742,112 @@ def test_node_bounds_match_a_full_reset():
     m = graph.n_edges
     assert graph.n_root_edges >= 1 and m > 20
     backend = RecordingBackend(m)
-    search = solver._Search(graph, None, inst, backend, None, 0, 0.0, SolveStats())
     previous = ()
     for _ in range(200):
         # branching never picks the pinned edge 0
         fixes = tuple((var, rng.randint(0, 1)) for var in rng.sample(range(1, m), rng.randint(0, 8)))
         backend.calls = 0
-        search._apply_fixes(fixes)
+        solver._set_fixes(backend, previous, fixes)
         full = [(0.0, 0.0)] + [(0.0, 1.0)] * (m - 1)
         for var, val in fixes:
             full[var] = (float(val), float(val))
         assert backend.bounds == full
         assert backend.calls == len(previous) + len(fixes)
         previous = fixes
+
+
+def test_an_infeasible_node_closes_and_the_search_goes_on():
+    """A branched node whose LP answers INFEASIBLE is counted once and closed;
+    its sibling is solved next and the search ends at the optimum."""
+    events = []
+
+    class FirstChildInfeasible(SimplexBackend):
+        def set_bounds(self, var, lo, hi):
+            events.append((var, lo, hi))
+            super().set_bounds(var, lo, hi)
+
+        def solve(self):
+            if "infeasible" not in events and any(isinstance(e, tuple) for e in events):
+                events.append("infeasible")
+                return LpResult(INFEASIBLE)
+            events.append("solve")
+            return super().solve()
+
+    rng = random.Random(95)
+    for _ in range(7):  # the seventh branches (as in test_deterministic)
+        inst = random_general_instance(rng, p_range=(4, 6), n_range=(6, 10))
+    res = branch_and_cut(inst, backend=FirstChildInfeasible)
+    assert (res.status, res.crossings, res.lower_bound) == (OPTIMAL_STATUS, 29, 29)
+    assert (res.stats.n_sub, res.stats.n_LPs) == (4, 9)
+    first_fix = events.index((1, 0.0, 0.0))
+    # the root's five LPs, the fix, the closed child; then its sibling
+    assert events[:first_fix] == ["solve"] * 5
+    assert events[first_fix + 1:first_fix + 5] == ["infeasible", (1, 0.0, 1.0), (1, 1.0, 1.0), "solve"]
+    assert events.count("solve") + 1 == res.stats.n_LPs
+
+
+def test_deadline_between_two_lps_of_a_node_reposts_it(monkeypatch):
+    """The deadline passes while a cut round's rows go in, with no time
+    limit inside an LP: the node's next LP is not started, the node goes
+    back on the heap unbranched, and its raised bound is the lower bound."""
+    objectives, fixes = [], []
+
+    class SlowRows(SimplexBackend):
+        def add_rows(self, rows):
+            if objectives:  # separated rows, after the root LP
+                while time.monotonic() <= self.deadline:
+                    time.sleep(0.01)
+            return super().add_rows(rows)
+
+        def set_bounds(self, var, lo, hi):
+            fixes.append(var)
+            super().set_bounds(var, lo, hi)
+
+        def solve(self):
+            res = super().solve()
+            objectives.append(res)
+            return res
+
+    graphs = record_graphs(monkeypatch)
+    res = branch_and_cut(medium_story(), SolveConfig(time_limit=1.0), backend=SlowRows)
+    assert res.status == TIMEOUT_STATUS
+    assert [r.status for r in objectives] == [lp.OPTIMAL]
+    assert res.stats.n_sub == res.stats.n_LPs == 1
+    assert fixes == []
+    (graph,) = graphs
+    assert res.lower_bound == math.ceil(objectives[0].objective + graph.offset - maxcut.TOLERANCE)
+    assert res.lower_bound <= 6 <= res.crossings
+
+
+def test_no_progress_at_an_integral_point_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    """A cut test that returns a row the LP already holds, at a 0/1 point,
+    leaves the search without a step: a SolverError, exit 3 through the CLI."""
+    rows = []
+
+    def same_row(graph, y):
+        if not rows:
+            r = graph.n_root_edges
+            e = r + int(np.flatnonzero(graph.weights[r:])[0])
+            u0, v0 = (graph.ends[e] - 1).tolist()
+            rows.append(OddCycleInequality((e, u0, v0), frozenset({e, u0, v0})))
+        return list(rows)
+
+    monkeypatch.setattr(solver, "cut_consistency", same_row)
+    with pytest.raises(solver.SolverError, match="no progress at an integral point"):
+        branch_and_cut(medium_story())
+    rows.clear()
+    doc = random_story_doc(random.Random(1), 12, 30, 12)
+    path = tmp_path / "story.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_INTERNAL
+    assert "SolverError: no progress at an integral point" in capsys.readouterr().err
+
+
+def test_a_decode_that_disagrees_with_the_lp_is_an_internal_error(monkeypatch):
+    """The recount of the decoded 0/1 point must equal the LP's value."""
+    monkeypatch.setattr(solver, "cut_to_solution", lambda model, y: Solution(model.orders))
+    with pytest.raises(solver.SolverError, match="objective mismatch: LP says 6.* recount says"):
+        branch_and_cut(medium_story())
 
 
 def test_edge_0_is_pinned_at_every_solve():

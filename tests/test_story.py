@@ -20,6 +20,7 @@ from storymin import (
     serialize_story,
     validate_story,
 )
+from storymin.cli import EXIT_INVALID, main
 from storymin.story import _time_ranks
 
 from conftest import FIG_STORY, random_story_doc
@@ -107,6 +108,27 @@ def test_scene_errors_keep_their_messages_and_locations(key, value, error):
     with pytest.raises(StoryFormatError) as exc:
         parse_story(json.dumps(doc))
     assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[]", "top level must be a JSON object (at $)"),
+    ('{"characters": ["a"]}', "missing required key 'scenes' (at $)"),
+    ('{"characters": ["a"], "scenes": {}}', "'scenes' must be a list (at $.scenes)"),
+    ('{"characters": ["a"], "scenes": [1]}', "scene must be an object (at $.scenes[0])"),
+])
+def test_document_shape_errors_name_code_and_location(text, error, tmp_path, capsys):
+    """A story document of the wrong shape gets ``bad-shape`` and its JSON
+    path, and ``validate`` and ``convert`` exit 1 with it."""
+    with pytest.raises(StoryFormatError) as exc:
+        parse_story(text)
+    assert str(exc.value) == f"bad-shape: {error}"
+    path = tmp_path / "story.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().out == f"parse error: bad-shape: {error}\n"
+    if text.startswith("{"):  # convert reads anything else as instance text
+        assert main(["convert", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: bad-shape: {error}\n"
 
 
 def test_syntax_error_carries_position():
